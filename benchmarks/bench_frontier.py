@@ -1,14 +1,12 @@
-"""Pareto frontier engine benchmarks: bucketed sweep, pruned DP, store inserts.
+"""Pareto frontier engine benchmarks: block sweep, pruned DP, store inserts.
 
-Tracks the PR's two perf targets over time (the nightly smoke run emits
+Tracks the frontier kernels over time (the nightly smoke run emits
 ``BENCH_bench_frontier.json``):
 
-* the **bucketed** label sweep (array buckets + three completion bounds +
-  adaptive windowed Pareto filter) against the legacy **linear**-scan sweep
-  across the scattered regime — the slow lane asserts the ≥2x acceptance
-  floor at ``n = 40`` (measured ~6x, and ~10x at ``n = 50``) and that fully
-  scattered ``n = 50`` solves exactly in single-digit seconds (measured
-  well under one);
+* the label sweep over array buckets (completion bounds + adaptive windowed
+  Pareto filter) across the scattered regime — the slow lane asserts that
+  fully scattered ``n = 50`` solves exactly in single-digit seconds
+  (measured well under one), cross-checked by the bidirectional sweep;
 * the **bound-pruned Pareto DP** through the old blowup wall (scattered
   ``n >= 30`` used to raise ``FrontierExplosion`` at any practical cap),
   cross-checked against the label engine — the differential harness's
@@ -30,7 +28,6 @@ from repro.workloads.generators import random_problem
 
 SWEEP_SIZES = smoke_scaled((30, 40, 50), (14, 20))
 DP_SIZES = smoke_scaled((20, 25, 30), (10, 14))
-HEAD_TO_HEAD_N = 40
 WALL_N = 50
 SEED = 3
 
@@ -44,7 +41,7 @@ def scattered_graph(n_processing, seed=SEED):
 @pytest.mark.parametrize("n_crus", SWEEP_SIZES)
 def test_bench_bucketed_sweep_scattered(benchmark, n_crus):
     graph = scattered_graph(n_crus)
-    engine = LabelDominanceSearch(frontier="bucketed")
+    engine = LabelDominanceSearch()
     result = benchmark(lambda: engine.search(graph.dwg))
     assert result.found
 
@@ -76,33 +73,11 @@ def test_bench_store_inserts(benchmark):
 
 
 @pytest.mark.slow
-def test_bucketed_sweep_is_2x_faster_than_linear_at_the_wall():
-    """The PR acceptance floor: ≥2x over the linear-scan sweep at n>=40
-    fully scattered, identical optimum (measured ~6x on the dev box)."""
-    graph = scattered_graph(HEAD_TO_HEAD_N)
-    bucketed_engine = LabelDominanceSearch(frontier="bucketed")
-    linear_engine = LabelDominanceSearch(frontier="linear")
-
-    started = time.perf_counter()
-    bucketed = bucketed_engine.search(graph.dwg)
-    bucketed_elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    linear = linear_engine.search(graph.dwg)
-    linear_elapsed = time.perf_counter() - started
-
-    assert bucketed.ssb_weight == linear.ssb_weight
-    assert linear_elapsed >= 2.0 * bucketed_elapsed, (
-        f"bucketed sweep only {linear_elapsed / bucketed_elapsed:.1f}x faster "
-        f"({bucketed_elapsed:.3f}s vs {linear_elapsed:.3f}s)")
-
-
-@pytest.mark.slow
 def test_scattered_n50_solves_exactly_in_single_digit_seconds():
     """The new wall: n=50 fully scattered, exact, < 10 s single-threaded
-    (measured ~0.4 s).  The linear backend cross-checks the optimum."""
+    (measured ~0.4 s).  The bidirectional sweep cross-checks the optimum."""
     graph = scattered_graph(WALL_N)
-    engine = LabelDominanceSearch(frontier="bucketed")
+    engine = LabelDominanceSearch()
 
     started = time.perf_counter()
     result = engine.search(graph.dwg)
@@ -110,7 +85,8 @@ def test_scattered_n50_solves_exactly_in_single_digit_seconds():
 
     assert result.found
     assert elapsed < 10.0, f"n={WALL_N} scattered took {elapsed:.2f}s"
-    reference = LabelDominanceSearch(frontier="linear").search(graph.dwg)
+    reference = LabelDominanceSearch(
+        direction="bidirectional").search(graph.dwg)
     assert result.ssb_weight == reference.ssb_weight
 
 

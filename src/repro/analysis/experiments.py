@@ -244,63 +244,6 @@ def label_engine_experiment(sizes: Sequence[int] = (10, 14, 18, 22, 26, 30),
     return {"rows": rows, "scatter": 1.0, "yen_cutoff": yen_cutoff}
 
 
-# ---------------------------------------------------------------------- E7d
-def frontier_engine_experiment(sizes: Sequence[int] = (20, 30, 40, 50),
-                               n_satellites: int = 4, seed: int = 3,
-                               dp_cutoff: int = 35) -> Dict[str, object]:
-    """E7d: the bucketed frontier engine across the scattered-sensor regime.
-
-    Sweeps fully scattered instances with the bucketed (array-bucket) and
-    the legacy linear label sweeps, plus the bound-pruned Pareto DP up to
-    ``dp_cutoff`` processing CRUs — three exact engines whose optima must
-    agree bit-for-bit wherever they all finish (the differential harness in
-    ``tests/test_differential.py`` pins the same property as a test).
-    """
-    from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
-    from repro.core.label_search import LabelDominanceSearch
-
-    rows: List[ExperimentRow] = []
-    for n in sizes:
-        problem = random_problem(n_processing=n, n_satellites=n_satellites,
-                                 seed=seed, sensor_scatter=1.0)
-        graph = build_assignment_graph(problem)
-        bucketed = LabelDominanceSearch(frontier="bucketed")
-        bucketed_result, bucketed_time = timed(
-            lambda g=graph: bucketed.search(g.dwg))
-        linear = LabelDominanceSearch(frontier="linear")
-        linear_result, linear_time = timed(
-            lambda g=graph: linear.search(g.dwg))
-        if bucketed_result.ssb_weight != linear_result.ssb_weight:
-            raise RuntimeError(
-                f"frontier backends disagree at n={n}: "
-                f"{bucketed_result.ssb_weight} vs {linear_result.ssb_weight}")
-        row: ExperimentRow = {
-            "processing_crus": n,
-            "delay": bucketed_result.ssb_weight,
-            "bucketed_time_s": bucketed_time,
-            "linear_time_s": linear_time,
-            "speedup": linear_time / max(bucketed_time, 1e-9),
-            "bucketed_labels": bucketed_result.stats.labels_created,
-            "linear_labels": linear_result.stats.labels_created,
-            "pruned_dp_time_s": float("nan"),
-        }
-        if n <= dp_cutoff:
-            (dp_assignment, _), dp_time = timed(
-                lambda p=problem: pareto_dp_pruned_assignment(p))
-            # compare both optima through the same code path — the sweep's
-            # ssb_weight is accumulated in a different FP order than
-            # Assignment.end_to_end_delay() and can differ by an ULP
-            label_delay = graph.path_to_assignment(
-                bucketed_result.path).end_to_end_delay()
-            if dp_assignment.end_to_end_delay() != label_delay:
-                raise RuntimeError(
-                    f"pruned DP disagrees at n={n}: "
-                    f"{dp_assignment.end_to_end_delay()} vs {label_delay}")
-            row["pruned_dp_time_s"] = dp_time
-        rows.append(row)
-    return {"rows": rows, "scatter": 1.0, "dp_cutoff": dp_cutoff}
-
-
 # ---------------------------------------------------------------------- E7c
 def incremental_resolve_experiment(seeds: Sequence[int] = tuple(range(6)),
                                    n_processing: int = 20, n_satellites: int = 4,

@@ -47,16 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.assignment import Assignment
 from repro.core.context import SolveContext, SolveInterrupted
 from repro.core.dwg import SSBWeighting
-from repro.core.frontier import HAVE_NUMPY, ParetoStore, pareto_block_mask
+from repro.core.frontier import ParetoStore, pareto_block_mask
 from repro.model.problem import AssignmentProblem
-
-try:                                     # optional accelerator (see frontier)
-    import numpy as _np
-except ImportError:                      # pragma: no cover - numpy is in CI
-    _np = None
 
 _INF = float("inf")
 
@@ -134,8 +131,8 @@ _BOUNDED_CANDIDATE_FACTOR = 256
 _PRUNED_BEAM_WIDTH = 16
 
 #: Streamed cross products: folds with at least this many candidate pairs
-#: run through the vectorised chunked kernel (numpy) instead of the
-#: per-pair python loop; each chunk materialises at most this many pairs.
+#: run through the vectorised chunked kernel instead of the per-pair python
+#: loop; each chunk materialises at most this many pairs.
 _STREAM_MIN_PAIRS = 2048
 _STREAM_CHUNK_PAIRS = 1 << 18
 #: label-list size past which the host-time fold at a node bypasses the
@@ -500,11 +497,11 @@ def _dp_labels(problem: AssignmentProblem, *,
         A, B = len(acc), len(labels)
         base = (stats["created"], stats["dominated"],
                 stats["bound_rejected"])
-        ah = _np.array([lab[0] for lab in acc])
-        al = _np.array([lab[1] for lab in acc]).reshape(A, n)
-        bh = _np.array([lab[0] for lab in labels])
-        bl = _np.array([lab[1] for lab in labels]).reshape(B, n)
-        cp = _np.asarray(cpot) if cpot is not None else None
+        ah = np.array([lab[0] for lab in acc])
+        al = np.array([lab[1] for lab in acc]).reshape(A, n)
+        bh = np.array([lab[0] for lab in labels])
+        bl = np.array([lab[1] for lab in labels]).reshape(B, n)
+        cp = np.asarray(cpot) if cpot is not None else None
         rows = max(1, _STREAM_CHUNK_PAIRS // B)
         sigs: List[object] = []
         loads: List[object] = []
@@ -529,10 +526,10 @@ def _dp_labels(problem: AssignmentProblem, *,
                 stats["bound_rejected"] += len(hs) - kept
                 if not kept:
                     continue
-                idx = _np.nonzero(keep)[0]
+                idx = np.nonzero(keep)[0]
                 hs, ld = hs[idx], ld[idx]
             else:
-                idx = _np.arange(len(hs))
+                idx = np.arange(len(hs))
             if len(hs) > 1:
                 # chunk-local dominance filter keeps the accumulation small
                 mask = pareto_block_mask(hs, ld,
@@ -545,9 +542,9 @@ def _dp_labels(problem: AssignmentProblem, *,
             loads.append(ld)
             pairs.append(idx + a0 * B)     # chunk-flat -> product-flat index
         if sigs:
-            sig = _np.concatenate(sigs)
-            ld = _np.concatenate(loads)
-            pair = _np.concatenate(pairs)
+            sig = np.concatenate(sigs)
+            ld = np.concatenate(loads)
+            pair = np.concatenate(pairs)
             if len(sigs) > 1 and len(sig) > 1:
                 mask = pareto_block_mask(sig, ld,
                                          window=_STREAM_MASK_WINDOW)
@@ -598,8 +595,7 @@ def _dp_labels(problem: AssignmentProblem, *,
             jpot = jpot_state.get((cru_id, i + 1), 0.0) \
                 if have_joint else 0.0
             cpot = cpots((cru_id, i + 1), cpot_state)
-            if (HAVE_NUMPY and n
-                    and len(acc) * len(labels) >= _STREAM_MIN_PAIRS):
+            if n and len(acc) * len(labels) >= _STREAM_MIN_PAIRS:
                 acc = combine_fold_stream(cru_id, i, acc, labels, pot,
                                           jpot, cpot)
                 continue
@@ -631,10 +627,10 @@ def _dp_labels(problem: AssignmentProblem, *,
         offload cross-check."""
         base = (stats["created"], stats["dominated"],
                 stats["bound_rejected"])
-        hs = _np.array([lab[0] for lab in combined]) + h
-        ld = _np.array([lab[1] for lab in combined]).reshape(-1, n)
+        hs = np.array([lab[0] for lab in combined]) + h
+        ld = np.array([lab[1] for lab in combined]).reshape(-1, n)
         stats["created"] += len(combined)
-        keep = _np.ones(len(combined), dtype=bool)
+        keep = np.ones(len(combined), dtype=bool)
         if bound != _INF:
             obj = lam_s * (hs + pot) + lam_b * ld.max(axis=1)
             keep &= obj < bound
@@ -642,14 +638,14 @@ def _dp_labels(problem: AssignmentProblem, *,
                 keep &= lam_s * hs + lam_b * ld.sum(axis=1) * inv_n \
                     + jpot < bound
             if cpot is not None:
-                cp = _np.asarray(cpot)
+                cp = np.asarray(cpot)
                 keep &= (lam_s * hs[:, None] + lam_b * ld
                          + cp[None, :] < bound).all(axis=1)
             stats["bound_rejected"] += len(combined) - int(keep.sum())
         keep_off = False
         if offload is not None:
             stats["created"] += 1
-            oh, ol = offload[0], _np.asarray(offload[1], dtype=_np.float64)
+            oh, ol = offload[0], np.asarray(offload[1], dtype=np.float64)
             keep_off = True
             if bound != _INF and (
                     lam_s * (oh + pot) + lam_b * float(ol.max()) >= bound
@@ -674,7 +670,7 @@ def _dp_labels(problem: AssignmentProblem, *,
                 if bool(beats.any()):
                     stats["dominated"] += 1
                     keep_off = False
-        idx = _np.nonzero(keep)[0]
+        idx = np.nonzero(keep)[0]
         labels: List[_Label] = [offload] if keep_off else []
         labels += [(float(hs[i]), tuple(ld[i].tolist()), combined[i][2])
                    for i in idx.tolist()]
@@ -711,8 +707,7 @@ def _dp_labels(problem: AssignmentProblem, *,
             child_labels = [labels_of(c, cru_id) for c in children]
             if all(child_labels):
                 combined = combine_children(cru_id, child_labels)
-        if combined and HAVE_NUMPY and n \
-                and len(combined) >= _STREAM_MIN_LABELS:
+        if combined and n and len(combined) >= _STREAM_MIN_LABELS:
             return finish_fold(cru_id, combined, problem.host_time(cru_id),
                                offload, pot, jpot, cpot)
         store = ParetoStore(n)
@@ -735,7 +730,7 @@ def _dp_labels(problem: AssignmentProblem, *,
     h_root = problem.host_time(root)
     # h_root folded in: the completion potential of a final label is 0,
     # so the bound check compares the exact objective to the incumbent
-    if combined and HAVE_NUMPY and n and len(combined) >= _STREAM_MIN_LABELS:
+    if combined and n and len(combined) >= _STREAM_MIN_LABELS:
         return finish_fold(root, combined, h_root, None, 0.0), stats
     store = ParetoStore(n)
     for ch, cloads, ccut in combined:

@@ -77,7 +77,6 @@ _EXPERIMENTS: Dict[str, Callable[[], Dict[str, object]]] = {
     "complexity-ssb": exp.complexity_ssb_experiment,
     "complexity-colored": exp.complexity_colored_experiment,
     "label-engine": exp.label_engine_experiment,
-    "frontier-engine": exp.frontier_engine_experiment,
     "incremental-resolve": exp.incremental_resolve_experiment,
     "ssb-vs-sb": exp.ssb_vs_sb_experiment,
     "simulation": exp.simulation_validation_experiment,

@@ -122,22 +122,15 @@ class ColoredSSBSearch:
                  enable_expansion: bool = True,
                  keep_trace: bool = True,
                  max_iterations: Optional[int] = None,
-                 finisher: str = "labels",
-                 label_frontier: str = "bucketed") -> None:
+                 finisher: str = "labels") -> None:
         if finisher not in FINISHERS:
             raise ValueError(f"finisher must be one of {FINISHERS}, got {finisher!r}")
-        if label_frontier not in ("bucketed", "linear"):
-            raise ValueError("label_frontier must be 'bucketed' or 'linear', "
-                             f"got {label_frontier!r}")
         self.weighting = weighting or SSBWeighting()
         self.measures = PathMeasures(self.weighting)
         self.enable_expansion = enable_expansion
         self.keep_trace = keep_trace
         self.max_iterations = max_iterations
         self.finisher = finisher
-        #: frontier backend handed to the label finisher (see
-        #: :class:`~repro.core.label_search.LabelDominanceSearch`)
-        self.label_frontier = label_frontier
 
     # ------------------------------------------------------------------ main
     def search(self, dwg: DoublyWeightedGraph,
@@ -285,8 +278,7 @@ class ColoredSSBSearch:
                            int, str, Optional[LabelSearchStats], Optional[str]]:
         """Exact finisher: label sweep on DAGs, Yen enumeration otherwise."""
         if self.finisher == "labels" and index.is_dag():
-            engine = LabelDominanceSearch(self.weighting,
-                                          frontier=self.label_frontier)
+            engine = LabelDominanceSearch(self.weighting)
             result = engine.search(work, incumbent=cand_ssb, index=index,
                                    context=context)
             if result.found and result.ssb_weight < cand_ssb:

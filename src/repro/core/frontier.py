@@ -1,66 +1,56 @@
-"""Shared Pareto-frontier engine: a σ-sorted dominance store.
+"""Shared Pareto-frontier kernels over ``(σ, per-colour load vector)`` labels.
 
-Both exact engines of this repository maintain, per search state, a set of
-mutually non-dominated cost labels ``(σ, per-colour load vector)``: the
-label-dominance DAG sweep (:mod:`repro.core.label_search`) per assignment-graph
-node, and the Pareto tree DP (:mod:`repro.baselines.pareto_dp`) per subtree
-combination state.  Until now each kept a flat list and scanned it linearly —
-capped and adaptively disabled in the sweep, quadratic in the DP — which is
-exactly what blows up on scattered instances: the frontier outgrows the scan
-budget, dominated labels stop being evicted, and the label population explodes
-(frontier-pruned dominance stores are the standard cure in cost-complexity
-analyses of multi-context / tree assignment problems: Novák & Witteveen,
-arXiv:1405.7295; Arias et al., arXiv:1811.06737).
+Both exact engines of this repository keep, per search state, a set of
+mutually non-dominated cost labels (frontier-pruned dominance stores are the
+standard tool in cost-complexity analyses of multi-context / tree assignment
+problems: Novák & Witteveen, arXiv:1405.7295; Arias et al.,
+arXiv:1811.06737).  This module holds the two kernels they share:
 
-:class:`ParetoStore` replaces those scans with a bucketed, σ-sorted store:
+* :func:`pareto_block_mask` — the vectorised Pareto filter over numpy
+  blocks.  It is the dominance filter of the label sweep's array buckets
+  (:mod:`repro.core.label_search`) and of the tree DP's streamed folds
+  (:mod:`repro.baselines.pareto_dp`).
+* :class:`ParetoStore` — an eager, σ-sorted insert-and-prune store, used by
+  the tree DP for its small per-node frontiers:
 
-* entries are kept **sorted by σ** (binary search on a parallel σ array
-  locates both scan boundaries), so only the σ-prefix can dominate a new
-  label and only the σ-suffix can be evicted by it — every scan is one-sided;
-* a dict keyed by the **colour-interned load tuple** retires exact repeats in
-  O(1) and guarantees at most one entry per distinct load vector (structured
-  instances with super-edges and ties collapse here before any scan runs);
-* each entry carries its **max- and sum-load summaries**, so the one-sided
-  scans discard non-candidates with one float compare instead of a
-  componentwise tuple walk (a dominator needs ``max ≤``, a victim ``sum ≥``);
-* **single-colour stores keep the classic staircase invariant** — σ strictly
-  ascending, load strictly descending — where insert-and-prune is a binary
-  search plus an amortised O(1) eviction walk: O(log F) per insert;
-* :meth:`ParetoStore.insert_bounded` additionally rejects labels that
-  provably cannot beat an incumbent: with ``potential`` a valid lower bound
-  on the σ still to be added, any completion costs at least
-  ``λ_S·(σ + potential) + λ_B·max(loads)`` (loads only ever grow).
+  - entries are kept **sorted by σ** (binary search on a parallel σ array
+    locates both scan boundaries), so only the σ-prefix can dominate a new
+    label and only the σ-suffix can be evicted by it — every scan is
+    one-sided;
+  - a dict keyed by the **colour-interned load tuple** retires exact
+    repeats in O(1) and guarantees at most one entry per distinct load
+    vector;
+  - each entry carries its **max- and sum-load summaries**, so the
+    one-sided scans discard non-candidates with one float compare instead
+    of a componentwise tuple walk (a dominator needs ``max ≤``, a victim
+    ``sum ≥``);
+  - **single-colour stores keep the classic staircase invariant** — σ
+    strictly ascending, load strictly descending — where insert-and-prune
+    is a binary search plus an amortised O(1) eviction walk;
+  - :meth:`ParetoStore.insert_bounded` additionally rejects labels that
+    provably cannot beat an incumbent.
 
-Unlike the capped scans it replaces, the store is an *exact* Pareto filter:
-the surviving set equals the maximal elements of everything ever inserted
-(duplicates collapsed), independent of insertion order — the property tests
-pin this against a naive O(F²) reference filter.
+The store is an *exact* Pareto filter: the surviving set equals the maximal
+elements of everything ever inserted (duplicates collapsed), independent of
+insertion order — the property tests pin this against a naive O(F²)
+reference filter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
-try:                                    # vectorised settle kernel (optional)
-    import numpy as _np
-except ImportError:                     # pragma: no cover - numpy is in CI
-    _np = None
+import numpy as np
 
 Loads = Tuple[float, ...]
 Entry = Tuple[float, Loads, Any]
 
 _INF = float("inf")
 
-#: True when the vectorised kernels are available (numpy importable).
-HAVE_NUMPY = _np is not None
-
-#: Batches smaller than this settle through the eager insert loop — the
-#: numpy call overhead only amortises over larger batches.
-_SETTLE_VECTOR_MIN = 24
-#: Block size of the vectorised settle (bounds the temporary (B, K, dim)
-#: broadcast products).
-_SETTLE_BLOCK = 512
+#: Block size of :func:`pareto_block_mask` (bounds the temporary
+#: (block, kept, dim) broadcast products).
+_MASK_BLOCK = 512
 
 
 class ParetoStore:
@@ -78,7 +68,7 @@ class ParetoStore:
 
     __slots__ = ("dim", "dominated", "evicted", "bound_rejected",
                  "_sigmas", "_loads", "_maxes", "_sums", "_payloads",
-                 "_bykey", "_pending")
+                 "_bykey")
 
     def __init__(self, dim: int) -> None:
         if dim < 0:
@@ -93,7 +83,6 @@ class ParetoStore:
         self._sums: List[float] = []        # sum(loads) per entry
         self._payloads: List[Any] = []
         self._bykey = {}            # load tuple -> its (unique) entry's σ
-        self._pending: List[Entry] = []     # insert_lazy queue, see settle()
 
     # ------------------------------------------------------------------ insert
     def insert(self, sigma: float, loads: Loads, payload: Any = None) -> bool:
@@ -105,8 +94,6 @@ class ParetoStore:
         if len(loads) != self.dim:
             raise ValueError(
                 f"load tuple has {len(loads)} components, store has dim {self.dim}")
-        if self._pending:
-            self.settle()       # eager scans must see queued labels
         if self.dim == 1:
             return self._insert_1d(sigma, loads, payload)
         return self._insert_nd(sigma, loads, payload)
@@ -128,157 +115,6 @@ class ParetoStore:
             self.bound_rejected += 1
             return False
         return self.insert(sigma, loads, payload)
-
-    # ------------------------------------------------------- lazy batch insert
-    def insert_lazy(self, sigma: float, loads: Loads, payload: Any = None) -> None:
-        """Queue a label for the next :meth:`settle`; O(1), no scans.
-
-        The label sweep feeds thousands of labels into a node's bucket and
-        only reads the bucket once, when the node is processed — so the
-        dominance filter can run once per *bucket* instead of once per
-        *label*.  Queued labels are invisible to :meth:`insert` scans until
-        settled; every reading accessor settles implicitly.
-        """
-        self._pending.append((sigma, loads, payload))
-
-    def settle(self, bound: Optional[float] = None, *,
-               potential: float = 0.0,
-               load_potentials: Optional[Loads] = None,
-               joint_potentials: Optional[Loads] = None,
-               lambda_s: float = 1.0, lambda_b: float = 1.0) -> None:
-        """Fold queued labels into the store (exact, order-independent).
-
-        Large batches go through a vectorised kernel when numpy is
-        available: entries are sorted by ``(σ, loads)`` — so only earlier
-        entries can dominate later ones, ties included — and swept in blocks
-        that are checked against the kept set and their own σ-predecessors
-        with one broadcast comparison each.  The surviving set is identical
-        to eager insertion (the fallback when numpy is missing: correct,
-        just slower on the blowup-regime instances the vector path exists
-        for).
-
-        With ``bound``, queued labels are first re-checked against the
-        completion bound of :meth:`insert_bounded` (``potential`` plus an
-        optional per-component ``load_potentials`` floor added to the loads
-        before the max) — an incumbent that tightened *after* a label was
-        queued prunes it here, before any dominance work is spent on it.
-        The bound applies to the queued batch only, never to already-stored
-        entries.
-
-        ``joint_potentials`` selects the tighter per-colour *joint* bound
-        instead: component ``c`` must lower-bound ``λ_S·σ + λ_B·β_c`` over
-        every completion, so a label completes for at least
-        ``λ_S·(σ + potential) + max_c(λ_B·loads_c + joint_potentials_c)``
-        (``potential`` then defaults to 0 — the σ term is already folded
-        into each component).  Mutually exclusive with ``load_potentials``.
-        """
-        if not self._pending:
-            return
-        pending = self._pending
-        self._pending = []
-        dim = self.dim
-        for _, loads, _ in pending:
-            if len(loads) != dim:
-                raise ValueError(
-                    f"load tuple has {len(loads)} components, store has dim {dim}")
-        vectorize = (_np is not None
-                     and len(pending) + len(self._sigmas) >= _SETTLE_VECTOR_MIN)
-        if bound is not None and joint_potentials is not None:
-            if load_potentials is not None:
-                raise ValueError(
-                    "load_potentials and joint_potentials are mutually exclusive")
-            jp = joint_potentials
-            if len(jp) != dim:
-                raise ValueError(
-                    f"joint_potentials has {len(jp)} components, store has dim {dim}")
-            if vectorize and dim:
-                sig = _np.fromiter((e[0] for e in pending), dtype=_np.float64,
-                                   count=len(pending))
-                eff = _np.asarray([e[1] for e in pending],
-                                  dtype=_np.float64).reshape(len(pending), dim)
-                peak = (lambda_b * eff + _np.asarray(jp, dtype=_np.float64)) \
-                    .max(axis=1)
-                keep = lambda_s * (sig + potential) + peak < bound
-                self.bound_rejected += int(len(pending) - keep.sum())
-                pending = [pending[i] for i in _np.nonzero(keep)[0].tolist()]
-            else:
-                survivors = []
-                for sigma, loads, payload in pending:
-                    peak = max((lambda_b * a + b for a, b in zip(loads, jp)),
-                               default=0.0)
-                    if lambda_s * (sigma + potential) + peak >= bound:
-                        self.bound_rejected += 1
-                    else:
-                        survivors.append((sigma, loads, payload))
-                pending = survivors
-            if not pending:
-                return
-        elif bound is not None:
-            lp = load_potentials if load_potentials is not None else (0.0,) * dim
-            if len(lp) != dim:
-                raise ValueError(
-                    f"load_potentials has {len(lp)} components, store has dim {dim}")
-            if vectorize:
-                sig = _np.fromiter((e[0] for e in pending), dtype=_np.float64,
-                                   count=len(pending))
-                if dim:
-                    eff = _np.asarray([e[1] for e in pending],
-                                      dtype=_np.float64).reshape(len(pending), dim)
-                    eff = eff + _np.asarray(lp, dtype=_np.float64)
-                    peak = eff.max(axis=1)
-                else:
-                    peak = _np.zeros(len(pending))
-                keep = lambda_s * (sig + potential) + lambda_b * peak < bound
-                self.bound_rejected += int(len(pending) - keep.sum())
-                pending = [pending[i] for i in _np.nonzero(keep)[0].tolist()]
-            else:
-                survivors = []
-                for sigma, loads, payload in pending:
-                    peak = max((a + b for a, b in zip(loads, lp)), default=0.0)
-                    if lambda_s * (sigma + potential) + lambda_b * peak >= bound:
-                        self.bound_rejected += 1
-                    else:
-                        survivors.append((sigma, loads, payload))
-                pending = survivors
-            if not pending:
-                return
-        if not vectorize:
-            for sigma, loads, payload in pending:
-                self.insert(sigma, loads, payload)
-            return
-        self._settle_vectorized(pending)
-
-    def _settle_vectorized(self, pending: List[Entry]) -> None:
-        n_existing = len(self._sigmas)
-        sigmas = self._sigmas + [e[0] for e in pending]
-        loads = self._loads + [e[1] for e in pending]
-        payloads = self._payloads + [e[2] for e in pending]
-        total = len(sigmas)
-        dim = self.dim
-        sig = _np.asarray(sigmas, dtype=_np.float64)
-        lds = _np.asarray(loads, dtype=_np.float64).reshape(total, dim)
-        keep = pareto_block_mask(sig, lds)
-        kept_idx = _np.nonzero(keep)[0].tolist()
-        # survivors in ascending (σ, loads-lex) order — the store invariant
-        kept_idx.sort(key=lambda i: (sigmas[i], loads[i]))
-        k = len(kept_idx)
-        self._sigmas = [sigmas[i] for i in kept_idx]
-        self._loads = [loads[i] for i in kept_idx]
-        self._payloads = [payloads[i] for i in kept_idx]
-        # max/sum summaries gate later eager scans conservatively, so they
-        # must be bit-identical to the eager path's max()/sum() — numpy's
-        # pairwise summation is not
-        if dim:
-            self._maxes = [max(l) for l in self._loads]
-            self._sums = [sum(l) for l in self._loads]
-        else:
-            self._maxes = [0.0] * k
-            self._sums = [0.0] * k
-        self._bykey = {self._loads[i]: self._sigmas[i] for i in range(k)}
-        kept_set = set(kept_idx)
-        existing_kept = sum(1 for i in kept_set if i < n_existing)
-        self.evicted += n_existing - existing_kept
-        self.dominated += len(pending) - (k - existing_kept)
 
     # ------------------------------------------------- single-colour staircase
     def _insert_1d(self, sigma: float, loads: Loads, payload: Any) -> bool:
@@ -378,26 +214,14 @@ class ParetoStore:
 
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
-        self.settle()
         return len(self._sigmas)
-
-    def __bool__(self) -> bool:
-        # any non-empty pending batch keeps at least one survivor
-        return bool(self._sigmas or self._pending)
 
     def __iter__(self) -> Iterator[Entry]:
         """Entries as ``(σ, loads, payload)`` triples in ascending σ order."""
-        self.settle()
         return iter(zip(self._sigmas, self._loads, self._payloads))
-
-    def payloads(self) -> List[Any]:
-        """The stored payloads in ascending σ order (the hot-sweep accessor)."""
-        self.settle()
-        return self._payloads
 
     def min_sigma(self) -> float:
         """Smallest stored σ (``inf`` when empty)."""
-        self.settle()
         return self._sigmas[0] if self._sigmas else _INF
 
     def clear(self) -> None:
@@ -407,7 +231,6 @@ class ParetoStore:
         self._sums.clear()
         self._payloads.clear()
         self._bykey.clear()
-        self._pending.clear()
 
 
 def pareto_block_mask(sig: "Any", lds: "Any",
@@ -418,8 +241,7 @@ def pareto_block_mask(sig: "Any", lds: "Any",
     the mask comes back in the original row order.  Dominance is
     componentwise ``<=`` with exact ties counting as dominated (the first
     row in ``(σ, loads)``-lex order survives), identical to
-    :meth:`ParetoStore.insert` — this is the shared vectorised kernel behind
-    :meth:`ParetoStore.settle` and the label sweep's block buckets.
+    :meth:`ParetoStore.insert`.
 
     Rows are sorted by ascending ``(σ, loads-lex)``, so a dominator always
     sorts no later than its victims (ties included) and one forward blocked
@@ -432,18 +254,16 @@ def pareto_block_mask(sig: "Any", lds: "Any",
     regime's trade (a surviving dominated label costs time, never
     correctness).
     """
-    if _np is None:                     # pragma: no cover - numpy is in CI
-        raise RuntimeError("pareto_block_mask requires numpy")
     total, dim = lds.shape
-    order = _np.lexsort(tuple(lds[:, c] for c in range(dim - 1, -1, -1))
+    order = np.lexsort(tuple(lds[:, c] for c in range(dim - 1, -1, -1))
                         + (sig,))
-    keep = _np.ones(total, dtype=bool)
+    keep = np.ones(total, dtype=bool)
     cap = total if window is None else min(window, total)
     # the intra-block pair matrix costs O(block²·d); a capped filter gets a
     # matching block so the per-row work stays O((window + block)·d)
-    block = _SETTLE_BLOCK if window is None else \
-        max(32, min(window, _SETTLE_BLOCK))
-    kept_rows = _np.empty((cap, dim), dtype=_np.float64)
+    block = _MASK_BLOCK if window is None else \
+        max(32, min(window, _MASK_BLOCK))
+    kept_rows = np.empty((cap, dim), dtype=np.float64)
     k = 0
     for start in range(0, total, block):
         blk = order[start:start + block]
@@ -452,11 +272,11 @@ def pareto_block_mask(sig: "Any", lds: "Any",
             dom = (kept_rows[:k, None, :] <= bl[None, :, :]) \
                 .all(axis=2).any(axis=0)
         else:
-            dom = _np.zeros(len(blk), dtype=bool)
+            dom = np.zeros(len(blk), dtype=bool)
         # intra-block: pair[j, i] == "row j dominates row i"; only strictly
         # earlier rows (j < i in σ-lex order) count
         pair = (bl[:, None, :] <= bl[None, :, :]).all(axis=2)
-        dom |= (pair & _np.triu(_np.ones(pair.shape, dtype=bool), k=1)) \
+        dom |= (pair & np.triu(np.ones(pair.shape, dtype=bool), k=1)) \
             .any(axis=0)
         if dom.any():
             keep[blk[dom]] = False
@@ -468,15 +288,3 @@ def pareto_block_mask(sig: "Any", lds: "Any",
             k += len(take)
     return keep
 
-
-def pareto_filter(entries: Iterable[Entry], dim: int) -> List[Entry]:
-    """Exact Pareto filter of ``(σ, loads, payload)`` triples.
-
-    Feeds a fresh :class:`ParetoStore` and returns the surviving entries in
-    ascending σ order — the batch counterpart of repeated ``insert`` calls,
-    used by the tree DP's per-node prune.
-    """
-    store = ParetoStore(dim)
-    for sigma, loads, payload in entries:
-        store.insert(sigma, loads, payload)
-    return list(store)

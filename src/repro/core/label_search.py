@@ -23,34 +23,25 @@ mechanisms keep the label sets small:
   ``λ_S·s + max_c(λ_B·loads_c + potJc_c[v])``.  Because the min of a sum
   dominates the sum of the mins, this is always at least as tight as the
   older σ + per-colour-load floor bound ``λ_S·(s + pot[v]) +
-  λ_B·max_c(loads_c + potβ_c[v])`` it replaces (``pot``/``potβ_c`` are kept
-  for callers).  The incomparable **joint average bound**
+  λ_B·max_c(loads_c + potβ_c[v])`` it replaces (``pot`` is kept for
+  colourless graphs).  The incomparable **joint average bound**
   ``λ_S·s + λ_B·Σloads/n_colors + potJ[v]`` with
   ``potJ[v] = min_p (λ_S·σ(p) + λ_B·β_total(p)/n_colors)`` stays as a second
   check (the final bottleneck is at least the average colour load).  A cheap
-  *beam* pre-pass (same sweep, buckets truncated to the ``beam_width`` most
-  promising labels) finds a strong feasible path first, so the exact pass
+  *beam* pre-pass (the same bounds over plain-list buckets truncated to the
+  ``beam_width`` most promising labels, no dominance) finds a strong feasible path first, so the exact pass
   starts with a tight incumbent — on scattered instances this cuts the
   surviving labels by an order of magnitude.
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
   ``SSB = λ_S·S + λ_B·max_c load_c`` is monotone in each component), so it is
-  dropped.  Colours are interned to indices and load vectors packed into
-  plain tuples so the componentwise comparisons are cheap.  Two frontier
-  backends implement the filter, selected by ``frontier=``:
-
-  - ``"bucketed"`` (default) — the shared σ-sorted
-    :class:`~repro.core.frontier.ParetoStore`: binary search on σ bounds
-    both scan directions, max/sum summaries gate the tuple walks, exact
-    duplicates retire in O(1).  The filter is *exact* at any bucket size,
-    so dominated labels never survive to be extended — this is what keeps
-    fully scattered ``n = 50`` in single-digit seconds.
-  - ``"linear"`` — the legacy capped scans with **adaptive capping**:
-    comparisons are capped per insert and switched off entirely when they
-    stop paying.  Exactness-preserving (a kept dominated label only costs
-    time), kept as the reference/fallback backend; on large scattered
-    instances its buckets outgrow the cap and the label population explodes.
+  dropped.  Colours are interned to indices and a node's labels live in
+  numpy *array buckets*, so every bound check, the dominance filter
+  (:func:`~repro.core.frontier.pareto_block_mask`, dominator set capped at
+  ``dominance_window``) and every extension is one vectorised operation per
+  (node, edge).  The window only lets some dominated labels survive — a
+  kept dominated label costs time, never correctness.
 
 The sweep is a single pass: when node ``v`` is processed every label it will
 ever receive is already present (all in-edges come from earlier nodes), so
@@ -80,6 +71,8 @@ from dataclasses import dataclass
 from operator import add as _add
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.context import SolveContext
 from repro.core.dwg import (
     DoublyWeightedGraph,
@@ -87,28 +80,17 @@ from repro.core.dwg import (
     SSBWeighting,
     SIGMA_ATTR,
 )
-from repro.core.frontier import HAVE_NUMPY, ParetoStore, pareto_block_mask
+from repro.core.frontier import pareto_block_mask
 from repro.graphs.dag import DagIndex, NotADagError
 from repro.graphs.digraph import Edge, Node
 from repro.graphs.paths import Path
 
-# A label is (sigma_so_far, loads_tuple, edge_into_node, parent_label,
+# A beam label is (sigma_so_far, loads_tuple, edge_into_node, parent_label,
 # sum_of_loads).  Plain tuples (not dataclasses) keep allocation and
-# comparison cheap in the hot sweep; the predecessor chain doubles as the
+# comparison cheap in the pre-pass; the predecessor chain doubles as the
 # path reconstruction, and the running load sum feeds the average-load bound.
 _Label = Tuple[float, Tuple[float, ...], Optional[Edge], Optional[tuple], float]
 
-#: Per-insert cap on dominance comparisons; beyond it a label is appended
-#: unchecked (exactness-preserving — see the module docstring).
-_DOM_SCAN_CAP = 128
-#: Buckets beyond this size stop evicting newly dominated members (the
-#: rebuild is the expensive half of an insert).
-_EVICT_CAP = 256
-#: The adaptive dominance switch is re-evaluated every this many created
-#: labels: once the observed hit-rate drops under the threshold the checks
-#: are switched off for the rest of the run.
-_ADAPTIVE_CHECK_EVERY = 1024
-_ADAPTIVE_MIN_HIT_RATE = 1.0 / 32.0
 #: The block sweep's windowed Pareto filter disables itself once this many
 #: labels were inspected at a hit-rate below the threshold: on random-weight
 #: scattered instances (~10% of labels dominated) the filter costs more than
@@ -154,8 +136,8 @@ class LabelSearchStats:
     ``pruned_colour`` (the per-colour joint σ/β_c bound at extension time —
     the tightened replacement of the legacy floor bound), ``pruned_joint``
     (the joint σ/average-load bound at extension time), ``pruned_settle``
-    (the re-check against the tightened incumbent when a lazy bucket
-    settles) and ``pruned_meet`` (labels a bidirectional join's pre-filter
+    (the re-check against the tightened incumbent when a bucket settles)
+    and ``pruned_meet`` (labels a bidirectional join's pre-filter
     rejected against the opposing frontier's minima).  ``pruned_floor``
     remains for engines that still prune with the floor-type bound (the
     tree DP); the sweep itself no longer fires it.  ``frontier_peak`` is
@@ -177,7 +159,7 @@ class LabelSearchStats:
     pruned_meet: int = 0             #: meet-join pre-filter rejections (bidir)
     meet_edges: int = 0              #: crossing edges joined (bidir only)
     frontier_peak: int = 0           #: largest bucket ever settled
-    settle_batches: int = 0          #: settle passes over lazy buckets
+    settle_batches: int = 0          #: settle passes over buckets
 
 
 @dataclass
@@ -213,25 +195,22 @@ def _not_found(stats: LabelSearchStats,
 class CompletionPotentials:
     """The backward-DAG completion bounds of one weighted graph.
 
-    One backward pass each over the same DAG: ``pot`` (min σ to the target),
-    ``potc`` (per-colour load floors), ``potj`` (joint σ/average-load
-    potential) and ``potjc`` (per-colour *joint* σ/β_c potentials — the
-    per-colour completion DAG bound ``min_p (λ_S·σ(p) + λ_B·β_c(p))``, at
-    least as tight as ``λ_S·pot + λ_B·potc_c`` componentwise).  Valid only
-    for the exact (graph contents, target, weighting) they were computed
-    from — callers that cache them (the incremental solver keys on structure
-    *and* cost fingerprints) are responsible for that;
-    ``lambda_s``/``lambda_b`` are kept so a mismatched weighting is at least
-    detected and recomputed.
+    Backward passes over the same DAG: ``pot`` (min σ to the target),
+    ``potj`` (joint σ/average-load potential) and ``potjc`` (one pass per
+    colour: the per-colour *joint* σ/β_c completion bound
+    ``min_p (λ_S·σ(p) + λ_B·β_c(p))``).  Valid only for the exact (graph
+    contents, target, weighting) they were computed from — callers that
+    cache them (the incremental solver keys on structure *and* cost
+    fingerprints) are responsible for that; ``lambda_s``/``lambda_b`` are
+    kept so a mismatched weighting is at least detected and recomputed.
     """
 
     colors: Tuple[Any, ...]
     pot: Dict[Node, float]
-    potc: Dict[Node, Tuple[float, ...]]
     potj: Dict[Node, float]
+    potjc: Dict[Node, Tuple[float, ...]]
     lambda_s: float
     lambda_b: float
-    potjc: Dict[Node, Tuple[float, ...]] = None  # type: ignore[assignment]
 
 
 def completion_potentials(dwg: DoublyWeightedGraph,
@@ -246,16 +225,10 @@ def completion_potentials(dwg: DoublyWeightedGraph,
     pot = index.potentials_to(target, SIGMA_ATTR)
     colors = tuple(dwg.all_colors())
     n_colors = len(colors)
-    # per-colour load floors: the colour-c β any completion must still add
-    potc_maps = [index.potentials_to(
-        target, lambda e, c=c: DoublyWeightedGraph.beta_map(e).get(c, 0.0))
-        for c in colors]
-    potc: Dict[Node, Tuple[float, ...]] = {
-        node: tuple(pm[node] for pm in potc_maps) for node in pot}
     # per-colour joint potentials: one completion DAG per colour, minimising
     # the *combined* λ_S·σ + λ_B·β_c along a single path — the min of the
     # sum dominates the sum of the mins, so these floors are never looser
-    # than λ_S·pot + λ_B·potc_c
+    # than separate σ and colour-load floors
     potjc_maps = [index.potentials_to(
         target, lambda e, c=c: lam_s * DoublyWeightedGraph.sigma(e) +
         lam_b * DoublyWeightedGraph.beta_map(e).get(c, 0.0))
@@ -271,8 +244,8 @@ def completion_potentials(dwg: DoublyWeightedGraph,
             lam_b * DoublyWeightedGraph.beta(e) * inv_colors)
     else:
         potj = {node: 0.0 for node in pot}
-    return CompletionPotentials(colors=colors, pot=pot, potc=potc, potj=potj,
-                                lambda_s=lam_s, lambda_b=lam_b, potjc=potjc)
+    return CompletionPotentials(colors=colors, pot=pot, potj=potj, potjc=potjc,
+                                lambda_s=lam_s, lambda_b=lam_b)
 
 
 class LabelDominanceSearch:
@@ -287,13 +260,10 @@ class LabelDominanceSearch:
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
-                 beam_width: int = 128, frontier: str = "bucketed",
-                 dominance_window: int = 128,
+                 beam_width: int = 128, dominance_window: int = 128,
                  direction: str = "forward") -> None:
         if beam_width < 0:
             raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
-        if frontier not in ("bucketed", "linear"):
-            raise ValueError("frontier must be 'bucketed' or 'linear'")
         if dominance_window < 0:
             raise ValueError("dominance_window must be non-negative (0 disables "
                              "dominance in the block sweep)")
@@ -302,8 +272,7 @@ class LabelDominanceSearch:
         self.weighting = weighting or SSBWeighting()
         self.measures = PathMeasures(self.weighting)
         self.beam_width = beam_width
-        self.frontier = frontier
-        #: dominator-set cap of the bucketed block sweep's per-node filter
+        #: dominator-set cap of the block sweep's per-node filter
         #: (see :func:`repro.core.frontier.pareto_block_mask`)
         self.dominance_window = dominance_window
         #: ``"forward"`` — the classic single sweep; ``"bidirectional"`` —
@@ -324,8 +293,8 @@ class LabelDominanceSearch:
         the best incumbent held at that moment is returned with
         ``interrupted`` set — a feasible path always exists once the
         min-σ seed path is computed, so an interrupted search still answers.
-        ``potentials`` short-circuits the three backward completion-bound
-        passes with precomputed ones (see :func:`completion_potentials`);
+        ``potentials`` short-circuits the backward completion-bound passes
+        with precomputed ones (see :func:`completion_potentials`);
         they must match this graph's current weights and weighting — the
         incremental solver caches them per structure+cost fingerprint.
         """
@@ -339,7 +308,7 @@ class LabelDominanceSearch:
         order = index.order()
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         if potentials is None or potentials.lambda_s != lam_s \
-                or potentials.lambda_b != lam_b or potentials.potjc is None:
+                or potentials.lambda_b != lam_b:
             potentials = completion_potentials(dwg, self.weighting, index)
         colors = potentials.colors
         pot, potj, potjc = potentials.pot, potentials.potj, potentials.potjc
@@ -379,10 +348,9 @@ class LabelDominanceSearch:
         beam_ssb = float("inf")
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
-            beam_label, beam_ssb, _, interrupted = self._sweep(
-                order, out_edge_data, pot, potjc, inv_colors, source, target,
-                zero_loads, min(incumbent, fallback_ssb),
-                beam_width=self.beam_width, context=context)
+            beam_label, beam_ssb, interrupted = self._beam_sweep(
+                order, out_edge_data, inv_colors, source, target,
+                zero_loads, min(incumbent, fallback_ssb), context=context)
             if beam_label is not None and beam_ssb < fallback_ssb:
                 fallback_path = _reconstruct(beam_label)
                 fallback_ssb = beam_ssb
@@ -390,8 +358,8 @@ class LabelDominanceSearch:
                     context.report_incumbent(beam_ssb, source="labels-beam")
         bound = min(incumbent, fallback_ssb)
 
-        # ---- exact pass: block sweep (array buckets) when numpy is present,
-        # scalar sweep otherwise — identical semantics, identical optimum
+        # ---- exact pass: block sweep over array buckets, forward or
+        # meet-in-the-middle
         profile = None
         if context is not None:
             span = getattr(context, "span", None)
@@ -409,23 +377,12 @@ class LabelDominanceSearch:
                 graph, order, out_edge_data, pot, potjc, potj, inv_colors,
                 colors, source, target, zero_loads, bound, context=context,
                 profile=profile)
-        elif self.frontier == "bucketed" and HAVE_NUMPY:
+        else:
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_blocks(
                 graph, order, out_edge_data, pot, potjc, potj, inv_colors,
                 source, target, zero_loads, bound, context=context,
                 profile=profile)
-        else:
-            best_label, best_ssb, sweep_stats, interrupted = self._sweep(
-                order, out_edge_data, pot, potjc, inv_colors, source, target,
-                zero_loads, bound, context=context, profile=profile)
-            if best_label is not None:
-                best_path = _reconstruct(best_label)
-                best_s = best_label[0]
-                best_b = max(best_label[1]) if best_label[1] else 0.0
-            else:
-                best_path = None
-                best_s = best_b = float("inf")
         stats = LabelSearchStats(
             labels_created=sweep_stats[0], labels_dominated=sweep_stats[1],
             labels_bound_pruned=(sweep_stats[2] + sweep_stats[3]
@@ -455,22 +412,17 @@ class LabelDominanceSearch:
                 interrupted=interrupted)
         return _not_found(stats, interrupted)
 
-    # ------------------------------------------------------------------ sweep
-    def _sweep(self, order, out_edge_data, pot, potjc, inv_colors, source,
-               target, zero_loads, bound, beam_width: Optional[int] = None,
-               context: Optional[SolveContext] = None, profile=None
-               ) -> Tuple[Optional[_Label], float, Tuple[int, ...],
-                          Optional[str]]:
-        """One topological label sweep; the single kernel behind both passes.
+    # ------------------------------------------------------------- beam sweep
+    def _beam_sweep(self, order, out_edge_data, inv_colors, source, target,
+                    zero_loads, bound, context: Optional[SolveContext] = None
+                    ) -> Tuple[Optional[_Label], float, Optional[str]]:
+        """The heuristic pre-pass: one topological sweep over plain lists.
 
-        ``beam_width=None`` is the exact pass: buckets keep their full
-        (dominance-filtered) label sets — a :class:`ParetoStore` per node
-        with the default ``frontier="bucketed"`` backend, the legacy capped
-        linear scans with ``"linear"``.  With a width the sweep becomes the
-        heuristic pre-pass: buckets are truncated to the ``beam_width``
-        labels of smallest SSB-so-far before extension and dominance is
-        skipped.  Any target label either mode returns is a real path, so
-        its SSB weight is a valid incumbent.
+        Buckets are truncated to the ``beam_width`` labels of smallest
+        SSB-so-far before extension and dominance is skipped, so the pass
+        stays cheap enough to run on every solve.  Extensions apply the same
+        two completion bounds as the exact pass.  Any target label it returns
+        is a real path, so its SSB weight is a valid incumbent.
 
         ``context`` is polled once per swept node; on interruption the
         sweep stops immediately (the last return element is the kind) and
@@ -478,21 +430,10 @@ class LabelDominanceSearch:
         context leaves the sweep bit-identical to no context at all.
         """
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        created = dominated = 0
-        pruned_colour = pruned_joint = pruned_settle = 0
-        peak = settles = 0
+        beam_width = self.beam_width
         interrupted: Optional[str] = None
-        bucketed = beam_width is None and self.frontier == "bucketed"
-        check_dominance = beam_width is None and not bucketed
-        dim = len(zero_loads)
-        labels: Dict[Node, Any] = {}
-        seed: _Label = (0.0, zero_loads, None, None, 0.0)
-        if bucketed:
-            seed_store = ParetoStore(dim)
-            seed_store.insert(0.0, zero_loads, seed)
-            labels[source] = seed_store
-        else:
-            labels[source] = [seed]
+        labels: Dict[Node, List[_Label]] = {
+            source: [(0.0, zero_loads, None, None, 0.0)]}
         best_label: Optional[_Label] = None
         best_ssb = float("inf")
         for node in order:
@@ -506,31 +447,12 @@ class LabelDominanceSearch:
             extensions = out_edge_data.get(node)
             if not extensions:
                 continue
-            if profile is not None:
-                node_base = (created, dominated, pruned_colour, pruned_joint,
-                             pruned_settle)
-            if bucketed:
-                # the settle re-checks the completion bound with the *current*
-                # incumbent — tighter than when these labels were queued —
-                # before paying for the dominance filter
-                if dim:
-                    bucket.settle(bound, joint_potentials=potjc[node],
-                                  lambda_s=lam_s, lambda_b=lam_b)
-                else:
-                    bucket.settle(bound, potential=pot[node],
-                                  lambda_s=lam_s, lambda_b=lam_b)
-                dominated += bucket.dominated + bucket.evicted
-                pruned_settle += bucket.bound_rejected
-                settles += 1
-                bucket = bucket.payloads()
-            elif beam_width is not None and len(bucket) > beam_width:
+            if len(bucket) > beam_width:
                 # all labels in this bucket share pot[node], so ranking by
                 # λ_S·σ + λ_B·max(loads) orders them by completion bound
                 bucket.sort(key=lambda lab: lam_s * lab[0] +
                             (lam_b * max(lab[1]) if lab[1] else 0.0))
                 del bucket[beam_width:]
-            if len(bucket) > peak:
-                peak = len(bucket)
             for label in bucket:
                 s, loads, lsum = label[0], label[1], label[4]
                 for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
@@ -551,14 +473,11 @@ class LabelDominanceSearch:
                     else:
                         lower = lam_s * (ns + pot_h)
                     if lower >= bound:
-                        pruned_colour += 1
                         continue
                     nsum = lsum + btotal
                     if lam_s * ns + lam_b * nsum * inv_colors + potj_h >= bound:
-                        pruned_joint += 1
                         continue
                     new_label: _Label = (ns, nloads, edge, label, nsum)
-                    created += 1
                     if head == target:
                         ssb = lower
                         if ssb < best_ssb and ssb < bound:
@@ -567,36 +486,14 @@ class LabelDominanceSearch:
                             if context is not None:
                                 context.report_incumbent(ssb, source="labels")
                         continue
-                    if bucketed:
-                        store = labels.get(head)
-                        if store is None:
-                            store = labels[head] = ParetoStore(dim)
-                        store.insert_lazy(ns, nloads, new_label)
-                    elif check_dominance:
-                        if not _insert(labels.setdefault(head, []), new_label):
-                            dominated += 1
-                        if created % _ADAPTIVE_CHECK_EVERY == 0 and \
-                                dominated < created * _ADAPTIVE_MIN_HIT_RATE:
-                            check_dominance = False
-                    else:
-                        labels.setdefault(head, []).append(new_label)
-            if profile is not None:
-                profile.record_node(
-                    node, created - node_base[0], dominated - node_base[1],
-                    pruned_colour=pruned_colour - node_base[2],
-                    pruned_joint=pruned_joint - node_base[3],
-                    pruned_settle=pruned_settle - node_base[4],
-                    frontier=len(bucket),
-                    settle_batches=1 if bucketed else 0)
-        return best_label, best_ssb, (created, dominated, pruned_colour,
-                                      pruned_joint, pruned_settle, peak,
-                                      settles, 0, 0), interrupted
+                    labels.setdefault(head, []).append(new_label)
+        return best_label, best_ssb, interrupted
 
     # ------------------------------------------------------------ block sweep
     def _sweep_blocks(self, graph, order, out_edge_data, pot, potjc, potj,
                       inv_colors, source, target, zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
-        """The exact pass over *array buckets* (the default bucketed backend).
+        """The forward exact pass over *array buckets*.
 
         Labels never exist as Python objects here: a node's bucket is a set
         of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
@@ -608,14 +505,9 @@ class LabelDominanceSearch:
         buckets are retained so the best target label's predecessor chain
         can be walked back into a :class:`~repro.graphs.paths.Path`.
 
-        Semantically identical to the scalar sweep: the same three bounds,
-        the same dominance relation (the window only lets some dominated
-        labels survive, which costs time, never correctness), the same
-        arithmetic on the same IEEE floats — the returned optimum is
-        bit-identical.
+        The window only lets some dominated labels survive, which costs
+        time, never correctness: the returned optimum is exact.
         """
-        import numpy as np
-
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
         window = self.dominance_window
@@ -883,8 +775,7 @@ class LabelDominanceSearch:
         whose head at or above it.  Joining the forward frontier at each
         crossing tail with the backward frontier at its head is therefore
         exhaustive, and the returned optimum identical to the forward
-        sweep's.  The join runs through the vectorised broadcast kernel
-        when numpy is present and a pure-python pairwise loop otherwise.
+        sweep's.
         """
         n_colors = len(zero_loads)
         color_index = {c: i for i, c in enumerate(colors)}
@@ -899,25 +790,18 @@ class LabelDominanceSearch:
             color_index)
         cross_tails = {c[4] for c in cross_edges}
         cross_heads = {c[5] for c in cross_edges}
-        if HAVE_NUMPY:
-            out = self._bidir_blocks(
-                graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-                spotjc, inv_colors, source, target, zero_loads, bound,
-                context=context, profile=profile)
-        else:
-            out = self._bidir_scalar(
-                graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-                spotjc, inv_colors, source, target, zero_loads, bound,
-                context=context, profile=profile)
+        out = self._bidir_blocks(
+            graph, order, K, fwd_exts, cross_edges, in_edge_data,
+            cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
+            spotjc, inv_colors, source, target, zero_loads, bound,
+            context=context, profile=profile)
         path, _ssb, _s, _b, sweep_stats, interrupted = out
         if path is None:
             return out
         # The join accumulates σ/loads as prefix + suffix sums, whose
         # floating-point association differs from the forward sweep's
         # left-to-right one by an ulp or two.  Re-accumulate the winning
-        # path in forward edge order — the exact op sequence of `_sweep` —
+        # path in forward edge order — the op sequence of `_sweep_blocks` —
         # so the reported optimum is bit-identical to the forward engine's.
         s = 0.0
         loads = list(zero_loads)
@@ -940,7 +824,7 @@ class LabelDominanceSearch:
                       potj, spot, spotj, spotjc, inv_colors, source, target,
                       zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
-        """Bidirectional exact pass over array buckets (numpy present).
+        """Bidirectional exact pass over array buckets.
 
         Both half-sweeps mirror :meth:`_sweep_blocks` — vectorised bound
         checks, windowed Pareto filter, settled arrays retained for the
@@ -952,8 +836,6 @@ class LabelDominanceSearch:
         ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
         against the other's componentwise minima (``pruned_meet``).
         """
-        import numpy as np
-
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
         window = self.dominance_window
@@ -1378,261 +1260,6 @@ class LabelDominanceSearch:
             node = e.head
         return (Path.from_edges(edges), best_ssb, best_s, best_b,
                 sweep_stats, interrupted)
-
-    def _bidir_scalar(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, cross_tails, cross_heads, pot, potjc,
-                      potj, spot, spotj, spotjc, inv_colors, source, target,
-                      zero_loads, bound,
-                      context: Optional[SolveContext] = None, profile=None):
-        """Pure-python bidirectional pass: :class:`ParetoStore` buckets per
-        node in both halves and a pairwise join — the numpy-free fallback,
-        identical optimum."""
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        dim = len(zero_loads)
-        created = dominated = 0
-        pruned_colour = pruned_joint = pruned_meet = 0
-        peak = settles = meet_edges = 0
-        interrupted: Optional[str] = None
-
-        # forward half: prefix labels, predecessor chains as in _sweep
-        labels_f: Dict[Node, ParetoStore] = {}
-        seed: _Label = (0.0, zero_loads, None, None, 0.0)
-        store = ParetoStore(dim)
-        store.insert(0.0, zero_loads, seed)
-        labels_f[source] = store
-        fwd_front: Dict[Node, List[_Label]] = {}
-        for node in order[:K]:
-            if context is not None:
-                interrupted = context.interrupted()
-                if interrupted is not None:
-                    break
-            bucket = labels_f.pop(node, None)
-            if not bucket:
-                continue
-            extensions = fwd_exts.get(node)
-            is_meet_tail = node in cross_tails
-            if not extensions and not is_meet_tail:
-                continue
-            bucket.settle()
-            dominated += bucket.dominated + bucket.evicted
-            settles += 1
-            payloads = bucket.payloads()
-            if len(payloads) > peak:
-                peak = len(payloads)
-            if is_meet_tail:
-                fwd_front[node] = payloads
-            for label in payloads:
-                s, loads, lsum = label[0], label[1], label[4]
-                for edge, sigma, betas, btotal, head, pot_h, potjc_h, \
-                        potj_h in (extensions or ()):
-                    ns = s + sigma
-                    if betas:
-                        new_loads = list(loads)
-                        for ci, bv in betas:
-                            new_loads[ci] += bv
-                        nloads = tuple(new_loads)
-                    else:
-                        nloads = loads
-                    if nloads:
-                        lower = lam_s * ns + max(map(
-                            _add, map(lam_b.__mul__, nloads), potjc_h))
-                    else:
-                        lower = lam_s * (ns + pot_h)
-                    if lower >= bound:
-                        pruned_colour += 1
-                        continue
-                    nsum = lsum + btotal
-                    if lam_s * ns + lam_b * nsum * inv_colors + potj_h \
-                            >= bound:
-                        pruned_joint += 1
-                        continue
-                    created += 1
-                    hstore = labels_f.get(head)
-                    if hstore is None:
-                        hstore = labels_f[head] = ParetoStore(dim)
-                    hstore.insert_lazy(ns, nloads, (ns, nloads, edge,
-                                                    label, nsum))
-
-        # backward half: suffix labels; a label's edge is the *first* edge
-        # of its v → T suffix, its parent the next suffix label
-        labels_b: Dict[Node, ParetoStore] = {}
-        store = ParetoStore(dim)
-        store.insert(0.0, zero_loads, seed)
-        labels_b[target] = store
-        bwd_front: Dict[Node, List[_Label]] = {}
-        if interrupted is None:
-            for node in reversed(order[K:]):
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                bucket = labels_b.pop(node, None)
-                if not bucket:
-                    continue
-                extensions = in_edge_data.get(node)
-                is_meet_head = node in cross_heads
-                if not extensions and not is_meet_head:
-                    continue
-                bucket.settle()
-                dominated += bucket.dominated + bucket.evicted
-                settles += 1
-                payloads = bucket.payloads()
-                if len(payloads) > peak:
-                    peak = len(payloads)
-                if is_meet_head:
-                    bwd_front[node] = payloads
-                for label in payloads:
-                    s, loads, lsum = label[0], label[1], label[4]
-                    for edge, sigma, betas, btotal, tail in \
-                            (extensions or ()):
-                        ns = s + sigma
-                        if betas:
-                            new_loads = list(loads)
-                            for ci, bv in betas:
-                                new_loads[ci] += bv
-                            nloads = tuple(new_loads)
-                        else:
-                            nloads = loads
-                        if nloads:
-                            lower = lam_s * ns + max(map(
-                                _add, map(lam_b.__mul__, nloads),
-                                spotjc[tail]))
-                        else:
-                            lower = lam_s * (ns + spot[tail])
-                        if lower >= bound:
-                            pruned_colour += 1
-                            continue
-                        nsum = lsum + btotal
-                        if lam_s * ns + lam_b * nsum * inv_colors \
-                                + spotj[tail] >= bound:
-                            pruned_joint += 1
-                            continue
-                        created += 1
-                        tstore = labels_b.get(tail)
-                        if tstore is None:
-                            tstore = labels_b[tail] = ParetoStore(dim)
-                        tstore.insert_lazy(ns, nloads, (ns, nloads, edge,
-                                                        label, nsum))
-
-        # join at the crossing edges, cheapest-looking first
-        best_f = best_bb = best_edge = None
-        best_ssb = best_s = best_b = float("inf")
-        if interrupted is None:
-            jobs = []
-            for edge, sigma, betas, btotal, tail, head in cross_edges:
-                F = fwd_front.get(tail)
-                B = bwd_front.get(head)
-                if not F or not B:
-                    continue
-                est = lam_s * (min(l[0] for l in F) + sigma
-                               + min(l[0] for l in B))
-                if dim:
-                    minf = [min(l[1][c] for l in F) for c in range(dim)]
-                    minb = [min(l[1][c] for l in B) for c in range(dim)]
-                    brow = [0.0] * dim
-                    for ci, bv in betas:
-                        brow[ci] = bv
-                    est += max(lam_b * (a + e + b)
-                               for a, e, b in zip(minf, brow, minb))
-                jobs.append((est, edge.key, edge, sigma, betas, tail, head))
-            jobs.sort(key=lambda j: (j[0], j[1]))
-            for est, _key, edge, sigma, betas, tail, head in jobs:
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                meet_edges += 1
-                F, B = fwd_front[tail], bwd_front[head]
-                if est >= bound:
-                    pruned_meet += len(F) + len(B)
-                    continue
-                min_sb = min(l[0] for l in B)
-                minb = [min(l[1][c] for l in B) for c in range(dim)]
-                for lf in F:
-                    sf = lf[0] + sigma
-                    if betas:
-                        lfl = list(lf[1])
-                        for ci, bv in betas:
-                            lfl[ci] += bv
-                        lfl = tuple(lfl)
-                    else:
-                        lfl = lf[1]
-                    if dim:
-                        low = lam_s * (sf + min_sb) + \
-                            lam_b * max(map(_add, lfl, minb))
-                    else:
-                        low = lam_s * (sf + min_sb)
-                    if low >= bound:
-                        pruned_meet += 1
-                        continue
-                    for lb in B:
-                        if dim:
-                            v = lam_s * (sf + lb[0]) + \
-                                lam_b * max(map(_add, lfl, lb[1]))
-                        else:
-                            v = lam_s * (sf + lb[0])
-                        if v < bound:
-                            bound = best_ssb = v
-                            best_edge, best_f, best_bb = edge, lf, lb
-                            best_s = sf + lb[0]
-                            best_b = max(map(_add, lfl, lb[1])) if dim \
-                                else 0.0
-                            if context is not None:
-                                context.report_incumbent(
-                                    v, source="labels-meet")
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint, 0,
-                       peak, settles, pruned_meet, meet_edges)
-        if best_edge is None:
-            return (None, float("inf"), float("inf"), float("inf"),
-                    sweep_stats, interrupted)
-        edges: List[Edge] = []
-        cursor: Optional[tuple] = best_f
-        while cursor is not None and cursor[2] is not None:
-            edges.append(cursor[2])
-            cursor = cursor[3]
-        edges.reverse()
-        edges.append(best_edge)
-        cursor = best_bb
-        while cursor is not None and cursor[2] is not None:
-            edges.append(cursor[2])
-            cursor = cursor[3]
-        return (Path.from_edges(edges), best_ssb, best_s, best_b,
-                sweep_stats, interrupted)
-
-
-def _insert(bucket: List[_Label], label: _Label,
-            scan_cap: int = _DOM_SCAN_CAP, evict_cap: int = _EVICT_CAP) -> bool:
-    """Insert ``label`` into a node's Pareto set; False when dominated.
-
-    Dominance is componentwise ``<=`` on (σ, per-colour loads); an exact tie
-    counts as dominated, so duplicates never accumulate.  Both scans are
-    capped: a label appended past the cap merely survives undeleted, which
-    costs time, never correctness.
-    """
-    s, loads = label[0], label[1]
-    for i in range(min(len(bucket), scan_cap)):
-        existing = bucket[i]
-        if existing[0] <= s:
-            for a, b in zip(existing[1], loads):
-                if a > b:
-                    break
-            else:
-                return False
-    if len(bucket) <= evict_cap:
-        kept = []
-        for existing in bucket:
-            if s <= existing[0]:
-                for a, b in zip(loads, existing[1]):
-                    if a > b:
-                        kept.append(existing)
-                        break
-                # fully dominated by the new label: dropped
-            else:
-                kept.append(existing)
-        if len(kept) != len(bucket):
-            bucket[:] = kept
-    bucket.append(label)
-    return True
 
 
 def _reconstruct(label: _Label) -> Path:

@@ -283,9 +283,7 @@ def _run_colored_ssb(problem: AssignmentProblem, weighting: Optional[SSBWeightin
     graph = build_assignment_graph(problem, colored_tree=colored)
     search = ColoredSSBSearch(weighting=weighting,
                               enable_expansion=options.get("enable_expansion", True),
-                              finisher=options.get("finisher", "labels"),
-                              label_frontier=options.get("label_frontier",
-                                                         "bucketed"))
+                              finisher=options.get("finisher", "labels"))
     result = search.search(graph.dwg, context=options.get("context"))
     if not result.found:
         raise RuntimeError("the coloured assignment graph has no S-T path; "
@@ -343,7 +341,6 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     search = LabelDominanceSearch(
         weighting=weighting,
         beam_width=options.get("beam_width", 128),
-        frontier=options.get("frontier", "bucketed"),
         dominance_window=options.get("dominance_window", 128),
         direction=options.get("direction", "forward"))
     result = search.search(graph.dwg, context=options.get("context"))

@@ -126,24 +126,25 @@ class TestCancellation:
 
     def test_cancel_during_settle_leaves_pareto_state_consistent(self,
                                                                  monkeypatch):
-        # fire the cancel from inside ParetoStore.settle — mid-sweep, between
-        # dominance filtering and extension — and verify both that the
-        # interrupted solve still answers and that the engine solves exactly
-        # afterwards (no half-settled store leaks into anything shared).
-        # The scalar bucketed backend is forced (numpy "absent"): it is the
-        # one that settles a ParetoStore per swept node.
-        from repro.core import frontier, label_search
+        # fire the cancel from inside the block sweep's dominance filter —
+        # mid-sweep, between settling a bucket and extending it — and verify
+        # both that the interrupted solve still answers and that the engine
+        # solves exactly afterwards (no half-settled bucket leaks into
+        # anything shared)
+        from repro.core import label_search
 
-        monkeypatch.setattr(label_search, "HAVE_NUMPY", False)
         context = SolveContext()
-        original = frontier.ParetoStore.settle
+        original = label_search.pareto_block_mask
+        calls = []
 
-        def cancelling_settle(self, *args, **kwargs):
+        def cancelling_mask(*args, **kwargs):
+            calls.append(1)
             context.cancel()
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(frontier.ParetoStore, "settle", cancelling_settle)
+        monkeypatch.setattr(label_search, "pareto_block_mask", cancelling_mask)
         result = solve(PROBLEM, method="colored-ssb-labels", context=context)
+        assert calls, "the sweep never reached its dominance filter"
         assert result.assignment is not None
         assert result.assignment.is_feasible()
         assert result.interrupted == "cancelled"

@@ -4,8 +4,8 @@ Seeded fuzz loops (hypothesis-style, no dependency) pin the store's three
 contracts against a naive O(F²) reference filter:
 
 * the surviving set equals the maximal elements of everything inserted,
-  duplicates collapsed — *exactly*, for the eager inserts, the lazy
-  batch settle (vectorised when numpy is present) and the block-mask kernel;
+  duplicates collapsed — *exactly*, for the eager inserts and the
+  block-mask kernel;
 * the result is independent of insertion order;
 * the structural invariants hold after every insert: σ ascending, at most
   one entry per load tuple, and for single-colour stores the full staircase
@@ -21,12 +21,9 @@ import random
 
 import pytest
 
-from repro.core.frontier import (
-    HAVE_NUMPY,
-    ParetoStore,
-    pareto_block_mask,
-    pareto_filter,
-)
+import numpy as np
+
+from repro.core.frontier import ParetoStore, pareto_block_mask
 
 
 def naive_filter(items):
@@ -115,11 +112,33 @@ class TestEagerInsert:
         store = ParetoStore(2)
         with pytest.raises(ValueError, match="components"):
             store.insert(1.0, (1.0,))
-        store.insert_lazy(1.0, (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="components"):
-            store.settle()
         with pytest.raises(ValueError):
             ParetoStore(-1)
+
+    def test_payloads_iterate_in_sigma_order(self):
+        rng = random.Random(11)
+        items = random_items(rng, 80, 2)
+        store = ParetoStore(2)
+        for i, (s, loads) in enumerate(items):
+            store.insert(s, loads, i)
+        result = list(store)
+        assert {(s, loads) for s, loads, _ in result} == naive_filter(items)
+        assert all(items[i] == (s, loads) for s, loads, i in result)
+        sigmas = [s for s, _, _ in result]
+        assert sigmas == sorted(sigmas)
+
+    def test_exhaustive_tiny_cases(self):
+        # every multiset of 4 labels over a 2x2x2 grid, every order
+        grid = [(float(s), (float(a), float(b)))
+                for s in range(2) for a in range(2) for b in range(2)]
+        rng = random.Random(0)
+        for _ in range(200):
+            items = [rng.choice(grid) for _ in range(4)]
+            for perm in itertools.permutations(items):
+                store = ParetoStore(2)
+                for s, loads in perm:
+                    store.insert(s, loads)
+                assert store_set(store) == naive_filter(perm)
 
 
 class TestBoundedInsert:
@@ -144,64 +163,10 @@ class TestBoundedInsert:
                                     lambda_s=2.0, lambda_b=0.5)
 
 
-class TestLazySettle:
-    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_settle_matches_naive_filter(self, dim, seed):
-        rng = random.Random(seed * 31 + dim)
-        # far above _SETTLE_VECTOR_MIN so numpy installs take the vector path
-        items = random_items(rng, 400, dim)
-        store = ParetoStore(dim)
-        for s, loads in items:
-            store.insert_lazy(s, loads)
-        assert store_set(store) == naive_filter(items)   # settles implicitly
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_settle_equals_eager_insertion(self, seed):
-        rng = random.Random(seed + 77)
-        items = random_items(rng, 300, 3)
-        eager = ParetoStore(3)
-        lazy = ParetoStore(3)
-        for s, loads in items:
-            eager.insert(s, loads)
-            lazy.insert_lazy(s, loads)
-        lazy.settle()
-        assert store_set(lazy) == store_set(eager)
-
-    def test_mixed_eager_and_lazy(self):
-        rng = random.Random(3)
-        items = random_items(rng, 200, 2)
-        store = ParetoStore(2)
-        for i, (s, loads) in enumerate(items):
-            if i % 3:
-                store.insert_lazy(s, loads)
-            else:
-                store.insert(s, loads)      # forces interleaved settles
-        assert store_set(store) == naive_filter(items)
-
-    def test_settle_bound_drops_stale_pending_labels(self):
-        store = ParetoStore(2)
-        store.insert_lazy(1.0, (1.0, 4.0))          # peak 5+1 -> at bound
-        store.insert_lazy(1.0, (1.0, 2.0))          # peak 3+1 -> admissible
-        store.settle(6.0, potential=1.0, load_potentials=(0.0, 1.0))
-        assert store_set(store) == {(1.0, (1.0, 2.0))}
-        assert store.bound_rejected == 1
-
-    def test_settle_bound_never_touches_stored_entries(self):
-        store = ParetoStore(1)
-        store.insert(9.0, (9.0,))
-        store.insert_lazy(8.0, (10.0,))             # over any sane bound
-        store.settle(1.0)
-        assert store_set(store) == {(9.0, (9.0,))}
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="block kernel requires numpy")
 class TestBlockMask:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_mask_matches_naive_filter(self, dim, seed):
-        import numpy as np
-
         rng = random.Random(seed * 13 + dim)
         items = random_items(rng, 700, dim)   # several kernel blocks
         sig = np.array([s for s, _ in items])
@@ -211,8 +176,6 @@ class TestBlockMask:
         assert survivors == naive_filter(items)
 
     def test_windowed_mask_is_sound_and_between_bounds(self):
-        import numpy as np
-
         rng = random.Random(5)
         items = random_items(rng, 600, 3)
         sig = np.array([s for s, _ in items])
@@ -231,26 +194,3 @@ class TestBlockMask:
                            and all(a <= b for a, b in zip(el, loads))
                            for j, (es, el) in enumerate(items))
 
-
-class TestParetoFilter:
-    def test_batch_filter_matches_naive(self):
-        rng = random.Random(11)
-        items = random_items(rng, 80, 2)
-        result = pareto_filter(((s, loads, i) for i, (s, loads)
-                                in enumerate(items)), dim=2)
-        assert {(s, loads) for s, loads, _ in result} == naive_filter(items)
-        sigmas = [s for s, _, _ in result]
-        assert sigmas == sorted(sigmas)
-
-    def test_exhaustive_tiny_cases(self):
-        # every multiset of 4 labels over a 2x2x2 grid, every order
-        grid = [(float(s), (float(a), float(b)))
-                for s in range(2) for a in range(2) for b in range(2)]
-        rng = random.Random(0)
-        for _ in range(200):
-            items = [rng.choice(grid) for _ in range(4)]
-            for perm in itertools.permutations(items):
-                store = ParetoStore(2)
-                for s, loads in perm:
-                    store.insert(s, loads)
-                assert store_set(store) == naive_filter(perm)

@@ -196,27 +196,12 @@ class TestColoredSSBFinisherWiring:
             assert result.label_stats is None
 
 
-class TestFrontierBackends:
-    """The frontier="bucketed"|"linear" switch: identical optima, and the
-    scalar ParetoStore path must behave exactly like the block path when
-    numpy is unavailable."""
+class TestDominanceWindow:
+    """The block sweep's windowed Pareto filter: a knob on speed only."""
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="frontier"):
-            LabelDominanceSearch(frontier="quadtree")
+    def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="dominance_window"):
             LabelDominanceSearch(dominance_window=-1)
-
-    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
-    def test_backends_agree_bit_identically(self, scatter):
-        problem = random_problem(n_processing=14, n_satellites=4, seed=9,
-                                 sensor_scatter=scatter)
-        graph = build_assignment_graph(problem)
-        bucketed = LabelDominanceSearch(frontier="bucketed").search(graph.dwg)
-        linear = LabelDominanceSearch(frontier="linear").search(graph.dwg)
-        assert bucketed.ssb_weight == linear.ssb_weight
-        assert bucketed.s_weight == linear.s_weight
-        assert bucketed.b_weight == linear.b_weight
 
     def test_dominance_window_zero_disables_filtering_only(self):
         problem = random_problem(n_processing=14, n_satellites=4, seed=9,
@@ -226,28 +211,3 @@ class TestFrontierBackends:
         unfiltered = LabelDominanceSearch(dominance_window=0).search(graph.dwg)
         assert filtered.ssb_weight == unfiltered.ssb_weight
         assert unfiltered.stats.labels_dominated == 0
-
-    def test_bucketed_without_numpy_falls_back_to_the_scalar_store(self,
-                                                                   monkeypatch):
-        import repro.core.label_search as ls
-
-        problem = random_problem(n_processing=12, n_satellites=3, seed=5,
-                                 sensor_scatter=1.0)
-        graph = build_assignment_graph(problem)
-        reference = LabelDominanceSearch().search(graph.dwg)
-        monkeypatch.setattr(ls, "HAVE_NUMPY", False)
-        scalar = LabelDominanceSearch().search(graph.dwg)
-        assert scalar.ssb_weight == reference.ssb_weight
-        assert scalar.found and scalar.path is not None
-
-    def test_colored_ssb_threads_the_backend_through(self):
-        problem = random_problem(n_processing=12, n_satellites=3, seed=5,
-                                 sensor_scatter=1.0)
-        graph = build_assignment_graph(problem)
-        default = ColoredSSBSearch(keep_trace=False)
-        linear = ColoredSSBSearch(keep_trace=False, label_frontier="linear")
-        assert default.label_frontier == "bucketed"
-        with pytest.raises(ValueError, match="label_frontier"):
-            ColoredSSBSearch(label_frontier="buckets")
-        assert default.search(graph.dwg).ssb_weight == \
-            linear.search(graph.dwg).ssb_weight

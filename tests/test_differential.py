@@ -123,14 +123,6 @@ class TestTripleAgreement:
         assert_identical(problem, ["colored-ssb-labels", "colored-ssb-bidir",
                                    "pareto-dp-pruned"])
 
-    def test_frontier_backends_agree(self):
-        problem = make_instance("scattered", 12, 4, seed=2)
-        bucketed = solve(problem, method="colored-ssb-labels",
-                         frontier="bucketed")
-        linear = solve(problem, method="colored-ssb-labels",
-                       frontier="linear")
-        assert bucketed.objective == linear.objective
-
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("n", [6, 8, 10])
     def test_portfolio_matches_the_exact_grid(self, topology, n):
