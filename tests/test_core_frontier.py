@@ -162,8 +162,68 @@ class TestBoundedInsert:
         assert store.insert_bounded(1.0, (4.0,), potential=1.0, bound=6.1,
                                     lambda_s=2.0, lambda_b=0.5)
 
+    @pytest.mark.parametrize("lambda_s, lambda_b",
+                             [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (0.0, 1.0)])
+    def test_weighted_bound_equals_prefiltered_eager_store(self, lambda_s,
+                                                           lambda_b):
+        rng = random.Random(int(10 * lambda_s + lambda_b))
+        items = random_items(rng, 300, 3)
+        bound, potential = 7.0, 0.5
+        bounded = ParetoStore(3)
+        for s, loads in items:
+            bounded.insert_bounded(s, loads, potential=potential, bound=bound,
+                                   lambda_s=lambda_s, lambda_b=lambda_b)
+        admissible = [(s, loads) for s, loads in items
+                      if lambda_s * (s + potential) + lambda_b * max(loads)
+                      < bound]
+        eager = ParetoStore(3)
+        for s, loads in admissible:
+            eager.insert(s, loads)
+        assert store_set(bounded) == store_set(eager)
+        assert bounded.bound_rejected == len(items) - len(admissible)
+
+    def test_mixed_plain_and_bounded_inserts(self):
+        rng = random.Random(3)
+        items = random_items(rng, 200, 2)
+        store = ParetoStore(2)
+        kept = []
+        for i, (s, loads) in enumerate(items):
+            if i % 3:
+                store.insert_bounded(s, loads, potential=1.0, bound=8.0)
+                if s + 1.0 + max(loads) < 8.0:
+                    kept.append((s, loads))
+            else:
+                store.insert(s, loads)      # plain inserts ignore the bound
+                kept.append((s, loads))
+        assert store_set(store) == naive_filter(kept)
+
+    def test_rejected_label_never_evicts_stored_entries(self):
+        store = ParetoStore(2)
+        store.insert(9.0, (9.0, 9.0))
+        # would dominate the stored label, but cannot beat the incumbent
+        assert not store.insert_bounded(1.0, (1.0, 1.0), potential=1.0,
+                                        bound=2.5)
+        assert store_set(store) == {(9.0, (9.0, 9.0))}
+        assert store.evicted == 0 and store.bound_rejected == 1
+
 
 class TestBlockMask:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_mask_equals_eager_store(self, dim, seed):
+        # the sweep's block kernel and the tree DP's store are the same
+        # filter: identical survivors on the same labels
+        rng = random.Random(seed * 31 + dim)
+        items = random_items(rng, 400, dim)
+        sig = np.array([s for s, _ in items])
+        lds = np.array([l for _, l in items]).reshape(len(items), dim)
+        keep = pareto_block_mask(sig, lds)
+        store = ParetoStore(dim)
+        for s, loads in items:
+            store.insert(s, loads)
+        assert {items[i] for i in range(len(items)) if keep[i]} == \
+            store_set(store)
+
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_mask_matches_naive_filter(self, dim, seed):

@@ -211,3 +211,45 @@ class TestDominanceWindow:
         unfiltered = LabelDominanceSearch(dominance_window=0).search(graph.dwg)
         assert filtered.ssb_weight == unfiltered.ssb_weight
         assert unfiltered.stats.labels_dominated == 0
+
+    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+    @pytest.mark.parametrize("window", [1, 8, 64])
+    def test_window_never_changes_the_optimum(self, window, direction):
+        problem = random_problem(n_processing=12, n_satellites=4, seed=6,
+                                 sensor_scatter=1.0)
+        graph = build_assignment_graph(problem)
+        reference = LabelDominanceSearch(
+            dominance_window=0, direction=direction).search(graph.dwg)
+        capped = LabelDominanceSearch(
+            dominance_window=window, direction=direction).search(graph.dwg)
+        assert capped.ssb_weight == reference.ssb_weight
+
+
+class TestDirections:
+    """The forward block sweep and the bidirectional split: one optimum."""
+
+    def test_invalid_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            LabelDominanceSearch(direction="backward")
+
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    def test_directions_agree_bit_identically(self, scatter):
+        problem = random_problem(n_processing=14, n_satellites=4, seed=9,
+                                 sensor_scatter=scatter)
+        graph = build_assignment_graph(problem)
+        forward = LabelDominanceSearch().search(graph.dwg)
+        bidir = LabelDominanceSearch(direction="bidirectional").search(graph.dwg)
+        assert forward.found and bidir.found
+        assert bidir.ssb_weight == forward.ssb_weight
+        measures = PathMeasures()
+        assert bidir.ssb_weight == pytest.approx(
+            measures.ssb_colored(bidir.path), rel=1e-12)
+
+    def test_colored_ssb_default_finisher_is_the_label_engine(self):
+        problem = random_problem(n_processing=12, n_satellites=3, seed=5,
+                                 sensor_scatter=1.0)
+        graph = build_assignment_graph(problem)
+        result = ColoredSSBSearch(keep_trace=False).search(graph.dwg)
+        assert result.finisher == "labels"
+        assert result.ssb_weight == \
+            LabelDominanceSearch().search(graph.dwg).ssb_weight
