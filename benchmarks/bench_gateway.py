@@ -46,7 +46,7 @@ class _Drainer:
                                           daemon=True) for queue in queues]
 
     def _loop(self, queue):
-        worker = SolveWorker(queue, cache=None, poll_interval=0.005)
+        worker = SolveWorker(queue, cache=None)
         while not self._stop.is_set():
             task = queue.claim(block=True, timeout=0.02)
             if task is not None:
@@ -105,9 +105,8 @@ def _run_load(port, bodies):
 
 def test_bench_gateway_sustained_solves(benchmark, tmp_path):
     shard_dirs = [str(tmp_path / f"shard-{index}") for index in range(SHARDS)]
-    queues = [WorkQueue(directory, poll_interval=0.005)
-              for directory in shard_dirs]
-    gateway = Gateway(queues, GatewayConfig(port=0, poll_interval=0.005),
+    queues = [WorkQueue(directory) for directory in shard_dirs]
+    gateway = Gateway(queues, GatewayConfig(port=0),
                       cache=None).start_background()
     bodies = _bodies()
     workers_per_shard = max(1, WORKERS // SHARDS)

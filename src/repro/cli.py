@@ -749,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--lease-timeout", type=float, default=60.0,
                           help="seconds before a crashed worker's task is requeued")
     p_worker.add_argument("--poll-interval", type=float, default=0.05,
-                          help="idle sleep between claim attempts")
+                          help="fallback claim-scan cadence when no "
+                               "same-host submit wakes the worker")
     p_worker.add_argument("--worker-id", help="identifier recorded in results")
     p_worker.add_argument("--max-tasks", type=int, default=None,
                           help="exit after this many tasks")
@@ -822,7 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gateway.add_argument("--lease-timeout", type=float, default=60.0,
                            help="shard lease timeout (crashed-worker "
                                 "requeue horizon)")
-    p_gateway.add_argument("--poll-interval", type=float, default=0.05)
+    p_gateway.add_argument("--poll-interval", type=float, default=0.05,
+                           help="fallback scan cadence of the gateway's "
+                                "waits and its local workers")
     p_gateway.add_argument("--local-workers", type=int, default=0,
                            help="spawn N worker subprocesses round-robin "
                                 "across the shards")

@@ -28,7 +28,13 @@ gateway adds exactly that, with no dependency beyond the standard library:
   text/event-stream``) turns the response into Server-Sent Events replaying
   the best-so-far incumbents that anytime solves publish into their claim
   file, filtered to strictly improving objectives, terminated by a
-  ``result`` event.
+  ``result`` event;
+* **wake-ups, not sleeps** — each shard has one ``result`` wake-up endpoint
+  (:mod:`repro.distributed.wake`) on the event loop; a same-host ack,
+  dead-letter or progress publish rings it and every request waiting on
+  that shard re-probes its own result at once.  Liveness checks, lease
+  recovery and shard probes stay on the shard's ``poll_interval`` cadence,
+  which is also the fallback when no ring comes.
 
 Endpoints::
 
@@ -47,11 +53,13 @@ microseconds, and the benchmark holds the throughput bar honest.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.distributed import wake
 from repro.distributed.protocol import (
     HttpRequest,
     ProtocolError,
@@ -130,7 +138,6 @@ class GatewayConfig:
     max_inflight: int = 256             #: concurrent waiting solve requests
     max_body_bytes: int = 4 * 1024 * 1024
     default_timeout_s: float = 120.0    #: per-request wait budget
-    poll_interval: float = 0.02         #: result-poll cadence while waiting
     recover_interval: float = 0.25      #: min spacing of lease-recovery sweeps
     probe_interval: float = 1.0         #: min spacing of shard health probes
     vanish_polls: int = 3               #: consecutive misses ⇒ task vanished
@@ -146,7 +153,8 @@ class Gateway:
         pass these to control lease timeouts).  One :class:`SolveService`
         per shard keeps each shard's in-flight coalescing index exactly
         where its duplicates land, because the router sends a given problem
-        hash to one shard deterministically.
+        hash to one shard deterministically.  A waiting request falls back
+        to polling its shard every ``WorkQueue.poll_interval``.
     """
 
     def __init__(self, shards: Sequence[Union[str, WorkQueue]],
@@ -195,19 +203,47 @@ class Gateway:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        #: per shard: the ``result`` wake-up endpoint and the event the
+        #: requests waiting on that shard block on (replaced on every ring)
+        self._endpoints: List[wake.Endpoint] = []
+        self._wakes: List[asyncio.Event] = []
 
     # -------------------------------------------------------------- lifecycle
     async def _open(self) -> None:
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        for index, queue in enumerate(self.queues):
+            endpoint = wake.Endpoint(queue.directory, wake.RESULT)
+            self._endpoints.append(endpoint)
+            self._wakes.append(asyncio.Event())
+            if endpoint.open():
+                loop.add_reader(endpoint.fd, self._on_wake, index)
+
+    def _on_wake(self, index: int) -> None:
+        """A ring on shard ``index``: release every request waiting on it."""
+        self._endpoints[index].drain()
+        self._wakes[index].set()
+        self._wakes[index] = asyncio.Event()
+
+    def _close_endpoints(self, loop: asyncio.AbstractEventLoop) -> None:
+        for endpoint in self._endpoints:
+            if endpoint.fd is not None:
+                loop.remove_reader(endpoint.fd)
+            endpoint.close()
+        self._endpoints = []
+        self._wakes = []
 
     async def _serve(self) -> None:
         await self._open()
         print(f"gateway listening on http://{self.config.host}:{self.port} "
               f"({len(self.queues)} shard(s))", flush=True)
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            async with self._server:
+                await self._server.serve_forever()
+        finally:
+            self._close_endpoints(asyncio.get_running_loop())
 
     def serve_forever(self) -> None:
         """Run the gateway on this thread until interrupted (CLI path)."""
@@ -228,6 +264,7 @@ class Gateway:
             try:
                 loop.run_forever()
             finally:
+                self._close_endpoints(loop)
                 self._server.close()
                 loop.run_until_complete(self._server.wait_closed())
                 to_cancel = asyncio.all_tasks(loop)
@@ -486,7 +523,10 @@ class Gateway:
         queue = service.queue
         last_best: Optional[float] = None
         missing_polls = 0
+        next_beat = time.monotonic() + queue.poll_interval
         while True:
+            # taken before the probe: a ring landing after it sets this event
+            rung = self._wakes[shard]
             outcome = failure = None
             try:
                 outcome = queue.result(task_id)
@@ -532,33 +572,37 @@ class Gateway:
                         "source": record.get("source")}))
                     await writer.drain()
 
-            self._maybe_recover()
-            self._maybe_probe()
-            if not self.router.is_healthy(shard):
-                shard, task_id, entry, service, queue = self._failover(
-                    problem, solve, shard, sse, writer)
-                if sse:
-                    await writer.drain()
-                last_best = None       # new task: replay improvements fresh
-                missing_polls = 0
-                continue
-            # a task with no artifact anywhere (not pending, not claimed,
-            # no result, no dead-letter) was lost to external cleanup; one
-            # listing can race the claim rename, so require consecutive
-            # misses before resubmitting
-            try:
-                live = queue.task_live(task_id)
-            except OSError:
-                live = False
-            missing_polls = 0 if live else missing_polls + 1
-            if missing_polls >= self.config.vanish_polls:
-                shard, task_id, entry, service, queue = self._failover(
-                    problem, solve, shard, sse, writer, vanished=True)
-                if sse:
-                    await writer.drain()
-                last_best = None
-                missing_polls = 0
-                continue
+            # a ring only re-probes this request's own files; the fleet
+            # chores below keep the poll cadence however often rings come
+            if time.monotonic() >= next_beat:
+                next_beat = time.monotonic() + queue.poll_interval
+                self._maybe_recover()
+                self._maybe_probe()
+                if not self.router.is_healthy(shard):
+                    shard, task_id, entry, service, queue = self._failover(
+                        problem, solve, shard, sse, writer)
+                    if sse:
+                        await writer.drain()
+                    last_best = None   # new task: replay improvements fresh
+                    missing_polls = 0
+                    continue
+                # a task with no artifact anywhere (not pending, not
+                # claimed, no result, no dead-letter) was lost to external
+                # cleanup; one listing can race the claim rename, so
+                # require consecutive misses before resubmitting
+                try:
+                    live = queue.task_live(task_id)
+                except OSError:
+                    live = False
+                missing_polls = 0 if live else missing_polls + 1
+                if missing_polls >= self.config.vanish_polls:
+                    shard, task_id, entry, service, queue = self._failover(
+                        problem, solve, shard, sse, writer, vanished=True)
+                    if sse:
+                        await writer.drain()
+                    last_best = None
+                    missing_polls = 0
+                    continue
 
             now = time.monotonic()
             if now >= deadline:
@@ -575,8 +619,9 @@ class Gateway:
                     504, f"solve did not finish within {timeout:.3g}s "
                          f"(task {task_id} may still complete; poll "
                          f"/v1/tasks/{task_id})")
-            await asyncio.sleep(
-                min(self.config.poll_interval, max(deadline - now, 0.0)))
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    rung.wait(), max(min(next_beat, deadline) - now, 0.0))
 
     def _failover(self, problem: AssignmentProblem, solve: SolveRequest,
                   dead_shard: int, sse: bool,

@@ -13,6 +13,7 @@ dependencies beyond ``os.rename``.  Layout::
       quarantine/ corrupt files moved aside for forensics, never re-read
       poison/     crash markers written around each solve (see worker.py)
       tmp/        staging area for atomic writes
+      wake/       same-host wake-up FIFOs of blocked waiters (see wake.py)
 
 Every state transition is a single atomic ``os.replace``/``os.rename`` on one
 filesystem, which gives the queue its guarantees:
@@ -47,6 +48,17 @@ submit — is **quarantined** into ``quarantine/`` (with a
 instead of crashing a reader.  A quarantined *task* also gets a dead-letter
 record so its submitter sees a typed error result rather than a hang.
 
+**Waiting.**  Blocking waiters (:meth:`WorkQueue.claim`,
+:meth:`WorkQueue.wait_result`, result streams, the gateway) register a
+same-host wake-up endpoint under ``wake/`` and the transition that concerns
+them rings it: submit, requeue and release ring ``claim`` waiters; ack,
+dead-letter and progress ring ``result`` waiters (see
+:mod:`repro.distributed.wake`).  The ring only cuts a sleep short — the
+directories stay the only source of truth — so ``poll_interval`` is the
+*fallback* cadence: how long a waiter on another host, or one whose ring
+was lost, waits before scanning anyway, and how often lease recovery runs
+while a waiter blocks.
+
 Task files are named ``<task_id>.a<attempt>.json`` where ``task_id`` embeds a
 millisecond timestamp plus random suffix, so a plain sorted directory listing
 is FIFO submission order and ids never collide across submitters.
@@ -63,6 +75,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.distributed import wake
 from repro.observability import events as _events
 from repro.observability.events import EventLog
 from repro.observability.metrics import MetricsRegistry, default_metrics
@@ -150,8 +163,10 @@ class WorkQueue:
         instead of being retried forever (a poison task must not wedge the
         fleet).
     poll_interval:
-        Sleep between directory scans in blocking :meth:`claim` /
-        :meth:`wait_result` loops.
+        Fallback cadence of blocking waits (:meth:`claim`,
+        :meth:`wait_result`, result streams, the gateway): a waiter rescans
+        at least this often when no same-host wake-up arrives, and runs
+        lease recovery at most this often.
     events:
         Event log for lifecycle events (submit/claim/ack/...).  By default
         one is opened at ``<directory>/events.jsonl`` so ``repro audit``
@@ -334,6 +349,7 @@ class WorkQueue:
         if trace_id:
             event_fields["trace_id"] = trace_id
         self._emit(_events.EVENT_DEAD_LETTER, task_id, **event_fields)
+        wake.ring(self.directory, wake.RESULT)
         return True
 
     # ---------------------------------------------------------------- submit
@@ -349,6 +365,7 @@ class WorkQueue:
         trace_id = payload_trace_id(payload)
         self._emit(_events.EVENT_SUBMIT, task_id,
                    **({"trace_id": trace_id} if trace_id else {}))
+        wake.ring(self.directory, wake.CLAIM)
         if span is not None:
             span.finish()
         return task_id
@@ -362,20 +379,28 @@ class WorkQueue:
         """Atomically take one pending task, oldest first.
 
         Non-blocking by default (``None`` when the spool is empty); with
-        ``block=True`` polls until a task arrives or ``timeout`` elapses.
-        Each scan also runs :meth:`recover` so expired leases resurface even
-        when every submitter is gone.
+        ``block=True`` waits until a task arrives or ``timeout`` elapses,
+        woken early by a same-host submit, requeue or release.  Scans also
+        run :meth:`recover`, at most once per ``poll_interval``, so expired
+        leases resurface even when every submitter is gone.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            self.recover()
-            task = self._try_claim()
-            if task is not None:
-                return task
-            if not block or (deadline is not None
-                             and time.monotonic() >= deadline):
-                return None
-            time.sleep(self.poll_interval)
+        next_recover = 0.0
+        with wake.Endpoint(self.directory, wake.CLAIM) as endpoint:
+            while True:
+                now = time.monotonic()
+                if now >= next_recover:
+                    self.recover()
+                    next_recover = now + self.poll_interval
+                task = self._try_claim()
+                if task is not None:
+                    return task
+                wait_s = self.poll_interval
+                if deadline is not None:
+                    wait_s = min(wait_s, deadline - time.monotonic())
+                if not block or wait_s <= 0:
+                    return None
+                endpoint.wait(wait_s)
 
     def _try_claim(self) -> Optional[SpoolTask]:
         for name in self._listing(TASKS_DIR):
@@ -464,6 +489,7 @@ class WorkQueue:
                                op="spool_progress")
             self._emit(_events.EVENT_PROGRESS, task.task_id,
                        progress=dict(progress))
+            wake.ring(self.directory, wake.RESULT)
             return True
         except OSError:
             return False
@@ -536,6 +562,7 @@ class WorkQueue:
         self._emit(_events.EVENT_ACK, task.task_id, attempt=task.attempt,
                    method=payload.get("method"), status=payload.get("status"),
                    **({"trace_id": trace_id} if trace_id else {}))
+        wake.ring(self.directory, wake.RESULT)
         if span is not None:
             span.finish(status=payload.get("status"))
         try:
@@ -563,6 +590,7 @@ class WorkQueue:
         except OSError:
             return False
         self._emit(_events.EVENT_RELEASE, task.task_id, attempt=task.attempt)
+        wake.ring(self.directory, wake.CLAIM)
         return True
 
     def fail(self, task: SpoolTask, error: str, kind: str = "failed",
@@ -656,6 +684,7 @@ class WorkQueue:
         trace_id = payload_trace_id(payload)
         self._emit(_events.EVENT_REQUEUE, parts["task_id"], attempt=attempt,
                    **({"trace_id": trace_id} if trace_id else {}))
+        wake.ring(self.directory, wake.CLAIM)
         if span is not None:
             span.finish(attempt=attempt)
         return True
@@ -712,19 +741,31 @@ class WorkQueue:
 
     def wait_result(self, task_id: str,
                     timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """Block until a task's result (or dead-letter record) appears."""
+        """Block until a task's result (or dead-letter record) appears.
+
+        Woken early by a same-host ack or dead-letter; lease recovery runs
+        at most once per ``poll_interval`` while waiting.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            outcome = self.result(task_id)
-            if outcome is not None:
-                return outcome
-            failure = self.failure(task_id)
-            if failure is not None:
-                return failure
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-            self.recover()
-            time.sleep(self.poll_interval)
+        next_recover = 0.0
+        with wake.Endpoint(self.directory, wake.RESULT) as endpoint:
+            while True:
+                outcome = self.result(task_id)
+                if outcome is not None:
+                    return outcome
+                failure = self.failure(task_id)
+                if failure is not None:
+                    return failure
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    return None
+                if now >= next_recover:
+                    self.recover()
+                    next_recover = now + self.poll_interval
+                wait_s = self.poll_interval
+                if deadline is not None:
+                    wait_s = min(wait_s, deadline - time.monotonic())
+                endpoint.wait(wait_s)
 
     # ------------------------------------------------------------ accounting
     def counts(self) -> Dict[str, int]:

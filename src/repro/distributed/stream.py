@@ -14,15 +14,19 @@ plain generator over the spool that provides both:
   task tops the window back up.  A slow consumer therefore also slows
   submission — the spool never fills with more than ``window`` pending
   entries on this stream's behalf;
-* **liveness** — every poll runs :meth:`WorkQueue.recover` *before* the
-  deadline check, so tasks leased by a crashed worker are requeued even when
-  no other worker notices — including one final recovery pass right before a
-  ``timeout`` turns a wedged fleet into a :class:`StreamTimeout` instead of
-  an infinite wait (a stream must never give up on a task whose expired
-  lease that one pass would have requeued, nor leave the spool unrecovered
-  for whoever waits next).  The poll sleep is clamped to the remaining
-  deadline, so the timeout fires on time instead of overshooting by up to a
-  full ``poll_interval``.
+* **prompt delivery** — between scans the stream waits on a same-host
+  wake-up endpoint (:mod:`repro.distributed.wake`), so a result acked on
+  this host is picked up at once; ``poll_interval`` is only the fallback
+  cadence for rings that never come (workers on other hosts);
+* **liveness** — at most once per ``poll_interval`` a scan runs
+  :meth:`WorkQueue.recover` *before* the deadline check, so tasks leased by
+  a crashed worker are requeued even when no other worker notices —
+  including one final recovery pass right before a ``timeout`` turns a
+  wedged fleet into a :class:`StreamTimeout` instead of an infinite wait (a
+  stream must never give up on a task whose expired lease that one pass
+  would have requeued, nor leave the spool unrecovered for whoever waits
+  next).  The wait is clamped to the remaining deadline, so the timeout
+  fires on time instead of overshooting by up to a full ``poll_interval``.
 
 Dead-lettered tasks surface as error results (``ok=False``,
 ``status="error"``) rather than silently never arriving.  Anytime partials
@@ -39,6 +43,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
+from repro.distributed import wake
 from repro.distributed.spool import WorkQueue
 
 
@@ -148,10 +153,16 @@ class ResultStream:
     # -------------------------------------------------------------- iteration
     def __iter__(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
         """Yield ``(task_id, result)`` pairs; see the module docstring."""
+        with wake.Endpoint(self.queue.directory, wake.RESULT) as endpoint:
+            yield from self._scan(endpoint)
+
+    def _scan(self, endpoint: wake.Endpoint
+              ) -> Iterator[Tuple[str, Dict[str, Any]]]:
         deadline = (None if self.timeout is None
                     else time.monotonic() + self.timeout)
         ready: Dict[int, Tuple[str, Dict[str, Any]]] = {}
         emit_cursor = 0
+        next_recover = 0.0
         while self._pending or not self._source_done or ready:
             self._top_up()
             progressed = False
@@ -201,13 +212,16 @@ class ResultStream:
             # requeued even on the very last pass, so the stream never times
             # out on a task one recovery would have put back — and whoever
             # polls this spool next inherits a recovered queue, not a wedge
-            self.queue.recover()
             now = time.monotonic()
-            if deadline is not None and now >= deadline:
+            expired = deadline is not None and now >= deadline
+            if expired or now >= next_recover:
+                self.queue.recover()
+                next_recover = now + self.poll_interval
+            if expired:
                 raise StreamTimeout(len(self._pending), self.timeout)
-            sleep_s = self.poll_interval
+            wait_s = self.poll_interval
             if deadline is not None:
                 # clamp to the remaining budget so the timeout fires on time
                 # instead of overshooting by up to a full poll interval
-                sleep_s = min(sleep_s, max(deadline - now, 0.0))
-            time.sleep(sleep_s)
+                wait_s = min(wait_s, max(deadline - now, 0.0))
+            endpoint.wait(wait_s)

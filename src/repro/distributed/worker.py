@@ -174,8 +174,6 @@ class SolveWorker:
         warm-dir injection); solving itself goes through the facade.
     worker_id:
         Recorded in every published result; defaults to host-pid-entropy.
-    poll_interval:
-        Sleep between claim attempts while idle.
     heartbeat:
         Renew the claim lease from a background thread during each solve
         (default on).  Disable only in tests that need to observe lease
@@ -216,7 +214,6 @@ class SolveWorker:
                  cache: Optional[ResultCache] = None,
                  registry: Optional[SolverRegistry] = None,
                  worker_id: Optional[str] = None,
-                 poll_interval: float = 0.05,
                  heartbeat: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  poison_threshold: int = 2) -> None:
@@ -228,7 +225,6 @@ class SolveWorker:
         self.cache = cache
         self.registry = registry if registry is not None else default_registry()
         self.worker_id = worker_id or default_worker_id()
-        self.poll_interval = poll_interval
         self.heartbeat = heartbeat
         self.poison_threshold = poison_threshold
         #: renew cadence: well inside the lease so several beats fit into

@@ -105,7 +105,7 @@ class TestDistributedCommands:
         from repro.distributed import SolveWorker, WorkQueue
 
         queue = WorkQueue(spool, poll_interval=0.01)
-        worker = SolveWorker(queue, poll_interval=0.01)
+        worker = SolveWorker(queue)
         thread = threading.Thread(
             target=lambda: worker.run(max_tasks=2, timeout=30.0))
         thread.start()

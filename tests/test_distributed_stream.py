@@ -31,7 +31,7 @@ class _BackgroundWorker:
 
     def __init__(self, spool, cache=None):
         self.queue = WorkQueue(spool, poll_interval=0.01)
-        self.worker = SolveWorker(self.queue, cache=cache, poll_interval=0.01)
+        self.worker = SolveWorker(self.queue, cache=cache)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
 

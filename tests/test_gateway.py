@@ -85,7 +85,7 @@ class ShardDrainer:
                                           daemon=True) for queue in queues]
 
     def _loop(self, queue):
-        worker = SolveWorker(queue, cache=None, poll_interval=0.01)
+        worker = SolveWorker(queue, cache=None)
         while not self._stop.is_set():
             task = queue.claim(block=True, timeout=0.05)
             if task is not None:
@@ -107,11 +107,11 @@ def shards(tmp_path):
     return [str(tmp_path / f"shard-{index}") for index in range(2)]
 
 
-def make_gateway(shards, lease_timeout=60.0, **config_kwargs):
-    config_kwargs.setdefault("poll_interval", 0.01)
+def make_gateway(shards, lease_timeout=60.0, poll_interval=0.01,
+                 **config_kwargs):
     config_kwargs.setdefault("recover_interval", 0.05)
     queues = [WorkQueue(directory, lease_timeout=lease_timeout,
-                        poll_interval=0.01) for directory in shards]
+                        poll_interval=poll_interval) for directory in shards]
     return Gateway(queues, GatewayConfig(port=0, **config_kwargs),
                    cache=None)
 
