@@ -17,23 +17,30 @@ bottleneck time.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.assignment_graph import build_assignment_graph
+from repro.core.context import SolveContext
 from repro.core.sb import SBSearch
 from repro.model.problem import AssignmentProblem
 
 
-def bokhari_sb_assignment(problem: AssignmentProblem) -> Tuple[Assignment, Dict[str, object]]:
-    """The assignment minimising ``max(host time, max satellite load)``."""
+def bokhari_sb_assignment(problem: AssignmentProblem,
+                          context: Optional[SolveContext] = None
+                          ) -> Tuple[Assignment, Dict[str, object]]:
+    """The assignment minimising ``max(host time, max satellite load)``.
+
+    Anytime: ``context`` is polled by the SB search; on expiry the current
+    candidate is returned with ``details["interrupted"]`` set.
+    """
     graph = build_assignment_graph(problem)
-    result = SBSearch(colored=True).search(graph.dwg)
+    result = SBSearch(colored=True).search(graph.dwg, context=context)
     if not result.found:
         raise RuntimeError("the coloured assignment graph has no S-T path; "
                            "the instance admits no feasible assignment")
     assignment = graph.path_to_assignment(result.path)
-    return assignment, {
+    details: Dict[str, object] = {
         "sb_weight": result.sb_weight,
         "s_weight": result.s_weight,
         "b_weight": result.b_weight,
@@ -42,3 +49,6 @@ def bokhari_sb_assignment(problem: AssignmentProblem) -> Tuple[Assignment, Dict[
         "bottleneck_time": assignment.bottleneck_time(),
         "end_to_end_delay": assignment.end_to_end_delay(),
     }
+    if result.interrupted is not None:
+        details["interrupted"] = result.interrupted
+    return assignment, details

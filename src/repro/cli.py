@@ -232,7 +232,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         problems = _batch_problems(args)
         runner = BatchRunner(workers=args.workers,
                              chunk_size=args.chunk_size,
-                             task_timeout=args.timeout,
                              cache=cache,
                              base_seed=args.seed)
         report = runner.solve_many(problems, method=args.method,
@@ -723,10 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: REPRO_BATCH_WORKERS or serial)")
     p_batch.add_argument("--chunk-size", type=int, default=None,
                          help="tasks per worker message")
-    p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-task budget in seconds (cooperative "
-                              "deadline for anytime solvers, hard-kill "
-                              "fallback for the rest)")
     p_batch.add_argument("--deadline", type=float, default=None,
                          help="cooperative per-task deadline in seconds "
                               "(anytime solvers return feasible incumbents)")

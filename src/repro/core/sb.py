@@ -13,6 +13,12 @@ The search has the same structure as the SSB search: repeatedly take the
 min-``S`` path, record it as candidate if it improves ``max(S, B)``, then
 delete all edges with ``β(e) ≥ B(P)``; stop on disconnection or when the
 min-``S`` weight reaches the candidate value.
+
+Anytime: an optional :class:`~repro.core.context.SolveContext` is polled once
+per iteration, after the candidate update, and once per enumerated path in the
+coloured fallback.  When it fires the search returns its current candidate
+with ``interrupted`` set; the first shortest path always completes, so an
+expired budget still yields a feasible answer.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.context import SolveContext
 from repro.core.dwg import DoublyWeightedGraph, PathMeasures, SIGMA_ATTR
 from repro.graphs.dijkstra import shortest_path
 from repro.graphs.kshortest import iter_paths_by_weight
@@ -36,6 +43,7 @@ class SBResult:
     b_weight: float
     iteration_count: int = 0
     termination: str = "unknown"
+    interrupted: Optional[str] = None   #: "deadline"/"cancelled" when cut short
 
     @property
     def found(self) -> bool:
@@ -56,7 +64,8 @@ class SBSearch:
             return PathMeasures.b_weight_colored(path)
         return PathMeasures.b_weight_plain(path)
 
-    def search(self, dwg: DoublyWeightedGraph) -> SBResult:
+    def search(self, dwg: DoublyWeightedGraph,
+               context: Optional[SolveContext] = None) -> SBResult:
         work = dwg.copy()
         source, target = work.source, work.target
 
@@ -66,6 +75,7 @@ class SBSearch:
         candidate_b = float("inf")
         iterations = 0
         termination = "disconnected"
+        interrupted: Optional[str] = None
 
         while True:
             path = shortest_path(work.graph, source, target, weight=SIGMA_ATTR)
@@ -86,6 +96,11 @@ class SBSearch:
                 candidate_sb = sb_weight
                 candidate_s = s_weight
                 candidate_b = b_weight
+            if context is not None:
+                interrupted = context.interrupted()
+                if interrupted is not None:
+                    termination = "interrupted"
+                    break
 
             removable = [e for e in work.graph.edges()
                          if DoublyWeightedGraph.max_beta_component(e) >= b_weight]
@@ -105,7 +120,11 @@ class SBSearch:
                         candidate_sb = alt_sb
                         candidate_s = alt_s
                         candidate_b = self._b_weight(alt)
-                termination = "enumeration"
+                    if context is not None:
+                        interrupted = context.interrupted()
+                        if interrupted is not None:
+                            break
+                termination = "enumeration" if interrupted is None else "interrupted"
                 break
             work.graph.remove_edges(e.key for e in removable)
 
@@ -115,7 +134,7 @@ class SBSearch:
                             termination=termination)
         return SBResult(path=candidate, sb_weight=candidate_sb, s_weight=candidate_s,
                         b_weight=candidate_b, iteration_count=iterations,
-                        termination=termination)
+                        termination=termination, interrupted=interrupted)
 
 
 def find_optimal_sb_path(dwg: DoublyWeightedGraph, colored: bool = False) -> SBResult:

@@ -124,10 +124,10 @@ def solve(problem: AssignmentProblem,
     context:
         Optional :class:`~repro.core.context.SolveContext` carrying a
         deadline, a cancellation token and/or an incumbent callback.
-        Solvers whose spec is flagged ``supports_deadline`` observe it at
-        iteration granularity and return their best incumbent as a
-        ``feasible`` result when it fires; an inert context (no deadline,
-        no token) leaves every solver bit-identical to a context-free call.
+        Every solver observes it at iteration granularity; anytime ones
+        return their best incumbent as a ``feasible`` result when it fires.
+        An inert context (no deadline, no token) leaves every solver
+        bit-identical to a context-free call.
     deadline_s:
         Convenience wall-clock budget in seconds; builds (or tightens) the
         context.

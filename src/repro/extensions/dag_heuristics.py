@@ -9,6 +9,11 @@ Three solvers of increasing cost:
   (the approach the paper cites for the general problem);
 * :func:`exhaustive_dag_placement` — exact enumeration for small instances,
   the oracle the heuristics are validated against in the test-suite.
+
+HEFT and the GA take an optional :class:`~repro.core.context.SolveContext`.
+HEFT holds no placement until its last task is placed, so it only
+checkpoints (an expired budget raises); the GA polls once per generation and
+returns the best genome evaluated so far with ``interrupted`` set.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.context import SolveContext
 from repro.extensions.dag_model import DAGPlacement, DAGTaskGraph, ResourceGraph
 
 
@@ -41,7 +47,8 @@ def upward_ranks(tasks: DAGTaskGraph, resources: ResourceGraph) -> Dict[str, flo
     return ranks
 
 
-def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph
+def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
+                   context: Optional[SolveContext] = None
                    ) -> Tuple[DAGPlacement, Dict[str, object]]:
     """Greedy earliest-finish-time list scheduling (HEFT-style)."""
     ranks = upward_ranks(tasks, resources)
@@ -64,6 +71,8 @@ def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph
     finish: Dict[str, float] = {}
 
     for task_id in placed_order:
+        if context is not None:
+            context.checkpoint()
         best_resource = None
         best_finish = float("inf")
         for resource_id in _candidate_resources(tasks, resources, task_id):
@@ -130,7 +139,8 @@ def exhaustive_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph
 
 def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
                           population_size: int = 30, generations: int = 40,
-                          mutation_rate: float = 0.1, seed: Optional[int] = None
+                          mutation_rate: float = 0.1, seed: Optional[int] = None,
+                          context: Optional[SolveContext] = None
                           ) -> Tuple[DAGPlacement, Dict[str, object]]:
     """Genetic algorithm over the task->resource mapping vector."""
     rng = random.Random(seed)
@@ -149,8 +159,13 @@ def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
     population = [random_genome() for _ in range(population_size)]
     scores = [fitness(g) for g in population]
     evaluations = population_size
+    interrupted: Optional[str] = None
 
     for _ in range(generations):
+        if context is not None:
+            interrupted = context.interrupted()
+            if interrupted is not None:
+                break
         ranked = sorted(range(population_size), key=lambda i: scores[i])
         elite = [list(population[i]) for i in ranked[:2]]
         next_population = elite[:]
@@ -168,4 +183,8 @@ def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
 
     best_index = min(range(population_size), key=lambda i: scores[i])
     best = DAGPlacement(tasks, resources, dict(zip(task_ids, population[best_index])))
-    return best, {"makespan": scores[best_index], "evaluations": evaluations}
+    info: Dict[str, object] = {"makespan": scores[best_index],
+                               "evaluations": evaluations}
+    if interrupted is not None:
+        info["interrupted"] = interrupted
+    return best, info

@@ -34,12 +34,11 @@ The default registry carries the paper's algorithm plus every baseline:
 ``portfolio``          staged racing portfolio under one anytime context
                        (alias ``auto``)
 
-Anytime capability metadata: specs flagged ``supports_deadline`` observe a
-:class:`~repro.core.context.SolveContext` cooperatively; ``anytime`` ones
-additionally return their best incumbent as a ``feasible`` result when the
-context fires.  Specs without the flag (``sb-bottleneck``, ``dag-heft``,
-``dag-genetic``) run to completion; the batch runner keeps a hard-kill
-process timeout as the fallback for exactly those.
+Every spec observes a :class:`~repro.core.context.SolveContext`
+cooperatively; ``anytime`` ones return their best incumbent as a ``feasible``
+result when the context fires.  The one spec without the flag, ``dag-heft``,
+holds no incumbent until it finishes, so an expired budget surfaces as a
+``timeout`` result.
 """
 
 from __future__ import annotations
@@ -106,7 +105,6 @@ class SolverSpec:
     exact: bool = False                 #: guaranteed to return the optimum
     stochastic: bool = False            #: consumes a ``seed`` option
     supports_weighting: bool = False    #: honours an SSBWeighting objective
-    supports_deadline: bool = False     #: observes a SolveContext cooperatively
     anytime: bool = False               #: returns a feasible incumbent on expiry
     complexity: str = "?"               #: informal worst-case complexity
     aliases: Tuple[str, ...] = ()
@@ -118,11 +116,10 @@ class SolverSpec:
               **options: Any) -> "SolverResult":
         """Run the method and wrap the outcome in a uniform result record.
 
-        ``context`` is forwarded into the runner (as the ``"context"``
-        option) only for specs flagged ``supports_deadline`` — other
-        runners never see it and run to completion as before.  The result's
-        ``status`` is derived here: ``optimal`` for an exact spec that ran
-        uninterrupted, ``feasible`` otherwise; a context that fires before
+        ``context`` is forwarded into the runner as the ``"context"``
+        option; every runner polls it.  The result's ``status`` is derived
+        here: ``optimal`` for an exact spec that ran uninterrupted,
+        ``feasible`` otherwise; a context that fires before
         the solver holds any incumbent surfaces as a ``timeout``/
         ``cancelled`` result with no assignment.
         """
@@ -130,7 +127,7 @@ class SolverSpec:
 
         started = time.perf_counter()
         run_options = dict(options)
-        if context is not None and self.supports_deadline:
+        if context is not None:
             run_options["context"] = context
         # On a traced solve, wrap this method in its own child span and point
         # context.span at it for the runner's duration, so hot-path profiling
@@ -166,12 +163,6 @@ class SolverSpec:
             raise
         elapsed = time.perf_counter() - started
         objective = assignment.end_to_end_delay()
-        if (context is not None and not self.supports_deadline
-                and context.deadline is not None):
-            # this spec cannot observe the budget; say so rather than letting
-            # the caller believe their deadline was enforced (the batch
-            # runner's hard-kill fallback is the enforcing path for these)
-            details.setdefault("deadline_ignored", True)
         interrupted = details.get("interrupted")
         status = STATUS_OPTIMAL if (self.exact and not interrupted) \
             else STATUS_FEASIBLE
@@ -205,7 +196,6 @@ class SolverSpec:
             "exact": self.exact,
             "stochastic": self.stochastic,
             "supports_weighting": self.supports_weighting,
-            "supports_deadline": self.supports_deadline,
             "anytime": self.anytime,
             "complexity": self.complexity,
             "aliases": list(self.aliases),
@@ -430,7 +420,7 @@ def _run_pareto_dp_pruned(problem, weighting, options):
 
 def _run_bokhari_sb(problem, weighting, options):
     from repro.baselines import bokhari_sb_assignment
-    return bokhari_sb_assignment(problem)
+    return bokhari_sb_assignment(problem, context=options.get("context"))
 
 
 def _run_greedy(problem, weighting, options):
@@ -458,7 +448,8 @@ def _run_dag_heft(problem, weighting, options):
     from repro.extensions.dag_heuristics import heft_placement
 
     tasks, resources = problem_to_dag(problem)
-    placement, info = heft_placement(tasks, resources)
+    placement, info = heft_placement(tasks, resources,
+                                     context=options.get("context"))
     assignment = dag_placement_to_assignment(problem, placement)
     return assignment, {"dag_makespan": info["makespan"],
                         "projected_delay": assignment.end_to_end_delay()}
@@ -474,11 +465,15 @@ def _run_dag_genetic(problem, weighting, options):
         population_size=options.get("population_size", 30),
         generations=options.get("generations", 40),
         mutation_rate=options.get("mutation_rate", 0.1),
-        seed=options.get("seed"))
+        seed=options.get("seed"),
+        context=options.get("context"))
     assignment = dag_placement_to_assignment(problem, placement)
-    return assignment, {"dag_makespan": info["makespan"],
-                        "dag_evaluations": info["evaluations"],
-                        "projected_delay": assignment.end_to_end_delay()}
+    details = {"dag_makespan": info["makespan"],
+               "dag_evaluations": info["evaluations"],
+               "projected_delay": assignment.end_to_end_delay()}
+    if "interrupted" in info:
+        details["interrupted"] = info["interrupted"]
+    return assignment, details
 
 
 def _run_portfolio(problem, weighting, options):
@@ -495,7 +490,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb",
         runner=_run_colored_ssb,
-        supports_deadline=True,
         anytime=True,
         description="the paper's adapted SSB search on the coloured assignment graph",
         exact=True,
@@ -505,7 +499,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-labels",
         runner=_run_colored_ssb_labels,
-        supports_deadline=True,
         anytime=True,
         description="label-dominance DAG sweep on the coloured assignment graph",
         exact=True,
@@ -516,7 +509,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-bidir",
         runner=_run_colored_ssb_bidir,
-        supports_deadline=True,
         anytime=True,
         description="bidirectional label sweep: forward and backward "
                     "half-sweeps meet in the middle of the assignment DAG "
@@ -533,7 +525,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-incremental",
         runner=_run_colored_ssb_incremental,
-        supports_deadline=True,
         anytime=True,
         description="label-dominance sweep warm-started from the last solve "
                     "of the same tree structure (profiles/costs may differ)",
@@ -545,7 +536,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="brute-force",
         runner=_run_brute_force,
-        supports_deadline=True,
         anytime=True,
         description="full enumeration of feasible cuts (exact reference)",
         exact=True,
@@ -555,7 +545,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="pareto-dp",
         runner=_run_pareto_dp,
-        supports_deadline=True,
         anytime=True,
         description="Pareto-frontier tree DP (exact reference, full frontier)",
         exact=True,
@@ -568,7 +557,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="pareto-dp-pruned",
         runner=_run_pareto_dp_pruned,
-        supports_deadline=True,
         anytime=True,
         description="bound-pruned Pareto tree DP: beam-pre-pass incumbent + "
                     "completion-DAG potentials, exact optimum without "
@@ -585,6 +573,7 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="sb-bottleneck",
         runner=_run_bokhari_sb,
+        anytime=True,
         description="Bokhari's bottleneck objective max(host, max satellite)",
         complexity="polynomial (SB path search)",
         aliases=("bokhari-sb",),
@@ -592,7 +581,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="greedy",
         runner=_run_greedy,
-        supports_deadline=True,
         anytime=True,
         description="hill-climbing from the maximal-offload cut",
         complexity="O(steps * |T|)",
@@ -600,7 +588,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="random-search",
         runner=_run_random_search,
-        supports_deadline=True,
         anytime=True,
         description="best of N uniformly sampled feasible cuts",
         stochastic=True,
@@ -610,7 +597,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="genetic",
         runner=_run_genetic,
-        supports_deadline=True,
         anytime=True,
         description="genetic algorithm over offload-preference chromosomes",
         stochastic=True,
@@ -619,7 +605,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="branch-and-bound",
         runner=_run_branch_and_bound,
-        supports_deadline=True,
         anytime=True,
         description="exact branch-and-bound over feasible cuts",
         exact=True,
@@ -636,6 +621,7 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="dag-genetic",
         runner=_run_dag_genetic,
+        anytime=True,
         description="genetic placement on the §6 DAG relaxation, "
                     "projected back to a feasible cut",
         stochastic=True,
@@ -649,7 +635,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
                     "all under one shared anytime context",
         exact=True,
         supports_weighting=True,
-        supports_deadline=True,
         anytime=True,
         complexity="dominated by the label sweep; greedy seed is O(steps·|T|)",
         aliases=("auto",),

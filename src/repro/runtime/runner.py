@@ -5,10 +5,11 @@ instances across ``concurrent.futures.ProcessPoolExecutor`` workers:
 
 * instances cross the process boundary as canonical JSON (the same format the
   CLI reads/writes), so workers never depend on picklability of live objects;
-* tasks are grouped into **chunks** to amortise IPC overhead, and each chunk
-  gets a deadline of ``task_timeout * len(chunk)`` — a chunk that blows its
-  deadline is recorded as a per-task ``timeout`` error instead of hanging the
-  sweep;
+* tasks are grouped into **chunks** to amortise IPC overhead;
+* a task's ``deadline_s`` rides inside its payload and becomes a cooperative
+  :class:`~repro.core.context.SolveContext` in the worker: every solver polls
+  it and returns its best incumbent (or a ``timeout`` result) instead of
+  outliving the budget, so no worker is ever killed;
 * stochastic methods (per the registry's ``stochastic`` flag) receive an
   **explicitly derived seed** — a stable hash of ``(base_seed, problem hash,
   method, options)`` — so a sweep is reproducible and *order-independent*:
@@ -25,7 +26,6 @@ the experiment drivers use unless ``REPRO_BATCH_WORKERS`` says otherwise.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -169,18 +169,6 @@ class BatchRunner:
     chunk_size:
         Tasks per inter-process message.  Default: enough chunks for ~4
         rounds per worker.
-    task_timeout:
-        Per-task budget in seconds.  For specs flagged ``supports_deadline``
-        (every exact engine and heuristic except ``sb-bottleneck`` and the
-        DAG-relaxation bridges) this becomes a **cooperative deadline**: the
-        solver observes it at iteration granularity and returns its best
-        incumbent as a ``feasible`` result — no worker is killed, no pool is
-        respawned, and it works on the in-process serial path too.  Specs
-        without the flag fall back to the historical **hard-kill** path
-        (``multiprocessing.Pool`` with a chunk deadline of ``task_timeout *
-        len(chunk)``, timed-out tasks reported as errors), which requires
-        process workers; pool startup and queue wait count toward the first
-        chunks' deadlines there.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; consulted before
         dispatch, fed after every successful solve.
@@ -202,7 +190,6 @@ class BatchRunner:
     def __init__(self,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 task_timeout: Optional[float] = None,
                  cache: Optional[ResultCache] = None,
                  registry: Optional[SolverRegistry] = None,
                  base_seed: Optional[int] = None,
@@ -214,11 +201,8 @@ class BatchRunner:
             raise ValueError("workers must be >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.task_timeout = task_timeout
         self.cache = cache
         self.registry = registry if registry is not None else default_registry()
         self.base_seed = base_seed
@@ -260,18 +244,6 @@ class BatchRunner:
                       for task in tasks]
 
         prepared = prepare_tasks(normalized, self.registry, self.base_seed)
-        # fold the runner-wide budget into every deadline-capable task: the
-        # effective budget is the tighter of task_timeout and the task's own
-        # deadline_s, so a loose per-task value can never bypass the runner
-        # cap; non-capable specs keep deadline_s as-is and are covered by
-        # the hard-kill fallback instead
-        if self.task_timeout is not None:
-            for prep in prepared:
-                if prep.spec.supports_deadline:
-                    prep.deadline_s = (self.task_timeout
-                                       if prep.deadline_s is None
-                                       else min(prep.deadline_s,
-                                                self.task_timeout))
         items = [BatchItemResult(index=index, tag=prep.task.tag,
                                  method=prep.spec.name, key=prep.key,
                                  seed=prep.seed)
@@ -343,27 +315,10 @@ class BatchRunner:
                     prepared: List[PreparedTask]) -> Dict[str, Any]:
         from repro.core.context import SolveContext
 
-        default_metrics().counter(
-            "repro_batch_lane_total",
-            "Batch tasks routed per dispatch lane").inc(
-            len(indices), lane="serial")
         outcomes: Dict[str, Any] = {}
         for index in indices:
             prep = prepared[index]
             task: BatchTask = prep.task
-            if ((self.task_timeout is not None or prep.deadline_s is not None)
-                    and not prep.spec.supports_deadline):
-                # the serial path cannot hard-kill a running solver, and the
-                # spec cannot observe a cooperative deadline either: flag it
-                # instead of silently running unbounded
-                outcomes[prep.key] = {
-                    "ok": False,
-                    "error": f"timeout: method {prep.spec.name!r} does not "
-                             f"support cooperative deadlines; the hard-kill "
-                             f"fallback requires process workers "
-                             f"(workers >= 1)",
-                }
-                continue
             context = (SolveContext(deadline_s=prep.deadline_s)
                        if prep.deadline_s is not None else None)
             span = self._root_span(prep, name="solve")
@@ -386,25 +341,14 @@ class BatchRunner:
                 outcomes[prep.key] = {"ok": False, "error": _format_error(exc)}
         return outcomes
 
-    @staticmethod
-    def _cooperative(prep: PreparedTask) -> bool:
-        return prep.spec.supports_deadline
-
     def _run_parallel(self, indices: List[int],
                       prepared: List[PreparedTask]) -> Dict[str, Any]:
-        """Fan out over processes.
+        """Fan out over a ``ProcessPoolExecutor``.
 
-        Deadline-capable tasks carry their budget *inside* the payload (the
-        worker builds a cooperative context; the pool is a plain
-        ``ProcessPoolExecutor`` that is never killed).  Only budgeted tasks
-        whose spec lacks ``supports_deadline`` — whether the budget came
-        from ``task_timeout`` or a per-task ``deadline_s`` — go through the
-        hard-kill ``multiprocessing.Pool`` fallback, so the two timeout
-        mechanisms can never double-fire on the same task and a user-set
-        deadline is never silently dropped.
+        Each task carries its budget *inside* the payload; the worker builds
+        a cooperative context from it, so the pool is never killed.
         """
-        cooperative: List[Dict[str, Any]] = []
-        hard_kill: List[Dict[str, Any]] = []
+        payloads: List[Dict[str, Any]] = []
         spans: Dict[str, Any] = {}
         for index in indices:
             prep = prepared[index]
@@ -413,25 +357,10 @@ class BatchRunner:
             if span is not None:
                 spans[prep.key] = span
                 trace = span.context()
-            payload = task_payload(prep, validate=self.validate, trace=trace)
-            if self._cooperative(prep):
-                cooperative.append(payload)
-            elif self.task_timeout is not None or prep.deadline_s is not None:
-                hard_kill.append(payload)
-            else:
-                cooperative.append(payload)     # unbudgeted: plain executor
+            payloads.append(task_payload(prep, validate=self.validate,
+                                         trace=trace))
 
-        lane_total = default_metrics().counter(
-            "repro_batch_lane_total", "Batch tasks routed per dispatch lane")
-        outcomes: Dict[str, Any] = {}
-        if cooperative:
-            lane_total.inc(len(cooperative), lane="cooperative")
-            outcomes.update(self._collect_executor(
-                self._chunked(cooperative)))
-        if hard_kill:
-            lane_total.inc(len(hard_kill), lane="hard_kill")
-            outcomes.update(self._collect_pool_with_deadlines(
-                self._chunked(hard_kill)))
+        outcomes = self._collect_executor(self._chunked(payloads))
         for key, span in spans.items():
             outcome = outcomes.get(key)
             if isinstance(outcome, Mapping):
@@ -452,7 +381,7 @@ class BatchRunner:
 
     def _collect_executor(self, chunks: List[List[Dict[str, Any]]]
                           ) -> Dict[str, Any]:
-        """No deadlines: ProcessPoolExecutor (detects dead workers)."""
+        """Run every chunk on a ProcessPoolExecutor (detects dead workers)."""
         outcomes: Dict[str, Any] = {}
         with ProcessPoolExecutor(max_workers=self.workers) as executor:
             futures = [(executor.submit(_solve_payload_chunk, chunk), chunk)
@@ -467,61 +396,6 @@ class BatchRunner:
                             "ok": False,
                             "error": _format_error(exc),
                         })
-        return outcomes
-
-    def _collect_pool_with_deadlines(self, chunks: List[List[Dict[str, Any]]]
-                                     ) -> Dict[str, Any]:
-        """With deadlines: multiprocessing.Pool, whose ``terminate()`` can
-        hard-kill workers still grinding on a timed-out task."""
-        outcomes: Dict[str, Any] = {}
-        timed_out = False
-        pool = multiprocessing.get_context().Pool(processes=self.workers)
-        try:
-            async_results = [(pool.apply_async(_solve_payload_chunk, (chunk,)),
-                              chunk) for chunk in chunks]
-            for async_result, chunk in async_results:
-                # After one chunk blows its deadline the pool is going to be
-                # terminated anyway, so later chunks only get a token wait:
-                # finished results are still collected, everything else is
-                # flagged instead of serially burning one deadline per chunk.
-                # A task's budget is the tighter of its own deadline_s and
-                # the runner-wide task_timeout (every payload routed here
-                # has at least one of the two; 0.0 is a valid budget, so
-                # None-ness, not falsiness, picks the fallback) — a loose
-                # per-task value must not bypass the runner cap here any
-                # more than on the cooperative path.
-                per_task = [
-                    self.task_timeout if payload.get("deadline_s") is None
-                    else payload["deadline_s"] if self.task_timeout is None
-                    else min(payload["deadline_s"], self.task_timeout)
-                    for payload in chunk]
-                deadline = 0.05 if timed_out else sum(per_task)
-                try:
-                    for outcome in async_result.get(timeout=deadline):
-                        outcomes[outcome["key"]] = outcome
-                except multiprocessing.TimeoutError:
-                    message = (f"timeout: batch aborted after an earlier chunk "
-                               f"exceeded its deadline" if timed_out else
-                               f"timeout: chunk exceeded {deadline:.3g}s "
-                               f"({min(per_task):.3g}-{max(per_task):.3g}s/task)")
-                    timed_out = True
-                    for payload in chunk:
-                        outcomes.setdefault(payload["key"], {
-                            "ok": False,
-                            "error": message,
-                        })
-                except Exception as exc:  # noqa: BLE001 - keep the batch going
-                    for payload in chunk:
-                        outcomes.setdefault(payload["key"], {
-                            "ok": False,
-                            "error": _format_error(exc),
-                        })
-        finally:
-            if timed_out:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
         return outcomes
 
     # ------------------------------------------------------------ result fan

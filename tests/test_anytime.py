@@ -20,14 +20,11 @@ import pytest
 
 from repro.core.context import DeadlineExpired, SolveContext
 from repro.core.solver import solve
+from repro.runtime import default_registry
 from repro.workloads import random_problem
 
-#: Every registered anytime method (portfolio included).
-ANYTIME_METHODS = [
-    "colored-ssb", "colored-ssb-labels", "colored-ssb-incremental",
-    "brute-force", "pareto-dp", "pareto-dp-pruned", "branch-and-bound",
-    "greedy", "random-search", "genetic", "portfolio",
-]
+#: Every registered anytime method, read from the registry's capability flag.
+ANYTIME_METHODS = [spec.name for spec in default_registry() if spec.anytime]
 
 
 class SteppingClock:
@@ -163,11 +160,20 @@ class TestCancellation:
 
         registry = SolverRegistry()
         spec = registry.register(SolverSpec(
-            name="hopeless", runner=hopeless_runner, supports_deadline=True))
+            name="hopeless", runner=hopeless_runner))
         result = spec.solve(PROBLEM, context=SolveContext(deadline_s=0.0))
         assert result.status == "timeout"
         assert result.assignment is None
         assert result.objective == float("inf")
+        assert result.details["interrupted"] == "deadline"
+
+    def test_dag_heft_expired_budget_times_out(self):
+        # HEFT holds no placement until its last task is placed, so an
+        # expired budget surfaces as the documented timeout result
+        result = solve(PROBLEM, method="dag-heft",
+                       context=SolveContext(deadline_s=0.0))
+        assert result.status == "timeout"
+        assert result.assignment is None
         assert result.details["interrupted"] == "deadline"
 
     def test_checkpoint_raises_outside_spec_solve(self):
@@ -200,11 +206,16 @@ class TestDeadlineSmoke:
     """The CI smoke bar: scattered n=50 under a 100 ms budget must return a
     valid feasible answer within 2x-ish of the deadline, never hang."""
 
-    @pytest.mark.parametrize("method", ["colored-ssb-labels", "portfolio"])
-    def test_scattered_n50_100ms(self, method):
+    @pytest.mark.parametrize("method, options", [
+        ("colored-ssb-labels", {}),
+        ("portfolio", {}),
+        ("sb-bottleneck", {}),
+        ("dag-genetic", {"generations": 2_000_000}),
+    ])
+    def test_scattered_n50_100ms(self, method, options):
         problem = scattered_problem(n=50, seed=3)
         started = time.perf_counter()
-        result = solve(problem, method=method, deadline_s=0.1)
+        result = solve(problem, method=method, deadline_s=0.1, **options)
         elapsed = time.perf_counter() - started
         assert result.assignment is not None
         assert result.assignment.is_feasible()

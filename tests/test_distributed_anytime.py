@@ -64,12 +64,12 @@ class TestWorkerDeadlines:
         SolveWorker(queue, cache=cache).run(drain=True)
         assert cache.get(payload["key"]) is None
 
-    def test_deadline_clamped_to_lease_without_heartbeat(self, spool):
+    @pytest.mark.parametrize("method", ["pareto-dp-pruned", "sb-bottleneck"])
+    def test_deadline_clamped_to_lease_without_heartbeat(self, spool, method):
         # lease 0.05s < payload deadline 30s: the effective budget is the
         # lease, so the solve returns a partial instead of outliving it
         queue = WorkQueue(spool, lease_timeout=0.05)
-        task_id = queue.submit(payload_for(hard_problem(),
-                                           method="pareto-dp-pruned",
+        task_id = queue.submit(payload_for(hard_problem(), method=method,
                                            deadline_s=30.0))
         started = time.monotonic()
         SolveWorker(queue, heartbeat=False).run(drain=True)

@@ -42,15 +42,11 @@ class TestDefaultRegistry:
                          "portfolio"}
         stochastic = {spec.name for spec in registry if spec.stochastic}
         assert stochastic == {"random-search", "genetic", "dag-genetic"}
-        no_deadline = {spec.name for spec in registry
-                       if not spec.supports_deadline}
-        assert no_deadline == {"sb-bottleneck", "dag-heft", "dag-genetic"}
-        anytime = {spec.name for spec in registry if spec.anytime}
-        assert anytime == {spec.name for spec in registry
-                           if spec.supports_deadline}
+        non_anytime = {spec.name for spec in registry if not spec.anytime}
+        assert non_anytime == {"dag-heft"}
         meta = registry.resolve("colored-ssb").metadata()
         assert meta["exact"] and meta["supports_weighting"]
-        assert meta["supports_deadline"] and meta["anytime"]
+        assert meta["anytime"]
         assert "complexity" in meta and meta["aliases"] == []
 
     def test_spec_solve_returns_uniform_result(self, paper_problem):

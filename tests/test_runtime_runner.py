@@ -63,11 +63,11 @@ class TestSerialRunner:
             BatchRunner(workers=0).solve_many(PROBLEMS, method="genetic",
                                               seeds=[1, 2])
 
-    def test_serial_task_timeout_is_cooperative_for_anytime_specs(self):
+    def test_serial_deadline_is_cooperative_for_anytime_specs(self):
         # the in-process path cannot kill a solver, but anytime specs observe
         # the deadline cooperatively and return a feasible incumbent
-        report = BatchRunner(workers=0, task_timeout=0.02).run(
-            [BatchTask(problem=PROBLEMS[0], method="genetic",
+        report = BatchRunner(workers=0).run(
+            [BatchTask(problem=PROBLEMS[0], method="genetic", deadline_s=0.02,
                        options={"generations": 500_000, "population_size": 50,
                                 "seed": 1})])
         item = report.results[0]
@@ -75,54 +75,10 @@ class TestSerialRunner:
         assert item.details["interrupted"] == "deadline"
         assert item.assignment is not None and item.assignment.is_feasible()
 
-    def test_serial_task_timeout_flags_non_deadline_specs(self):
-        # sb-bottleneck cannot observe a deadline and serial cannot hard-kill:
-        # the task is flagged instead of running unbounded
-        report = BatchRunner(workers=0, task_timeout=1.0).run(
-            [BatchTask(problem=PROBLEMS[0], method="sb-bottleneck")])
-        item = report.results[0]
-        assert not item.ok
-        assert "does not support cooperative deadlines" in item.error
-
-    def test_runner_timeout_caps_looser_per_task_deadlines(self):
-        # task_timeout=0.05 must win over a task's own 30s budget: the GA is
-        # cut at the runner cap, not the loose per-task one
-        report = BatchRunner(workers=0, task_timeout=0.05).run(
-            [BatchTask(problem=PROBLEMS[0], method="genetic",
-                       deadline_s=30.0,
-                       options={"generations": 500_000,
-                                "population_size": 50, "seed": 1})])
-        item = report.results[0]
-        assert item.ok and item.status == "feasible"
-        assert item.details["interrupted"] == "deadline"
-        assert item.elapsed_s < 5.0
-
-    def test_zero_deadline_on_hard_kill_path_reports_not_crashes(self):
-        # deadline_s=0.0 is a valid budget; on a non-supporting spec it must
-        # produce a per-task timeout error, not a TypeError batch abort
-        report = BatchRunner(workers=1, chunk_size=1).run(
-            [BatchTask(problem=PROBLEMS[0], method="sb-bottleneck",
-                       deadline_s=0.0)])
-        item = report.results[0]
-        assert not item.ok
-        assert "timeout" in item.error
-
-    def test_per_task_deadline_is_never_silently_dropped(self):
-        # a per-task deadline_s (no runner-wide task_timeout) on a spec that
-        # cannot observe it must be flagged, not ignored
-        report = BatchRunner(workers=0).run(
-            [BatchTask(problem=PROBLEMS[0], method="sb-bottleneck",
-                       deadline_s=0.5),
-             BatchTask(problem=PROBLEMS[1], method="greedy", deadline_s=0.5)])
-        flagged, cooperative = report.results
-        assert not flagged.ok
-        assert "does not support cooperative deadlines" in flagged.error
-        assert cooperative.ok
-
     def test_interrupted_results_never_feed_the_cache(self):
         cache = LRUResultCache()
-        runner = BatchRunner(workers=0, task_timeout=0.02, cache=cache)
-        task = BatchTask(problem=PROBLEMS[0], method="genetic",
+        runner = BatchRunner(workers=0, cache=cache)
+        task = BatchTask(problem=PROBLEMS[0], method="genetic", deadline_s=0.02,
                          options={"generations": 500_000,
                                   "population_size": 50, "seed": 1})
         first = runner.run([task]).results[0]
@@ -157,10 +113,10 @@ class TestParallelRunner:
     @pytest.mark.slow
     def test_per_task_timeout_is_cooperative_for_anytime_specs(self):
         # a GA with an absurd budget reliably outlives the 0.75s/task budget;
-        # since the spec supports deadlines the worker is NOT killed — the GA
-        # returns its best incumbent as a feasible result instead
-        report = BatchRunner(workers=1, chunk_size=1, task_timeout=0.75).run(
-            [BatchTask(problem=PROBLEMS[0], method="genetic",
+        # the worker is NOT killed — the GA returns its best incumbent as a
+        # feasible result instead
+        report = BatchRunner(workers=1, chunk_size=1).run(
+            [BatchTask(problem=PROBLEMS[0], method="genetic", deadline_s=0.75,
                        options={"generations": 500_000, "population_size": 50,
                                 "seed": 1})])
         assert report.failed == 0
@@ -169,34 +125,34 @@ class TestParallelRunner:
         assert item.details["interrupted"] == "deadline"
         assert item.placement
 
-    @pytest.mark.slow
-    def test_hard_kill_fallback_for_non_deadline_specs(self):
-        # dag-genetic does not support cooperative deadlines, so an absurd
-        # budget must be cut by the hard-kill pool path and flagged as an
-        # error — the only remaining use of the worker-killing timeout
-        report = BatchRunner(workers=1, chunk_size=1, task_timeout=0.75).run(
-            [BatchTask(problem=PROBLEMS[0], method="dag-genetic",
-                       options={"generations": 2_000_000,
-                                "population_size": 50, "seed": 1})])
-        assert report.failed == 1
-        assert "timeout" in report.results[0].error
-
-    @pytest.mark.slow
-    def test_mixed_batch_routes_each_task_to_its_timeout_path(self):
-        # one anytime task (cooperative feasible) and one non-deadline task
-        # (hard-killed error) in the same run: the paths never double-fire
-        report = BatchRunner(workers=1, chunk_size=1, task_timeout=0.75).run([
-            BatchTask(problem=PROBLEMS[0], method="genetic",
+    def test_mixed_batch_every_spec_honours_its_deadline(self):
+        # the tree GA and the DAG-relaxation GA share one process pool and
+        # one mechanism: both come back as feasible deadline partials
+        report = BatchRunner(workers=1, chunk_size=1).run([
+            BatchTask(problem=PROBLEMS[0], method="genetic", deadline_s=0.2,
                       options={"generations": 500_000, "population_size": 50,
                                "seed": 1}),
-            BatchTask(problem=PROBLEMS[1], method="dag-genetic",
+            BatchTask(problem=PROBLEMS[1], method="dag-genetic", deadline_s=0.2,
                       options={"generations": 2_000_000,
                                "population_size": 50, "seed": 1}),
         ])
-        cooperative, killed = report.results
-        assert cooperative.ok and cooperative.status == "feasible"
-        assert cooperative.details["interrupted"] == "deadline"
-        assert not killed.ok and "timeout" in killed.error
+        assert report.failed == 0
+        for item in report.results:
+            assert item.ok and item.status == "feasible"
+            assert item.details["interrupted"] == "deadline"
+            assert item.placement
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_zero_deadline_returns_feasible_sb_bottleneck(self, workers):
+        # deadline_s=0.0 is a valid budget: the SB search completes its first
+        # shortest path and returns it as a feasible partial
+        report = BatchRunner(workers=workers, chunk_size=1).run(
+            [BatchTask(problem=PROBLEMS[0], method="sb-bottleneck",
+                       deadline_s=0.0)])
+        item = report.results[0]
+        assert item.ok and item.status == "feasible"
+        assert item.details["interrupted"] == "deadline"
+        assert item.assignment is not None and item.assignment.is_feasible()
 
 
 class TestSeeding:
