@@ -1,17 +1,17 @@
-"""Exact-engine benchmark: bidirectional label sweep and streamed pruned DP.
+"""Exact-engine benchmark: meet-in-the-middle label sweep and streamed pruned DP.
 
-Tracks the two regimes the next-gen exact engine was built for:
+Tracks the two regimes the exact engines were built for:
 
 * **deep scattered trees** (``sensor_scatter=1.0``) — home turf of the
-  bidirectional sweep (``colored-ssb-bidir``).  The forward sweep walls
-  out between n=50 and n=60 on these instances (seed 3: 0.24s at n=50
-  but >60s at n=60, where the bidirectional engine takes ~3.2s);
+  label sweep (``colored-ssb-labels``), whose forward and backward
+  half-sweeps join at a meet layer.  A single full-depth forward sweep
+  walls out between n=50 and n=60 on these instances (seed 3: >60s at
+  n=60, where the meet-in-the-middle sweep takes ~3.2s);
 * **wide stars** (``max_children=64``) — home turf of the streamed pruned
   DP with per-colour completion floors, which used to grind near n=40.
 
 The fast lane feeds ``BENCH_bench_exact_engine.json`` (nightly artifact +
-perf-regression gate) and holds the forward engine's existing 0.4s wall
-at scattered n=50.  The slow lane asserts the PR's acceptance walls:
+perf-regression gate).  The slow lane asserts the acceptance walls:
 scattered n=70 exact under 5s and wide-star n=40 pruned DP under 1s.
 
 Honest-wall note: scattered n=70 runtimes are heavy-tailed across seeds —
@@ -33,8 +33,6 @@ from repro.workloads.generators import random_problem
 SCATTER_SEED = 3
 BIDIR_SIZES = smoke_scaled((45, 50), (12, 14))
 STAR_SIZES = smoke_scaled((28, 36), (10, 12))
-FORWARD_WALL_N = smoke_scaled(50, 20)
-FORWARD_WALL_S = 0.4
 N70_WALL_S = 5.0
 STAR_WALL_S = 1.0
 
@@ -54,16 +52,16 @@ def wide_star_problem(n_processing, seed=7):
 
 def test_engines_agree_on_a_scattered_instance():
     problem = scattered_problem(smoke_scaled(16, 10))
-    forward = solve(problem, method="colored-ssb-labels")
-    bidir = solve(problem, method="colored-ssb-bidir")
-    assert bidir.objective == forward.objective
-    assert bidir.status == "optimal"
+    labels = solve(problem, method="colored-ssb-labels")
+    dp = solve(problem, method="pareto-dp-pruned")
+    assert labels.objective == dp.objective
+    assert labels.status == "optimal"
 
 
 @pytest.mark.parametrize("n_crus", BIDIR_SIZES)
 def test_bench_bidir_scattered(benchmark, n_crus):
     problem = scattered_problem(n_crus)
-    result = benchmark(lambda: solve(problem, method="colored-ssb-bidir"))
+    result = benchmark(lambda: solve(problem, method="colored-ssb-labels"))
     assert result.status == "optimal"
 
 
@@ -74,36 +72,21 @@ def test_bench_pruned_dp_wide_star(benchmark, n_crus):
     assert result.status == "optimal"
 
 
-def test_scattered_n50_forward_sweep_holds_the_wall():
-    # the pre-existing 0.4s wall at n=50 guards the shared sweep kernels
-    # (pareto_block_mask, bucketed frontier) that both directions run on;
-    # measured 0.24s on the bench box
-    problem = scattered_problem(FORWARD_WALL_N)
-    started = time.perf_counter()
-    result = solve(problem, method="colored-ssb-labels")
-    elapsed = time.perf_counter() - started
-    assert result.status == "optimal"
-    assert result.assignment.is_feasible()
-    assert elapsed < FORWARD_WALL_S, (
-        f"scattered n={FORWARD_WALL_N} forward sweep took {elapsed:.2f}s "
-        f"(wall {FORWARD_WALL_S}s)")
-
-
 @pytest.mark.slow
 def test_scattered_n70_bidir_exact_under_five_seconds():
-    # no other exact engine finishes this instance (the forward sweep runs
-    # past 60s, the pruned DP explodes), so exactness rests on the proof
-    # status plus the differential grid; measured 2.4s on the bench box
+    # no other exact engine finishes this instance (the pruned DP
+    # explodes), so exactness rests on the proof status plus the
+    # differential grid; measured 2.4s on the bench box
     problem = scattered_problem(70, n_satellites=6, seed=10)
     started = time.perf_counter()
-    result = solve(problem, method="colored-ssb-bidir")
+    result = solve(problem, method="colored-ssb-labels")
     elapsed = time.perf_counter() - started
     assert result.status == "optimal"
     assert result.assignment.is_feasible()
     assert result.objective == pytest.approx(
         result.assignment.end_to_end_delay())
     assert elapsed < N70_WALL_S, (
-        f"scattered n=70 bidirectional sweep took {elapsed:.2f}s "
+        f"scattered n=70 label sweep took {elapsed:.2f}s "
         f"(wall {N70_WALL_S}s)")
 
 

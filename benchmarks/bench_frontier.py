@@ -1,12 +1,13 @@
-"""Pareto frontier engine benchmarks: block sweep, pruned DP, store inserts.
+"""Pareto frontier engine benchmarks: label sweep, pruned DP, store inserts.
 
 Tracks the frontier kernels over time (the nightly smoke run emits
 ``BENCH_bench_frontier.json``):
 
-* the label sweep over array buckets (completion bounds + adaptive windowed
+* the label sweep over array buckets (completion bounds + probed windowed
   Pareto filter) across the scattered regime — the slow lane asserts that
   fully scattered ``n = 50`` solves exactly in single-digit seconds
-  (measured well under one), cross-checked by the bidirectional sweep;
+  (measured ~1 s on a 2-core box), cross-checked by a second engine
+  configuration with a different pruning trajectory;
 * the **bound-pruned Pareto DP** through the old blowup wall (scattered
   ``n >= 30`` used to raise ``FrontierExplosion`` at any practical cap),
   cross-checked against the label engine — the differential harness's
@@ -75,7 +76,8 @@ def test_bench_store_inserts(benchmark):
 @pytest.mark.slow
 def test_scattered_n50_solves_exactly_in_single_digit_seconds():
     """The new wall: n=50 fully scattered, exact, < 10 s single-threaded
-    (measured ~0.4 s).  The bidirectional sweep cross-checks the optimum."""
+    (measured ~1.1 s on a 2-core box).  A different beam width and dominance window change
+    the pruning trajectory and join order, never the optimum."""
     graph = scattered_graph(WALL_N)
     engine = LabelDominanceSearch()
 
@@ -86,7 +88,7 @@ def test_scattered_n50_solves_exactly_in_single_digit_seconds():
     assert result.found
     assert elapsed < 10.0, f"n={WALL_N} scattered took {elapsed:.2f}s"
     reference = LabelDominanceSearch(
-        direction="bidirectional").search(graph.dwg)
+        beam_width=32, dominance_window=256).search(graph.dwg)
     assert result.ssb_weight == reference.ssb_weight
 
 

@@ -42,27 +42,28 @@ mechanisms keep the label sets small:
   ``dominance_window``) and every extension is one vectorised operation per
   (node, edge).  The window only lets some dominated labels survive — a
   kept dominated label costs time, never correctness.
+* **Meeting in the middle** — the sweep is split at a topological meet
+  rank ``K``: ranks strictly increase along every edge of a DAG, so each
+  S → T path crosses *exactly one* edge whose tail ranks below ``K`` and
+  whose head ranks at or above it.  A forward half-sweep builds prefix
+  frontiers over the low-rank region, a backward half-sweep builds suffix
+  frontiers over the high-rank region (pruned with the mirrored potentials
+  computed *from the source*), and the two meet at every crossing edge: the
+  joined objective ``λ_S·(σ_f + σ_e + σ_b) + λ_B·max_c(load_f + β_e +
+  load_b)`` is minimised over the frontier cross product in bounded-memory
+  chunks, pre-filtered against the opposing frontier's componentwise minima
+  (rejections counted as ``pruned_meet``).  Half-depth frontiers never
+  materialise the deep-layer label populations that a full-depth sweep
+  builds on scattered instances, so time and memory stay bounded where a
+  single forward pass explodes.
 
-The sweep is a single pass: when node ``v`` is processed every label it will
-ever receive is already present (all in-edges come from earlier nodes), so
-each surviving label is extended along each out-edge exactly once.  The
-result is the exact optimum — bit-identical to brute force — without ever
-enumerating paths.
-
-**Bidirectional mode** (``direction="bidirectional"``) splits the sweep at a
-topological meet rank ``K``: ranks strictly increase along every edge of a
-DAG, so each S → T path crosses *exactly one* edge whose tail ranks below
-``K`` and whose head ranks at or above it.  A forward half-sweep builds
-prefix frontiers over the low-rank region, a backward half-sweep builds
-suffix frontiers over the high-rank region (pruned with the mirrored
-potentials computed *from the source*), and the two meet at every crossing
-edge: the joined objective ``λ_S·(σ_f + σ_e + σ_b) +
-λ_B·max_c(load_f + β_e + load_b)`` is minimised over the frontier cross
-product in bounded-memory chunks, pre-filtered against the opposing
-frontier's componentwise minima (rejections counted as ``pruned_meet``).
-Exactly one crossing edge per path makes the join exhaustive, so the mode
-returns the same optimum as the forward sweep — it just never materialises
-the deep-layer label populations that explode on scattered ``n >= 60``.
+Each half is a single pass: when a node is processed every label it will
+ever receive is already present (all in-edges of the half come from earlier
+nodes), so each surviving label is extended along each edge exactly once.
+Exactly one crossing edge per path makes the join exhaustive, and the
+winning path is re-accumulated in forward edge order, so the result is the
+exact optimum — bit-identical to brute force — without ever enumerating
+paths.
 """
 
 from __future__ import annotations
@@ -91,21 +92,10 @@ from repro.graphs.paths import Path
 # path reconstruction, and the running load sum feeds the average-load bound.
 _Label = Tuple[float, Tuple[float, ...], Optional[Edge], Optional[tuple], float]
 
-#: The block sweep's windowed Pareto filter disables itself once this many
-#: labels were inspected at a hit-rate below the threshold: on random-weight
-#: scattered instances (~10% of labels dominated) the filter costs more than
-#: the surviving-label extensions it saves, while structured instances
-#: (clustered sensors, ties — 20-50% dominated) keep it for the rest of the
-#: sweep and collapse their label populations by orders of magnitude.
-_BLOCK_DOM_CHECK_AFTER = 2048
-_BLOCK_DOM_MIN_HIT_RATE = 1.0 / 6.0
-
-#: ``(created, dominated, pruned_colour, pruned_joint, pruned_settle,
-#: frontier_peak, settle_batches, pruned_meet, meet_edges)`` — the counter
-#: tuple every sweep kernel returns; the bound-pruned total is the sum of
-#: the pruned_* slots.  The last two are only non-zero in bidirectional
-#: mode (labels rejected by the meet-join pre-filter, crossing edges joined).
-_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+#: ``(created, dominated, pruned_colour, pruned_joint, frontier_peak,
+#: settle_batches, pruned_meet, meet_edges)`` — the counter tuple the exact
+#: pass returns; the bound-pruned total is the sum of the pruned_* slots.
+_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0)
 
 #: Element budget of one meet-join broadcast chunk: a forward chunk of
 #: ``F`` labels against ``B`` backward labels costs ``F·B·dim`` floats, so
@@ -122,7 +112,7 @@ _MEET_REDUCE_WINDOW = 256
 #: lower bound per (chunk row, group) cell at 1/_MEET_GROUP the cost of the
 #: exact product, and only surviving groups are evaluated exactly.
 _MEET_GROUP = 512
-#: prefix length for the settle-density probe in the bidirectional halves:
+#: prefix length for the settle-density probe in the half-sweeps:
 #: buckets larger than 8x this are probed first and the full dominance mask
 #: is skipped when the probe removes fewer than 1/64 of its rows.
 _SETTLE_PROBE = 4096
@@ -135,12 +125,13 @@ class LabelSearchStats:
     ``labels_bound_pruned`` is split by *which* completion bound fired:
     ``pruned_colour`` (the per-colour joint σ/β_c bound at extension time —
     the tightened replacement of the legacy floor bound), ``pruned_joint``
-    (the joint σ/average-load bound at extension time), ``pruned_settle``
-    (the re-check against the tightened incumbent when a bucket settles)
-    and ``pruned_meet`` (labels a bidirectional join's pre-filter
-    rejected against the opposing frontier's minima).  ``pruned_floor``
-    remains for engines that still prune with the floor-type bound (the
-    tree DP); the sweep itself no longer fires it.  ``frontier_peak`` is
+    (the joint σ/average-load bound at extension time) and
+    ``pruned_meet`` (labels the meet join's pre-filter rejected against the
+    opposing frontier's minima).  ``pruned_floor`` (the tree DP's
+    floor-type bound) and ``pruned_settle`` (a settle-time incumbent
+    re-check) remain in the profile schema the engines share; the sweep
+    never fires them — its incumbent only tightens at the join, after both
+    halves settled.  ``frontier_peak`` is
     the largest settled bucket and ``settle_batches`` the number of settle
     passes — together the bound-effectiveness profile the tracing layer
     surfaces.
@@ -156,8 +147,8 @@ class LabelSearchStats:
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
     pruned_joint: int = 0            #: joint average-load bound rejections
     pruned_settle: int = 0           #: settle-time incumbent re-check rejections
-    pruned_meet: int = 0             #: meet-join pre-filter rejections (bidir)
-    meet_edges: int = 0              #: crossing edges joined (bidir only)
+    pruned_meet: int = 0             #: meet-join pre-filter rejections
+    meet_edges: int = 0              #: crossing edges joined
     frontier_peak: int = 0           #: largest bucket ever settled
     settle_batches: int = 0          #: settle passes over buckets
 
@@ -260,24 +251,18 @@ class LabelDominanceSearch:
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
-                 beam_width: int = 128, dominance_window: int = 128,
-                 direction: str = "forward") -> None:
+                 beam_width: int = 128, dominance_window: int = 128) -> None:
         if beam_width < 0:
             raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
         if dominance_window < 0:
             raise ValueError("dominance_window must be non-negative (0 disables "
-                             "dominance in the block sweep)")
-        if direction not in ("forward", "bidirectional"):
-            raise ValueError("direction must be 'forward' or 'bidirectional'")
+                             "dominance in the half-sweeps)")
         self.weighting = weighting or SSBWeighting()
         self.measures = PathMeasures(self.weighting)
         self.beam_width = beam_width
-        #: dominator-set cap of the block sweep's per-node filter
+        #: dominator-set cap of the half-sweeps' per-node filter
         #: (see :func:`repro.core.frontier.pareto_block_mask`)
         self.dominance_window = dominance_window
-        #: ``"forward"`` — the classic single sweep; ``"bidirectional"`` —
-        #: meet-in-the-middle half-sweeps joined over the crossing edges
-        self.direction = direction
 
     # ------------------------------------------------------------------ main
     def search(self, dwg: DoublyWeightedGraph,
@@ -358,8 +343,8 @@ class LabelDominanceSearch:
                     context.report_incumbent(beam_ssb, source="labels-beam")
         bound = min(incumbent, fallback_ssb)
 
-        # ---- exact pass: block sweep over array buckets, forward or
-        # meet-in-the-middle
+        # ---- exact pass: half-sweeps over array buckets, joined in the
+        # middle
         profile = None
         if context is not None:
             span = getattr(context, "span", None)
@@ -371,27 +356,20 @@ class LabelDominanceSearch:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
             sweep_stats = _EMPTY_SWEEP_STATS
-        elif self.direction == "bidirectional":
-            (best_path, best_ssb, best_s, best_b,
-             sweep_stats, interrupted) = self._sweep_bidirectional(
-                graph, order, out_edge_data, pot, potjc, potj, inv_colors,
-                colors, source, target, zero_loads, bound, context=context,
-                profile=profile)
         else:
             (best_path, best_ssb, best_s, best_b,
-             sweep_stats, interrupted) = self._sweep_blocks(
-                graph, order, out_edge_data, pot, potjc, potj, inv_colors,
-                source, target, zero_loads, bound, context=context,
-                profile=profile)
+             sweep_stats, interrupted) = self._sweep_bidirectional(
+                graph, order, out_edge_data, pot, potjc, inv_colors,
+                color_index, source, target, zero_loads, bound,
+                context=context, profile=profile)
         stats = LabelSearchStats(
             labels_created=sweep_stats[0], labels_dominated=sweep_stats[1],
             labels_bound_pruned=(sweep_stats[2] + sweep_stats[3]
-                                 + sweep_stats[4] + sweep_stats[7]),
+                                 + sweep_stats[6]),
             nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
             pruned_colour=sweep_stats[2], pruned_joint=sweep_stats[3],
-            pruned_settle=sweep_stats[4], frontier_peak=sweep_stats[5],
-            settle_batches=sweep_stats[6], pruned_meet=sweep_stats[7],
-            meet_edges=sweep_stats[8])
+            frontier_peak=sweep_stats[4], settle_batches=sweep_stats[5],
+            pruned_meet=sweep_stats[6], meet_edges=sweep_stats[7])
 
         if best_path is not None:
             return LabelSearchResult(
@@ -489,174 +467,7 @@ class LabelDominanceSearch:
                     labels.setdefault(head, []).append(new_label)
         return best_label, best_ssb, interrupted
 
-    # ------------------------------------------------------------ block sweep
-    def _sweep_blocks(self, graph, order, out_edge_data, pot, potjc, potj,
-                      inv_colors, source, target, zero_loads, bound,
-                      context: Optional[SolveContext] = None, profile=None):
-        """The forward exact pass over *array buckets*.
-
-        Labels never exist as Python objects here: a node's bucket is a set
-        of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
-        every step — the completion-bound checks, the settle-time re-check
-        against the tightened incumbent, the Pareto filter
-        (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
-        capped at ``dominance_window``) and the per-edge extension — is one
-        vectorised operation per (node, edge) instead of per label.  Settled
-        buckets are retained so the best target label's predecessor chain
-        can be walked back into a :class:`~repro.graphs.paths.Path`.
-
-        The window only lets some dominated labels survive, which costs
-        time, never correctness: the returned optimum is exact.
-        """
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        dim = len(zero_loads)
-        window = self.dominance_window
-        created = dominated = inspected = 0
-        pruned_colour = pruned_joint = pruned_settle = 0
-        peak = settles = 0
-        potjc_arr = {node: np.asarray(t, dtype=np.float64)
-                     for node, t in potjc.items()}
-        beta_rows = {}
-        for packed in out_edge_data.values():
-            for ext in packed:
-                edge, betas = ext[0], ext[2]
-                row = np.zeros(dim, dtype=np.float64)
-                for ci, bv in betas:
-                    row[ci] = bv
-                beta_rows[edge.key] = row
-        # node -> list of (σ, loads, Σloads, parent_rows, edge_key) blocks
-        chunks: Dict[Node, List[tuple]] = {source: [(
-            np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)]}
-        settled: Dict[Node, Tuple[Any, Any]] = {}
-        best = None                     # (edge_key, parent_row)
-        best_ssb = best_s = best_b = float("inf")
-        interrupted: Optional[str] = None
-        for node in order:
-            if context is not None:
-                interrupted = context.interrupted()
-                if interrupted is not None:
-                    break
-            node_chunks = chunks.pop(node, None)
-            if not node_chunks:
-                continue
-            extensions = out_edge_data.get(node)
-            if not extensions:
-                continue
-            if len(node_chunks) == 1:
-                sig, lds, sums, parents, ekey = node_chunks[0]
-                ekeys = np.full(len(sig), ekey, dtype=np.int64)
-            else:
-                sig = np.concatenate([c[0] for c in node_chunks])
-                lds = np.concatenate([c[1] for c in node_chunks])
-                sums = np.concatenate([c[2] for c in node_chunks])
-                parents = np.concatenate([c[3] for c in node_chunks])
-                ekeys = np.concatenate([
-                    np.full(len(c[0]), c[4], dtype=np.int64)
-                    for c in node_chunks])
-            if profile is not None:
-                node_base = (created, dominated, pruned_colour, pruned_joint,
-                             pruned_settle)
-            bucket_size = len(sig)
-            if bucket_size > peak:
-                peak = bucket_size
-            settles += 1
-            # settle: re-check both completion bounds with the *current*
-            # incumbent (tighter than when these labels were queued) ...
-            if dim:
-                keep = lam_s * sig + \
-                    (lam_b * lds + potjc_arr[node]).max(axis=1) < bound
-            else:
-                keep = lam_s * (sig + pot[node]) < bound
-            keep &= lam_s * sig + lam_b * sums * inv_colors + potj[node] < bound
-            stale = len(sig) - int(keep.sum())
-            if stale:
-                pruned_settle += stale
-                sig, lds, sums = sig[keep], lds[keep], sums[keep]
-                parents, ekeys = parents[keep], ekeys[keep]
-            if not len(sig):
-                if profile is not None:
-                    profile.record_node(
-                        node, pruned_settle=stale, frontier=bucket_size,
-                        settle_batches=1)
-                continue
-            # ... then drop dominated labels (windowed Pareto filter, switched
-            # off for good once the observed hit-rate stops paying)
-            if window and len(sig) > 1:
-                mask = pareto_block_mask(sig, lds, window=window)
-                drop = len(sig) - int(mask.sum())
-                inspected += len(sig)
-                if drop:
-                    dominated += drop
-                    sig, lds, sums = sig[mask], lds[mask], sums[mask]
-                    parents, ekeys = parents[mask], ekeys[mask]
-                if inspected >= _BLOCK_DOM_CHECK_AFTER and \
-                        dominated < inspected * _BLOCK_DOM_MIN_HIT_RATE:
-                    window = 0
-            settled[node] = (parents, ekeys)
-            for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
-                    in extensions:
-                ns = sig + sigma
-                nl = lds + beta_rows[edge.key] if betas else lds
-                if dim:
-                    lower = lam_s * ns + \
-                        (lam_b * nl + potjc_arr[head]).max(axis=1)
-                else:
-                    lower = lam_s * (ns + pot_h)
-                keep_e = lower < bound
-                colour_kept = int(keep_e.sum())
-                pruned_colour += len(ns) - colour_kept
-                nsum = sums + btotal
-                keep_e &= lam_s * ns + lam_b * nsum * inv_colors + potj_h < bound
-                count = int(keep_e.sum())
-                pruned_joint += colour_kept - count
-                if not count:
-                    continue
-                created += count
-                rows = np.nonzero(keep_e)[0]
-                if head == target:
-                    # potjc at the target is all-zero: the colour bound is
-                    # the true SSB weight λ_S·σ + max_c(λ_B·load_c)
-                    ssb = lower[rows]
-                    i = int(ssb.argmin())
-                    if ssb[i] < bound:
-                        best = (edge.key, int(rows[i]))
-                        best_ssb = float(ssb[i])
-                        best_s = float(ns[rows[i]])
-                        best_b = float(nl[rows[i]].max()) if dim else 0.0
-                        bound = best_ssb
-                        if context is not None:
-                            context.report_incumbent(best_ssb, source="labels")
-                    continue
-                chunks.setdefault(head, []).append(
-                    (ns[rows], nl[rows], nsum[rows],
-                     rows.astype(np.int64), edge.key))
-            if profile is not None:
-                profile.record_node(
-                    node, created - node_base[0], dominated - node_base[1],
-                    pruned_colour=pruned_colour - node_base[2],
-                    pruned_joint=pruned_joint - node_base[3],
-                    pruned_settle=pruned_settle - node_base[4],
-                    frontier=bucket_size,
-                    settle_batches=1)
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint,
-                       pruned_settle, peak, settles, 0, 0)
-        if best is None:
-            return None, float("inf"), float("inf"), float("inf"), \
-                sweep_stats, interrupted
-        edges: List[Edge] = []
-        edge_key, row = best
-        while edge_key != -1:
-            edge = graph.edge(edge_key)
-            edges.append(edge)
-            parents, ekeys = settled[edge.tail]
-            edge_key = int(ekeys[row])
-            row = int(parents[row])
-        edges.reverse()
-        return (Path.from_edges(edges), best_ssb, best_s, best_b,
-                sweep_stats, interrupted)
-
-    # ---------------------------------------------------------- bidirectional
+    # ------------------------------------------------------------- exact pass
     def _source_potentials(self, order, out_edge_data, source, inv_colors,
                            n_colors):
         """Mirrored potentials *from the source* in one forward DP pass.
@@ -763,7 +574,7 @@ class LabelDominanceSearch:
         return K, fwd_exts, cross_edges, in_edge_data
 
     def _sweep_bidirectional(self, graph, order, out_edge_data, pot, potjc,
-                             potj, inv_colors, colors, source, target,
+                             inv_colors, color_index, source, target,
                              zero_loads, bound,
                              context: Optional[SolveContext] = None,
                              profile=None):
@@ -774,11 +585,9 @@ class LabelDominanceSearch:
         path crosses *exactly one* edge whose tail ranks below ``K`` and
         whose head at or above it.  Joining the forward frontier at each
         crossing tail with the backward frontier at its head is therefore
-        exhaustive, and the returned optimum identical to the forward
-        sweep's.
+        exhaustive: the returned optimum is exact.
         """
         n_colors = len(zero_loads)
-        color_index = {c: i for i, c in enumerate(colors)}
         rank = {node: i for i, node in enumerate(order)}
         spot, spotj, spotjc = self._source_potentials(
             order, out_edge_data, source, inv_colors, n_colors)
@@ -790,19 +599,19 @@ class LabelDominanceSearch:
             color_index)
         cross_tails = {c[4] for c in cross_edges}
         cross_heads = {c[5] for c in cross_edges}
-        out = self._bidir_blocks(
+        path, sweep_stats, interrupted = self._bidir_blocks(
             graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-            spotjc, inv_colors, source, target, zero_loads, bound,
+            cross_tails, cross_heads, potjc, spot, spotj, spotjc,
+            inv_colors, source, target, zero_loads, bound,
             context=context, profile=profile)
-        path, _ssb, _s, _b, sweep_stats, interrupted = out
         if path is None:
-            return out
+            return (None, float("inf"), float("inf"), float("inf"),
+                    sweep_stats, interrupted)
         # The join accumulates σ/loads as prefix + suffix sums, whose
-        # floating-point association differs from the forward sweep's
-        # left-to-right one by an ulp or two.  Re-accumulate the winning
-        # path in forward edge order — the op sequence of `_sweep_blocks` —
-        # so the reported optimum is bit-identical to the forward engine's.
+        # floating-point association depends on where the meet rank fell and
+        # differs from a left-to-right walk by an ulp or two.  Re-accumulate
+        # the winning path in forward edge order, so the reported optimum is
+        # bit-identical to the other exact engines'.
         s = 0.0
         loads = list(zero_loads)
         for edge in path.edges:
@@ -820,18 +629,23 @@ class LabelDominanceSearch:
         return path, ssb, s, b, sweep_stats, interrupted
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, cross_tails, cross_heads, pot, potjc,
-                      potj, spot, spotj, spotjc, inv_colors, source, target,
+                      in_edge_data, cross_tails, cross_heads, potjc, spot,
+                      spotj, spotjc, inv_colors, source, target,
                       zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
-        """Bidirectional exact pass over array buckets.
+        """The two half-sweeps and their join, over *array buckets*.
 
-        Both half-sweeps mirror :meth:`_sweep_blocks` — vectorised bound
-        checks, windowed Pareto filter, settled arrays retained for the
-        predecessor walk — except that the incumbent never tightens inside a
-        half (complete paths only appear at the join), so the settle-time
-        bound re-check is skipped: the extension-time checks already applied
-        the same bound.  The join minimises the pair objective per crossing
+        Labels never exist as Python objects here: a node's bucket is a set
+        of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
+        every step — the completion-bound checks, the Pareto filter
+        (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
+        capped at ``dominance_window``) and the per-edge extension — is one
+        vectorised operation per (node, edge) instead of per label.  Settled
+        buckets are retained so the winning pair's predecessor chains can be
+        walked back into a :class:`~repro.graphs.paths.Path`.  The incumbent
+        never tightens inside a half (complete paths only appear at the
+        join), so buckets are not re-checked against it when they settle:
+        the extension-time checks already applied the same bound.  The join minimises the pair objective per crossing
         edge over ``(F_chunk, B)`` broadcast blocks bounded by
         ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
         against the other's componentwise minima (``pruned_meet``).
@@ -1021,7 +835,6 @@ class LabelDominanceSearch:
 
         # ---------------- join at the crossing edges
         best = None             # (edge, forward row, backward row, head)
-        best_ssb = best_s = best_b = float("inf")
         if interrupted is None:
             # Join-space reduction.  With X[i, c] = λ_S·σ_i + λ_B·load_ic
             # over the prefix rows and Y[j, c] likewise over the suffix
@@ -1092,8 +905,8 @@ class LabelDominanceSearch:
                     if interrupted is not None:
                         break
                 meet_edges += 1
-                sf, lf, X0, fidx, _xmin, xsum0 = f_join[tail]
-                sb, lb, Y, yidx, ymin, ysum = b_join[head]
+                sf, _lf, X0, fidx, _xmin, xsum0 = f_join[tail]
+                sb, _lb, Y, yidx, ymin, ysum = b_join[head]
                 meet_base = pruned_meet
                 if est >= bound:
                     pruned_meet += len(sf) + len(sb)
@@ -1108,10 +921,8 @@ class LabelDominanceSearch:
                     i, j = int(sf.argmin()), int(sb.argmin())
                     v = lam_s * (float(sf[i]) + sigma + float(sb[j]))
                     if v < bound:
-                        bound = best_ssb = v
+                        bound = v
                         best = (edge, i, j, head)
-                        best_s = float(sf[i]) + sigma + float(sb[j])
-                        best_b = 0.0
                         if context is not None:
                             context.report_incumbent(v, source="labels-meet")
                     continue
@@ -1210,7 +1021,7 @@ class LabelDominanceSearch:
                         i, j = divmod(flat, val.shape[1])
                         v = float(val[i, j])
                         if v < bound:
-                            bound = best_ssb = v
+                            bound = v
                             i0 = int(rows_f[start + i])
                             j0 = int(rows_b[int(sel[j])
                                             if sel is not None else j])
@@ -1220,10 +1031,6 @@ class LabelDominanceSearch:
                                     int(yidx[j0]) if yidx is not None
                                     else j0,
                                     head)
-                            best_s = float(sf[i0]) + sigma + float(sb[j0])
-                            best_b = float(
-                                (lf[i0] + beta_row_of(edge, betas)
-                                 + lb[j0]).max())
                             if context is not None:
                                 context.report_incumbent(
                                     v, source="labels-meet")
@@ -1233,11 +1040,10 @@ class LabelDominanceSearch:
                         f"meet:{edge.key}",
                         pruned_meet=pruned_meet - meet_base,
                         frontier=len(sf) + len(sb))
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint, 0,
+        sweep_stats = (created, dominated, pruned_colour, pruned_joint,
                        peak, settles, pruned_meet, meet_edges)
         if best is None:
-            return (None, float("inf"), float("inf"), float("inf"),
-                    sweep_stats, interrupted)
+            return None, sweep_stats, interrupted
         edge, f_row, b_row, head = best
         edges: List[Edge] = []
         ek, row = edge.key, f_row
@@ -1258,8 +1064,7 @@ class LabelDominanceSearch:
             edges.append(e)
             row = int(parents[row])
             node = e.head
-        return (Path.from_edges(edges), best_ssb, best_s, best_b,
-                sweep_stats, interrupted)
+        return Path.from_edges(edges), sweep_stats, interrupted
 
 
 def _reconstruct(label: _Label) -> Path:

@@ -12,15 +12,17 @@ incumbent* plus *adaptive algorithm selection*.
 :class:`PortfolioSolver` implements that recipe on top of the repo's
 existing plumbing:
 
-1. **features** — three cheap instance features (offloadable size ``n``,
-   colour count, and a *scatter ratio*: how non-contiguously each
-   satellite's sensors sit in the tree) pick the staged schedule;
-2. **greedy seed** — the hill-climb runs first and reports its objective
-   into the shared :class:`~repro.core.context.SolveContext`, so an answer
-   exists microseconds in, whatever happens later;
-3. **label sweep** — the main exact stage, warm-started from the best bound
-   so far (the same incumbent plumbing the incremental solver uses), under
-   the same shared context;
+1. **features** — cheap instance features (offloadable size ``n``, colour
+   count, star width and a *scatter ratio*: how non-contiguously each
+   satellite's sensors sit in the tree) decide whether the cross-check runs;
+2. **greedy seed** — a hill-climb capped at ``_SEED_STEPS`` moves runs first
+   and reports its objective into the shared
+   :class:`~repro.core.context.SolveContext`, so an answer exists
+   microseconds in, whatever happens later;
+3. **label sweep** — the main exact stage (the meet-in-the-middle sweep of
+   :mod:`repro.core.label_search`), warm-started from the best bound so far
+   (the same incumbent plumbing the incremental solver uses), under the
+   same shared context;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
    little), the independent exact engine re-derives the optimum; agreement
    is recorded in the details, disagreement is flagged loudly.
@@ -63,23 +65,13 @@ _CROSS_CHECK_MAX_STAR_WIDTH = 0.5
 #: ``bench_exact_engine``); past this cap even star-shaped folds get big.
 _CROSS_CHECK_MAX_STAR_N = 48
 
-#: The label stage switches to the bidirectional sweep on large scattered
-#: instances: half-depth frontiers stay orders of magnitude smaller than
-#: full-depth ones from about n=45 (the forward engine's blowup knee),
-#: while on small or clustered instances the forward sweep's single pass
-#: wins on constant factors.
-_BIDIR_MIN_N = 45
-_BIDIR_MIN_SCATTER = 0.75
-
-#: Wall budget of the greedy seed stage.  The seed exists to guarantee an
-#: incumbent from the first milliseconds — not to race the sweep — so its
-#: hill-climb is cut after this long (it completes well inside the budget on
-#: small instances; on large ones a partial climb is still a fine seed).
-#: This keeps the portfolio's time-to-optimum regret vs the best single
-#: solver within the 1.2x acceptance bar.  The initial maximal-offload cut
-#: is evaluated before the climb's first context poll, so an incumbent
-#: exists whatever the budget.
-_SEED_BUDGET_S = 0.001
+#: Improvement steps of the greedy seed stage.  The seed exists to guarantee
+#: an incumbent from the first milliseconds — not to race the sweep — so its
+#: hill-climb is cut after this many moves.  A step count, unlike a wall
+#: budget, gives the same seed (and so the same sweep pruning) on every
+#: machine and every run.  The initial maximal-offload cut is evaluated
+#: before the first step, so an incumbent exists whatever the cap.
+_SEED_STEPS = 1
 
 
 def instance_features(problem: AssignmentProblem) -> Dict[str, Any]:
@@ -179,17 +171,13 @@ class PortfolioSolver:
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
                  cross_check: Any = "auto",
-                 beam_width: int = 128,
-                 seed_budget_s: float = _SEED_BUDGET_S) -> None:
+                 beam_width: int = 128) -> None:
         if cross_check not in ("auto", "always", "never", True, False):
             raise ValueError("cross_check must be 'auto', 'always'/'never' "
                              "or a boolean")
-        if seed_budget_s < 0:
-            raise ValueError("seed_budget_s must be non-negative")
         self.weighting = weighting or SSBWeighting()
         self.cross_check = cross_check
         self.beam_width = beam_width
-        self.seed_budget_s = seed_budget_s
 
     # ------------------------------------------------------------------ solve
     def solve(self, problem: AssignmentProblem,
@@ -208,21 +196,16 @@ class PortfolioSolver:
         optimal_proven = False
 
         # ---- stage 1: greedy — the instant incumbent seed ----------------
-        # The climb runs under a few-millisecond sub-budget (clamped onto the
-        # caller's context, so a real deadline/cancel still wins): its job is
-        # an immediate incumbent, not racing the exact engine.
+        # The climb is capped at _SEED_STEPS moves (the caller's context
+        # still bounds it, so a real deadline/cancel wins): its job is an
+        # immediate incumbent, not racing the exact engine.
         started = time.perf_counter()
-        seed_context = (context.clamped(self.seed_budget_s)
-                        if context is not None
-                        else SolveContext(deadline_s=self.seed_budget_s))
         best_assignment, greedy_details = greedy_assignment(
-            problem, context=seed_context)
+            problem, max_steps=_SEED_STEPS, context=context)
         best_objective = self.weighting.combine(
             best_assignment.host_load(), best_assignment.max_satellite_load())
         if context is not None:
             context.report_incumbent(best_objective, source="portfolio-greedy")
-        # only the caller's own context gates later stages — hitting the
-        # seed sub-budget is routine, not an interruption of the solve
         interrupted = context.interrupted() if context is not None else None
         stages.append(StageOutcome(
             stage="greedy", objective=best_objective,
@@ -236,10 +219,8 @@ class PortfolioSolver:
             started = time.perf_counter()
             colored = color_tree(problem)
             graph = build_assignment_graph(problem, colored_tree=colored)
-            direction = self._label_direction(features)
             search = LabelDominanceSearch(weighting=self.weighting,
-                                          beam_width=self.beam_width,
-                                          direction=direction)
+                                          beam_width=self.beam_width)
             result = search.search(graph.dwg, incumbent=best_objective,
                                    context=context)
             interrupted = result.interrupted
@@ -264,7 +245,8 @@ class PortfolioSolver:
                 interrupted=interrupted,
                 extra={"labels_created": result.stats.labels_created,
                        "labels_bound_pruned": result.stats.labels_bound_pruned,
-                       "direction": direction}))
+                       # kept for perfbench's portfolio.bidir_share
+                       "direction": "bidirectional"}))
 
         # ---- stage 3: pruned-DP cross-check (independent construction) ---
         cross_check_agreed: Optional[bool] = None
@@ -317,15 +299,6 @@ class PortfolioSolver:
         return best_assignment, details
 
     # ---------------------------------------------------------------- policy
-    def _label_direction(self, features: Dict[str, Any]) -> str:
-        """Forward sweep by default; bidirectional on large scattered trees,
-        where meeting in the middle keeps both half-frontiers far below the
-        forward engine's full-depth blowup."""
-        if (features["n_processing"] >= _BIDIR_MIN_N
-                and features["scatter_ratio"] >= _BIDIR_MIN_SCATTER):
-            return "bidirectional"
-        return "forward"
-
     def _wants_cross_check(self, features: Dict[str, Any]) -> bool:
         if self.cross_check in (False, "never"):
             return False

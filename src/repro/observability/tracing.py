@@ -94,7 +94,7 @@ class ProfileAccumulator:
     fired: the sigma + per-colour load *floor* bound (tree DP), the
     per-*colour* joint sigma/load bound (label sweep), the *joint* average
     bound, the incumbent re-check when a lazy bucket *settles*, and the
-    *meet*-in-the-middle join pre-filter (bidirectional sweep).
+    *meet*-in-the-middle join pre-filter (label sweep).
     """
 
     __slots__ = (

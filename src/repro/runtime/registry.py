@@ -13,10 +13,10 @@ specs flagged ``stochastic``.
 The default registry carries the paper's algorithm plus every baseline:
 
 ``colored-ssb``        the paper's adapted SSB search (exact)
-``colored-ssb-labels`` label-dominance DAG sweep, no elimination loop (exact;
-                       aliases ``labels`` / ``label-search``)
-``colored-ssb-bidir``  bidirectional label sweep meeting in the middle of the
-                       assignment DAG (exact; alias ``bidir``)
+``colored-ssb-labels`` label-dominance DAG sweep meeting in the middle of the
+                       assignment DAG, no elimination loop (exact; aliases
+                       ``labels`` / ``label-search`` / ``colored-ssb-bidir``
+                       / ``bidir``)
 ``colored-ssb-incremental`` label sweep warm-started from the last solve of
                        the same tree structure (exact; alias ``incremental``)
 ``brute-force``        full enumeration (exact reference)
@@ -331,8 +331,7 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     search = LabelDominanceSearch(
         weighting=weighting,
         beam_width=options.get("beam_width", 128),
-        dominance_window=options.get("dominance_window", 128),
-        direction=options.get("direction", "forward"))
+        dominance_window=options.get("dominance_window", 128))
     result = search.search(graph.dwg, context=options.get("context"))
     if not result.found:
         raise RuntimeError("the coloured assignment graph has no S-T path; "
@@ -354,15 +353,6 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     if result.interrupted:
         details["interrupted"] = result.interrupted
     return assignment, details
-
-
-def _run_colored_ssb_bidir(problem: AssignmentProblem,
-                           weighting: Optional[SSBWeighting],
-                           options: Mapping[str, Any]):
-    """Bidirectional label sweep: half-sweeps joined at the meet layer."""
-    opts = dict(options)
-    opts["direction"] = "bidirectional"
-    return _run_colored_ssb_labels(problem, weighting, opts)
 
 
 def _run_colored_ssb_incremental(problem, weighting, options):
@@ -500,27 +490,15 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
         name="colored-ssb-labels",
         runner=_run_colored_ssb_labels,
         anytime=True,
-        description="label-dominance DAG sweep on the coloured assignment graph",
+        description="label-dominance sweep on the coloured assignment "
+                    "graph: forward and backward half-sweeps meet in the "
+                    "middle and join over the crossing edges",
         exact=True,
         supports_weighting=True,
-        complexity="O(labels * out-degree) with Pareto/bound pruning",
-        aliases=("labels", "label-search"),
-    ),
-    SolverSpec(
-        name="colored-ssb-bidir",
-        runner=_run_colored_ssb_bidir,
-        anytime=True,
-        description="bidirectional label sweep: forward and backward "
-                    "half-sweeps meet in the middle of the assignment DAG "
-                    "and join over the crossing edges",
-        exact=True,
-        supports_weighting=True,
-        complexity="O(labels * out-degree) per half; join bounded by the "
-                   "per-colour and average meet floors",
-        aliases=("bidir",),
-        limits=("wins on deep scattered trees (n>=45) where half-depth "
-                "frontiers stay far smaller than full-depth ones; on "
-                "shallow or star-like graphs the forward sweep is faster",),
+        complexity="O(labels * out-degree) per half with Pareto/bound "
+                   "pruning; join bounded by the per-colour and average "
+                   "meet floors",
+        aliases=("labels", "label-search", "colored-ssb-bidir", "bidir"),
     ),
     SolverSpec(
         name="colored-ssb-incremental",

@@ -9,6 +9,7 @@ the scattered-sensor regime the engine was built for.
 import pytest
 
 from repro.baselines import brute_force_assignment
+from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
 from repro.core.assignment_graph import build_assignment_graph
 from repro.core.colored_ssb import ColoredSSBSearch
 from repro.core.dwg import DoublyWeightedGraph, PathMeasures, SSBWeighting
@@ -197,7 +198,7 @@ class TestColoredSSBFinisherWiring:
 
 
 class TestDominanceWindow:
-    """The block sweep's windowed Pareto filter: a knob on speed only."""
+    """The half-sweeps' windowed Pareto filter: a knob on speed only."""
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="dominance_window"):
@@ -212,38 +213,36 @@ class TestDominanceWindow:
         assert filtered.ssb_weight == unfiltered.ssb_weight
         assert unfiltered.stats.labels_dominated == 0
 
-    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
     @pytest.mark.parametrize("window", [1, 8, 64])
-    def test_window_never_changes_the_optimum(self, window, direction):
+    def test_window_never_changes_the_optimum(self, window):
         problem = random_problem(n_processing=12, n_satellites=4, seed=6,
                                  sensor_scatter=1.0)
         graph = build_assignment_graph(problem)
-        reference = LabelDominanceSearch(
-            dominance_window=0, direction=direction).search(graph.dwg)
+        reference = LabelDominanceSearch(dominance_window=0).search(graph.dwg)
         capped = LabelDominanceSearch(
-            dominance_window=window, direction=direction).search(graph.dwg)
+            dominance_window=window).search(graph.dwg)
         assert capped.ssb_weight == reference.ssb_weight
 
 
-class TestDirections:
-    """The forward block sweep and the bidirectional split: one optimum."""
-
-    def test_invalid_direction_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            LabelDominanceSearch(direction="backward")
+class TestExactPass:
+    """The meet-in-the-middle sweep against an engine sharing no search code."""
 
     @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
-    def test_directions_agree_bit_identically(self, scatter):
+    def test_optimum_matches_the_pruned_dp(self, scatter):
         problem = random_problem(n_processing=14, n_satellites=4, seed=9,
                                  sensor_scatter=scatter)
         graph = build_assignment_graph(problem)
-        forward = LabelDominanceSearch().search(graph.dwg)
-        bidir = LabelDominanceSearch(direction="bidirectional").search(graph.dwg)
-        assert forward.found and bidir.found
-        assert bidir.ssb_weight == forward.ssb_weight
+        result = LabelDominanceSearch().search(graph.dwg)
+        assert result.found
+        labels = graph.path_to_assignment(result.path)
+        dp, _ = pareto_dp_pruned_assignment(problem)
+        weighting = SSBWeighting()
+        assert weighting.combine(labels.host_load(),
+                                 labels.max_satellite_load()) == \
+            weighting.combine(dp.host_load(), dp.max_satellite_load())
         measures = PathMeasures()
-        assert bidir.ssb_weight == pytest.approx(
-            measures.ssb_colored(bidir.path), rel=1e-12)
+        assert result.ssb_weight == pytest.approx(
+            measures.ssb_colored(result.path), rel=1e-12)
 
     def test_colored_ssb_default_finisher_is_the_label_engine(self):
         problem = random_problem(n_processing=12, n_satellites=3, seed=5,

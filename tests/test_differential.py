@@ -3,10 +3,8 @@
 Three independent exact engines answer every instance:
 
 * ``colored-ssb`` / ``colored-ssb-labels`` — the paper's construction
-  (colouring, assignment graph, label-dominance sweep on the DAG);
-* ``colored-ssb-bidir`` — the same DAG swept from both ends, frontiers
-  joined at the meet layer (a different pruning trajectory and a
-  different set of bounds from the forward sweep);
+  (colouring, assignment graph, label-dominance sweep on the DAG, swept
+  from both ends and joined at a meet layer);
 * ``pareto-dp-pruned`` — the bound-pruned streamed Pareto DP straight on
   the CRU tree (no colouring, no assignment graph, its own per-colour
   completion-DAG bounds);
@@ -84,8 +82,7 @@ class TestTripleAgreement:
     def test_small_instances(self, topology, n, n_satellites):
         problem = make_instance(topology, n, n_satellites, seed=n + n_satellites)
         assert_identical(problem, ["brute-force", "colored-ssb",
-                                   "colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+                                   "colored-ssb-labels", "pareto-dp-pruned"])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seed_sweep_scattered(self, seed):
@@ -99,7 +96,6 @@ class TestTripleAgreement:
             problem = make_instance(topology, 8, 3, seed=round_,
                                     drift=0.05 * (round_ + 1))
             assert_identical(problem, ["brute-force", "colored-ssb-labels",
-                                       "colored-ssb-bidir",
                                        "pareto-dp-pruned"])
 
     def test_incremental_agrees_under_drift(self):
@@ -120,8 +116,7 @@ class TestTripleAgreement:
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_labels_vs_pruned_dp_where_brute_force_thins_out(self, n):
         problem = make_instance("scattered", n, 4, seed=n)
-        assert_identical(problem, ["colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+        assert_identical(problem, ["colored-ssb-labels", "pareto-dp-pruned"])
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("n", [6, 8, 10])
@@ -144,7 +139,7 @@ class TestTripleAgreement:
         for n in (8, 12):
             problem = make_instance(topology, n, 3, seed=n)
             for method in ("colored-ssb", "colored-ssb-labels",
-                           "colored-ssb-bidir", "pareto-dp-pruned"):
+                           "pareto-dp-pruned"):
                 bare = solve(problem, method=method)
                 inert = solve(problem, method=method,
                               context=SolveContext())
@@ -166,7 +161,7 @@ class TestFullSweep:
         for n_satellites in (2, 3, 4):
             for seed in range(3):
                 methods = ["colored-ssb", "colored-ssb-labels",
-                           "colored-ssb-bidir", "pareto-dp-pruned"]
+                           "pareto-dp-pruned"]
                 if n <= BRUTE_FORCE_MAX_N:
                     methods.append("brute-force")
                 problem = make_instance(topology, n, n_satellites, seed=seed)
@@ -187,27 +182,24 @@ class TestFullSweep:
         for seed in range(2):
             problem = make_instance("scattered", 30, 4, seed=seed)
             assert_identical(problem,
-                             ["colored-ssb-labels", "colored-ssb-bidir",
-                              "pareto-dp-pruned"])
+                             ["colored-ssb-labels", "pareto-dp-pruned"])
 
     def test_wide_star_n40_triple_agreement(self):
-        """The streamed-DP acceptance regime: all three engines finish the
-        wide star at n=40 (the old DP kernel ground or exploded here) and
-        return the same bit pattern."""
+        """The streamed-DP acceptance regime: the label sweep and the DP
+        finish the wide star at n=40 (the old DP kernel ground or exploded
+        here) and return the same bit pattern."""
         problem = random_problem(n_processing=40, n_satellites=4, seed=7,
                                  sensor_scatter=0.5, max_children=64)
-        assert_identical(problem, ["colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+        assert_identical(problem, ["colored-ssb-labels", "pareto-dp-pruned"])
 
     def test_scattered_n70_bidir_trajectories_agree(self):
-        """Scattered n=70: only the bidirectional sweep finishes (the forward
-        sweep runs past 60s, the DP explodes), so the differential is across
-        engine configurations — beam width and dominance window change the
+        """Scattered n=70: only the label sweep finishes (the DP explodes),
+        so the differential is across engine configurations — beam width and dominance window change the
         pruning trajectory and the meet-layer join order, and every
         trajectory must land on the same bit pattern with a proof."""
         problem = random_problem(n_processing=70, n_satellites=6, seed=10,
                                  sensor_scatter=1.0)
-        results = [solve(problem, method="colored-ssb-bidir", **config)
+        results = [solve(problem, method="colored-ssb-labels", **config)
                    for config in ({}, {"beam_width": 32},
                                   {"dominance_window": 256})]
         assert all(r.status == "optimal" for r in results)

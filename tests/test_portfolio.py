@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.baselines.greedy import greedy_assignment
 from repro.core.context import SolveContext
-from repro.core.portfolio import PortfolioSolver, instance_features
+from repro.core.portfolio import _SEED_STEPS, PortfolioSolver, instance_features
 from repro.core.solver import solve
 from repro.workloads import random_problem
 
@@ -89,29 +90,41 @@ class TestAttribution:
         assert objectives == sorted(objectives, reverse=True)
 
 
-class TestBidirRouting:
-    """Large scattered instances route the label stage through the
-    bidirectional sweep; everything else keeps the forward engine."""
+class TestLabelStage:
+    """Every label stage runs the one meet-in-the-middle kernel, and the
+    greedy seed is capped by a step count, never by the clock."""
 
-    def test_direction_forward_on_small_or_clustered(self):
-        solver = PortfolioSolver()
-        small = instance_features(make(n=20, scatter=1.0, seed=1))
-        assert solver._label_direction(small) == "forward"
-        clustered = instance_features(
-            make(n=50, scatter=0.0, seed=1, max_children=3))
-        assert solver._label_direction(clustered) == "forward"
+    def test_worst_scattered_instance_stays_small(self):
+        # perfbench's worst solve-scattered instance (scatter ratio 0.707):
+        # the removed full-depth forward sweep created 11,052,038 labels here
+        problem = random_problem(n_processing=50, n_satellites=4, seed=0,
+                                 sensor_scatter=1.0)
+        result = solve(problem, method="portfolio")
+        assert result.status == "optimal"
+        stages = {s["stage"]: s for s in result.details["stages"]}
+        assert stages["labels"]["labels_created"] < 100_000
 
-    def test_direction_bidirectional_on_large_scattered(self):
-        solver = PortfolioSolver()
-        features = instance_features(
-            make(n=48, scatter=1.0, seed=1, sats=4, max_children=3))
-        assert features["n_processing"] >= 45
-        assert features["scatter_ratio"] >= 0.75
-        assert solver._label_direction(features) == "bidirectional"
+    @pytest.mark.parametrize("n, seed", [(10, 5), (30, 0)])
+    def test_seed_climb_is_capped_by_steps_not_the_clock(self, n, seed):
+        # both ends of a wall-clock seed budget: at n=10 a climb step costs
+        # well under a millisecond, so a 1 ms budget ran the whole 4-step
+        # climb; at n=30 one step costs more than a millisecond, so the
+        # budget cut the climb after one or two steps, by the clock
+        problem = make(n=n, scatter=1.0, seed=seed, sats=4)
+        _, full = greedy_assignment(problem)
+        assert full["steps"] > _SEED_STEPS
+        runs = [solve(problem, method="portfolio") for _ in range(2)]
+        for result in runs:
+            stages = {s["stage"]: s for s in result.details["stages"]}
+            assert stages["greedy"]["steps"] == min(full["steps"],
+                                                    _SEED_STEPS)
+        created = [{s["stage"]: s for s in r.details["stages"]}["labels"]
+                   ["labels_created"] for r in runs]
+        assert created[0] == created[1]
 
     def test_portfolio_runs_bidir_and_stays_exact_on_large_scattered(self):
-        problem = make(n=46, scatter=1.0, seed=5, sats=4, max_children=3)
-        reference = solve(problem, method="colored-ssb-labels").objective
+        problem = make(n=40, scatter=1.0, seed=5, sats=4, max_children=3)
+        reference = solve(problem, method="pareto-dp-pruned").objective
         result = solve(problem, method="portfolio")
         stages = {s["stage"]: s for s in result.details["stages"]}
         assert stages["labels"]["direction"] == "bidirectional"

@@ -202,8 +202,11 @@ class TestAssignmentProblemProperties:
     @given(problem_instances(), st.floats(min_value=0.0, max_value=1.0))
     def test_weighted_objective_agreement(self, problem, lam):
         weighting = SSBWeighting.convex(lam)
-        ssb = solve(problem, weighting=weighting, validate=False).assignment
         brute, _ = brute_force_assignment(problem, weighting=weighting)
-        got = weighting.combine(ssb.host_load(), ssb.max_satellite_load())
         want = weighting.combine(brute.host_load(), brute.max_satellite_load())
-        assert got == pytest.approx(want)
+        for method in ("colored-ssb", "colored-ssb-labels", "pareto-dp-pruned"):
+            got = solve(problem, method=method, weighting=weighting,
+                        validate=False).assignment
+            assert weighting.combine(got.host_load(),
+                                     got.max_satellite_load()) == \
+                pytest.approx(want), method

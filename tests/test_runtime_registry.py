@@ -10,7 +10,7 @@ class TestDefaultRegistry:
     def test_carries_every_facade_method(self):
         registry = default_registry()
         assert registry.names() == available_methods()
-        assert len(registry) == 15
+        assert len(registry) == 14
 
     def test_aliases_resolve_to_canonical_specs(self):
         registry = default_registry()
@@ -18,7 +18,9 @@ class TestDefaultRegistry:
         assert registry.resolve("random").name == "random-search"
         assert registry.resolve("labels").name == "colored-ssb-labels"
         assert registry.resolve("label-search").name == "colored-ssb-labels"
-        assert registry.resolve("bidir").name == "colored-ssb-bidir"
+        assert registry.resolve("bidir").name == "colored-ssb-labels"
+        assert registry.resolve("colored-ssb-bidir").name == \
+            "colored-ssb-labels"
         assert registry.resolve("incremental").name == "colored-ssb-incremental"
         assert registry.resolve("heft").name == "dag-heft"
         assert registry.resolve("auto").name == "portfolio"
@@ -36,7 +38,6 @@ class TestDefaultRegistry:
         registry = default_registry()
         exact = {spec.name for spec in registry if spec.exact}
         assert exact == {"colored-ssb", "colored-ssb-labels",
-                         "colored-ssb-bidir",
                          "colored-ssb-incremental", "brute-force",
                          "pareto-dp", "pareto-dp-pruned", "branch-and-bound",
                          "portfolio"}
