@@ -17,8 +17,31 @@ from repro.core.label_search import (
     LabelDominanceSearch,
     find_optimal_colored_ssb_path_labels,
 )
+from repro.graphs.dag import DagIndex
 from repro.graphs.dag import NotADagError
 from repro.workloads.generators import random_problem
+
+
+def all_paths(dwg, start, stop):
+    """Every ``start`` → ``stop`` path of a small DAG, as edge lists."""
+    if start == stop:
+        return [[]]
+    return [[edge] + rest for edge in dwg.graph.out_edges(start)
+            for rest in all_paths(dwg, edge.head, stop)]
+
+
+def spy(monkeypatch, name):
+    """Record the return values of one ``LabelDominanceSearch`` method."""
+    calls = []
+    original = getattr(LabelDominanceSearch, name)
+
+    def recorded(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(LabelDominanceSearch, name, recorded)
+    return calls
 
 
 def two_color_graph():
@@ -213,9 +236,12 @@ class TestDominanceWindow:
         assert filtered.ssb_weight == unfiltered.ssb_weight
         assert unfiltered.stats.labels_dominated == 0
 
+    @pytest.mark.parametrize("n, seed", [(12, 6), (18, 3)])
     @pytest.mark.parametrize("window", [1, 8, 64])
-    def test_window_never_changes_the_optimum(self, window):
-        problem = random_problem(n_processing=12, n_satellites=4, seed=6,
+    def test_window_never_changes_the_optimum(self, window, n, seed):
+        # a deeper graph moves the meet layer and gives both half-sweeps
+        # buckets wider than the window
+        problem = random_problem(n_processing=n, n_satellites=4, seed=seed,
                                  sensor_scatter=1.0)
         graph = build_assignment_graph(problem)
         reference = LabelDominanceSearch(dominance_window=0).search(graph.dwg)
@@ -252,3 +278,75 @@ class TestExactPass:
         assert result.finisher == "labels"
         assert result.ssb_weight == \
             LabelDominanceSearch().search(graph.dwg).ssb_weight
+
+    def test_single_edge_graph_meets_on_its_only_edge(self):
+        # both halves are empty: the meet rank clamps to the target's and
+        # the one edge is the crossing edge the join reads
+        dwg = DoublyWeightedGraph(source="S", target="T")
+        dwg.add_edge("S", "T", sigma=2.0, beta=3.0, color="red")
+        result = LabelDominanceSearch(beam_width=0).search(dwg)
+        assert result.found
+        assert [e.head for e in result.path.edges] == ["T"]
+        assert result.ssb_weight == 5.0
+        assert result.stats.meet_edges == 1
+
+    def test_meet_partition_splits_every_path_once(self, monkeypatch):
+        # the exactness argument of the join: every S → T path crosses
+        # exactly one crossing edge, and its other edges sit in the half
+        # that extends them
+        partitions = spy(monkeypatch, "_meet_partition")
+        problem = random_problem(n_processing=7, n_satellites=3, seed=2,
+                                 sensor_scatter=1.0)
+        dwg = build_assignment_graph(problem).dwg
+        LabelDominanceSearch(beam_width=0).search(dwg)
+        (K, fwd_exts, cross_edges, in_edge_data), = partitions
+        rank = {node: i for i, node in enumerate(DagIndex(dwg.graph).order())}
+        assert rank[dwg.source] < K <= rank[dwg.target]
+        crossing = {c[0].key for c in cross_edges}
+        forward = {ext[0].key for exts in fwd_exts.values() for ext in exts}
+        backward = {ext[0].key for exts in in_edge_data.values()
+                    for ext in exts}
+        paths = all_paths(dwg, dwg.source, dwg.target)
+        assert len(paths) > 1
+        for path in paths:
+            assert sum(e.key in crossing for e in path) == 1
+            for edge in path:
+                if edge.key in crossing:
+                    continue
+                half = forward if rank[edge.head] < K else backward
+                assert edge.key in half
+
+    def test_source_potentials_are_exact_minima(self, monkeypatch):
+        # the source-side duals of the completion bounds: per node, the
+        # minimum over every S → v path of σ, of the joint average and of
+        # each colour's weighted load
+        potentials = spy(monkeypatch, "_source_potentials")
+        problem = random_problem(n_processing=7, n_satellites=3, seed=4,
+                                 sensor_scatter=1.0)
+        dwg = build_assignment_graph(problem).dwg
+        weighting = SSBWeighting.convex(0.3)
+        LabelDominanceSearch(weighting=weighting, beam_width=0).search(dwg)
+        (spot, spotj, spotjc), = potentials
+        colors = tuple(dwg.all_colors())
+        lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
+        assert spot[dwg.source] == 0.0
+        for node, s_min in spot.items():
+            paths = all_paths(dwg, dwg.source, node)
+            assert paths
+            sums = []
+            for path in paths:
+                loads = {}
+                for edge in path:
+                    for color, beta in \
+                            DoublyWeightedGraph.beta_map(edge).items():
+                        loads[color] = loads.get(color, 0.0) + beta
+                sums.append((sum(DoublyWeightedGraph.sigma(e) for e in path),
+                             loads))
+            assert s_min == pytest.approx(min(s for s, _ in sums), abs=1e-12)
+            assert spotj[node] == pytest.approx(
+                min(lam_s * s + lam_b * sum(loads.values()) / len(colors)
+                    for s, loads in sums), abs=1e-12)
+            for ci, color in enumerate(colors):
+                assert spotjc[node][ci] == pytest.approx(
+                    min(lam_s * s + lam_b * loads.get(color, 0.0)
+                        for s, loads in sums), abs=1e-12)
