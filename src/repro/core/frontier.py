@@ -48,9 +48,12 @@ Entry = Tuple[float, Loads, Any]
 
 _INF = float("inf")
 
-#: Block size of :func:`pareto_block_mask` (bounds the temporary
-#: (block, kept, dim) broadcast products).
+#: Block size of :func:`pareto_block_mask`: it bounds the 2-D
+#: ``(kept + block, block)`` bool dominance plane built per block.
 _MASK_BLOCK = 512
+#: Strict upper triangle of the largest block, built once: its top-left
+#: ``b × b`` corner is the "strictly earlier row" pattern of every block.
+_STRICT_UPPER = np.triu(np.ones((_MASK_BLOCK, _MASK_BLOCK), dtype=bool), k=1)
 
 
 class ParetoStore:
@@ -253,38 +256,47 @@ def pareto_block_mask(sig: "Any", lds: "Any",
     dominated rows may survive, no row is ever wrongly removed — the blowup
     regime's trade (a surviving dominated label costs time, never
     correctness).
+
+    Cost: each block of ``b`` rows is checked against the ``k ≤ window``
+    retained survivors and its own earlier rows, O((k + b)·b·d) compares.
+    The sorted loads are held colour-major (one contiguous row per colour),
+    so the block's dominance plane is built from one 2-D ``<=`` per colour
+    folded in place with ``&=`` — never a ``(k, b, d)`` cube reduced over
+    its short last axis.
     """
     total, dim = lds.shape
     order = np.lexsort(tuple(lds[:, c] for c in range(dim - 1, -1, -1))
                         + (sig,))
+    if dim == 0:
+        # no load to compare: every row after the first is dominated
+        keep = np.zeros(total, dtype=bool)
+        keep[order[:1]] = True
+        return keep
     keep = np.ones(total, dtype=bool)
+    cols = np.ascontiguousarray(lds[order].T)       # (d, M), σ-lex sorted
     cap = total if window is None else min(window, total)
-    # the intra-block pair matrix costs O(block²·d); a capped filter gets a
-    # matching block so the per-row work stays O((window + block)·d)
+    # the intra-block part of the plane costs O(block²·d); a capped filter
+    # gets a matching block so the per-row work stays O((window + block)·d)
     block = _MASK_BLOCK if window is None else \
         max(32, min(window, _MASK_BLOCK))
-    kept_rows = np.empty((cap, dim), dtype=np.float64)
+    # dominator columns: the k retained survivors, then the current block
+    doms = np.empty((dim, cap + block), dtype=np.float64)
     k = 0
     for start in range(0, total, block):
-        blk = order[start:start + block]
-        bl = lds[blk]
-        if k:
-            dom = (kept_rows[:k, None, :] <= bl[None, :, :]) \
-                .all(axis=2).any(axis=0)
-        else:
-            dom = np.zeros(len(blk), dtype=bool)
-        # intra-block: pair[j, i] == "row j dominates row i"; only strictly
-        # earlier rows (j < i in σ-lex order) count
-        pair = (bl[:, None, :] <= bl[None, :, :]).all(axis=2)
-        dom |= (pair & np.triu(np.ones(pair.shape, dtype=bool), k=1)) \
-            .any(axis=0)
+        bc = cols[:, start:start + block]
+        b = bc.shape[1]
+        doms[:, k:k + b] = bc
+        # plane[j, i] == "dominator j dominates block row i"
+        plane = doms[0, :k + b, None] <= bc[0, None, :]
+        for c in range(1, dim):
+            plane &= doms[c, :k + b, None] <= bc[c, None, :]
+        # within the block only strictly earlier rows (in σ-lex order) count
+        plane[k:] &= _STRICT_UPPER[:b, :b]
+        dom = plane.any(axis=0)
         if dom.any():
-            keep[blk[dom]] = False
+            keep[order[start:start + b][dom]] = False
         if k < cap:
-            survivors = bl[~dom]
-            room = cap - k
-            take = survivors[:room]
-            kept_rows[k:k + len(take)] = take
-            k += len(take)
+            take = bc[:, ~dom][:, :cap - k]
+            doms[:, k:k + take.shape[1]] = take
+            k += take.shape[1]
     return keep
-

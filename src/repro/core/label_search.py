@@ -675,10 +675,12 @@ class LabelDominanceSearch:
         def settle_mask(sig, lds):
             """Windowed dominance mask with a cheap density probe.  Large
             meet-adjacent buckets are often near-incomparable in
-            (σ, loads) space — a full mask can cost ~1s to remove well
-            under 1% of rows.  Probe a prefix first and skip the bucket
-            when the probe removes almost nothing; dominated rows kept by
-            the skip cost extra work downstream, never wrong answers."""
+            (σ, loads) space — at window 128 a full mask costs ~2.5 µs
+            per row on a 2-vCPU box (0.6 s on a 236k-row bucket) to
+            remove well under 1% of rows.  Probe a prefix first and skip
+            the bucket when the probe removes almost nothing; dominated
+            rows kept by the skip cost extra work downstream, never wrong
+            answers."""
             if len(sig) > _SETTLE_PROBE * 8:
                 probe = pareto_block_mask(sig[:_SETTLE_PROBE],
                                           lds[:_SETTLE_PROBE],

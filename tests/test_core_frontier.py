@@ -254,3 +254,91 @@ class TestBlockMask:
                            and all(a <= b for a, b in zip(el, loads))
                            for j, (es, el) in enumerate(items))
 
+
+def broadcast_block_mask(sig, lds, window=None):
+    """The earlier broadcast formulation of :func:`pareto_block_mask`.
+
+    Kept as the reference the 2-D per-colour kernel must match bit for bit:
+    same lexsort order, block sizes, window fill and intra-block rule, with
+    every compare evaluated as a ``(kept, block, d)`` cube reduced by
+    ``.all(axis=2)``.
+    """
+    total, dim = lds.shape
+    order = np.lexsort(tuple(lds[:, c] for c in range(dim - 1, -1, -1))
+                       + (sig,))
+    keep = np.ones(total, dtype=bool)
+    cap = total if window is None else min(window, total)
+    block = 512 if window is None else max(32, min(window, 512))
+    kept_rows = np.empty((cap, dim), dtype=np.float64)
+    k = 0
+    for start in range(0, total, block):
+        blk = order[start:start + block]
+        bl = lds[blk]
+        if k:
+            dom = (kept_rows[:k, None, :] <= bl[None, :, :]) \
+                .all(axis=2).any(axis=0)
+        else:
+            dom = np.zeros(len(blk), dtype=bool)
+        pair = (bl[:, None, :] <= bl[None, :, :]).all(axis=2)
+        dom |= (pair & np.triu(np.ones(pair.shape, dtype=bool), k=1)) \
+            .any(axis=0)
+        if dom.any():
+            keep[blk[dom]] = False
+        if k < cap:
+            take = bl[~dom][:cap - k]
+            kept_rows[k:k + len(take)] = take
+            k += len(take)
+    return keep
+
+
+def tied_block(rng, size, dim, grid):
+    """Random (σ, loads) rows with σ ties and exact duplicate rows.
+
+    ``grid`` bounds the integer value range (small grids make ties and
+    dominations frequent); ``None`` draws continuous values, where the
+    duplicates are the only ties.
+    """
+    if grid is None:
+        sig = rng.random(size)
+        lds = rng.random((size, dim))
+    else:
+        sig = rng.integers(0, grid, size).astype(np.float64)
+        lds = rng.integers(0, grid, (size, dim)).astype(np.float64)
+    if size > 1:
+        # copy a quarter of the rows over others: exact (σ, loads) twins
+        src = rng.integers(0, size, size // 4 + 1)
+        dst = rng.integers(0, size, size // 4 + 1)
+        sig[dst] = sig[src]
+        lds[dst] = lds[src]
+    return sig, lds
+
+
+class TestBlockMaskEquivalence:
+    """The 2-D per-colour kernel returns the broadcast kernel's mask exactly.
+
+    Exact soundness alone would not catch a change in block boundaries or
+    in which survivors fill the window: a capped mask may keep different
+    dominated rows and still be sound.  Bit-for-bit equality does.
+    """
+
+    SIZES = (0, 1, 2, 31, 32, 33, 129, 700, 1500)
+
+    @pytest.mark.parametrize("window", [None, 1, 8, 128, 256])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
+    def test_mask_matches_broadcast_reference(self, dim, window):
+        rng = np.random.default_rng(1000 * dim + (window or 0))
+        for size in self.SIZES:
+            for grid in (3, 12, None):
+                sig, lds = tied_block(rng, size, dim, grid)
+                got = pareto_block_mask(sig, lds, window=window)
+                want = broadcast_block_mask(sig, lds, window=window)
+                assert got.dtype == bool and got.shape == (size,)
+                assert np.array_equal(got, want), (size, grid)
+
+    @pytest.mark.parametrize("window", [None, 8, 128])
+    def test_dimensionless_rows_keep_only_the_first(self, window):
+        # with no load to compare, the lowest σ row dominates every other
+        # row, across block boundaries too
+        sig = np.arange(1500, 0, -1, dtype=np.float64)
+        keep = pareto_block_mask(sig, np.empty((1500, 0)), window=window)
+        assert np.flatnonzero(keep).tolist() == [1499]
