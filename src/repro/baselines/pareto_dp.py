@@ -281,60 +281,47 @@ def _completion_potentials(problem: AssignmentProblem,
     once complete, add ``h_u`` and join the parent's combination after the
     already-folded elder siblings (weight ``h_u + Σ elder minhost``); the
     root's complete state adds ``h_root`` and finishes.  The min σ from a
-    state to the finish node — one :func:`~repro.graphs.dag.min_weight_to_target`
-    pass over this *completion DAG* — is therefore a valid potential: every
-    feasible assignment containing a label of state ``(u, i)`` pays at least
-    that much additional host time.
+    state to the finish is therefore that single step's weight plus the
+    next state's potential, and every feasible assignment containing a
+    label of state ``(u, i)`` pays at least that much additional host time.
+
+    One parents-first (pre-order) walk computes them all: a node's complete
+    state continues into its parent's states, which are already known, and
+    its own states follow right to left from the complete one.
 
     Returns ``(pot_state, pot_opt)``: per DP state, and per tree node for
     labels sitting in a node's finished option frontier (offload or
     host-combined) awaiting their fold into the parent.
 
     ``minhost`` doubles as a generic per-subtree weight oracle:
-    with :func:`_joint_minima` and ``host_scale=λ_S`` the same DAG yields
+    with :func:`_joint_minima` and ``host_scale=λ_S`` the same walk yields
     the *joint* σ/β potentials (objective units) behind the avg-load bound.
     """
-    from repro.graphs.dag import min_weight_to_target
-    from repro.graphs.digraph import DiGraph
-
     tree = problem.tree
-    graph = DiGraph()
-    target = ("done",)
-    graph.add_node(target)
+    pot_state: Dict[Tuple[str, int], float] = {}
+    pot_opt: Dict[str, float] = {}
     prefix_sums: Dict[str, float] = {}   # node -> Σ minhost of elder siblings
+    next_pot: Dict[str, float] = {}      # node -> pot of the parent state after it
     for u in tree.processing_ids():
         children = tree.children_ids(u)
+        weight = host_scale * problem.host_time(u)
+        if u == tree.root_id:
+            pot = weight + 0.0
+        else:
+            pot = (weight + prefix_sums[u]) + next_pot[u]
+        pots = [pot]
+        for child in reversed(children):
+            pot = minhost[child] + pot
+            pots.append(pot)
+        pots.reverse()
         running = 0.0
         for i, child in enumerate(children):
-            graph.add_edge(("state", u, i), ("state", u, i + 1),
-                           weight=minhost[child])
+            pot_state[(u, i)] = pots[i]
             prefix_sums[child] = running
+            next_pot[child] = pots[i + 1]
+            pot_opt[child] = pots[i + 1] + running
             running += minhost[child]
-        complete = ("state", u, len(children))
-        if u == tree.root_id:
-            graph.add_edge(complete, target,
-                           weight=host_scale * problem.host_time(u))
-        else:
-            parent = tree.parent_id(u)
-            idx = tree.children_ids(parent).index(u)
-            graph.add_edge(complete, ("state", parent, idx + 1),
-                           weight=host_scale * problem.host_time(u)
-                           + prefix_sums[u])
-    pot = min_weight_to_target(graph, target, weight="weight")
-
-    pot_state: Dict[Tuple[str, int], float] = {}
-    for node in graph.nodes():
-        if node != target:
-            _, u, i = node
-            pot_state[(u, i)] = pot.get(node, _INF)
-    pot_opt: Dict[str, float] = {}
-    for u in tree.cru_ids():
-        if u == tree.root_id:
-            continue
-        parent = tree.parent_id(u)
-        idx = tree.children_ids(parent).index(u)
-        pot_opt[u] = pot_state.get((parent, idx + 1), _INF) + \
-            prefix_sums.get(u, 0.0)
+        pot_state[(u, len(children))] = pots[-1]
     return pot_state, pot_opt
 
 

@@ -37,10 +37,11 @@ class Assignment:
     def __init__(self, problem: AssignmentProblem, placement: Mapping[str, str]) -> None:
         self.problem = problem
         self.placement: Dict[str, str] = dict(placement)
-        missing = set(problem.tree.cru_ids()) - set(self.placement)
+        cru_ids = set(problem.tree.cru_ids())
+        missing = cru_ids.difference(self.placement)
         if missing:
             raise ValueError(f"placement misses CRUs: {sorted(missing)!r}")
-        extra = set(self.placement) - set(problem.tree.cru_ids())
+        extra = self.placement.keys() - cru_ids
         if extra:
             raise ValueError(f"placement references unknown CRUs: {sorted(extra)!r}")
 
@@ -169,17 +170,30 @@ class Assignment:
 
     def satellite_load(self, satellite_id: str) -> float:
         """Execution plus uplink transfer time of one satellite."""
-        problem = self.problem
-        load = sum(problem.satellite_time(i) for i in self.satellite_crus(satellite_id))
-        for parent, child in self.cut_edges():
-            # data crosses the link from the child's device up to the host
-            child_device = self.placement[child]
-            if child_device == satellite_id and self.placement[parent] == HOST_DEVICE:
-                load += problem.comm_cost(child, parent)
-        return float(load)
+        return self.satellite_loads()[satellite_id]
 
     def satellite_loads(self) -> Dict[str, float]:
-        return {sid: self.satellite_load(sid) for sid in self.problem.system.satellite_ids()}
+        """Execution plus uplink transfer time of every satellite.
+
+        One pre-order pass adds each processing CRU's time to its device,
+        then one edge pass adds the uplink cost of every edge whose data
+        crosses from a satellite up to the host.  Per satellite that is the
+        processing CRUs in pre-order, then its cut edges in edge order.
+        """
+        problem = self.problem
+        tree = problem.tree
+        placement = self.placement
+        loads: Dict[str, float] = {sid: 0 for sid in problem.system.satellite_ids()}
+        for cru_id in tree.processing_ids():
+            device = placement[cru_id]
+            if device in loads:
+                loads[device] += problem.satellite_time(cru_id)
+        for parent, child in tree.edges():
+            device = placement[child]
+            if (device in loads and device != HOST_DEVICE
+                    and placement[parent] == HOST_DEVICE):
+                loads[device] += problem.comm_cost(child, parent)
+        return {sid: float(load) for sid, load in loads.items()}
 
     def bottleneck_satellite(self) -> Optional[str]:
         loads = self.satellite_loads()
@@ -211,10 +225,11 @@ class Assignment:
         lines = [f"end-to-end delay: {self.end_to_end_delay():.6g}"]
         lines.append(f"  host load: {self.host_load():.6g}  "
                      f"({', '.join(self.host_crus()) or 'no processing CRUs'})")
+        loads = self.satellite_loads()
         for sid in self.problem.system.satellite_ids():
             crus = self.satellite_crus(sid)
             lines.append(
-                f"  satellite {sid}: load {self.satellite_load(sid):.6g}  "
+                f"  satellite {sid}: load {loads[sid]:.6g}  "
                 f"({', '.join(crus) or 'sensors only'})")
         return "\n".join(lines)
 

@@ -274,7 +274,8 @@ class LabelDominanceSearch:
         """Run the sweep; raises :class:`NotADagError` on cyclic graphs.
 
         ``context`` (optional) is polled once per swept node in both the
-        beam pre-pass and the exact pass; when it fires the sweep stops and
+        beam pre-pass and the exact pass, and once per crossing edge and
+        per chunk of the meet join; when it fires the sweep stops and
         the best incumbent held at that moment is returned with
         ``interrupted`` set — a feasible path always exists once the
         min-σ seed path is computed, so an interrupted search still answers.
@@ -648,7 +649,9 @@ class LabelDominanceSearch:
         the extension-time checks already applied the same bound.  The join minimises the pair objective per crossing
         edge over ``(F_chunk, B)`` broadcast blocks bounded by
         ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
-        against the other's componentwise minima (``pruned_meet``).
+        against the other's componentwise minima (``pruned_meet``).  The
+        join polls ``context`` once per chunk, so an interrupt inside one
+        crossing edge's chunk loop returns the best pair held so far.
         """
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
@@ -976,6 +979,10 @@ class LabelDominanceSearch:
                     GS = GS.reshape(ng_full, _MEET_GROUP).min(axis=1)
                     start = 0
                     while start < len(rows_f):
+                        if context is not None:
+                            interrupted = context.interrupted()
+                            if interrupted is not None:
+                                break
                         if lowf_sorted[start] >= bound:
                             pruned_meet += len(rows_f) - start
                             break
@@ -1042,6 +1049,8 @@ class LabelDominanceSearch:
                         f"meet:{edge.key}",
                         pruned_meet=pruned_meet - meet_base,
                         frontier=len(sf) + len(sb))
+                if interrupted is not None:
+                    break
         sweep_stats = (created, dominated, pruned_colour, pruned_joint,
                        peak, settles, pruned_meet, meet_edges)
         if best is None:

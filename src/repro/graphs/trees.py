@@ -6,7 +6,9 @@ planar-dual assignment graph of Figure 6 — depend on that order).  This module
 provides the ordered-tree machinery the core package builds on:
 
 * parent/children bookkeeping with explicit child order,
-* pre-order / post-order traversals,
+* pre-order / post-order traversals, the pre-order served from a cached
+  topology index (order, positions, subtree sizes) built on first use and
+  dropped by the only mutator, :meth:`RootedTree.add_child`,
 * lowest common ancestors,
 * the DFS leaf order and the *leaf interval* covered by every node, which is
   how the assignment (dual) graph is constructed without a geometric planar
@@ -33,6 +35,8 @@ class RootedTree:
         self._root = root
         self._children: Dict[Node, List[Node]] = {root: []}
         self._parent: Dict[Node, Optional[Node]] = {root: None}
+        # (pre-order list, node -> position, subtree size per position)
+        self._topology: Optional[Tuple[List[Node], Dict[Node, int], List[int]]] = None
 
     # ---------------------------------------------------------------- build
     @property
@@ -55,6 +59,7 @@ class RootedTree:
             self._children[parent].append(child)
         else:
             self._children[parent].insert(index, child)
+        self._topology = None
         return child
 
     # --------------------------------------------------------------- queries
@@ -75,14 +80,16 @@ class RootedTree:
 
     def leaves(self) -> List[Node]:
         """Leaves in DFS (left-to-right) order."""
-        return [n for n in self.preorder() if self.is_leaf(n)]
+        children = self._children
+        return [n for n in self._index()[0] if not children[n]]
 
     def number_of_nodes(self) -> int:
         return len(self._children)
 
     def edges(self) -> List[Tuple[Node, Node]]:
         """All (parent, child) pairs in pre-order of the child."""
-        return [(self._parent[n], n) for n in self.preorder() if n != self._root]
+        parent = self._parent
+        return [(parent[n], n) for n in self._index()[0][1:]]
 
     def depth(self, node: Node) -> int:
         d = 0
@@ -97,14 +104,36 @@ class RootedTree:
         return max((self.depth(leaf) for leaf in self.leaves()), default=0)
 
     # ------------------------------------------------------------ traversals
+    def _index(self) -> Tuple[List[Node], Dict[Node, int], List[int]]:
+        """The topology index: pre-order list, positions and subtree sizes.
+
+        Built by one walk on first use after a mutation.  A subtree is the
+        contiguous pre-order slice ``order[pos : pos + size]``.
+        """
+        index = self._topology
+        if index is None:
+            children = self._children
+            order: List[Node] = []
+            stack = [self._root]
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                stack.extend(reversed(children[node]))
+            pos = {node: i for i, node in enumerate(order)}
+            size = [1] * len(order)
+            parent = self._parent
+            for i in range(len(order) - 1, 0, -1):
+                size[pos[parent[order[i]]]] += size[i]
+            index = self._topology = (order, pos, size)
+        return index
+
     def preorder(self, start: Optional[Node] = None) -> Iterator[Node]:
         """Pre-order traversal (node before its children, children in order)."""
-        start = self._root if start is None else start
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(self._children[node]))
+        order, pos, size = self._index()
+        if start is None:
+            return iter(order)
+        i = pos[start]
+        return iter(order[i:i + size[i]])
 
     def postorder(self, start: Optional[Node] = None) -> Iterator[Node]:
         """Post-order traversal (children before node)."""
@@ -119,7 +148,9 @@ class RootedTree:
 
     def subtree_nodes(self, node: Node) -> List[Node]:
         """All nodes of the subtree rooted at ``node`` (including ``node``)."""
-        return list(self.preorder(node))
+        order, pos, size = self._index()
+        i = pos[node]
+        return order[i:i + size[i]]
 
     def ancestors(self, node: Node, include_self: bool = False) -> List[Node]:
         """Ancestors from parent up to the root (optionally prefixed by node)."""

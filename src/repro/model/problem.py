@@ -81,8 +81,15 @@ class AssignmentProblem:
         satellites (or none) have no correspondent satellite and must run on
         the host.  Sensors map to their attached satellite.
         """
+        return dict(self._correspondents())
+
+    def correspondent_satellite(self, cru_id: str) -> Optional[str]:
+        return self._correspondents()[cru_id]
+
+    def _correspondents(self) -> Dict[str, Optional[str]]:
+        """The memoised correspondent map (shared; callers must not mutate)."""
         if self._correspondent_cache is not None:
-            return dict(self._correspondent_cache)
+            return self._correspondent_cache
         result: Dict[str, Optional[str]] = {}
         # post-order so children are resolved before parents
         sat_sets: Dict[str, Set[str]] = {}
@@ -98,10 +105,7 @@ class AssignmentProblem:
             sats = sat_sets[cru_id]
             result[cru_id] = next(iter(sats)) if len(sats) == 1 else None
         self._correspondent_cache = result
-        return dict(result)
-
-    def correspondent_satellite(self, cru_id: str) -> Optional[str]:
-        return self.correspondent_satellites()[cru_id]
+        return result
 
     def color_of_satellite(self, satellite_id: str) -> str:
         return self.system.color_of(satellite_id)

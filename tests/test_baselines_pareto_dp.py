@@ -1,15 +1,23 @@
 """Unit tests for the exact Pareto dynamic program."""
 
+import random
+
 import pytest
 
 from repro.baselines.brute_force import brute_force_assignment, enumerate_assignments
 from repro.baselines.pareto_dp import (
     FrontierExplosion,
     ParetoLabel,
+    _completion_potentials,
+    _joint_minima,
+    _min_host_times,
+    _per_colour_minima,
     pareto_dp_assignment,
     pareto_frontier,
 )
 from repro.core.dwg import SSBWeighting
+from repro.graphs.dag import min_weight_to_target
+from repro.graphs.digraph import DiGraph
 from repro.workloads import paper_example_problem, random_problem, snmp_scenario
 
 
@@ -205,3 +213,95 @@ class TestPrunedSolver:
                                  sensor_scatter=0.5)
         with pytest.raises(FrontierExplosion):
             pareto_dp_pruned_assignment(problem, max_frontier=1)
+
+
+def dag_completion_potentials(problem, minhost, host_scale=1.0):
+    """Test-local copy of the completion-DAG construction the single walk
+    replaced: build the state DAG, then one ``min_weight_to_target`` pass."""
+    inf = float("inf")
+    tree = problem.tree
+    graph = DiGraph()
+    target = ("done",)
+    graph.add_node(target)
+    prefix_sums = {}
+    for u in tree.processing_ids():
+        children = tree.children_ids(u)
+        running = 0.0
+        for i, child in enumerate(children):
+            graph.add_edge(("state", u, i), ("state", u, i + 1),
+                           weight=minhost[child])
+            prefix_sums[child] = running
+            running += minhost[child]
+        complete = ("state", u, len(children))
+        if u == tree.root_id:
+            graph.add_edge(complete, target,
+                           weight=host_scale * problem.host_time(u))
+        else:
+            parent = tree.parent_id(u)
+            idx = tree.children_ids(parent).index(u)
+            graph.add_edge(complete, ("state", parent, idx + 1),
+                           weight=host_scale * problem.host_time(u)
+                           + prefix_sums[u])
+    pot = min_weight_to_target(graph, target, weight="weight")
+    pot_state = {}
+    for node in graph.nodes():
+        if node != target:
+            _, u, i = node
+            pot_state[(u, i)] = pot.get(node, inf)
+    pot_opt = {}
+    for u in tree.cru_ids():
+        if u == tree.root_id:
+            continue
+        parent = tree.parent_id(u)
+        idx = tree.children_ids(parent).index(u)
+        pot_opt[u] = pot_state.get((parent, idx + 1), inf) + \
+            prefix_sums.get(u, 0.0)
+    return pot_state, pot_opt
+
+
+class TestCompletionPotentials:
+    """The single parents-first walk equals the completion-DAG pass."""
+
+    LAM_S, LAM_B = 0.3, 0.7
+
+    def weight_tables(self, problem):
+        k = len(problem.system.satellite_ids())
+        tables = [(_min_host_times(problem), 1.0),
+                  (_joint_minima(problem, self.LAM_S, self.LAM_B, k),
+                   self.LAM_S)]
+        tables += [(pc, self.LAM_S)
+                   for pc in _per_colour_minima(problem, self.LAM_S,
+                                                self.LAM_B)]
+        return tables
+
+    @pytest.mark.parametrize("scatter", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_dag_pass(self, scatter, k):
+        for seed in range(5):
+            problem = random_problem(n_processing=6 + 3 * seed, n_satellites=k,
+                                     seed=seed, sensor_scatter=scatter)
+            for table, host_scale in self.weight_tables(problem):
+                got = _completion_potentials(problem, table,
+                                             host_scale=host_scale)
+                assert got == dag_completion_potentials(problem, table,
+                                                        host_scale)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_with_infinite_subtree_minima(self, seed):
+        # an unattached sensor makes its own minhost infinite, and every
+        # ancestor without a correspondent satellite inherits the infinity;
+        # random extra infinities cover the per-colour and joint tables
+        problem = random_problem(n_processing=10, n_satellites=3, seed=seed,
+                                 sensor_scatter=0.5)
+        rng = random.Random(seed)
+        del problem.sensor_attachment[rng.choice(problem.tree.sensor_ids())]
+        problem.invalidate_caches()
+        minhost = _min_host_times(problem)
+        assert float("inf") in minhost.values()
+        for table, host_scale in self.weight_tables(problem):
+            table = dict(table)
+            for u in rng.sample(sorted(table), len(table) // 3):
+                table[u] = float("inf")
+            got = _completion_potentials(problem, table, host_scale=host_scale)
+            assert got == dag_completion_potentials(problem, table,
+                                                    host_scale)

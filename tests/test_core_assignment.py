@@ -1,9 +1,15 @@
 """Unit tests for assignments and the end-to-end delay objective."""
 
+import random
+
 import pytest
 
 from repro.core.assignment import Assignment, HOST_DEVICE
-from repro.workloads import paper_example_problem, paper_example_profile_values
+from repro.workloads import (
+    paper_example_problem,
+    paper_example_profile_values,
+    random_problem,
+)
 
 
 class TestFactories:
@@ -129,3 +135,70 @@ class TestObjective:
         c = Assignment.from_cut(paper_problem, ["CRU6"])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+def per_satellite_load(assignment, satellite_id):
+    """Test-local copy of the per-satellite formula the one-pass loads
+    replaced: processing CRUs in pre-order, then cut edges in edge order."""
+    problem, placement = assignment.problem, assignment.placement
+    tree = problem.tree
+    load = sum(problem.satellite_time(i) for i in tree.cru_ids()
+               if placement[i] == satellite_id and tree.cru(i).is_processing)
+    for parent, child in tree.edges():
+        if (placement[parent] != placement[child]
+                and placement[child] == satellite_id
+                and placement[parent] == HOST_DEVICE):
+            load += problem.comm_cost(child, parent)
+    return float(load)
+
+
+def random_cut(problem, rng):
+    """Offload each offloadable subtree met top-down with probability 1/2."""
+    tree = problem.tree
+    cut = []
+    stack = list(tree.children_ids(tree.root_id))
+    while stack:
+        u = stack.pop()
+        if not tree.cru(u).is_processing:
+            continue
+        if problem.correspondent_satellite(u) is not None and rng.random() < 0.5:
+            cut.append(u)
+        else:
+            stack.extend(tree.children_ids(u))
+    return cut
+
+
+class TestSinglePassLoads:
+    """``satellite_loads`` is bit-identical to the per-satellite formula."""
+
+    @pytest.mark.parametrize("scatter", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_per_satellite_formula(self, scatter, k):
+        rng = random.Random(f"{scatter}-{k}")
+        sensors_only = 0
+        for seed in range(6):
+            problem = random_problem(n_processing=rng.randint(4, 16),
+                                     n_satellites=k, seed=seed,
+                                     sensor_scatter=scatter)
+            candidates = [Assignment.host_only(problem)]
+            candidates += [Assignment.from_cut(problem, random_cut(problem, rng))
+                           for _ in range(4)]
+            for assignment in candidates:
+                sats = problem.system.satellite_ids()
+                want = {sid: per_satellite_load(assignment, sid) for sid in sats}
+                assert assignment.satellite_loads() == want
+                for sid in sats:
+                    assert assignment.satellite_load(sid) == want[sid]
+                    if not assignment.satellite_crus(sid) and want[sid] > 0:
+                        sensors_only += 1
+                assert assignment.max_satellite_load() == max(want.values())
+                assert assignment.end_to_end_delay() == \
+                    max(want.values()) + assignment.host_load()
+        assert sensors_only, "no satellite was left with only its sensors"
+
+    def test_paper_example_cuts(self, paper_problem):
+        for cut in ([], ["CRU4"], ["CRU4", "CRU6"], ["CRU4", "CRU6", "CRU7"]):
+            assignment = Assignment.from_cut(paper_problem, cut)
+            for sid in paper_problem.system.satellite_ids():
+                assert assignment.satellite_load(sid) == \
+                    per_satellite_load(assignment, sid)

@@ -350,3 +350,76 @@ class TestExactPass:
                 assert spotjc[node][ci] == pytest.approx(
                     min(lam_s * s + lam_b * loads.get(color, 0.0)
                         for s, loads in sums), abs=1e-12)
+
+
+class TestJoinDeadline:
+    """The meet join polls its context once per chunk, not once per edge."""
+
+    class ArmedContext:
+        """Stub context: inert until armed, then fires on every poll."""
+
+        span = None
+
+        def __init__(self):
+            self.armed = False
+            self.polls_after_arming = 0
+            self.meet_reports = []
+
+        def interrupted(self):
+            if not self.armed:
+                return None
+            self.polls_after_arming += 1
+            return "deadline"
+
+        def report_incumbent(self, objective, payload=None, source=None):
+            if source == "labels-meet":
+                self.meet_reports.append(objective)
+            return True
+
+    def run(self, monkeypatch, arm):
+        # one forward row per chunk, so the join runs one chunk per
+        # surviving row; the join's only searchsorted call is the per-chunk
+        # B-side cut, which arms the stub during the first chunk
+        import numpy as np
+
+        from repro.core import label_search
+
+        chunks = []
+        context = self.ArmedContext()
+
+        class ChunkCountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def searchsorted(self, *args, **kwargs):
+                chunks.append(1)
+                context.armed = arm
+                return np.searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(label_search, "_MEET_CHUNK_ELEMS", 1)
+        monkeypatch.setattr(label_search, "np", ChunkCountingNumpy())
+        problem = random_problem(n_processing=12, n_satellites=3, seed=2,
+                                 sensor_scatter=1.0)
+        dwg = build_assignment_graph(problem).dwg
+        result = LabelDominanceSearch(beam_width=0).search(dwg, context=context)
+        return dwg, result, context, len(chunks)
+
+    def test_interrupt_stops_a_multi_chunk_join(self, monkeypatch):
+        _, clean, _, clean_chunks = self.run(monkeypatch, arm=False)
+        assert clean.interrupted is None
+        assert clean.stats.meet_edges == 1
+        assert clean_chunks > 1, "the join no longer spans several chunks"
+
+        dwg, result, context, chunks = self.run(monkeypatch, arm=True)
+        assert chunks == 1
+        assert context.polls_after_arming == 1
+        assert result.interrupted == "deadline"
+        assert result.found
+        # the best pair of the first chunk, re-accumulated along the path
+        assert context.meet_reports
+        assert result.ssb_weight == pytest.approx(context.meet_reports[-1])
+        assert result.ssb_weight >= clean.ssb_weight
+        edges = result.path.edges
+        assert edges[0].tail == dwg.source and edges[-1].head == dwg.target
+        for left, right in zip(edges, edges[1:]):
+            assert left.head == right.tail

@@ -1,8 +1,11 @@
 """Unit tests for rooted ordered trees."""
 
+import random
+
 import pytest
 
 from repro.graphs import RootedTree
+from repro.model.cru import CRU, SENSOR_KIND, CRUTree
 
 
 def sample_tree():
@@ -132,3 +135,83 @@ class TestMisc:
         art = sample_tree().to_ascii()
         for node in sample_tree().nodes():
             assert str(node) in art
+
+
+def generator_preorder(tree, start=None):
+    """Test-local copy of the stack walk the topology index replaced."""
+    stack = [tree.root if start is None else start]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(tree.children(node)))
+
+
+def random_tree(rng, n):
+    tree = RootedTree(0)
+    for node in range(1, n):
+        parent = rng.randrange(node)
+        siblings = len(tree.children(parent))
+        tree.add_child(parent, node, index=rng.randint(0, siblings))
+    return tree
+
+
+def assert_matches_walk(tree):
+    walk = list(generator_preorder(tree))
+    assert list(tree.preorder()) == walk
+    assert tree.nodes() == walk
+    assert tree.edges() == [(tree.parent(n), n) for n in walk if n != tree.root]
+    assert tree.leaves() == [n for n in walk if tree.is_leaf(n)]
+    for node in walk:
+        sub = list(generator_preorder(tree, node))
+        assert list(tree.preorder(node)) == sub
+        assert tree.subtree_nodes(node) == sub
+
+
+class TestTopologyIndex:
+    """The cached index answers exactly what the generator walk did."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_generator_walk(self, seed):
+        rng = random.Random(seed)
+        assert_matches_walk(random_tree(rng, rng.randint(1, 40)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_add_child_after_a_walk_is_seen(self, seed):
+        rng = random.Random(100 + seed)
+        tree = random_tree(rng, rng.randint(2, 25))
+        assert_matches_walk(tree)
+        nodes = tree.nodes()
+        for new in range(1000, 1006):
+            parent = rng.choice(nodes)
+            if new % 2:
+                tree.add_child(parent, new)
+            else:
+                tree.add_child(parent, new, index=0)
+            nodes.append(new)
+            assert_matches_walk(tree)
+
+    def test_returned_lists_are_copies(self):
+        t = sample_tree()
+        t.nodes().append("x")
+        t.subtree_nodes("r").clear()
+        t.edges().clear()
+        assert list(t.preorder()) == ["r", "a", "a1", "a2", "b", "b1"]
+        assert t.subtree_nodes("a") == ["a", "a1", "a2"]
+
+    def test_cru_tree_add_cru_is_seen(self):
+        tree = CRUTree(CRU("root"))
+        tree.add_processing("root", "p1")
+        tree.add_sensor("p1", "s1")
+        assert tree.cru_ids() == ["root", "p1", "s1"]
+        assert tree.processing_ids() == ["root", "p1"]
+        tree.add_cru("root", CRU("p0"), index=0)
+        tree.add_cru("p0", CRU("s0", SENSOR_KIND))
+        tree.add_sensor("p1", "s2")
+        walk = list(generator_preorder(tree.tree))
+        assert walk == ["root", "p0", "s0", "p1", "s1", "s2"]
+        assert tree.cru_ids() == walk
+        assert tree.processing_ids() == ["root", "p0", "p1"]
+        assert tree.sensor_ids() == ["s0", "s1", "s2"]
+        assert tree.subtree_ids("p1") == ["p1", "s1", "s2"]
+        assert tree.edges() == [("root", "p0"), ("p0", "s0"), ("root", "p1"),
+                                ("p1", "s1"), ("p1", "s2")]
