@@ -24,19 +24,21 @@ Two entry points share the DP kernel:
 * :func:`pareto_dp_pruned_assignment` — the *optimum-exact* rewrite that
   survives the blowup regime: per-node frontiers are additionally pruned by
   a **completion potential** (the minimum host time the rest of the tree
-  must still add — a shortest-path computation on a small "completion DAG"
-  through :func:`repro.graphs.dag.min_weight_to_target`) against an
-  **incumbent** found by a beam pre-pass over the same DP.  A label whose
-  ``λ_S·(host + potential) + λ_B·max(load)`` reaches the incumbent cannot
-  end in a better assignment (loads only grow, host grows by at least the
-  potential) and is dropped before it multiplies through the cross products.
+  must still add — one parents-first walk over the DP's states in
+  :func:`_completion_potentials`, whose per-subtree weights come from one
+  children-first walk in :func:`_subtree_minima`, together with the joint
+  and per-colour floors) against an **incumbent** found by a beam pre-pass
+  over the same DP.  A label whose ``λ_S·(host + potential) +
+  λ_B·max(load)`` reaches the incumbent cannot end in a better assignment
+  (loads only grow, host grows by at least the potential) and is dropped
+  before it multiplies through the cross products.
   The returned assignment is still exactly optimal — the pre-pass incumbent
   is feasible, and only provably-not-better labels are discarded — but the
   full frontier is no longer materialised, which is what makes scattered
   ``n = 30`` solve in seconds instead of raising.
 
 The DP makes no use of the assignment graph, the colouring or the SSB search
-(the completion DAG is built from the CRU tree alone), so agreement with
+(its bounds come from the CRU tree alone), so agreement with
 :mod:`repro.core.colored_ssb` on random instances is strong evidence that
 both are correct — the differential harness in ``tests/test_differential.py``
 pins exactly that.
@@ -139,11 +141,12 @@ _STREAM_CHUNK_PAIRS = 1 << 18
 #: per-row ParetoStore inserts (O(frontier²) python) for the vectorised
 #: ``finish_fold`` tail.
 _STREAM_MIN_LABELS = 512
-#: dominator-window cap for the streamed fold's Pareto masks.  An
-#: unwindowed mask is quadratic in the frontier and dwarfs the whole fold
-#: on wide stars; the window makes it linear.  Rows a distant dominator
-#: would have removed merely survive into the next fold (extra work), they
-#: are never wrongly dropped — exactness is unaffected.  With the
+#: dominator-window cap for the bound-pruned passes' streamed Pareto masks.
+#: An unwindowed mask is quadratic in the frontier and dwarfs the whole
+#: fold on wide stars; the window makes it linear.  Rows a distant
+#: dominator would have removed merely survive into the next fold (extra
+#: work), they are never wrongly dropped — the optimum is unaffected.  The
+#: frontier-exact DP masks unwindowed: its frontier is its answer.  With the
 #: completion bounds doing the heavy pruning, a small window beats a
 #: thorough one: on wide stars at n=40 window 128 is ~3x faster end to end
 #: than 1024 while the peak frontier grows by less than half.
@@ -151,121 +154,79 @@ _STREAM_MASK_WINDOW = 128
 
 
 # --------------------------------------------------------------------------
-# Completion potentials: the min host time the rest of the tree must add.
+# Subtree minima: what each subtree must still add, from one post-order walk.
 # --------------------------------------------------------------------------
-def _min_host_times(problem: AssignmentProblem) -> Dict[str, float]:
-    """Minimum host time each subtree can contribute (``inf`` if infeasible).
+def _subtree_minima(problem: AssignmentProblem, lam_s: float, lam_b: float
+                    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, float],
+                               Dict[str, float], List[Dict[str, float]]]:
+    """The DP's offload table and its three bound tables, in one walk.
 
-    ``minhost(u) = min(0 if u is offloadable, h_u + Σ_children minhost)`` —
-    the host branch only exists for processing CRUs.  This is the edge-weight
-    oracle of the completion DAG below.
+    Every subtree ``u`` below the root is either offloaded — its whole load
+    ``β_u`` (satellite time of its processing CRUs plus the uplink to its
+    parent) lands on its one correspondent satellite — or, for a
+    processing CRU, run on the host, paying ``h_u`` plus its children's
+    own shares.  One children-first walk computes, per subtree:
+
+    * ``offload[u] = (colour, β_u)`` — the colour index of the
+      correspondent satellite; absent when ``u`` has none;
+    * ``minhost[u] = min(0 if offloadable, h_u + Σ minhost(children))`` —
+      the minimum host time, the σ weight of the completion walk;
+    * ``joint[u] = min(λ_B·β_u/n, λ_S·h_u + Σ joint(children))`` — an
+      offload raises the load sum by ``β_u`` and hence the max load by at
+      least ``β_u/n``, so this is an additive lower bound on the
+      ``λ_S·σ + λ_B·max-load`` still owed by ``u`` (the DP-side analogue of
+      the label engine's joint σ/β potential);
+    * ``per_colour[c][u]`` — the cheapest of paying ``λ_B·β_u`` on colour
+      ``c`` (offload to a colour-``c`` satellite), nothing on ``c``
+      (offload elsewhere) or ``λ_S·h_u`` plus the children's floors (host):
+      an additive lower bound on ``λ_S·σ + λ_B·load_c`` still owed by ``u``.
+      Offloading is colour-pinned, so unlike the joint bound this does not
+      dilute offloaded mass by ``1/n``.
+
+    ``inf`` marks a subtree with no feasible option.
     """
     tree = problem.tree
+    sat_index = {sid: i for i, sid in enumerate(problem.system.satellite_ids())}
+    dim = len(sat_index)
+    inv = 1.0 / dim if dim else 0.0
+    offload: Dict[str, Tuple[int, float]] = {}
     minhost: Dict[str, float] = {}
-
-    def rec(cru_id: str) -> float:
-        off = 0.0 if problem.correspondent_satellite(cru_id) is not None else _INF
-        host = _INF
-        if tree.cru(cru_id).is_processing:
-            host = problem.host_time(cru_id)
-            for child in tree.children_ids(cru_id):
-                host += rec(child)
-        value = off if off < host else host
-        minhost[cru_id] = value
-        return value
-
-    for child in tree.children_ids(tree.root_id):
-        rec(child)
-    return minhost
-
-
-def _joint_minima(problem: AssignmentProblem, lam_s: float, lam_b: float,
-                  n: int) -> Dict[str, float]:
-    """Minimum *objective* contribution each subtree must add.
-
-    Every subtree is eventually either offloaded — its load lands on one
-    satellite, raising the load sum by ``β_u`` and hence the max load by at
-    least ``β_u / n`` — or processed on the host, paying ``λ_S·h_u`` plus
-    its children's own minima.  ``jointmin(u)`` is the cheaper of the two:
-    a valid additive lower bound on ``λ_S·σ + λ_B·max-load`` still owed by
-    ``u``, the DP-side analogue of the label engine's joint σ/β potential.
-    """
-    tree = problem.tree
-    inv = 1.0 / n
-    jm: Dict[str, float] = {}
-
-    def rec(u: str, parent: str) -> float:
-        off = _INF
-        if problem.correspondent_satellite(u) is not None:
-            load = sum(problem.satellite_time(i)
-                       for i in tree.subtree_ids(u)
-                       if tree.cru(i).is_processing)
-            load += problem.comm_cost(u, parent)
-            off = lam_b * load * inv
-        host = _INF
-        if tree.cru(u).is_processing:
-            host = lam_s * problem.host_time(u)
-            for c in tree.children_ids(u):
-                host += rec(c, u)
-        jm[u] = off if off < host else host
-        return jm[u]
-
-    for c in tree.children_ids(tree.root_id):
-        rec(c, tree.root_id)
-    return jm
-
-
-def _per_colour_minima(problem: AssignmentProblem, lam_s: float,
-                       lam_b: float) -> List[Dict[str, float]]:
-    """Per-colour floors: min contribution of each subtree to one colour.
-
-    Offloading is colour-pinned — subtree ``u`` can only land on its one
-    correspondent satellite — so for a fixed colour ``c`` every subtree
-    either pays ``λ_B·β_u`` on colour ``c`` (offload, when its
-    correspondent has colour ``c``), pays nothing on ``c`` (offload to a
-    different colour), or pays ``λ_S·h_u`` plus its children's floors
-    (host).  ``pc[c][u]`` is the cheapest of the available options: an
-    additive lower bound on ``λ_S·σ + λ_B·load_c`` still owed by ``u``.
-    Unlike the avg-load joint bound this does not dilute offloaded mass by
-    ``1/n``, so it is strictly tighter whenever loads concentrate.
-    """
-    tree = problem.tree
-    satellite_ids = problem.system.satellite_ids()
-    sat_index = {sid: i for i, sid in enumerate(satellite_ids)}
-    dim = len(satellite_ids)
-    tables: List[Dict[str, float]] = [dict() for _ in range(dim)]
-
-    def rec(u: str, parent: str) -> List[float]:
+    joint: Dict[str, float] = {}
+    per_colour: List[Dict[str, float]] = [{} for _ in range(dim)]
+    root = tree.root_id
+    for u in reversed(tree.cru_ids()):      # children before parents
+        if u == root:
+            continue
         sat = problem.correspondent_satellite(u)
-        beta = _INF
-        colour = -1
+        off_host = off_joint = _INF
+        off_colour = [_INF] * dim
         if sat is not None:
-            load = sum(problem.satellite_time(i)
-                       for i in tree.subtree_ids(u)
+            beta = sum(problem.satellite_time(i) for i in tree.subtree_ids(u)
                        if tree.cru(i).is_processing)
-            beta = load + problem.comm_cost(u, parent)
+            beta += problem.comm_cost(u, tree.parent_id(u))
             colour = sat_index[sat]
-        hostable = tree.cru(u).is_processing
-        child_vals: List[List[float]] = []
-        if hostable:
-            child_vals = [rec(ch, u) for ch in tree.children_ids(u)]
-        h = lam_s * problem.host_time(u)
-        out: List[float] = []
-        for c in range(dim):
-            off = _INF
-            if sat is not None:
-                off = lam_b * beta if colour == c else 0.0
-            host = _INF
-            if hostable:
-                host = h + sum(v[c] for v in child_vals)
-            val = off if off < host else host
-            tables[c][u] = val
-            out.append(val)
-        return out
-
-    for ch in tree.children_ids(tree.root_id):
-        rec(ch, tree.root_id)
-    return tables
+            offload[u] = (colour, beta)
+            off_host = 0.0
+            off_joint = lam_b * beta * inv
+            off_colour = [0.0] * dim
+            off_colour[colour] = lam_b * beta
+        host = host_joint = _INF
+        host_colour = [_INF] * dim
+        if tree.cru(u).is_processing:
+            children = tree.children_ids(u)
+            host = problem.host_time(u)
+            h = lam_s * host
+            host_joint = h
+            for child in children:
+                host += minhost[child]
+                host_joint += joint[child]
+            host_colour = [h + sum(table[child] for child in children)
+                           for table in per_colour]
+        minhost[u] = off_host if off_host < host else host
+        joint[u] = off_joint if off_joint < host_joint else host_joint
+        for table, off, on_host in zip(per_colour, off_colour, host_colour):
+            table[u] = off if off < on_host else on_host
+    return offload, minhost, joint, per_colour
 
 
 def _completion_potentials(problem: AssignmentProblem,
@@ -293,9 +254,10 @@ def _completion_potentials(problem: AssignmentProblem,
     labels sitting in a node's finished option frontier (offload or
     host-combined) awaiting their fold into the parent.
 
-    ``minhost`` doubles as a generic per-subtree weight oracle:
-    with :func:`_joint_minima` and ``host_scale=λ_S`` the same walk yields
-    the *joint* σ/β potentials (objective units) behind the avg-load bound.
+    ``minhost`` doubles as a generic per-subtree weight oracle: with the
+    joint or a per-colour table of :func:`_subtree_minima` and
+    ``host_scale=λ_S`` the same walk yields the potentials (objective
+    units) behind the avg-load and per-colour bounds.
     """
     tree = problem.tree
     pot_state: Dict[Tuple[str, int], float] = {}
@@ -328,7 +290,8 @@ def _completion_potentials(problem: AssignmentProblem,
 # --------------------------------------------------------------------------
 # The DP kernel, shared by the frontier-exact and the bound-pruned solvers.
 # --------------------------------------------------------------------------
-def _dp_labels(problem: AssignmentProblem, *,
+def _dp_labels(problem: AssignmentProblem,
+               offload: Dict[str, Tuple[int, float]], *,
                max_frontier: Optional[int] = None,
                pot_state: Optional[Dict[Tuple[str, int], float]] = None,
                pot_opt: Optional[Dict[str, float]] = None,
@@ -344,6 +307,7 @@ def _dp_labels(problem: AssignmentProblem, *,
                ) -> Tuple[List[_Label], Dict[str, int]]:
     """Run the tree DP; returns the root frontier labels plus prune counters.
 
+    ``offload`` is the ``(colour, β_u)`` table of :func:`_subtree_minima`.
     Without potentials/bound/beam this is the frontier-exact DP.  With them,
     inserts go through :meth:`ParetoStore.insert_bounded` (labels provably at
     or above ``bound`` are dropped) and ``beam_width`` truncates every
@@ -357,12 +321,13 @@ def _dp_labels(problem: AssignmentProblem, *,
     into their own feasible fallbacks.
     """
     tree = problem.tree
-    satellite_ids = problem.system.satellite_ids()
-    sat_index = {sid: i for i, sid in enumerate(satellite_ids)}
-    n = len(satellite_ids)
+    n = len(problem.system.satellite_ids())
     pot_state = pot_state or {}
     pot_opt = pot_opt or {}
     bounded = bound != _INF or beam_width is not None
+    # a windowed mask may keep dominated rows: fine for the bound-pruned
+    # passes, but the frontier-exact DP promises a pure Pareto set
+    mask_window = _STREAM_MASK_WINDOW if bounded else None
     # joint σ/β bound: λ_S·σ + λ_B·(Σ loads)/n + jpot ≤ the label's best
     # completion (the max load is at least the average); prunes only with a
     # finite incumbent, but the beam pre-pass still ranks by it
@@ -453,16 +418,12 @@ def _dp_labels(problem: AssignmentProblem, *,
                 labels_created=stats["created"],
                 peak_frontier=max(stats["peak_frontier"], len(store)))
 
-    def offload_label(cru_id: str, parent_id: str) -> Optional[_Label]:
-        satellite = problem.correspondent_satellite(cru_id)
-        if satellite is None:
+    def offload_label(cru_id: str) -> Optional[_Label]:
+        if cru_id not in offload:
             return None
-        processing = [i for i in tree.subtree_ids(cru_id)
-                      if tree.cru(i).is_processing]
-        load = sum(problem.satellite_time(i) for i in processing)
-        load += problem.comm_cost(cru_id, parent_id)
+        colour, beta = offload[cru_id]
         loads = [0.0] * n
-        loads[sat_index[satellite]] = load
+        loads[colour] = beta
         return (0.0, tuple(loads), (cru_id,))
 
     def combine_fold_stream(cru_id: str, i: int, acc: List[_Label],
@@ -519,8 +480,7 @@ def _dp_labels(problem: AssignmentProblem, *,
                 idx = np.arange(len(hs))
             if len(hs) > 1:
                 # chunk-local dominance filter keeps the accumulation small
-                mask = pareto_block_mask(hs, ld,
-                                         window=_STREAM_MASK_WINDOW)
+                mask = pareto_block_mask(hs, ld, window=mask_window)
                 drop = len(hs) - int(mask.sum())
                 if drop:
                     stats["dominated"] += drop
@@ -533,8 +493,7 @@ def _dp_labels(problem: AssignmentProblem, *,
             ld = np.concatenate(loads)
             pair = np.concatenate(pairs)
             if len(sigs) > 1 and len(sig) > 1:
-                mask = pareto_block_mask(sig, ld,
-                                         window=_STREAM_MASK_WINDOW)
+                mask = pareto_block_mask(sig, ld, window=mask_window)
                 drop = len(sig) - int(mask.sum())
                 if drop:
                     stats["dominated"] += drop
@@ -681,25 +640,25 @@ def _dp_labels(problem: AssignmentProblem, *,
             del labels[beam_width:]
         return labels
 
-    def labels_of(cru_id: str, parent_id: str) -> List[_Label]:
+    def labels_of(cru_id: str) -> List[_Label]:
         if context is not None:
             context.checkpoint()
         pot = pot_opt.get(cru_id, 0.0)
         jpot = jpot_opt.get(cru_id, 0.0) if have_joint else 0.0
         cpot = cpots(cru_id, cpot_opt)
-        offload = offload_label(cru_id, parent_id)
+        off_label = offload_label(cru_id)
         combined: Optional[List[_Label]] = None
         if tree.cru(cru_id).is_processing:
             children = tree.children_ids(cru_id)
-            child_labels = [labels_of(c, cru_id) for c in children]
+            child_labels = [labels_of(c) for c in children]
             if all(child_labels):
                 combined = combine_children(cru_id, child_labels)
         if combined and n and len(combined) >= _STREAM_MIN_LABELS:
             return finish_fold(cru_id, combined, problem.host_time(cru_id),
-                               offload, pot, jpot, cpot)
+                               off_label, pot, jpot, cpot)
         store = ParetoStore(n)
-        if offload is not None:
-            insert(store, offload, pot, jpot, cpot)
+        if off_label is not None:
+            insert(store, off_label, pot, jpot, cpot)
         if combined:
             h = problem.host_time(cru_id)
             for ch, cloads, ccut in combined:
@@ -708,7 +667,7 @@ def _dp_labels(problem: AssignmentProblem, *,
 
     root = tree.root_id
     root_children = tree.children_ids(root)
-    child_labels = [labels_of(c, root) for c in root_children]
+    child_labels = [labels_of(c) for c in root_children]
     if not bounded and not all(child_labels):
         raise RuntimeError("the instance admits no feasible assignment")
     if not all(child_labels):
@@ -737,7 +696,8 @@ def pareto_frontier(problem: AssignmentProblem,
     ``max_frontier`` bounds the label sets: past it the solve raises
     :class:`FrontierExplosion` instead of grinding for hours.
     """
-    labels, _ = _dp_labels(problem, max_frontier=max_frontier)
+    offload = _subtree_minima(problem, 1.0, 1.0)[0]
+    labels, _ = _dp_labels(problem, offload, max_frontier=max_frontier)
     return [ParetoLabel(host_time=h, loads=loads, cut=cut)
             for h, loads, cut in labels]
 
@@ -821,8 +781,11 @@ def pareto_dp_assignment(problem: AssignmentProblem,
     valid feasible answer — with ``details["interrupted"]`` set.
     """
     weighting = weighting or SSBWeighting()
+    offload = _subtree_minima(problem, weighting.lambda_s,
+                              weighting.lambda_b)[0]
     try:
-        labels, stats = _dp_labels(problem, max_frontier=max_frontier,
+        labels, stats = _dp_labels(problem, offload,
+                                   max_frontier=max_frontier,
                                    context=context,
                                    profile=_span_profile(context))
     except SolveInterrupted as exc:
@@ -862,23 +825,22 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
-    minhost = _min_host_times(problem)
+    offload, minhost, joint, per_colour = _subtree_minima(problem, lam_s,
+                                                          lam_b)
     pot_state, pot_opt = _completion_potentials(problem, minhost)
-    n_sats = len(problem.system.satellite_ids())
     jpot_state = jpot_opt = cpot_state = cpot_opt = None
-    if n_sats:
+    if per_colour:
         jpot_state, jpot_opt = _completion_potentials(
-            problem, _joint_minima(problem, lam_s, lam_b, n_sats),
-            host_scale=lam_s)
+            problem, joint, host_scale=lam_s)
         cpot_state, cpot_opt = [], []
-        for pc in _per_colour_minima(problem, lam_s, lam_b):
+        for pc in per_colour:
             st, op = _completion_potentials(problem, pc, host_scale=lam_s)
             cpot_state.append(st)
             cpot_opt.append(op)
 
     try:
         beam_labels, beam_stats = _dp_labels(
-            problem, pot_state=pot_state, pot_opt=pot_opt,
+            problem, offload, pot_state=pot_state, pot_opt=pot_opt,
             jpot_state=jpot_state, jpot_opt=jpot_opt,
             cpot_state=cpot_state, cpot_opt=cpot_opt,
             lam_s=lam_s, lam_b=lam_b, beam_width=beam_width, context=context)
@@ -894,7 +856,7 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
 
     try:
         exact_labels, stats = _dp_labels(
-            problem, max_frontier=max_frontier,
+            problem, offload, max_frontier=max_frontier,
             pot_state=pot_state, pot_opt=pot_opt,
             jpot_state=jpot_state, jpot_opt=jpot_opt,
             cpot_state=cpot_state, cpot_opt=cpot_opt,

@@ -15,11 +15,12 @@ arXiv:1911.12716): sweep the nodes in topological order and propagate
 *labels* ``(σ-so-far, per-colour load vector, predecessor)``.  Three
 mechanisms keep the label sets small:
 
-* **Bound pruning** — admissible completion bounds, each one backward DAG
-  pass, prune any label whose cheapest possible completion reaches the
-  incumbent SSB candidate.  The primary bound is the **per-colour joint
-  potential** ``potJc_c[v] = min_p (λ_S·σ(p) + λ_B·β_c(p))`` over ``v → T``
-  paths ``p``: a label ``(s, loads)`` at ``v`` completes for at least
+* **Bound pruning** — admissible completion bounds, all computed by one
+  backward path-minima walk over the DAG, prune any label whose cheapest
+  possible completion reaches the incumbent SSB candidate.  The primary
+  bound is the **per-colour joint potential** ``potJc_c[v] = min_p
+  (λ_S·σ(p) + λ_B·β_c(p))`` over ``v → T`` paths ``p``: a label
+  ``(s, loads)`` at ``v`` completes for at least
   ``λ_S·s + max_c(λ_B·loads_c + potJc_c[v])``.  Because the min of a sum
   dominates the sum of the mins, this is always at least as tight as the
   older σ + per-colour-load floor bound ``λ_S·(s + pot[v]) +
@@ -29,9 +30,10 @@ mechanisms keep the label sets small:
   ``potJ[v] = min_p (λ_S·σ(p) + λ_B·β_total(p)/n_colors)`` stays as a second
   check (the final bottleneck is at least the average colour load).  A cheap
   *beam* pre-pass (the same bounds over plain-list buckets truncated to the
-  ``beam_width`` most promising labels, no dominance) finds a strong feasible path first, so the exact pass
-  starts with a tight incumbent — on scattered instances this cuts the
-  surviving labels by an order of magnitude.
+  ``beam_width`` most promising labels, no dominance) finds a strong
+  feasible path first, so the exact pass starts with a tight incumbent —
+  on scattered instances this cuts the surviving labels by an order of
+  magnitude.
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
@@ -45,17 +47,18 @@ mechanisms keep the label sets small:
 * **Meeting in the middle** — the sweep is split at a topological meet
   rank ``K``: ranks strictly increase along every edge of a DAG, so each
   S → T path crosses *exactly one* edge whose tail ranks below ``K`` and
-  whose head ranks at or above it.  A forward half-sweep builds prefix
-  frontiers over the low-rank region, a backward half-sweep builds suffix
-  frontiers over the high-rank region (pruned with the mirrored potentials
-  computed *from the source*), and the two meet at every crossing edge: the
-  joined objective ``λ_S·(σ_f + σ_e + σ_b) + λ_B·max_c(load_f + β_e +
-  load_b)`` is minimised over the frontier cross product in bounded-memory
-  chunks, pre-filtered against the opposing frontier's componentwise minima
-  (rejections counted as ``pruned_meet``).  Half-depth frontiers never
-  materialise the deep-layer label populations that a full-depth sweep
-  builds on scattered instances, so time and memory stay bounded where a
-  single forward pass explodes.
+  whose head ranks at or above it.  One half-sweep kernel runs twice:
+  forward from the source it builds prefix frontiers over the low-rank
+  region, backward from the target suffix frontiers over the high-rank
+  region (pruned with the mirrored potentials — the same path-minima walk
+  run forward *from the source*), and the two meet at every crossing
+  edge: the joined objective ``λ_S·(σ_f + σ_e + σ_b) + λ_B·max_c(load_f +
+  β_e + load_b)`` is minimised over the frontier cross product in
+  bounded-memory chunks, pre-filtered against the opposing frontier's
+  componentwise minima (rejections counted as ``pruned_meet``).
+  Half-depth frontiers never materialise the deep-layer label populations
+  that a full-depth sweep builds on scattered instances, so time and
+  memory stay bounded where a single forward pass explodes.
 
 Each half is a single pass: when a node is processed every label it will
 ever receive is already present (all in-edges of the half come from earlier
@@ -184,16 +187,18 @@ def _not_found(stats: LabelSearchStats,
 
 @dataclass
 class CompletionPotentials:
-    """The backward-DAG completion bounds of one weighted graph.
+    """The path-minima bounds of one weighted graph, towards one end node.
 
-    Backward passes over the same DAG: ``pot`` (min σ to the target),
-    ``potj`` (joint σ/average-load potential) and ``potjc`` (one pass per
-    colour: the per-colour *joint* σ/β_c completion bound
-    ``min_p (λ_S·σ(p) + λ_B·β_c(p))``).  Valid only for the exact (graph
-    contents, target, weighting) they were computed from — callers that
-    cache them (the incremental solver keys on structure *and* cost
-    fingerprints) are responsible for that; ``lambda_s``/``lambda_b`` are
-    kept so a mismatched weighting is at least detected and recomputed.
+    One walk over the DAG (see :func:`_path_minima`) fills all of them:
+    ``pot`` (min σ), ``potj`` (joint σ/average-load potential) and
+    ``potjc`` (per colour, the joint σ/β_c bound ``min_p (λ_S·σ(p) +
+    λ_B·β_c(p))``).  :func:`completion_potentials` walks towards the
+    target; the exact pass walks the mirror from the source.  Valid only
+    for the exact (graph contents, end node, weighting) they were computed
+    from — callers that cache them (the incremental solver keys on
+    structure *and* cost fingerprints) are responsible for that;
+    ``lambda_s``/``lambda_b`` are kept so a mismatched weighting is at
+    least detected and recomputed.
     """
 
     colors: Tuple[Any, ...]
@@ -204,39 +209,73 @@ class CompletionPotentials:
     lambda_b: float
 
 
+def _path_minima(nodes, start: Node, edges_of, end: str,
+                 colors: Tuple[Any, ...], lam_s: float, lam_b: float
+                 ) -> CompletionPotentials:
+    """Every completion-bound minimum of the paths to ``start``, in one walk.
+
+    A pull-style DAG pass: each node of ``nodes`` takes, over its arcs
+    ``edges_of(node)`` whose ``end`` node (``"head"`` or ``"tail"``)
+    precedes it in ``nodes``, the minimum of the arc's weight plus that
+    node's value — for three additive weights at once: σ, the joint average
+    ``λ_S·σ + λ_B·β_total/n_colors`` (the final bottleneck is at least the
+    average colour load) and, per colour, ``λ_S·σ + λ_B·β_c`` (the min of
+    the sum dominates the sum of the mins, so these floors are never looser
+    than separate σ and colour-load floors).  Nodes no arc reaches stay
+    absent.  Backward over out-edges this yields the completion bounds to
+    the target; forward over in-edges, their mirror from the source.
+    """
+    color_index = {c: i for i, c in enumerate(colors)}
+    n_colors = len(colors)
+    inv_colors = 1.0 / n_colors if n_colors else 0.0
+    pot: Dict[Node, float] = {start: 0.0}
+    potj: Dict[Node, float] = {start: 0.0}
+    potjc: Dict[Node, Tuple[float, ...]] = {start: (0.0,) * n_colors}
+    for node in nodes:
+        if node == start:
+            continue
+        best_s = None
+        for edge in edges_of(node):
+            other = getattr(edge, end)
+            base = pot.get(other)
+            if base is None:
+                continue
+            sigma = DoublyWeightedGraph.sigma(edge)
+            step = lam_s * sigma
+            steps = [step] * n_colors
+            for c, v in DoublyWeightedGraph.beta_map(edge).items():
+                steps[color_index[c]] = step + lam_b * v
+            s = sigma + base
+            j = (step + lam_b * DoublyWeightedGraph.beta(edge) * inv_colors
+                 + potj[other]) if n_colors else 0.0
+            jc = tuple(map(_add, steps, potjc[other]))
+            if best_s is None:
+                best_s, best_j, best_jc = s, j, jc
+            else:
+                if s < best_s:
+                    best_s = s
+                if j < best_j:
+                    best_j = j
+                best_jc = tuple(map(min, best_jc, jc))
+        if best_s is not None:
+            pot[node] = best_s
+            potj[node] = best_j
+            potjc[node] = best_jc
+    return CompletionPotentials(colors=colors, pot=pot, potj=potj,
+                                potjc=potjc, lambda_s=lam_s, lambda_b=lam_b)
+
+
 def completion_potentials(dwg: DoublyWeightedGraph,
                           weighting: Optional[SSBWeighting] = None,
                           index: Optional[DagIndex] = None
                           ) -> CompletionPotentials:
-    """Compute the completion bounds the label sweep prunes with."""
+    """Compute the completion bounds the label sweep prunes with: one
+    backward path-minima walk over the out-edges, towards the target."""
     weighting = weighting or SSBWeighting()
     index = index or DagIndex(dwg.graph)
-    target = dwg.target
-    lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
-    pot = index.potentials_to(target, SIGMA_ATTR)
-    colors = tuple(dwg.all_colors())
-    n_colors = len(colors)
-    # per-colour joint potentials: one completion DAG per colour, minimising
-    # the *combined* λ_S·σ + λ_B·β_c along a single path — the min of the
-    # sum dominates the sum of the mins, so these floors are never looser
-    # than separate σ and colour-load floors
-    potjc_maps = [index.potentials_to(
-        target, lambda e, c=c: lam_s * DoublyWeightedGraph.sigma(e) +
-        lam_b * DoublyWeightedGraph.beta_map(e).get(c, 0.0))
-        for c in colors]
-    potjc: Dict[Node, Tuple[float, ...]] = {
-        node: tuple(pm[node] for pm in potjc_maps) for node in pot}
-    # joint σ/average-load potential: the final bottleneck is at least the
-    # average colour load, and β_total/n_colors is additive per edge
-    if n_colors:
-        inv_colors = 1.0 / n_colors
-        potj: Dict[Node, float] = index.potentials_to(
-            target, lambda e: lam_s * DoublyWeightedGraph.sigma(e) +
-            lam_b * DoublyWeightedGraph.beta(e) * inv_colors)
-    else:
-        potj = {node: 0.0 for node in pot}
-    return CompletionPotentials(colors=colors, pot=pot, potj=potj, potjc=potjc,
-                                lambda_s=lam_s, lambda_b=lam_b)
+    return _path_minima(reversed(index.order()), dwg.target,
+                        dwg.graph.out_edges, "head", tuple(dwg.all_colors()),
+                        weighting.lambda_s, weighting.lambda_b)
 
 
 class LabelDominanceSearch:
@@ -360,7 +399,7 @@ class LabelDominanceSearch:
         else:
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_bidirectional(
-                graph, order, out_edge_data, pot, potjc, inv_colors,
+                graph, order, out_edge_data, potentials, inv_colors,
                 color_index, source, target, zero_loads, bound,
                 context=context, profile=profile)
         stats = LabelSearchStats(
@@ -469,51 +508,7 @@ class LabelDominanceSearch:
         return best_label, best_ssb, interrupted
 
     # ------------------------------------------------------------- exact pass
-    def _source_potentials(self, order, out_edge_data, source, inv_colors,
-                           n_colors):
-        """Mirrored potentials *from the source* in one forward DP pass.
-
-        ``spot[v]``/``spotj[v]``/``spotjc[v]`` are the source-side duals of
-        ``pot``/``potj``/``potjc``: minima over S → v paths of σ, of the
-        joint average ``λ_S·σ + λ_B·β_total/n_colors`` and, per colour, of
-        ``λ_S·σ + λ_B·β_c``.  Each component is an independent additive
-        shortest path, so elementwise min relaxation along the topological
-        order computes all of them exactly.
-        """
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        inf = float("inf")
-        spot: Dict[Node, float] = {source: 0.0}
-        spotj: Dict[Node, float] = {source: 0.0}
-        spotjc: Dict[Node, Tuple[float, ...]] = {source: (0.0,) * n_colors}
-        for node in order:
-            base_s = spot.get(node)
-            if base_s is None:
-                continue
-            extensions = out_edge_data.get(node)
-            if not extensions:
-                continue
-            base_j, base_jc = spotj[node], spotjc[node]
-            for edge, sigma, betas, btotal, head, _ph, _pjc, _pj in extensions:
-                cand = base_s + sigma
-                if cand < spot.get(head, inf):
-                    spot[head] = cand
-                cand = base_j + lam_s * sigma + lam_b * btotal * inv_colors
-                if cand < spotj.get(head, inf):
-                    spotj[head] = cand
-                step = lam_s * sigma
-                if betas:
-                    inc = [step] * n_colors
-                    for ci, bv in betas:
-                        inc[ci] = step + lam_b * bv
-                    cand_jc = tuple(map(_add, base_jc, inc))
-                else:
-                    cand_jc = tuple(v + step for v in base_jc)
-                cur = spotjc.get(head)
-                spotjc[head] = cand_jc if cur is None else \
-                    tuple(map(min, cur, cand_jc))
-        return spot, spotj, spotjc
-
-    def _meet_partition(self, graph, order, out_edge_data, rank, spot, pot,
+    def _meet_partition(self, graph, order, out_edge_data, rank, spots, pot,
                         source, target, color_index):
         """Pick the meet rank ``K`` and split the live edges around it.
 
@@ -521,12 +516,16 @@ class LabelDominanceSearch:
         out-edge packs of the forward half, the crossing edges
         (tail rank < K <= head rank, as ``(edge, σ, betas, β_total, tail,
         head)``) and the in-region in-edge packs of the backward half.
+        Both halves' packs share one shape, ``(edge, σ, betas, β_total,
+        next node, pot, potjc, potj)`` with the next node's potentials
+        towards the half's far end (``spots`` for the backward half).
         ``K`` balances the live edge count on either side and is clamped to
         ``(rank(source), rank(target)]`` so both endpoints stay in their
         halves.  Only edges on live S → T routes (tail reachable from the
         source and reaching the target) participate — labels can never
         appear anywhere else.
         """
+        spot, spotj, spotjc = spots.pot, spots.potj, spots.potjc
         total = sum(len(out_edge_data.get(node, ()))
                     for node in order if node in spot)
         K = rank[target]
@@ -569,12 +568,13 @@ class LabelDominanceSearch:
                     for c, v in DoublyWeightedGraph.beta_map(edge).items()
                     if v != 0.0)
                 packed.append((edge, DoublyWeightedGraph.sigma(edge), betas,
-                               sum(v for _, v in betas), tail))
+                               sum(v for _, v in betas), tail,
+                               spot[tail], spotjc[tail], spotj[tail]))
             if packed:
                 in_edge_data[node] = packed
         return K, fwd_exts, cross_edges, in_edge_data
 
-    def _sweep_bidirectional(self, graph, order, out_edge_data, pot, potjc,
+    def _sweep_bidirectional(self, graph, order, out_edge_data, potentials,
                              inv_colors, color_index, source, target,
                              zero_loads, bound,
                              context: Optional[SolveContext] = None,
@@ -588,23 +588,23 @@ class LabelDominanceSearch:
         crossing tail with the backward frontier at its head is therefore
         exhaustive: the returned optimum is exact.
         """
-        n_colors = len(zero_loads)
+        pot = potentials.pot
         rank = {node: i for i, node in enumerate(order)}
-        spot, spotj, spotjc = self._source_potentials(
-            order, out_edge_data, source, inv_colors, n_colors)
-        if target not in spot:
+        # the backward half's bounds: the same path-minima walk, run
+        # forward from the source over the live nodes
+        spots = _path_minima((node for node in order if node in pot), source,
+                             graph.in_edges, "tail", potentials.colors,
+                             self.weighting.lambda_s, self.weighting.lambda_b)
+        if target not in spots.pot:
             return (None, float("inf"), float("inf"), float("inf"),
                     _EMPTY_SWEEP_STATS, None)
         K, fwd_exts, cross_edges, in_edge_data = self._meet_partition(
-            graph, order, out_edge_data, rank, spot, pot, source, target,
+            graph, order, out_edge_data, rank, spots, pot, source, target,
             color_index)
-        cross_tails = {c[4] for c in cross_edges}
-        cross_heads = {c[5] for c in cross_edges}
         path, sweep_stats, interrupted = self._bidir_blocks(
             graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            cross_tails, cross_heads, potjc, spot, spotj, spotjc,
-            inv_colors, source, target, zero_loads, bound,
-            context=context, profile=profile)
+            potentials.potjc, spots.potjc, inv_colors, source, target,
+            zero_loads, bound, context=context, profile=profile)
         if path is None:
             return (None, float("inf"), float("inf"), float("inf"),
                     sweep_stats, interrupted)
@@ -630,9 +630,8 @@ class LabelDominanceSearch:
         return path, ssb, s, b, sweep_stats, interrupted
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, cross_tails, cross_heads, potjc, spot,
-                      spotj, spotjc, inv_colors, source, target,
-                      zero_loads, bound,
+                      in_edge_data, potjc, spotjc, inv_colors, source,
+                      target, zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
         """The two half-sweeps and their join, over *array buckets*.
 
@@ -641,17 +640,21 @@ class LabelDominanceSearch:
         every step — the completion-bound checks, the Pareto filter
         (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
         capped at ``dominance_window``) and the per-edge extension — is one
-        vectorised operation per (node, edge) instead of per label.  Settled
-        buckets are retained so the winning pair's predecessor chains can be
-        walked back into a :class:`~repro.graphs.paths.Path`.  The incumbent
-        never tightens inside a half (complete paths only appear at the
-        join), so buckets are not re-checked against it when they settle:
-        the extension-time checks already applied the same bound.  The join minimises the pair objective per crossing
-        edge over ``(F_chunk, B)`` broadcast blocks bounded by
-        ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
-        against the other's componentwise minima (``pruned_meet``).  The
-        join polls ``context`` once per chunk, so an interrupt inside one
-        crossing edge's chunk loop returns the best pair held so far.
+        vectorised operation per (node, edge) instead of per label.  One
+        half kernel runs in both directions: forward over ``order[:K]``
+        from the source, backward over ``reversed(order[K:])`` from the
+        target.  Settled buckets are retained so the winning pair's
+        predecessor chains can be walked back into a
+        :class:`~repro.graphs.paths.Path`.  The incumbent never tightens
+        inside a half (complete paths only appear at the join), so buckets
+        are not re-checked against it when they settle: the extension-time
+        checks already applied the same bound.  The join minimises the pair
+        objective per crossing edge over ``(F_chunk, B)`` broadcast blocks
+        bounded by ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each
+        frontier against the other's componentwise minima
+        (``pruned_meet``).  The join polls ``context`` once per chunk, so an
+        interrupt inside one crossing edge's chunk loop returns the best
+        pair held so far.
         """
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
@@ -660,10 +663,6 @@ class LabelDominanceSearch:
         pruned_colour = pruned_joint = pruned_meet = 0
         peak = settles = meet_edges = 0
         interrupted: Optional[str] = None
-        potjc_arr = {n: np.asarray(t, dtype=np.float64)
-                     for n, t in potjc.items()}
-        spotjc_arr = {n: np.asarray(t, dtype=np.float64)
-                      for n, t in spotjc.items()}
         beta_rows: Dict[int, Any] = {}
 
         def beta_row_of(edge, betas):
@@ -704,89 +703,31 @@ class LabelDominanceSearch:
                     np.concatenate([np.full(len(c[0]), c[4], dtype=np.int64)
                                     for c in node_chunks]))
 
-        # ---------------- forward half: prefix labels over ranks < K
-        fwd_rows: Dict[Node, Tuple[Any, Any]] = {}
-        settled_f: Dict[Node, Tuple[Any, Any]] = {}
-        chunks: Dict[Node, List[tuple]] = {source: [(
-            np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)]}
-        for node in order[:K]:
-            if context is not None:
-                interrupted = context.interrupted()
-                if interrupted is not None:
-                    break
-            node_chunks = chunks.pop(node, None)
-            if not node_chunks:
-                continue
-            extensions = fwd_exts.get(node)
-            is_meet_tail = node in cross_tails
-            if not extensions and not is_meet_tail:
-                continue
-            sig, lds, sums, parents, ekeys = concat(node_chunks)
-            if profile is not None:
-                node_base = (created, dominated, pruned_colour, pruned_joint)
-            bucket_size = len(sig)
-            if bucket_size > peak:
-                peak = bucket_size
-            settles += 1
-            if window and len(sig) > 1:
-                mask = settle_mask(sig, lds)
-                drop = len(sig) - int(mask.sum()) if mask is not None else 0
-                if drop:
-                    dominated += drop
-                    sig, lds, sums = sig[mask], lds[mask], sums[mask]
-                    parents, ekeys = parents[mask], ekeys[mask]
-            settled_f[node] = (parents, ekeys)
-            if is_meet_tail:
-                fwd_rows[node] = (sig, lds)
-            for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
-                    in (extensions or ()):
-                ns = sig + sigma
-                nl = lds + beta_row_of(edge, betas) if betas else lds
-                if dim:
-                    lower = lam_s * ns + \
-                        (lam_b * nl + potjc_arr[head]).max(axis=1)
-                else:
-                    lower = lam_s * (ns + pot_h)
-                keep_e = lower < bound
-                colour_kept = int(keep_e.sum())
-                pruned_colour += len(ns) - colour_kept
-                nsum = sums + btotal
-                keep_e &= lam_s * ns + lam_b * nsum * inv_colors + potj_h < bound
-                count = int(keep_e.sum())
-                pruned_joint += colour_kept - count
-                if not count:
-                    continue
-                created += count
-                rows = np.nonzero(keep_e)[0]
-                chunks.setdefault(head, []).append(
-                    (ns[rows], nl[rows], nsum[rows],
-                     rows.astype(np.int64), edge.key))
-            if profile is not None:
-                profile.record_node(
-                    node, created - node_base[0], dominated - node_base[1],
-                    pruned_colour=pruned_colour - node_base[2],
-                    pruned_joint=pruned_joint - node_base[3],
-                    frontier=bucket_size, settle_batches=1)
+        def half(nodes, start, packs, meet_nodes, potjc_arr):
+            """One half-sweep from ``start`` over ``nodes`` along ``packs``.
 
-        # ---------------- backward half: suffix labels over ranks >= K
-        bwd_rows: Dict[Node, Tuple[Any, Any]] = {}
-        settled_b: Dict[Node, Tuple[Any, Any]] = {}
-        bchunks: Dict[Node, List[tuple]] = {target: [(
-            np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)]}
-        if interrupted is None:
-            for node in reversed(order[K:]):
+            Returns the settled ``(parent row, edge key)`` arrays of every
+            processed node and the settled ``(σ, loads)`` of its
+            ``meet_nodes``; stops at the first interruption of
+            ``context``."""
+            nonlocal created, dominated, pruned_colour, pruned_joint
+            nonlocal peak, settles, interrupted
+            settled: Dict[Node, Tuple[Any, Any]] = {}
+            meet_rows: Dict[Node, Tuple[Any, Any]] = {}
+            chunks: Dict[Node, List[tuple]] = {start: [(
+                np.zeros(1), np.zeros((1, dim)), np.zeros(1),
+                np.full(1, -1, dtype=np.int64), -1)]}
+            for node in nodes:
                 if context is not None:
                     interrupted = context.interrupted()
                     if interrupted is not None:
                         break
-                node_chunks = bchunks.pop(node, None)
+                node_chunks = chunks.pop(node, None)
                 if not node_chunks:
                     continue
-                extensions = in_edge_data.get(node)
-                is_meet_head = node in cross_heads
-                if not extensions and not is_meet_head:
+                extensions = packs.get(node)
+                is_meet = node in meet_nodes
+                if not extensions and not is_meet:
                     continue
                 sig, lds, sums, parents, ekeys = concat(node_chunks)
                 if profile is not None:
@@ -804,30 +745,31 @@ class LabelDominanceSearch:
                         dominated += drop
                         sig, lds, sums = sig[mask], lds[mask], sums[mask]
                         parents, ekeys = parents[mask], ekeys[mask]
-                settled_b[node] = (parents, ekeys)
-                if is_meet_head:
-                    bwd_rows[node] = (sig, lds)
-                for edge, sigma, betas, btotal, tail in (extensions or ()):
+                settled[node] = (parents, ekeys)
+                if is_meet:
+                    meet_rows[node] = (sig, lds)
+                for edge, sigma, betas, btotal, nxt, pot_n, _potjc, potj_n \
+                        in (extensions or ()):
                     ns = sig + sigma
                     nl = lds + beta_row_of(edge, betas) if betas else lds
                     if dim:
                         lower = lam_s * ns + \
-                            (lam_b * nl + spotjc_arr[tail]).max(axis=1)
+                            (lam_b * nl + potjc_arr[nxt]).max(axis=1)
                     else:
-                        lower = lam_s * (ns + spot[tail])
+                        lower = lam_s * (ns + pot_n)
                     keep_e = lower < bound
                     colour_kept = int(keep_e.sum())
                     pruned_colour += len(ns) - colour_kept
                     nsum = sums + btotal
                     keep_e &= lam_s * ns + lam_b * nsum * inv_colors \
-                        + spotj[tail] < bound
+                        + potj_n < bound
                     count = int(keep_e.sum())
                     pruned_joint += colour_kept - count
                     if not count:
                         continue
                     created += count
                     rows = np.nonzero(keep_e)[0]
-                    bchunks.setdefault(tail, []).append(
+                    chunks.setdefault(nxt, []).append(
                         (ns[rows], nl[rows], nsum[rows],
                          rows.astype(np.int64), edge.key))
                 if profile is not None:
@@ -837,6 +779,24 @@ class LabelDominanceSearch:
                         pruned_colour=pruned_colour - node_base[2],
                         pruned_joint=pruned_joint - node_base[3],
                         frontier=bucket_size, settle_batches=1)
+            return settled, meet_rows
+
+        def potential_rows(table):
+            return {n: np.asarray(t, dtype=np.float64)
+                    for n, t in table.items()}
+
+        # forward: prefix labels over ranks < K; backward: suffix labels
+        # over ranks >= K, bounded by the potentials from the source
+        settled_f, fwd_rows = half(order[:K], source, fwd_exts,
+                                   {c[4] for c in cross_edges},
+                                   potential_rows(potjc))
+        settled_b: Dict[Node, Tuple[Any, Any]] = {}
+        bwd_rows: Dict[Node, Tuple[Any, Any]] = {}
+        if interrupted is None:
+            settled_b, bwd_rows = half(reversed(order[K:]), target,
+                                       in_edge_data,
+                                       {c[5] for c in cross_edges},
+                                       potential_rows(spotjc))
 
         # ---------------- join at the crossing edges
         best = None             # (edge, forward row, backward row, head)
@@ -869,18 +829,11 @@ class LabelDominanceSearch:
                 return (sig, loads, rows_m, idx, rows_m.min(axis=0),
                         rows_m.sum(axis=1))
 
-            f_join = {}
-            for t, (sf, lf) in fwd_rows.items():
-                if dim:
-                    f_join[t] = reduce_side(sf, lf)
-                else:
-                    f_join[t] = (sf, lf, None, None, None, None)
-            b_join = {}
-            for h, (sb, lb) in bwd_rows.items():
-                if dim:
-                    b_join[h] = reduce_side(sb, lb)
-                else:
-                    b_join[h] = (sb, lb, None, None, None, None)
+            f_join, b_join = (
+                {node: reduce_side(sig, loads) if dim
+                 else (sig, loads, None, None, None, None)
+                 for node, (sig, loads) in rows.items()}
+                for rows in (fwd_rows, bwd_rows))
             jobs = []
             for edge, sigma, betas, btotal, tail, head in cross_edges:
                 fw = f_join.get(tail)

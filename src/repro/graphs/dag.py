@@ -12,12 +12,13 @@ sweep instead of a heap-based Dijkstra or a reversed graph copy.
 loop removes a few edges per iteration and then asks the same questions
 again, so every query after an unchanged iteration is a dictionary lookup.
 The label-dominance engine (:mod:`repro.core.label_search`) leans on the
-same index for its topological sweep and its bound-pruning potentials.
+same index for its topological sweep; it computes its bound-pruning
+potentials itself, all of them in one walk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.graphs.connectivity import reachable_from, reachable_to, topological_order
 from repro.graphs.digraph import DiGraph, Edge, Node
@@ -77,10 +78,11 @@ def min_weight_to_target(graph: DiGraph, target: Node,
                          order: Optional[List[Node]] = None) -> Dict[Node, float]:
     """Minimum total weight from every node to ``target`` (backward DAG DP).
 
-    Nodes that cannot reach ``target`` are absent from the result.  The SSB
-    label engine uses these values as an admissible "potential": any partial
-    path at node ``v`` needs at least ``pot[v]`` additional σ weight to
-    complete, which turns the incumbent SSB candidate into a pruning bound.
+    Nodes that cannot reach ``target`` are absent from the result.  The
+    values are admissible "potentials": any partial path at node ``v`` needs
+    at least ``pot[v]`` additional weight to complete.  (The label engine
+    computes all of its potentials in one walk of its own; this
+    single-weight pass is the reference its tests compare against.)
     """
     if not graph.has_node(target):
         raise KeyError(f"target {target!r} not in graph")
@@ -115,8 +117,8 @@ def dag_topological_order(graph: DiGraph) -> List[Node]:
 class DagIndex:
     """Cached structural queries over a (possibly mutating) directed graph.
 
-    The index holds the topological order, forward/backward reachability
-    sets and min-weight potentials of a graph and recomputes them lazily
+    The index holds the topological order and the forward/backward
+    reachability sets of a graph and recomputes them lazily
     whenever the graph's :attr:`~repro.graphs.digraph.DiGraph.version`
     counter has moved — i.e. exactly when an edge or node was added or
     removed, never merely because time passed.  All queries are therefore
@@ -130,7 +132,6 @@ class DagIndex:
         self._acyclic: Optional[bool] = None
         self._forward: Dict[Node, Set[Node]] = {}
         self._backward: Dict[Node, Set[Node]] = {}
-        self._potentials: Dict[Tuple[Node, str], Dict[Node, float]] = {}
 
     # ------------------------------------------------------------- lifecycle
     def _sync(self) -> None:
@@ -140,7 +141,6 @@ class DagIndex:
             self._acyclic = None
             self._forward.clear()
             self._backward.clear()
-            self._potentials.clear()
 
     # --------------------------------------------------------------- queries
     def is_dag(self) -> bool:
@@ -174,20 +174,6 @@ class DagIndex:
         cached = self._backward.get(node)
         if cached is None:
             cached = self._backward[node] = reachable_to(self.graph, node)
-        return cached
-
-    def potentials_to(self, target: Node, weight: WeightSpec = "weight"
-                      ) -> Dict[Node, float]:
-        """Min-weight-to-target map (cached per graph version for attribute
-        weights; callables are recomputed every call)."""
-        self._sync()
-        if callable(weight):
-            return min_weight_to_target(self.graph, target, weight, order=self.order())
-        key = (target, weight)
-        cached = self._potentials.get(key)
-        if cached is None:
-            cached = min_weight_to_target(self.graph, target, weight, order=self.order())
-            self._potentials[key] = cached
         return cached
 
     def shortest_path(self, source: Node, target: Node,

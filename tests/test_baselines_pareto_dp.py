@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.baselines.brute_force import brute_force_assignment, enumerate_assignments
@@ -9,9 +10,7 @@ from repro.baselines.pareto_dp import (
     FrontierExplosion,
     ParetoLabel,
     _completion_potentials,
-    _joint_minima,
-    _min_host_times,
-    _per_colour_minima,
+    _subtree_minima,
     pareto_dp_assignment,
     pareto_frontier,
 )
@@ -104,6 +103,21 @@ class TestFrontier:
             assert assignment.host_load() == pytest.approx(label.host_time)
             assert assignment.max_satellite_load() == pytest.approx(
                 max(label.loads) if label.loads else 0.0)
+
+    @pytest.mark.parametrize("k, scatter, seed", [(2, 0.6, 0), (3, 0.6, 0),
+                                                  (3, 1.0, 1)])
+    def test_streamed_folds_return_no_dominated_label(self, k, scatter, seed):
+        # n=20 frontiers are wide enough for the vectorised stream folds,
+        # whose masks must not be windowed when the frontier is the answer
+        problem = random_problem(n_processing=20, n_satellites=k, seed=seed,
+                                 sensor_scatter=scatter)
+        frontier = pareto_frontier(problem)
+        hosts = np.array([label.host_time for label in frontier])
+        loads = np.array([label.loads for label in frontier])
+        assert len(frontier) > 512
+        for i in range(len(frontier)):
+            dominators = (hosts <= hosts[i]) & (loads <= loads[i]).all(axis=1)
+            assert int(dominators.sum()) == 1, frontier[i]
 
     def test_frontier_dominates_every_feasible_assignment(self, paper_problem):
         frontier = pareto_frontier(paper_problem)
@@ -259,20 +273,120 @@ def dag_completion_potentials(problem, minhost, host_scale=1.0):
     return pot_state, pot_opt
 
 
+def old_minima(problem, lam_s, lam_b):
+    """Test-local copies of the three recursions and the offload-label sum
+    the single subtree walk replaced, returned in its table layout."""
+    inf = float("inf")
+    tree = problem.tree
+    sat_index = {sid: i for i, sid in
+                 enumerate(problem.system.satellite_ids())}
+    n = len(sat_index)
+
+    def load_of(u, parent):
+        load = sum(problem.satellite_time(i) for i in tree.subtree_ids(u)
+                   if tree.cru(i).is_processing)
+        load += problem.comm_cost(u, parent)
+        return load
+
+    offload = {}
+    for u in tree.cru_ids():
+        sat = problem.correspondent_satellite(u)
+        if u != tree.root_id and sat is not None:
+            offload[u] = (sat_index[sat], load_of(u, tree.parent_id(u)))
+
+    minhost = {}
+
+    def rec_host(u):
+        off = 0.0 if problem.correspondent_satellite(u) is not None else inf
+        host = inf
+        if tree.cru(u).is_processing:
+            host = problem.host_time(u)
+            for child in tree.children_ids(u):
+                host += rec_host(child)
+        minhost[u] = off if off < host else host
+        return minhost[u]
+
+    joint = {}
+
+    def rec_joint(u, parent):
+        off = inf
+        if problem.correspondent_satellite(u) is not None:
+            off = lam_b * load_of(u, parent) * (1.0 / n)
+        host = inf
+        if tree.cru(u).is_processing:
+            host = lam_s * problem.host_time(u)
+            for c in tree.children_ids(u):
+                host += rec_joint(c, u)
+        joint[u] = off if off < host else host
+        return joint[u]
+
+    per_colour = [dict() for _ in range(n)]
+
+    def rec_colour(u, parent):
+        sat = problem.correspondent_satellite(u)
+        beta = load_of(u, parent) if sat is not None else inf
+        hostable = tree.cru(u).is_processing
+        child_vals = [rec_colour(ch, u) for ch in tree.children_ids(u)] \
+            if hostable else []
+        h = lam_s * problem.host_time(u)
+        out = []
+        for c in range(n):
+            off = inf
+            if sat is not None:
+                off = lam_b * beta if sat_index[sat] == c else 0.0
+            host = h + sum(v[c] for v in child_vals) if hostable else inf
+            per_colour[c][u] = off if off < host else host
+            out.append(per_colour[c][u])
+        return out
+
+    for child in tree.children_ids(tree.root_id):
+        rec_host(child)
+        rec_joint(child, tree.root_id)
+        rec_colour(child, tree.root_id)
+    return offload, minhost, joint, per_colour
+
+
+class TestSubtreeMinima:
+    """The one subtree walk equals the recursions it replaced, bit for bit."""
+
+    # k=3 makes 1/k inexact, so a reassociated joint term shows
+    @pytest.mark.parametrize("lam_s, lam_b", [(1.0, 1.0), (0.3, 0.7)])
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_old_recursions(self, k, scatter, lam_s, lam_b):
+        for n in range(3, 23):
+            problem = random_problem(n_processing=n, n_satellites=k, seed=n,
+                                     sensor_scatter=scatter)
+            offload, minhost, joint, per_colour = _subtree_minima(
+                problem, lam_s, lam_b)
+            assert (offload, minhost, joint, per_colour) == \
+                old_minima(problem, lam_s, lam_b)
+
+    def test_infeasible_subtrees_are_infinite(self):
+        problem = random_problem(n_processing=10, n_satellites=3, seed=1,
+                                 sensor_scatter=0.5)
+        sensor = problem.tree.sensor_ids()[0]
+        del problem.sensor_attachment[sensor]
+        problem.invalidate_caches()
+        offload, minhost, joint, per_colour = _subtree_minima(problem, 1.0,
+                                                              1.0)
+        assert sensor not in offload
+        assert minhost[sensor] == joint[sensor] == float("inf")
+        assert all(table[sensor] == float("inf") for table in per_colour)
+        assert (offload, minhost, joint, per_colour) == \
+            old_minima(problem, 1.0, 1.0)
+
+
 class TestCompletionPotentials:
     """The single parents-first walk equals the completion-DAG pass."""
 
     LAM_S, LAM_B = 0.3, 0.7
 
     def weight_tables(self, problem):
-        k = len(problem.system.satellite_ids())
-        tables = [(_min_host_times(problem), 1.0),
-                  (_joint_minima(problem, self.LAM_S, self.LAM_B, k),
-                   self.LAM_S)]
-        tables += [(pc, self.LAM_S)
-                   for pc in _per_colour_minima(problem, self.LAM_S,
-                                                self.LAM_B)]
-        return tables
+        _, minhost, joint, per_colour = _subtree_minima(problem, self.LAM_S,
+                                                        self.LAM_B)
+        return [(minhost, 1.0), (joint, self.LAM_S)] + \
+            [(pc, self.LAM_S) for pc in per_colour]
 
     @pytest.mark.parametrize("scatter", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -296,7 +410,7 @@ class TestCompletionPotentials:
         rng = random.Random(seed)
         del problem.sensor_attachment[rng.choice(problem.tree.sensor_ids())]
         problem.invalidate_caches()
-        minhost = _min_host_times(problem)
+        minhost = _subtree_minima(problem, self.LAM_S, self.LAM_B)[1]
         assert float("inf") in minhost.values()
         for table, host_scale in self.weight_tables(problem):
             table = dict(table)

@@ -6,19 +6,28 @@ the Yen-enumeration finisher on every instance both can finish — including
 the scattered-sensor regime the engine was built for.
 """
 
+import dataclasses
+from operator import add
+
 import pytest
 
 from repro.baselines import brute_force_assignment
 from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
 from repro.core.assignment_graph import build_assignment_graph
 from repro.core.colored_ssb import ColoredSSBSearch
-from repro.core.dwg import DoublyWeightedGraph, PathMeasures, SSBWeighting
+from repro.core import label_search
+from repro.core.dwg import (
+    SIGMA_ATTR,
+    DoublyWeightedGraph,
+    PathMeasures,
+    SSBWeighting,
+)
 from repro.core.label_search import (
     LabelDominanceSearch,
+    completion_potentials,
     find_optimal_colored_ssb_path_labels,
 )
-from repro.graphs.dag import DagIndex
-from repro.graphs.dag import NotADagError
+from repro.graphs.dag import DagIndex, NotADagError, min_weight_to_target
 from repro.workloads.generators import random_problem
 
 
@@ -42,6 +51,87 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(LabelDominanceSearch, name, recorded)
     return calls
+
+
+def path_minima_calls(monkeypatch):
+    """Record ``(start, result)`` of every ``_path_minima`` walk."""
+    calls = []
+    original = label_search._path_minima
+
+    def recorded(nodes, start, *args):
+        out = original(nodes, start, *args)
+        calls.append((start, out))
+        return out
+
+    monkeypatch.setattr(label_search, "_path_minima", recorded)
+    return calls
+
+
+def source_minima(monkeypatch, dwg, weighting):
+    """The source-side path minima one exact search walks."""
+    calls = path_minima_calls(monkeypatch)
+    LabelDominanceSearch(weighting=weighting, beam_width=0).search(dwg)
+    (forward,) = [out for start, out in calls if start == dwg.source]
+    return forward
+
+
+def old_completion_potentials(dwg, weighting):
+    """Test-local copy of the 2+k-pass target-side construction the single
+    walk replaced: one ``min_weight_to_target`` pass per bound."""
+    lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
+    graph, target = dwg.graph, dwg.target
+    sigma, beta = DoublyWeightedGraph.sigma, DoublyWeightedGraph.beta
+    pot = min_weight_to_target(graph, target, SIGMA_ATTR)
+    colors = tuple(dwg.all_colors())
+    maps = [min_weight_to_target(
+        graph, target, lambda e, c=c: lam_s * sigma(e) +
+        lam_b * DoublyWeightedGraph.beta_map(e).get(c, 0.0))
+        for c in colors]
+    potjc = {node: tuple(m[node] for m in maps) for node in pot}
+    if colors:
+        inv = 1.0 / len(colors)
+        potj = min_weight_to_target(
+            graph, target,
+            lambda e: lam_s * sigma(e) + lam_b * beta(e) * inv)
+    else:
+        potj = {node: 0.0 for node in pot}
+    return colors, pot, potj, potjc
+
+
+def old_source_potentials(dwg, weighting):
+    """Test-local copy of the push-style source-side pass the single walk
+    replaced, over the live out-edges the sweep packs."""
+    lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
+    colors, pot, _, _ = old_completion_potentials(dwg, weighting)
+    color_index = {c: i for i, c in enumerate(colors)}
+    n_colors = len(colors)
+    inv_colors = 1.0 / n_colors
+    inf = float("inf")
+    spot = {dwg.source: 0.0}
+    spotj = {dwg.source: 0.0}
+    spotjc = {dwg.source: (0.0,) * n_colors}
+    for node in DagIndex(dwg.graph).order():
+        if node not in spot:
+            continue
+        for edge in dwg.graph.out_edges(node):
+            head = edge.head
+            if head not in pot:
+                continue
+            sigma = DoublyWeightedGraph.sigma(edge)
+            betas = [(color_index[c], float(v)) for c, v in
+                     DoublyWeightedGraph.beta_map(edge).items() if v != 0.0]
+            btotal = sum(v for _, v in betas)
+            spot[head] = min(spot.get(head, inf), spot[node] + sigma)
+            spotj[head] = min(spotj.get(head, inf), spotj[node] +
+                              lam_s * sigma + lam_b * btotal * inv_colors)
+            step = lam_s * sigma
+            inc = [step] * n_colors
+            for ci, bv in betas:
+                inc[ci] = step + lam_b * bv
+            cand = tuple(map(add, spotjc[node], inc))
+            cur = spotjc.get(head)
+            spotjc[head] = cand if cur is None else tuple(map(min, cur, cand))
+    return spot, spotj, spotjc
 
 
 def two_color_graph():
@@ -316,17 +406,59 @@ class TestExactPass:
                 half = forward if rank[edge.head] < K else backward
                 assert edge.key in half
 
+
+class TestPathMinima:
+    """One path-minima walk serves both sides of the meet."""
+
+    WEIGHTINGS = [SSBWeighting(), SSBWeighting.convex(0.3)]
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS,
+                             ids=["default", "convex"])
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_target_side_equals_the_multi_pass_construction(
+            self, k, scatter, weighting):
+        for n in (6, 10, 14, 18):
+            problem = random_problem(n_processing=n, n_satellites=k, seed=n,
+                                     sensor_scatter=scatter)
+            dwg = build_assignment_graph(problem).dwg
+            got = completion_potentials(dwg, weighting)
+            assert (got.colors, got.pot, got.potj, got.potjc) == \
+                old_completion_potentials(dwg, weighting)
+            assert (got.lambda_s, got.lambda_b) == \
+                (weighting.lambda_s, weighting.lambda_b)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS,
+                             ids=["default", "convex"])
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_source_side_equals_the_push_pass(self, monkeypatch, k, scatter,
+                                              weighting):
+        for n in (6, 12, 18):
+            problem = random_problem(n_processing=n, n_satellites=k, seed=n,
+                                     sensor_scatter=scatter)
+            dwg = build_assignment_graph(problem).dwg
+            got = source_minima(monkeypatch, dwg, weighting)
+            spot, spotj, spotjc = old_source_potentials(dwg, weighting)
+            assert got.pot == spot
+            assert got.potjc == spotjc
+            # the walk adds the joint edge step before the potential, the
+            # push pass added it term by term: equal up to rounding
+            assert got.potj.keys() == spotj.keys()
+            for node, value in spotj.items():
+                assert got.potj[node] == pytest.approx(value, rel=1e-12,
+                                                       abs=1e-12)
+
     def test_source_potentials_are_exact_minima(self, monkeypatch):
         # the source-side duals of the completion bounds: per node, the
         # minimum over every S → v path of σ, of the joint average and of
         # each colour's weighted load
-        potentials = spy(monkeypatch, "_source_potentials")
         problem = random_problem(n_processing=7, n_satellites=3, seed=4,
                                  sensor_scatter=1.0)
         dwg = build_assignment_graph(problem).dwg
         weighting = SSBWeighting.convex(0.3)
-        LabelDominanceSearch(weighting=weighting, beam_width=0).search(dwg)
-        (spot, spotj, spotjc), = potentials
+        spots = source_minima(monkeypatch, dwg, weighting)
+        spot, spotj, spotjc = spots.pot, spots.potj, spots.potjc
         colors = tuple(dwg.all_colors())
         lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
         assert spot[dwg.source] == 0.0
@@ -423,3 +555,202 @@ class TestJoinDeadline:
         assert edges[0].tail == dwg.source and edges[-1].head == dwg.target
         for left, right in zip(edges, edges[1:]):
             assert left.head == right.tail
+
+
+#: The half-sweep grid: every (weighting, n, k, scatter) at seed 0.
+HALF_SWEEP_GRID = [(weighting, n, k, scatter)
+                   for weighting in ("default", "convex")
+                   for n in (8, 12, 16)
+                   for k in (2, 3, 4)
+                   for scatter in (0.0, 0.5, 1.0)]
+
+#: Per grid entry: the ``LabelSearchStats`` fields in declaration order and
+#: the edge keys of the returned path, recorded from the two mirrored
+#: half-sweep loops the single half kernel replaced.
+HALF_SWEEP_PINS = {
+    ("default", 8, 2, 0.0): (
+        (5, 0, 22, 4, 2, 6.893814925198646, 0, 2, 0, 0, 20, 5, 3, 4),
+        (4, 7, 9)),
+    ("default", 8, 2, 0.5): (
+        (5, 0, 22, 4, 2, 6.893814925198646, 0, 2, 0, 0, 20, 5, 3, 4),
+        (4, 7, 9)),
+    ("default", 8, 2, 1.0): (
+        (6, 0, 23, 4, 2, 7.035695274264403, 0, 1, 0, 0, 22, 5, 4, 4),
+        (4, 7, 9)),
+    ("default", 8, 3, 0.0): (
+        (5, 0, 20, 4, 2, 6.814296481348501, 0, 1, 1, 0, 18, 5, 3, 4),
+        (4, 7, 9)),
+    ("default", 8, 3, 0.5): (
+        (3, 0, 14, 4, 2, 6.7428562814900666, 0, 1, 0, 0, 13, 5, 2, 4),
+        (4, 6, 8)),
+    ("default", 8, 3, 1.0): (
+        (6, 0, 24, 4, 3, 4.972694506749683, 0, 0, 0, 0, 24, 5, 4, 4),
+        (4, 5, 7)),
+    ("default", 8, 4, 0.0): (
+        (6, 0, 23, 4, 2, 7.035695274264403, 0, 1, 0, 0, 22, 5, 4, 4),
+        (4, 7, 9)),
+    ("default", 8, 4, 0.5): (
+        (0, 0, 3, 4, 1, 5.387600212263769, 0, 3, 0, 0, 0, 0, 1, 2),
+        (4, 7, 9)),
+    ("default", 8, 4, 1.0): (
+        (1, 0, 3, 4, 2, 5.3298772771735585, 0, 2, 1, 0, 0, 0, 1, 3),
+        (4, 6, 8)),
+    ("default", 12, 2, 0.0): (
+        (3, 0, 17, 5, 2, 9.33835884929282, 0, 3, 4, 0, 10, 5, 1, 5),
+        (5, 7, 10, 14)),
+    ("default", 12, 2, 0.5): (
+        (5, 0, 11, 6, 2, 8.203300700623414, 0, 4, 1, 0, 6, 2, 2, 6),
+        (2, 4, 6, 10, 11)),
+    ("default", 12, 2, 1.0): (
+        (5, 0, 12, 5, 2, 9.015402304089855, 0, 2, 4, 0, 6, 2, 2, 5),
+        (2, 4, 6, 10)),
+    ("default", 12, 3, 0.0): (
+        (2, 0, 8, 5, 2, 8.854329947752216, 0, 4, 4, 0, 0, 0, 1, 4),
+        (5, 7, 10, 14)),
+    ("default", 12, 3, 0.5): (
+        (10, 0, 17, 5, 3, 8.882420453505503, 0, 3, 0, 0, 14, 3, 5, 5),
+        (2, 3, 7, 11)),
+    ("default", 12, 3, 1.0): (
+        (10, 0, 16, 5, 3, 8.791438990349311, 0, 3, 0, 0, 13, 2, 6, 5),
+        (2, 4, 6, 10)),
+    ("default", 12, 4, 0.0): (
+        (5, 0, 18, 5, 2, 9.199083496522467, 0, 3, 4, 0, 11, 5, 2, 5),
+        (5, 7, 10, 14)),
+    ("default", 12, 4, 0.5): (
+        (5, 0, 18, 5, 2, 9.199083496522467, 0, 3, 4, 0, 11, 5, 2, 5),
+        (5, 7, 10, 14)),
+    ("default", 12, 4, 1.0): (
+        (11, 0, 14, 5, 3, 7.372544190855724, 0, 2, 0, 0, 12, 2, 6, 5),
+        (2, 3, 5, 9)),
+    ("default", 16, 2, 0.0): (
+        (13, 0, 31, 9, 2, 11.151124156888313, 0, 3, 11, 0, 17, 4, 3, 9),
+        (5, 7, 8, 11, 13, 18, 20, 22)),
+    ("default", 16, 2, 0.5): (
+        (11, 0, 11, 9, 2, 11.647881931188282, 0, 5, 6, 0, 0, 0, 3, 8),
+        (1, 2, 5, 7, 10, 14, 16, 18)),
+    ("default", 16, 2, 1.0): (
+        (8, 0, 11, 10, 2, 11.477376328962439, 0, 3, 4, 0, 4, 2, 1, 10),
+        (1, 3, 5, 7, 9, 11, 13, 14, 16)),
+    ("default", 16, 3, 0.0): (
+        (12, 0, 25, 9, 2, 11.655565557863945, 0, 2, 11, 0, 12, 4, 2, 9),
+        (5, 7, 9, 11, 14, 18, 19, 22)),
+    ("default", 16, 3, 0.5): (
+        (41, 0, 52, 9, 3, 11.08712881280539, 0, 7, 0, 0, 45, 3, 14, 9),
+        (0, 2, 5, 7, 10, 13, 16, 18)),
+    ("default", 16, 3, 1.0): (
+        (17, 0, 13, 10, 3, 11.495567513926709, 0, 9, 0, 0, 4, 2, 4, 10),
+        (1, 2, 5, 7, 8, 11, 14, 15, 16)),
+    ("default", 16, 4, 0.0): (
+        (7, 0, 20, 9, 2, 11.762696715679741, 0, 2, 10, 0, 8, 4, 1, 9),
+        (5, 7, 9, 10, 14, 18, 20, 22)),
+    ("default", 16, 4, 0.5): (
+        (32, 0, 32, 9, 3, 10.973807788317178, 0, 5, 1, 0, 26, 2, 12, 9),
+        (3, 4, 7, 9, 11, 12, 14, 16)),
+    ("default", 16, 4, 1.0): (
+        (37, 0, 28, 9, 3, 10.005964192014652, 0, 7, 0, 0, 21, 2, 11, 9),
+        (1, 2, 4, 6, 8, 12, 15, 16)),
+    ("convex", 8, 2, 0.0): (
+        (2, 0, 13, 4, 2, 2.455193012626797, 0, 3, 0, 0, 10, 5, 1, 4),
+        (4, 7, 9)),
+    ("convex", 8, 2, 0.5): (
+        (2, 0, 13, 4, 2, 2.455193012626797, 0, 3, 0, 0, 10, 5, 1, 4),
+        (4, 7, 9)),
+    ("convex", 8, 2, 1.0): (
+        (3, 0, 17, 4, 2, 2.5537301672986485, 0, 2, 0, 0, 15, 5, 2, 4),
+        (4, 7, 9)),
+    ("convex", 8, 3, 0.0): (
+        (2, 0, 11, 4, 2, 2.3900935269584855, 0, 2, 1, 0, 8, 5, 1, 4),
+        (4, 7, 9)),
+    ("convex", 8, 3, 0.5): (
+        (1, 0, 3, 4, 2, 2.3487428723566133, 0, 2, 1, 0, 0, 0, 1, 3),
+        (4, 6, 8)),
+    ("convex", 8, 3, 1.0): (
+        (2, 0, 10, 4, 3, 1.6341633445189034, 0, 0, 2, 0, 8, 5, 1, 4),
+        (4, 6, 8)),
+    ("convex", 8, 4, 0.0): (
+        (3, 0, 17, 4, 2, 2.5537301672986485, 0, 2, 0, 0, 15, 5, 2, 4),
+        (4, 7, 9)),
+    ("convex", 8, 4, 0.5): (
+        (1, 0, 4, 4, 1, 1.8244187252907853, 0, 4, 0, 0, 0, 0, 1, 3),
+        (4, 7, 9)),
+    ("convex", 8, 4, 1.0): (
+        (1, 0, 3, 4, 2, 1.7840126707276378, 0, 2, 1, 0, 0, 0, 1, 3),
+        (4, 6, 8)),
+    ("convex", 12, 2, 0.0): (
+        (3, 0, 15, 5, 2, 3.120556532640545, 0, 6, 1, 0, 8, 5, 1, 5),
+        (5, 7, 10, 14)),
+    ("convex", 12, 2, 0.5): (
+        (4, 0, 10, 6, 2, 2.786276824050967, 0, 5, 1, 0, 4, 2, 1, 6),
+        (2, 4, 6, 10, 11)),
+    ("convex", 12, 2, 1.0): (
+        (3, 0, 10, 5, 2, 3.0232344811247076, 0, 5, 1, 0, 4, 2, 1, 5),
+        (2, 4, 6, 10)),
+    ("convex", 12, 3, 0.0): (
+        (2, 0, 8, 5, 2, 2.787129337651088, 0, 7, 1, 0, 0, 0, 1, 4),
+        (5, 7, 10, 14)),
+    ("convex", 12, 3, 0.5): (
+        (3, 0, 12, 5, 3, 3.0180955808491348, 0, 5, 1, 0, 6, 3, 1, 5),
+        (2, 3, 7, 11)),
+    ("convex", 12, 3, 1.0): (
+        (3, 0, 10, 5, 3, 2.8664601615063265, 0, 4, 2, 0, 4, 2, 1, 5),
+        (2, 4, 6, 10)),
+    ("convex", 12, 4, 0.0): (
+        (2, 0, 8, 5, 2, 3.139525974938221, 0, 5, 3, 0, 0, 0, 1, 4),
+        (5, 7, 10, 14)),
+    ("convex", 12, 4, 0.5): (
+        (2, 0, 8, 5, 2, 3.139525974938221, 0, 5, 3, 0, 0, 0, 1, 4),
+        (5, 7, 10, 14)),
+    ("convex", 12, 4, 1.0): (
+        (5, 0, 8, 5, 3, 2.663859788451405, 0, 4, 0, 0, 4, 2, 2, 5),
+        (2, 4, 6, 9)),
+    ("convex", 16, 2, 0.0): (
+        (14, 1, 29, 9, 2, 4.094422409998382, 0, 7, 6, 0, 16, 4, 4, 9),
+        (5, 7, 8, 11, 13, 18, 20, 22)),
+    ("convex", 16, 2, 0.5): (
+        (8, 0, 12, 9, 2, 4.151511234254674, 0, 9, 3, 0, 0, 0, 2, 8),
+        (1, 2, 5, 7, 10, 14, 16, 18)),
+    ("convex", 16, 2, 1.0): (
+        (8, 0, 11, 10, 2, 3.852717971824327, 0, 6, 1, 0, 4, 2, 1, 10),
+        (1, 3, 5, 7, 9, 11, 13, 14, 16)),
+    ("convex", 16, 3, 0.0): (
+        (10, 0, 25, 9, 2, 4.143243465063907, 0, 7, 6, 0, 12, 4, 2, 9),
+        (5, 7, 9, 11, 14, 18, 20, 22)),
+    ("convex", 16, 3, 0.5): (
+        (9, 0, 11, 9, 3, 3.9342395144522984, 0, 7, 4, 0, 0, 0, 2, 8),
+        (1, 3, 4, 7, 10, 14, 16, 18)),
+    ("convex", 16, 3, 1.0): (
+        (17, 0, 16, 10, 3, 4.159068119821986, 0, 9, 0, 0, 7, 2, 4, 10),
+        (1, 3, 5, 7, 8, 12, 14, 15, 17)),
+    ("convex", 16, 4, 0.0): (
+        (7, 0, 20, 9, 2, 4.0935898982097445, 0, 5, 7, 0, 8, 4, 1, 9),
+        (5, 7, 9, 10, 14, 18, 20, 22)),
+    ("convex", 16, 4, 0.5): (
+        (21, 0, 26, 9, 3, 3.931114360845366, 0, 10, 3, 0, 13, 2, 6, 9),
+        (3, 5, 7, 9, 11, 13, 15, 17)),
+    ("convex", 16, 4, 1.0): (
+        (13, 0, 17, 9, 3, 3.762381949222272, 0, 7, 2, 0, 8, 2, 3, 9),
+        (1, 3, 5, 7, 9, 13, 15, 17)),
+}
+
+
+class TestHalfSweepPins:
+    """One half kernel, run in both directions, does the same work and
+    returns the same path as the two mirrored loops it replaced."""
+
+    WEIGHTINGS = {"default": SSBWeighting(),
+                  "convex": SSBWeighting.convex(0.3)}
+
+    def test_pins_cover_the_grid(self):
+        assert sorted(HALF_SWEEP_PINS) == sorted(HALF_SWEEP_GRID)
+
+    @pytest.mark.parametrize("entry", HALF_SWEEP_GRID, ids=str)
+    def test_stats_and_path_are_pinned(self, entry):
+        weighting, n, k, scatter = entry
+        problem = random_problem(n_processing=n, n_satellites=k, seed=0,
+                                 sensor_scatter=scatter)
+        dwg = build_assignment_graph(problem).dwg
+        result = LabelDominanceSearch(
+            weighting=self.WEIGHTINGS[weighting]).search(dwg)
+        stats, path = HALF_SWEEP_PINS[entry]
+        assert dataclasses.astuple(result.stats) == stats
+        assert tuple(edge.key for edge in result.path.edges) == path

@@ -121,15 +121,6 @@ class TestDagIndex:
         g.add_edge("A", "B", weight=1.0)
         assert index.reachable_from("A") == {"A", "B", "T"}
 
-    def test_potentials_cached_per_version(self):
-        g = diamond()
-        index = DagIndex(g)
-        pot = index.potentials_to("T")
-        assert pot["S"] == pytest.approx(5.0)
-        assert index.potentials_to("T") is pot
-        g.add_edge("S", "T", weight=0.5)
-        assert index.potentials_to("T")["S"] == pytest.approx(0.5)
-
     def test_shortest_path_uses_cached_order(self):
         index = DagIndex(diamond())
         path = index.shortest_path("S", "T")
