@@ -33,7 +33,11 @@ mechanisms keep the label sets small:
   ``beam_width`` most promising labels, no dominance) finds a strong
   feasible path first, so the exact pass starts with a tight incumbent —
   on scattered instances this cuts the surviving labels by an order of
-  magnitude.
+  magnitude.  On small instances the beam usually proves that incumbent
+  optimal outright: it loses labels only by truncating them, so when
+  every truncated label's completion bounds reach the final incumbent,
+  no path beats it and the exact pass is skipped (the *beam
+  certificate*, ``LabelSearchStats.beam_certified``).
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
@@ -72,7 +76,9 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add as _add
+from array import array
+from itertools import chain
+from operator import add as _add, itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -94,6 +100,7 @@ from repro.graphs.paths import Path
 # comparison cheap in the pre-pass; the predecessor chain doubles as the
 # path reconstruction, and the running load sum feeds the average-load bound.
 _Label = Tuple[float, Tuple[float, ...], Optional[Edge], Optional[tuple], float]
+_SIGMA, _LOADS, _LOAD_SUM = itemgetter(0), itemgetter(1), itemgetter(4)
 
 #: ``(created, dominated, pruned_colour, pruned_joint, frontier_peak,
 #: settle_batches, pruned_meet, meet_edges)`` — the counter tuple the exact
@@ -115,6 +122,10 @@ _MEET_REDUCE_WINDOW = 256
 #: lower bound per (chunk row, group) cell at 1/_MEET_GROUP the cost of the
 #: exact product, and only surviving groups are evaluated exactly.
 _MEET_GROUP = 512
+#: relative widening of the beam certificate's early-exit test (a few
+#: hundred ulps): the key floor and the completion bounds it stands in for
+#: are each a handful of roundings off their exact values
+_CUT_SLACK = 1.0 + 2.0 ** -44
 #: prefix length for the settle-density probe in the half-sweeps:
 #: buckets larger than 8x this are probed first and the full dominance mask
 #: is skipped when the probe removes fewer than 1/64 of its rows.
@@ -154,6 +165,7 @@ class LabelSearchStats:
     meet_edges: int = 0              #: crossing edges joined
     frontier_peak: int = 0           #: largest bucket ever settled
     settle_batches: int = 0          #: settle passes over buckets
+    beam_certified: bool = False     #: the beam proved the bound; no exact pass
 
 
 @dataclass
@@ -278,6 +290,15 @@ def completion_potentials(dwg: DoublyWeightedGraph,
                         weighting.lambda_s, weighting.lambda_b)
 
 
+def check_beam_width(beam_width: int) -> None:
+    """Raise :class:`ValueError` when ``beam_width`` is negative.
+
+    Callers that hold a width for later searches validate it up front with
+    this, so a bad width fails at construction, not mid-solve."""
+    if beam_width < 0:
+        raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
+
+
 class LabelDominanceSearch:
     """Exact coloured-SSB optimiser for DAG-shaped doubly weighted graphs.
 
@@ -291,8 +312,7 @@ class LabelDominanceSearch:
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
                  beam_width: int = 128, dominance_window: int = 128) -> None:
-        if beam_width < 0:
-            raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
+        check_beam_width(beam_width)
         if dominance_window < 0:
             raise ValueError("dominance_window must be non-negative (0 disables "
                              "dominance in the half-sweeps)")
@@ -318,6 +338,10 @@ class LabelDominanceSearch:
         the best incumbent held at that moment is returned with
         ``interrupted`` set — a feasible path always exists once the
         min-σ seed path is computed, so an interrupted search still answers.
+        When the beam completes and none of the labels it truncated can
+        beat the bound (see :func:`_cuts_clear`), the bound is proven: the
+        exact pass is skipped and the stats carry ``beam_certified``.
+        ``beam_width=0`` and an interrupted beam always run the exact pass.
         ``potentials`` short-circuits the backward completion-bound passes
         with precomputed ones (see :func:`completion_potentials`);
         they must match this graph's current weights and weighting — the
@@ -371,10 +395,11 @@ class LabelDominanceSearch:
         if context is not None:
             context.report_incumbent(fallback_ssb, source="labels-seed")
         beam_ssb = float("inf")
+        cuts = None                    # no beam pre-pass: nothing certified
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
-            beam_label, beam_ssb, interrupted = self._beam_sweep(
-                order, out_edge_data, inv_colors, source, target,
+            beam_label, beam_ssb, cuts, interrupted = self._beam_sweep(
+                order, out_edge_data, potentials, inv_colors, source, target,
                 zero_loads, min(incumbent, fallback_ssb), context=context)
             if beam_label is not None and beam_ssb < fallback_ssb:
                 fallback_path = _reconstruct(beam_label)
@@ -382,6 +407,13 @@ class LabelDominanceSearch:
                 if context is not None:
                     context.report_incumbent(beam_ssb, source="labels-beam")
         bound = min(incumbent, fallback_ssb)
+        # ---- beam certificate: a path beating ``bound`` would have every
+        # prefix in the beam — none was bound-pruned (the beam's bound never
+        # dropped below ``bound``) and none truncated (``_cuts_clear``
+        # checks those) — so it would have reached the target and lowered
+        # the bound
+        certified = (interrupted is None and cuts is not None
+                     and _cuts_clear(cuts, bound, lam_s, lam_b, inv_colors))
 
         # ---- exact pass: half-sweeps over array buckets, joined in the
         # middle
@@ -390,9 +422,11 @@ class LabelDominanceSearch:
             span = getattr(context, "span", None)
             if span is not None:
                 # traced solve: the exact pass records per-node sweep rows
-                # into the active span's profile accumulator
+                # into the active span's profile accumulator; a certified
+                # solve records none, and the flag says why
                 profile = span.ensure_profile("label-search")
-        if interrupted is not None:
+                profile.beam_certified = certified
+        if interrupted is not None or certified:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
             sweep_stats = _EMPTY_SWEEP_STATS
@@ -409,7 +443,8 @@ class LabelDominanceSearch:
             nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
             pruned_colour=sweep_stats[2], pruned_joint=sweep_stats[3],
             frontier_peak=sweep_stats[4], settle_batches=sweep_stats[5],
-            pruned_meet=sweep_stats[6], meet_edges=sweep_stats[7])
+            pruned_meet=sweep_stats[6], meet_edges=sweep_stats[7],
+            beam_certified=certified)
 
         if best_path is not None:
             return LabelSearchResult(
@@ -431,9 +466,11 @@ class LabelDominanceSearch:
         return _not_found(stats, interrupted)
 
     # ------------------------------------------------------------- beam sweep
-    def _beam_sweep(self, order, out_edge_data, inv_colors, source, target,
-                    zero_loads, bound, context: Optional[SolveContext] = None
-                    ) -> Tuple[Optional[_Label], float, Optional[str]]:
+    def _beam_sweep(self, order, out_edge_data, potentials, inv_colors,
+                    source, target, zero_loads, bound,
+                    context: Optional[SolveContext] = None
+                    ) -> Tuple[Optional[_Label], float, List[tuple],
+                               Optional[str]]:
         """The heuristic pre-pass: one topological sweep over plain lists.
 
         Buckets are truncated to the ``beam_width`` labels of smallest
@@ -441,6 +478,12 @@ class LabelDominanceSearch:
         stays cheap enough to run on every solve.  Extensions apply the same
         two completion bounds as the exact pass.  Any target label it returns
         is a real path, so its SSB weight is a valid incumbent.
+
+        Returns ``(best target label, its SSB, cuts, interruption)``.
+        ``cuts`` holds one ``(σ, Σloads, flat loads, extensions, node
+        floor)`` entry per truncated bucket, the arrays over its dropped
+        labels in key order: the certificate :meth:`search` checks (see
+        :func:`_cuts_clear`) before the exact pass.
 
         ``context`` is polled once per swept node; on interruption the
         sweep stops immediately (the last return element is the kind) and
@@ -454,6 +497,8 @@ class LabelDominanceSearch:
             source: [(0.0, zero_loads, None, None, 0.0)]}
         best_label: Optional[_Label] = None
         best_ssb = float("inf")
+        cuts: List[tuple] = []
+        pot, potjc = potentials.pot, potentials.potjc
         for node in order:
             if context is not None:
                 interrupted = context.interrupted()
@@ -470,6 +515,17 @@ class LabelDominanceSearch:
                 # λ_S·σ + λ_B·max(loads) orders them by completion bound
                 bucket.sort(key=lambda lab: lam_s * lab[0] +
                             (lam_b * max(lab[1]) if lab[1] else 0.0))
+                # the dropped labels' σ, Σloads and loads, copied into
+                # flat float arrays: holding the label tuples (or any
+                # per-label object) until the beam ends keeps their
+                # predecessor chains alive and churns the cyclic GC
+                dropped = bucket[beam_width:]
+                cuts.append((array("d", map(_SIGMA, dropped)),
+                             array("d", map(_LOAD_SUM, dropped)),
+                             array("d", chain.from_iterable(
+                                 map(_LOADS, dropped))),
+                             extensions,
+                             min(potjc[node], default=lam_s * pot[node])))
                 del bucket[beam_width:]
             for label in bucket:
                 s, loads, lsum = label[0], label[1], label[4]
@@ -505,7 +561,7 @@ class LabelDominanceSearch:
                                 context.report_incumbent(ssb, source="labels")
                         continue
                     labels.setdefault(head, []).append(new_label)
-        return best_label, best_ssb, interrupted
+        return best_label, best_ssb, cuts, interrupted
 
     # ------------------------------------------------------------- exact pass
     def _meet_partition(self, graph, order, out_edge_data, rank, spots, pot,
@@ -1029,6 +1085,51 @@ class LabelDominanceSearch:
             row = int(parents[row])
             node = e.head
         return Path.from_edges(edges), sweep_stats, interrupted
+
+
+def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
+                inv_colors: float) -> bool:
+    """Whether every truncated beam label is bound-pruned at ``bound``.
+
+    A truncated label survives when some extension passes both
+    extension-time bounds the sweeps prune with (per-colour joint and
+    joint average) against ``bound``.  Each cut lists its labels (σ,
+    Σloads and their loads flattened, ``dim`` per label) in beam order,
+    i.e. by ascending ``key = λ_S·σ + λ_B·max(loads)``, and ``key +
+    node_floor`` (``node_floor = min_c potJc_c[node]``, ``λ_S·pot[node]``
+    without colours) is a lower bound on every extension's per-colour
+    bound, so a cut's scan stops at the first label whose key clears
+    ``bound``: no later one can survive.  The stop test is widened by
+    ``_CUT_SLACK`` so float rounding in the keys and the potentials can
+    never skip a label that would.
+    """
+    stop = bound * _CUT_SLACK
+    for sigmas, sums, loads_flat, extensions, node_floor in cuts:
+        dim = len(loads_flat) // len(sums)
+        for i, s in enumerate(sigmas):
+            loads = loads_flat[i * dim:(i + 1) * dim]
+            lsum = sums[i]
+            if lam_s * s + (lam_b * max(loads) if loads else 0.0) \
+                    + node_floor > stop:
+                break
+            for _edge, sigma, betas, btotal, _head, pot_h, potjc_h, potj_h \
+                    in extensions:
+                ns = s + sigma
+                if betas:
+                    new_loads = list(loads)
+                    for ci, bv in betas:
+                        new_loads[ci] += bv
+                else:
+                    new_loads = loads
+                if new_loads:
+                    lower = lam_s * ns + max(map(
+                        _add, map(lam_b.__mul__, new_loads), potjc_h))
+                else:
+                    lower = lam_s * (ns + pot_h)
+                if lower < bound and lam_s * ns + lam_b * (lsum + btotal) \
+                        * inv_colors + potj_h < bound:
+                    return False
+    return True
 
 
 def _reconstruct(label: _Label) -> Path:

@@ -172,11 +172,14 @@ class PortfolioSolver:
     def __init__(self, weighting: Optional[SSBWeighting] = None,
                  cross_check: Any = "auto",
                  beam_width: int = 128) -> None:
+        from repro.core.label_search import check_beam_width
+
         if cross_check not in ("auto", "always", "never", True, False):
             raise ValueError("cross_check must be 'auto', 'always'/'never' "
                              "or a boolean")
         self.weighting = weighting or SSBWeighting()
         self.cross_check = cross_check
+        check_beam_width(beam_width)
         self.beam_width = beam_width
 
     # ------------------------------------------------------------------ solve
@@ -245,6 +248,7 @@ class PortfolioSolver:
                 interrupted=interrupted,
                 extra={"labels_created": result.stats.labels_created,
                        "labels_bound_pruned": result.stats.labels_bound_pruned,
+                       "beam_certified": result.stats.beam_certified,
                        # kept for perfbench's portfolio.bidir_share
                        "direction": "bidirectional"}))
 

@@ -164,6 +164,9 @@ class IncrementalSolver:
     potentials_reuses: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        from repro.core.label_search import check_beam_width
+
+        check_beam_width(self.beam_width)
         if self.index is None:
             self.index = default_warm_index()
         self._weighting = self.weighting or SSBWeighting()

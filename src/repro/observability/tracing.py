@@ -94,7 +94,9 @@ class ProfileAccumulator:
     fired: the sigma + per-colour load *floor* bound (tree DP), the
     per-*colour* joint sigma/load bound (label sweep), the *joint* average
     bound, the incumbent re-check when a lazy bucket *settles*, and the
-    *meet*-in-the-middle join pre-filter (label sweep).
+    *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
+    also sets ``beam_certified``: when its beam pre-pass proved the bound,
+    the exact pass is skipped and no per-node rows are recorded.
     """
 
     __slots__ = (
@@ -109,6 +111,7 @@ class ProfileAccumulator:
         "frontier_peak",
         "settle_batches",
         "nodes_swept",
+        "beam_certified",
         "per_node",
         "node_cap",
     )
@@ -125,6 +128,7 @@ class ProfileAccumulator:
         self.frontier_peak = 0
         self.settle_batches = 0
         self.nodes_swept = 0
+        self.beam_certified: Optional[bool] = None
         self.per_node: List[List[Any]] = []
         self.node_cap = node_cap
 
@@ -186,6 +190,8 @@ class ProfileAccumulator:
         }
         if self.engine:
             out["engine"] = self.engine
+        if self.beam_certified is not None:
+            out["beam_certified"] = self.beam_certified
         return out
 
     def as_dict(self) -> Dict[str, Any]:
@@ -649,4 +655,6 @@ def render_profile(profile: Mapping[str, Any], title: str = "") -> str:
         f"  nodes swept               "
         f"{int(profile.get('nodes_swept', 0) or 0):>12,}"
     )
+    if profile.get("beam_certified"):
+        lines.append("  exact pass skipped: the beam certified its incumbent")
     return "\n".join(lines)

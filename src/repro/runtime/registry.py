@@ -315,6 +315,8 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "frontier_peak": stats.frontier_peak,
         "settle_batches": stats.settle_batches,
         "nodes_swept": stats.nodes_swept,
+        # a certified sweep skipped the exact pass: its counters are zero
+        "beam_certified": stats.beam_certified,
     }
 
 

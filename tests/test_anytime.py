@@ -127,7 +127,8 @@ class TestCancellation:
         # mid-sweep, between settling a bucket and extending it — and verify
         # both that the interrupted solve still answers and that the engine
         # solves exactly afterwards (no half-settled bucket leaks into
-        # anything shared)
+        # anything shared); the beam is off so its certificate cannot skip
+        # the exact pass
         from repro.core import label_search
 
         context = SolveContext()
@@ -140,7 +141,8 @@ class TestCancellation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(label_search, "pareto_block_mask", cancelling_mask)
-        result = solve(PROBLEM, method="colored-ssb-labels", context=context)
+        result = solve(PROBLEM, method="colored-ssb-labels", context=context,
+                       beam_width=0)
         assert calls, "the sweep never reached its dominance filter"
         assert result.assignment is not None
         assert result.assignment.is_feasible()

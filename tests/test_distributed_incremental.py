@@ -130,9 +130,18 @@ class TestIncrementalSolver:
             assert assignment.end_to_end_delay() == reference.objective
         assert solver.potentials_reuses == 2
 
+    def test_negative_beam_width_rejected_at_construction(self):
+        # warm solves pass width 0 to the sweep, so only construction can
+        # catch a bad width for every solve
+        with pytest.raises(ValueError, match="beam_width must be non-negative"):
+            IncrementalSolver(index=WarmStartIndex(), beam_width=-1)
+
     def test_warm_start_prunes_labels(self):
-        """The warm incumbent must measurably shrink the label sweep."""
-        solver = IncrementalSolver(index=WarmStartIndex())
+        """The warm incumbent must measurably shrink the label sweep.
+
+        Warm solves run without the beam; the cold ones do too here, so the
+        beam certificate cannot skip their exact pass."""
+        solver = IncrementalSolver(index=WarmStartIndex(), beam_width=0)
         cold_labels = warm_labels = 0
         for seed in range(3):
             _, cold = solver.solve(scattered(seed=seed, n=16))

@@ -125,15 +125,19 @@ class TestBitIdentity:
         assert any(name.startswith("method:") for name in names)
 
     def test_profile_rides_span_and_details(self, tmp_path):
-        from repro.runtime.runner import BatchRunner
+        from repro.runtime.runner import BatchRunner, BatchTask
 
         problem = random_problem(n_processing=12, n_satellites=3, seed=5,
                                  sensor_scatter=1.0)
         tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
-        item = BatchRunner(workers=0, tracer=tracer).run([problem]).results[0]
+        # no beam: the exact pass runs and records its per-node rows
+        task = BatchTask(problem=problem, method="colored-ssb-labels",
+                         options={"beam_width": 0})
+        item = BatchRunner(workers=0, tracer=tracer).run([task]).results[0]
 
         profile = item.details["profile"]
         assert profile["engine"] == "label-search"
+        assert profile["beam_certified"] is False
         assert profile["labels_created"] > 0
         assert profile["pruned_total"] == (profile["pruned_floor"]
                                            + profile["pruned_colour"]
@@ -145,7 +149,25 @@ class TestBitIdentity:
         span_profile = next(s["profile"] for s in method_spans
                             if s.get("profile"))
         assert span_profile["labels_created"] == profile["labels_created"]
+        assert span_profile["beam_certified"] is False
         assert span_profile["per_node"], "traced solves keep per-node rows"
+
+    def test_certified_profile_says_why_it_has_no_rows(self, tmp_path):
+        from repro.runtime.runner import BatchRunner
+
+        problem = random_problem(n_processing=12, n_satellites=3, seed=5,
+                                 sensor_scatter=1.0)
+        tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
+        item = BatchRunner(workers=0, tracer=tracer).run([problem]).results[0]
+
+        profile = item.details["profile"]
+        assert profile["beam_certified"] is True
+        assert profile["labels_created"] == 0
+        span_profile = next(
+            s["profile"] for s in load_spans(str(tmp_path))
+            if str(s["name"]).startswith("method:") and s.get("profile"))
+        assert span_profile["beam_certified"] is True
+        assert span_profile["per_node"] == []
 
 
 class TestCrossProcessContinuity:
@@ -284,6 +306,15 @@ class TestRendering:
         text = render_profile(acc.totals())
         assert "per-colour joint" in text and "( 40.0%)" in text
         assert "meet-in-the-middle" in text and "( 25.0%)" in text
+
+    def test_profile_table_says_when_the_beam_certified(self):
+        acc = ProfileAccumulator("label-search")
+        assert "certified" not in render_profile(acc.totals())
+        acc.beam_certified = False
+        assert "certified" not in render_profile(acc.totals())
+        acc.beam_certified = True
+        assert acc.totals()["beam_certified"] is True
+        assert "exact pass skipped" in render_profile(acc.totals())
 
     def test_profile_node_cap_bounds_memory(self):
         acc = ProfileAccumulator("label-search", node_cap=4)

@@ -122,6 +122,22 @@ class TestLabelStage:
                    ["labels_created"] for r in runs]
         assert created[0] == created[1]
 
+    def test_negative_beam_width_rejected_at_construction(self):
+        # not at the label stage, after the greedy stage already ran
+        with pytest.raises(ValueError, match="beam_width must be non-negative"):
+            PortfolioSolver(beam_width=-1)
+
+    def test_labels_stage_records_the_beam_certificate(self):
+        problem = make(n=10, scatter=0.0, seed=1)
+        certified = solve(problem, method="portfolio")
+        exact = solve(problem, method="portfolio", beam_width=0)
+        stage = {s["stage"]: s for s in certified.details["stages"]}["labels"]
+        assert stage["beam_certified"] is True
+        assert stage["labels_created"] == 0
+        stage = {s["stage"]: s for s in exact.details["stages"]}["labels"]
+        assert stage["beam_certified"] is False
+        assert certified.objective == exact.objective
+
     def test_portfolio_runs_bidir_and_stays_exact_on_large_scattered(self):
         problem = make(n=40, scatter=1.0, seed=5, sats=4, max_children=3)
         reference = solve(problem, method="pareto-dp-pruned").objective
