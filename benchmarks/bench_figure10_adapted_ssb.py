@@ -9,7 +9,7 @@ pipeline on the paper's own example.
 import pytest
 
 from repro.analysis.experiments import adapted_ssb_experiment
-from repro.baselines import pareto_dp_assignment
+from repro.baselines import brute_force_assignment
 from repro.core.solver import solve
 
 
@@ -17,8 +17,8 @@ def test_adapted_ssb_is_optimal_on_all_scenarios(paper_problem, healthcare_probl
                                                  snmp_problem):
     for problem in (paper_problem, healthcare_problem, snmp_problem):
         result = solve(problem)
-        dp, _ = pareto_dp_assignment(problem)
-        assert result.objective == pytest.approx(dp.end_to_end_delay()), problem.name
+        brute, _ = brute_force_assignment(problem)
+        assert result.objective == pytest.approx(brute.end_to_end_delay()), problem.name
 
 
 def test_adapted_ssb_experiment_rows(paper_problem, healthcare_problem, snmp_problem):

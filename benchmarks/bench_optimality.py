@@ -3,17 +3,17 @@
 The paper claims the algorithm "can find the path corresponding to the
 optimal assignment which minimizes the end-to-end processing delay".  The
 benchmark checks the returned delay against two independent exact references
-(full enumeration and the Pareto tree DP) over a sweep of random instances —
-both the clustered regime the paper illustrates and the scattered-sensor
-regime that exercises the generalised fallback — and measures the runtime of
-each solver on a common instance.
+(full enumeration and the bound-pruned Pareto tree DP) over a sweep of
+random instances — both the clustered regime the paper illustrates and the
+scattered-sensor regime that exercises the generalised fallback — and
+measures the runtime of each solver on a common instance.
 """
 
 import pytest
 
 from repro.analysis.experiments import optimality_experiment
 from repro.analysis.smoke import smoke_scaled
-from repro.baselines import brute_force_assignment, pareto_dp_assignment
+from repro.baselines import brute_force_assignment
 from repro.core.solver import solve
 from repro.workloads.generators import random_problem
 
@@ -33,12 +33,6 @@ def test_bench_colored_ssb_solver(benchmark):
     problem = random_problem(**BENCH_PROBLEM)
     result = benchmark(lambda: solve(problem))
     assert result.assignment.is_feasible()
-
-
-def test_bench_pareto_dp_solver(benchmark):
-    problem = random_problem(**BENCH_PROBLEM)
-    assignment, _ = benchmark(lambda: pareto_dp_assignment(problem))
-    assert assignment.is_feasible()
 
 
 def test_bench_brute_force_solver(benchmark):

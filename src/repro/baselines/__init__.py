@@ -5,8 +5,8 @@ Two **exact references** validate the paper's algorithm:
 * :mod:`~repro.baselines.brute_force` enumerates every feasible partition of
   the CRU tree (exponential, only for small instances),
 * :mod:`~repro.baselines.pareto_dp` computes, bottom-up on the tree, the
-  Pareto frontier of (host time, per-satellite load vector) and is exact for
-  realistic instance sizes.
+  bound-pruned Pareto frontier of (host time, per-satellite load vector) and
+  is exact for realistic instance sizes.
 
 One **objective baseline** reproduces the comparison the paper motivates:
 
@@ -31,9 +31,7 @@ from repro.baselines.brute_force import (
 )
 from repro.baselines.pareto_dp import (
     FrontierExplosion,
-    pareto_dp_assignment,
     pareto_dp_pruned_assignment,
-    pareto_frontier,
 )
 from repro.baselines.bokhari_sb import bokhari_sb_assignment
 from repro.baselines.greedy import greedy_assignment
@@ -46,9 +44,7 @@ __all__ = [
     "enumerate_assignments",
     "count_feasible_assignments",
     "FrontierExplosion",
-    "pareto_dp_assignment",
     "pareto_dp_pruned_assignment",
-    "pareto_frontier",
     "bokhari_sb_assignment",
     "greedy_assignment",
     "random_search_assignment",

@@ -1,8 +1,9 @@
-"""Exact Pareto dynamic program on the CRU tree.
+"""Bound-pruned exact Pareto dynamic program on the CRU tree.
 
-An independent exact solver used to validate the paper's algorithm on
-instances too large for brute force.  For every subtree (processed in
-post-order) it maintains the set of Pareto-optimal cost labels
+An independent exact solver, used as the portfolio's cross-check engine and
+to validate the paper's algorithm on instances too large for brute force.
+For every subtree (processed in post-order) it maintains a set of
+Pareto-optimal cost labels
 
 ``(host time contributed by the subtree, per-satellite load vector, cut)``
 
@@ -14,39 +15,31 @@ O(log F) staircase inserts on single-satellite instances).  At the root the
 label minimising ``λ_S · host + λ_B · max(load)`` is selected — with the
 default weighting this is exactly the end-to-end delay.
 
-Two entry points share the DP kernel:
-
-* :func:`pareto_dp_assignment` — the historical *frontier-exact* reference:
-  every per-node frontier is complete, so the root frontier is the full
-  Pareto set of the instance.  On scattered instances around
-  ``n_processing >= 30`` those frontiers blow up combinatorially;
-  ``max_frontier`` converts the hang into a fast :class:`FrontierExplosion`.
-* :func:`pareto_dp_pruned_assignment` — the *optimum-exact* rewrite that
-  survives the blowup regime: per-node frontiers are additionally pruned by
-  a **completion potential** (the minimum host time the rest of the tree
-  must still add — one parents-first walk over the DP's states in
-  :func:`_completion_potentials`, whose per-subtree weights come from one
-  children-first walk in :func:`_subtree_minima`, together with the joint
-  and per-colour floors) against an **incumbent** found by a beam pre-pass
-  over the same DP.  A label whose ``λ_S·(host + potential) +
-  λ_B·max(load)`` reaches the incumbent cannot end in a better assignment
-  (loads only grow, host grows by at least the potential) and is dropped
-  before it multiplies through the cross products.
-  The returned assignment is still exactly optimal — the pre-pass incumbent
-  is feasible, and only provably-not-better labels are discarded — but the
-  full frontier is no longer materialised, which is what makes scattered
-  ``n = 30`` solve in seconds instead of raising.
+The full frontier blows up combinatorially on scattered instances around
+``n_processing >= 30``, so the one entry point,
+:func:`pareto_dp_pruned_assignment`, never materialises it: per-node
+frontiers are pruned by a **completion potential** (the minimum host time
+the rest of the tree must still add — one parents-first walk over the DP's
+states in :func:`_completion_potentials`, whose per-subtree weights come
+from one children-first walk in :func:`_subtree_minima`, together with the
+joint and per-colour floors) against an **incumbent** found by a beam
+pre-pass over the same DP.  A label whose ``λ_S·(host + potential) +
+λ_B·max(load)`` reaches the incumbent cannot end in a better assignment
+(loads only grow, host grows by at least the potential) and is dropped
+before it multiplies through the cross products.  The returned assignment
+is still exactly optimal — the pre-pass incumbent is feasible, and only
+provably-not-better labels are discarded.
 
 The DP makes no use of the assignment graph, the colouring or the SSB search
 (its bounds come from the CRU tree alone), so agreement with
 :mod:`repro.core.colored_ssb` on random instances is strong evidence that
 both are correct — the differential harness in ``tests/test_differential.py``
-pins exactly that.
+pins exactly that, and a MILP model that shares no code with either
+(``tests/milp_oracle.py``) checks both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,13 +57,13 @@ _Label = Tuple[float, Tuple[float, ...], Tuple[str, ...]]
 
 
 class FrontierExplosion(RuntimeError):
-    """The Pareto frontier outgrew ``max_frontier`` — the DP would hang.
+    """A pruned DP frontier outgrew ``max_frontier`` — the DP would hang.
 
-    On scattered-sensor instances around ``n_processing >= 30`` the
-    frontier-exact DP is known to blow up combinatorially; this error
-    converts the hang into a fast, actionable failure (use the bound-pruned
-    variant ``pareto-dp-pruned`` or the label-dominance engine instead, or
-    raise the cap).
+    The safety valve of ``pareto-dp-pruned``: its completion bounds keep
+    per-state frontiers in the hundreds through scattered n=40, so this
+    fires only on an instance that defeats the pruning.  It converts the
+    hang into a fast, actionable failure (use the label-dominance engine
+    ``colored-ssb-labels`` instead, or raise the cap).
     """
 
     def __init__(self, size: int, limit: int,
@@ -81,11 +74,10 @@ class FrontierExplosion(RuntimeError):
             detail = (f" after {labels_created} labels created "
                       f"(peak frontier {peak_frontier})")
         super().__init__(
-            f"pareto-dp frontier reached {size} labels (max_frontier={limit})"
-            f"{detail}; "
-            f"the instance is in the known blowup regime (scattered n>=30) — "
-            f"use an exact method that scales (pareto-dp-pruned or "
-            f"colored-ssb-labels) or raise max_frontier")
+            f"pareto-dp-pruned frontier reached {size} labels "
+            f"(max_frontier={limit}){detail}; "
+            f"the instance defeats the DP's bound pruning — "
+            f"use colored-ssb-labels or raise max_frontier")
         self.size = size
         self.limit = limit
         #: how much work the DP had done when the cap fired — surfaced in
@@ -106,28 +98,11 @@ class FrontierExplosion(RuntimeError):
         return details
 
 
-@dataclass(frozen=True)
-class ParetoLabel:
-    """One non-dominated cost point of a subtree."""
-
-    host_time: float
-    loads: Tuple[float, ...]          #: per-satellite load, indexed like ``satellite_ids``
-    cut: Tuple[str, ...]              #: cut children realising the label
-
-    def dominates(self, other: "ParetoLabel") -> bool:
-        """True when this label is at least as good in every component."""
-        if self.host_time > other.host_time:
-            return False
-        return all(a <= b for a, b in zip(self.loads, other.loads))
-
-
 #: Candidate cross products this many times the frontier cap abort before
-#: being materialised: even O(1)-rejected candidates cost a scan each.  The
-#: bound-pruned passes get a much larger factor — their candidates are mostly
-#: rejected in O(1) by the completion bound before touching the frontier, so
-#: a large cross product is routine there, not a symptom of blowup.
-_CANDIDATE_FACTOR = 4
-_BOUNDED_CANDIDATE_FACTOR = 256
+#: being materialised.  The factor is large: candidates are mostly rejected
+#: in O(1) by the completion bound before touching the frontier, so a large
+#: cross product is routine, not a symptom of blowup.
+_CANDIDATE_FACTOR = 256
 
 #: Default beam width of the pruned solver's incumbent pre-pass.
 _PRUNED_BEAM_WIDTH = 16
@@ -141,15 +116,14 @@ _STREAM_CHUNK_PAIRS = 1 << 18
 #: per-row ParetoStore inserts (O(frontier²) python) for the vectorised
 #: ``finish_fold`` tail.
 _STREAM_MIN_LABELS = 512
-#: dominator-window cap for the bound-pruned passes' streamed Pareto masks.
-#: An unwindowed mask is quadratic in the frontier and dwarfs the whole
-#: fold on wide stars; the window makes it linear.  Rows a distant
-#: dominator would have removed merely survive into the next fold (extra
-#: work), they are never wrongly dropped — the optimum is unaffected.  The
-#: frontier-exact DP masks unwindowed: its frontier is its answer.  With the
-#: completion bounds doing the heavy pruning, a small window beats a
-#: thorough one: on wide stars at n=40 window 128 is ~3x faster end to end
-#: than 1024 while the peak frontier grows by less than half.
+#: dominator-window cap for the streamed Pareto masks.  An unwindowed mask
+#: is quadratic in the frontier and dwarfs the whole fold on wide stars;
+#: the window makes it linear.  Rows a distant dominator would have removed
+#: merely survive into the next fold (extra work), they are never wrongly
+#: dropped — the optimum is unaffected.  With the completion bounds doing
+#: the heavy pruning, a small window beats a thorough one: on wide stars at
+#: n=40 window 128 is ~3x faster end to end than 1024 while the peak
+#: frontier grows by less than half.
 _STREAM_MASK_WINDOW = 128
 
 
@@ -288,7 +262,7 @@ def _completion_potentials(problem: AssignmentProblem,
 
 
 # --------------------------------------------------------------------------
-# The DP kernel, shared by the frontier-exact and the bound-pruned solvers.
+# The DP kernel, shared by the beam pre-pass and the exact pass.
 # --------------------------------------------------------------------------
 def _dp_labels(problem: AssignmentProblem,
                offload: Dict[str, Tuple[int, float]], *,
@@ -308,11 +282,11 @@ def _dp_labels(problem: AssignmentProblem,
     """Run the tree DP; returns the root frontier labels plus prune counters.
 
     ``offload`` is the ``(colour, β_u)`` table of :func:`_subtree_minima`.
-    Without potentials/bound/beam this is the frontier-exact DP.  With them,
-    inserts go through :meth:`ParetoStore.insert_bounded` (labels provably at
-    or above ``bound`` are dropped) and ``beam_width`` truncates every
+    Inserts go through :meth:`ParetoStore.insert_bounded` (labels provably
+    at or above ``bound`` are dropped), and ``beam_width`` truncates every
     frontier to the labels of best completion bound — the heuristic pre-pass
-    whose best root label seeds the exact pass's incumbent.
+    whose best root label seeds the exact pass's incumbent.  Every caller
+    passes a finite ``bound`` or a ``beam_width``.
 
     ``context`` is polled once per tree node and once per cross-product row
     (the two loop granularities that dominate the runtime); when it fires the
@@ -324,10 +298,6 @@ def _dp_labels(problem: AssignmentProblem,
     n = len(problem.system.satellite_ids())
     pot_state = pot_state or {}
     pot_opt = pot_opt or {}
-    bounded = bound != _INF or beam_width is not None
-    # a windowed mask may keep dominated rows: fine for the bound-pruned
-    # passes, but the frontier-exact DP promises a pure Pareto set
-    mask_window = _STREAM_MASK_WINDOW if bounded else None
     # joint σ/β bound: λ_S·σ + λ_B·(Σ loads)/n + jpot ≤ the label's best
     # completion (the max load is at least the average); prunes only with a
     # finite incumbent, but the beam pre-pass still ranks by it
@@ -406,12 +376,9 @@ def _dp_labels(problem: AssignmentProblem,
                 if sig + lam_b * label[1][c] + cpot[c] >= bound:
                     stats["bound_rejected"] += 1
                     return
-        if bounded:
-            kept = store.insert_bounded(label[0], label[1], label[2],
-                                        potential=pot, bound=bound,
-                                        lambda_s=lam_s, lambda_b=lam_b)
-        else:
-            kept = store.insert(label[0], label[1], label[2])
+        kept = store.insert_bounded(label[0], label[1], label[2],
+                                    potential=pot, bound=bound,
+                                    lambda_s=lam_s, lambda_b=lam_b)
         if kept and max_frontier is not None and len(store) > max_frontier:
             raise FrontierExplosion(
                 len(store), max_frontier,
@@ -480,7 +447,7 @@ def _dp_labels(problem: AssignmentProblem,
                 idx = np.arange(len(hs))
             if len(hs) > 1:
                 # chunk-local dominance filter keeps the accumulation small
-                mask = pareto_block_mask(hs, ld, window=mask_window)
+                mask = pareto_block_mask(hs, ld, window=_STREAM_MASK_WINDOW)
                 drop = len(hs) - int(mask.sum())
                 if drop:
                     stats["dominated"] += drop
@@ -493,7 +460,7 @@ def _dp_labels(problem: AssignmentProblem,
             ld = np.concatenate(loads)
             pair = np.concatenate(pairs)
             if len(sigs) > 1 and len(sig) > 1:
-                mask = pareto_block_mask(sig, ld, window=mask_window)
+                mask = pareto_block_mask(sig, ld, window=_STREAM_MASK_WINDOW)
                 drop = len(sig) - int(mask.sum())
                 if drop:
                     stats["dominated"] += drop
@@ -529,10 +496,10 @@ def _dp_labels(problem: AssignmentProblem,
                          children_labels: Sequence[List[_Label]]
                          ) -> List[_Label]:
         acc: List[_Label] = [(0.0, (0.0,) * n, ())]
-        factor = _BOUNDED_CANDIDATE_FACTOR if bounded else _CANDIDATE_FACTOR
         for i, labels in enumerate(children_labels):
             if (max_frontier is not None
-                    and len(acc) * len(labels) > factor * max_frontier):
+                    and len(acc) * len(labels)
+                    > _CANDIDATE_FACTOR * max_frontier):
                 # abort before materialising the cross product at all
                 raise FrontierExplosion(len(acc) * len(labels), max_frontier,
                                         labels_created=stats["created"],
@@ -668,8 +635,6 @@ def _dp_labels(problem: AssignmentProblem,
     root = tree.root_id
     root_children = tree.children_ids(root)
     child_labels = [labels_of(c) for c in root_children]
-    if not bounded and not all(child_labels):
-        raise RuntimeError("the instance admits no feasible assignment")
     if not all(child_labels):
         return [], stats        # everything provably at/above the incumbent
     combined = combine_children(root, child_labels)
@@ -687,21 +652,6 @@ def _dp_labels(problem: AssignmentProblem,
 # --------------------------------------------------------------------------
 # Public entry points.
 # --------------------------------------------------------------------------
-def pareto_frontier(problem: AssignmentProblem,
-                    max_frontier: Optional[int] = None) -> List[ParetoLabel]:
-    """Pareto-optimal (host time, per-satellite load) points of the instance.
-
-    Every returned label corresponds to a feasible assignment (its ``cut``
-    field) and no feasible assignment strictly dominates any returned label.
-    ``max_frontier`` bounds the label sets: past it the solve raises
-    :class:`FrontierExplosion` instead of grinding for hours.
-    """
-    offload = _subtree_minima(problem, 1.0, 1.0)[0]
-    labels, _ = _dp_labels(problem, offload, max_frontier=max_frontier)
-    return [ParetoLabel(host_time=h, loads=loads, cut=cut)
-            for h, loads, cut in labels]
-
-
 def _select(labels: Sequence[_Label], weighting: SSBWeighting) -> _Label:
     return min(labels, key=lambda lab: weighting.combine(
         lab[0], max(lab[1]) if lab[1] else 0.0))
@@ -763,40 +713,6 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "settle_batches": stats["drains"],
         "nodes_swept": stats["drains"],
     }
-
-
-def pareto_dp_assignment(problem: AssignmentProblem,
-                         weighting: Optional[SSBWeighting] = None,
-                         max_frontier: Optional[int] = None,
-                         context: Optional[SolveContext] = None
-                         ) -> Tuple[Assignment, Dict[str, object]]:
-    """The optimal assignment selected from the (full) Pareto frontier.
-
-    With the default weighting the objective is the end-to-end delay
-    ``host time + max satellite load``.  ``max_frontier`` converts the known
-    frontier blowup (scattered ``n >= 30``) into :class:`FrontierExplosion`
-    instead of an apparent hang; :func:`pareto_dp_pruned_assignment` solves
-    that regime exactly without materialising the frontier.  A ``context``
-    deadline/cancellation mid-DP falls back to the greedy heuristic — a
-    valid feasible answer — with ``details["interrupted"]`` set.
-    """
-    weighting = weighting or SSBWeighting()
-    offload = _subtree_minima(problem, weighting.lambda_s,
-                              weighting.lambda_b)[0]
-    try:
-        labels, stats = _dp_labels(problem, offload,
-                                   max_frontier=max_frontier,
-                                   context=context,
-                                   profile=_span_profile(context))
-    except SolveInterrupted as exc:
-        return _greedy_fallback(problem, weighting, exc.kind, context)
-    best = _select(labels, weighting)
-    return _finish(problem, weighting, best, {
-        "frontier_size": len(labels),
-        "labels_dominated": stats["dominated"],
-        "labels_evicted": stats["evicted"],
-        "profile": _dp_profile(stats),
-    })
 
 
 def pareto_dp_pruned_assignment(problem: AssignmentProblem,

@@ -111,7 +111,7 @@ def solve(problem: AssignmentProblem,
         (default) is the paper's algorithm (label-dominance finisher; pass
         ``finisher="enumeration"`` for the historical Yen fallback);
         ``"colored-ssb-labels"`` runs the label-dominance DAG sweep alone;
-        ``"brute-force"`` and ``"pareto-dp"`` are exact references;
+        ``"brute-force"`` and ``"pareto-dp-pruned"`` are exact references;
         ``"sb-bottleneck"`` optimises Bokhari's objective; ``"dag-heft"`` and
         ``"dag-genetic"`` solve the §6 DAG relaxation and project the
         placement back; the rest are the heuristics the paper lists as

@@ -20,10 +20,9 @@ The default registry carries the paper's algorithm plus every baseline:
 ``colored-ssb-incremental`` label sweep warm-started from the last solve of
                        the same tree structure (exact; alias ``incremental``)
 ``brute-force``        full enumeration (exact reference)
-``pareto-dp``          Pareto-frontier tree DP (exact reference)
 ``pareto-dp-pruned``   bound-pruned Pareto DP: beam incumbent + completion
                        potentials, exact through the scattered n>=30 blowup
-                       regime (alias ``dp-pruned``)
+                       regime (aliases ``dp-pruned`` / ``pareto-dp``)
 ``branch-and-bound``   exact B&B over feasible cuts
 ``sb-bottleneck``      Bokhari's bottleneck objective (alias ``bokhari-sb``)
 ``greedy``             hill-climbing heuristic
@@ -380,25 +379,11 @@ def _run_brute_force(problem, weighting, options):
                                   context=options.get("context"))
 
 
-#: Default frontier cap for the pareto-dp spec.  Calibrated: instances that
-#: solve in seconds keep their frontiers under ~2k labels (n=20 scattered:
-#: 1536), while the known scattered-n>=30 blowup shoots past this cap within
-#: ~1s — so the guard raises fast instead of grinding for minutes first.
-PARETO_DP_MAX_FRONTIER = 8192
-
 #: Safety-valve cap of the bound-pruned DP.  Its per-state frontiers stay in
-#: the hundreds through scattered n=40 (peak ~5.6k), so the raised cap only
-#: fires on instances far beyond anything the pruning was calibrated for —
+#: the hundreds through scattered n=40 (peak ~5.6k), so the cap only fires
+#: on instances far beyond anything the pruning was calibrated for —
 #: a true valve, not an expected failure mode.
 PARETO_DP_PRUNED_MAX_FRONTIER = 65536
-
-
-def _run_pareto_dp(problem, weighting, options):
-    from repro.baselines import pareto_dp_assignment
-    return pareto_dp_assignment(
-        problem, weighting=weighting,
-        max_frontier=options.get("max_frontier", PARETO_DP_MAX_FRONTIER),
-        context=options.get("context"))
 
 
 def _run_pareto_dp_pruned(problem, weighting, options):
@@ -523,18 +508,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
         complexity="exponential in the number of offloadable subtrees",
     ),
     SolverSpec(
-        name="pareto-dp",
-        runner=_run_pareto_dp,
-        anytime=True,
-        description="Pareto-frontier tree DP (exact reference, full frontier)",
-        exact=True,
-        supports_weighting=True,
-        complexity="output-sensitive in the frontier size",
-        limits=(f"frontier blowup on scattered n>=30: raises FrontierExplosion "
-                f"past max_frontier (default {PARETO_DP_MAX_FRONTIER}) instead "
-                f"of hanging; use pareto-dp-pruned there",),
-    ),
-    SolverSpec(
         name="pareto-dp-pruned",
         runner=_run_pareto_dp_pruned,
         anytime=True,
@@ -544,11 +517,11 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
         exact=True,
         supports_weighting=True,
         complexity="output-sensitive in the *pruned* frontier size",
-        aliases=("dp-pruned",),
+        aliases=("dp-pruned", "pareto-dp"),
         limits=(f"safety valve: raises FrontierExplosion past max_frontier "
                 f"(default {PARETO_DP_PRUNED_MAX_FRONTIER}) if an instance "
-                f"defeats the pruning; calibrated exact through scattered "
-                f"n=40",),
+                f"defeats the pruning (calibrated exact through scattered "
+                f"n=40); use colored-ssb-labels there",),
     ),
     SolverSpec(
         name="sb-bottleneck",

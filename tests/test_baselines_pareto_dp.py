@@ -1,23 +1,20 @@
-"""Unit tests for the exact Pareto dynamic program."""
+"""Unit tests for the bound-pruned Pareto dynamic program."""
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.baselines.brute_force import brute_force_assignment, enumerate_assignments
+from repro.baselines.brute_force import brute_force_assignment
 from repro.baselines.pareto_dp import (
     FrontierExplosion,
-    ParetoLabel,
     _completion_potentials,
     _subtree_minima,
-    pareto_dp_assignment,
-    pareto_frontier,
+    pareto_dp_pruned_assignment,
 )
 from repro.core.dwg import SSBWeighting
 from repro.graphs.dag import min_weight_to_target
 from repro.graphs.digraph import DiGraph
-from repro.workloads import paper_example_problem, random_problem, snmp_scenario
+from repro.workloads import random_problem, snmp_scenario
 
 
 class TestFrontierGuard:
@@ -25,148 +22,48 @@ class TestFrontierGuard:
         problem = random_problem(n_processing=12, n_satellites=4, seed=2,
                                  sensor_scatter=0.5)
         with pytest.raises(FrontierExplosion) as excinfo:
-            pareto_dp_assignment(problem, max_frontier=1)
+            pareto_dp_pruned_assignment(problem, max_frontier=1)
         assert excinfo.value.limit == 1
         assert excinfo.value.size > 1
         assert "max_frontier" in str(excinfo.value)
 
-    @pytest.mark.timeout(120)
-    def test_blowup_regime_raises_fast_at_the_default_cap(self):
-        """The guard must fail *fast*: the known scattered-n=30 blowup has to
-        raise within seconds at the registry default, not grind for minutes
-        completing quadratic prunes first."""
-        import time
-
-        from repro.runtime.registry import PARETO_DP_MAX_FRONTIER
-
-        problem = random_problem(n_processing=30, n_satellites=4, seed=0,
-                                 sensor_scatter=1.0)
-        started = time.perf_counter()
-        with pytest.raises(FrontierExplosion):
-            pareto_dp_assignment(problem,
-                                 max_frontier=PARETO_DP_MAX_FRONTIER)
-        assert time.perf_counter() - started < 30.0
-
     def test_generous_cap_does_not_change_the_result(self, paper_problem):
-        capped, _ = pareto_dp_assignment(paper_problem, max_frontier=10_000)
-        free, _ = pareto_dp_assignment(paper_problem)
+        capped, _ = pareto_dp_pruned_assignment(paper_problem,
+                                                max_frontier=10_000)
+        free, _ = pareto_dp_pruned_assignment(paper_problem)
         assert capped == free
 
     def test_registry_applies_a_default_cap_and_marks_the_limit(self):
         from repro.core.solver import solve
         from repro.runtime import default_registry
-        from repro.runtime.registry import PARETO_DP_MAX_FRONTIER
 
-        spec = default_registry().resolve("pareto-dp")
+        spec = default_registry().resolve("pareto-dp-pruned")
         assert any("FrontierExplosion" in limit for limit in spec.limits)
         assert any("FrontierExplosion" in limit
                    for limit in spec.metadata()["limits"])
         problem = random_problem(n_processing=10, n_satellites=3, seed=4,
                                  sensor_scatter=0.5)
         with pytest.raises(FrontierExplosion):
-            solve(problem, method="pareto-dp", max_frontier=2)
-        # default sits well above healthy frontiers (n=20 scattered: ~1.5k)
-        # but low enough that the blowup regime raises within seconds
-        assert 2_000 <= PARETO_DP_MAX_FRONTIER <= 50_000
-        assert solve(problem, method="pareto-dp").objective > 0.0
+            solve(problem, method="pareto-dp-pruned", max_frontier=2)
+        assert solve(problem, method="pareto-dp-pruned").objective > 0.0
 
-
-class TestParetoLabel:
-    def test_dominance(self):
-        a = ParetoLabel(host_time=1.0, loads=(1.0, 2.0), cut=())
-        b = ParetoLabel(host_time=2.0, loads=(1.5, 2.0), cut=())
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        assert a.dominates(a)
-
-    def test_incomparable_labels(self):
-        a = ParetoLabel(host_time=1.0, loads=(5.0,), cut=())
-        b = ParetoLabel(host_time=3.0, loads=(1.0,), cut=())
-        assert not a.dominates(b) and not b.dominates(a)
-
-
-class TestFrontier:
-    def test_frontier_has_no_dominated_points(self, paper_problem):
-        frontier = pareto_frontier(paper_problem)
-        for i, label in enumerate(frontier):
-            for j, other in enumerate(frontier):
-                if i != j:
-                    assert not (other.dominates(label) and other != label)
-
-    def test_every_frontier_label_is_realisable(self, paper_problem):
-        from repro.core.assignment import Assignment
-
-        for label in pareto_frontier(paper_problem):
-            offloaded = [c for c in label.cut
-                         if paper_problem.tree.cru(c).is_processing]
-            assignment = Assignment.from_cut(paper_problem, offloaded)
-            assert assignment.host_load() == pytest.approx(label.host_time)
-            assert assignment.max_satellite_load() == pytest.approx(
-                max(label.loads) if label.loads else 0.0)
-
-    @pytest.mark.parametrize("k, scatter, seed", [(2, 0.6, 0), (3, 0.6, 0),
-                                                  (3, 1.0, 1)])
-    def test_streamed_folds_return_no_dominated_label(self, k, scatter, seed):
-        # n=20 frontiers are wide enough for the vectorised stream folds,
-        # whose masks must not be windowed when the frontier is the answer
-        problem = random_problem(n_processing=20, n_satellites=k, seed=seed,
-                                 sensor_scatter=scatter)
-        frontier = pareto_frontier(problem)
-        hosts = np.array([label.host_time for label in frontier])
-        loads = np.array([label.loads for label in frontier])
-        assert len(frontier) > 512
-        for i in range(len(frontier)):
-            dominators = (hosts <= hosts[i]) & (loads <= loads[i]).all(axis=1)
-            assert int(dominators.sum()) == 1, frontier[i]
-
-    def test_frontier_dominates_every_feasible_assignment(self, paper_problem):
-        frontier = pareto_frontier(paper_problem)
-        sat_ids = paper_problem.system.satellite_ids()
-        for assignment in enumerate_assignments(paper_problem):
-            loads = tuple(assignment.satellite_load(s) for s in sat_ids)
-            covered = any(
-                label.host_time <= assignment.host_load() + 1e-9
-                and all(a <= b + 1e-9 for a, b in zip(label.loads, loads))
-                for label in frontier)
-            assert covered
-
-
-class TestOptimum:
-    def test_matches_brute_force_on_the_paper_example(self, paper_problem):
-        dp, details = pareto_dp_assignment(paper_problem)
-        brute, _ = brute_force_assignment(paper_problem)
-        assert dp.end_to_end_delay() == pytest.approx(brute.end_to_end_delay())
-        assert details["objective"] == pytest.approx(dp.end_to_end_delay())
-
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("scatter", [0.0, 0.7])
-    def test_matches_brute_force_on_random_instances(self, seed, scatter):
-        problem = random_problem(n_processing=8, n_satellites=3, seed=seed,
-                                 sensor_scatter=scatter)
-        dp, _ = pareto_dp_assignment(problem)
-        brute, _ = brute_force_assignment(problem)
-        assert dp.end_to_end_delay() == pytest.approx(brute.end_to_end_delay())
-
-    @pytest.mark.slow
-    def test_scales_to_larger_instances(self):
-        problem = snmp_scenario(subnets=4, devices_per_subnet=5)
-        dp, details = pareto_dp_assignment(problem)
-        assert dp.is_feasible()
-        assert details["frontier_size"] >= 1
-
-    def test_weighted_objective(self, paper_problem):
-        weighting = SSBWeighting(1.0, 0.0)
-        dp, _ = pareto_dp_assignment(paper_problem, weighting=weighting)
-        brute, _ = brute_force_assignment(paper_problem, weighting=weighting)
-        assert dp.host_load() == pytest.approx(brute.host_load())
+    def test_message_does_not_recommend_the_engine_that_raised_it(self):
+        problem = random_problem(n_processing=10, n_satellites=3, seed=4,
+                                 sensor_scatter=0.5)
+        with pytest.raises(FrontierExplosion) as excinfo:
+            pareto_dp_pruned_assignment(problem, max_frontier=2)
+        message = str(excinfo.value)
+        what, advice = message.split(";", 1)
+        assert what.startswith("pareto-dp-pruned frontier reached")
+        assert "pareto-dp" not in advice
+        assert "colored-ssb-labels" in advice
+        assert "max_frontier" in advice
 
 
 class TestPrunedSolver:
-    """The bound-pruned rewrite: optimum-exact without the full frontier."""
+    """The bound-pruned DP: optimum-exact without the full frontier."""
 
     def test_matches_brute_force_on_the_paper_example(self, paper_problem):
-        from repro.baselines import pareto_dp_pruned_assignment
-
         pruned, details = pareto_dp_pruned_assignment(paper_problem)
         brute, _ = brute_force_assignment(paper_problem)
         assert pruned.end_to_end_delay() == pytest.approx(
@@ -175,30 +72,48 @@ class TestPrunedSolver:
             pruned.end_to_end_delay())
         assert details["beam_objective"] >= details["objective"]
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("scatter", [0.0, 0.7])
+    def test_matches_brute_force_on_random_instances(self, seed, scatter):
+        problem = random_problem(n_processing=8, n_satellites=3, seed=seed,
+                                 sensor_scatter=scatter)
+        pruned, _ = pareto_dp_pruned_assignment(problem)
+        brute, _ = brute_force_assignment(problem)
+        assert pruned.end_to_end_delay() == pytest.approx(
+            brute.end_to_end_delay())
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("scatter", [0.0, 1.0])
-    def test_matches_the_frontier_exact_dp(self, seed, scatter):
-        from repro.baselines import pareto_dp_pruned_assignment
+    def test_matches_the_milp_oracle(self, seed, scatter):
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment
 
         problem = random_problem(n_processing=10, n_satellites=3, seed=seed,
                                  sensor_scatter=scatter)
         pruned, _ = pareto_dp_pruned_assignment(problem)
-        full, _ = pareto_dp_assignment(problem)
-        assert pruned.end_to_end_delay() == full.end_to_end_delay()
+        oracle = milp_assignment(problem)
+        assert pruned.end_to_end_delay() == oracle.end_to_end_delay()
+
+    @pytest.mark.slow
+    def test_scales_to_larger_instances(self):
+        from repro.core.solver import solve
+
+        problem = snmp_scenario(subnets=4, devices_per_subnet=5)
+        pruned, _ = pareto_dp_pruned_assignment(problem)
+        assert pruned.is_feasible()
+        assert pruned.end_to_end_delay() == \
+            solve(problem, method="colored-ssb-labels").objective
 
     def test_weighted_objective(self, paper_problem):
-        from repro.baselines import pareto_dp_pruned_assignment
-
         weighting = SSBWeighting(1.0, 0.0)
         pruned, _ = pareto_dp_pruned_assignment(paper_problem,
                                                 weighting=weighting)
         brute, _ = brute_force_assignment(paper_problem, weighting=weighting)
         assert pruned.host_load() == pytest.approx(brute.host_load())
 
-    def test_solves_the_blowup_regime_the_exact_dp_cannot(self):
+    def test_solves_the_blowup_regime(self):
         """Acceptance: scattered n=30 solves exactly, no FrontierExplosion,
-        with per-state frontiers orders of magnitude under the old blowup."""
-        from repro.baselines import pareto_dp_pruned_assignment
+        with per-state frontiers orders of magnitude under the cap."""
         from repro.core.solver import solve
         from repro.runtime.registry import PARETO_DP_PRUNED_MAX_FRONTIER
 
@@ -212,21 +127,11 @@ class TestPrunedSolver:
         assert details["labels_bound_pruned"] > 0
 
     def test_beam_width_validation_and_tiny_beam(self, paper_problem):
-        from repro.baselines import pareto_dp_pruned_assignment
-
         with pytest.raises(ValueError, match="beam_width"):
             pareto_dp_pruned_assignment(paper_problem, beam_width=0)
         tiny, _ = pareto_dp_pruned_assignment(paper_problem, beam_width=1)
-        full, _ = pareto_dp_assignment(paper_problem)
-        assert tiny.end_to_end_delay() == full.end_to_end_delay()
-
-    def test_safety_valve_still_fires(self):
-        from repro.baselines import pareto_dp_pruned_assignment
-
-        problem = random_problem(n_processing=12, n_satellites=4, seed=2,
-                                 sensor_scatter=0.5)
-        with pytest.raises(FrontierExplosion):
-            pareto_dp_pruned_assignment(problem, max_frontier=1)
+        brute, _ = brute_force_assignment(paper_problem)
+        assert tiny.end_to_end_delay() == brute.end_to_end_delay()
 
 
 def dag_completion_potentials(problem, minhost, host_scale=1.0):

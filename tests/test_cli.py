@@ -35,8 +35,8 @@ class TestSolveCommand:
 
     def test_solve_random_scenario(self, capsys):
         assert main(["solve", "--scenario", "random", "--random-size", "8",
-                     "--seed", "3", "--method", "pareto-dp"]) == 0
-        assert "pareto-dp" in capsys.readouterr().out
+                     "--seed", "3", "--method", "pareto-dp-pruned"]) == 0
+        assert "pareto-dp-pruned" in capsys.readouterr().out
 
     def test_solve_problem_file(self, tmp_path, capsys):
         path = tmp_path / "problem.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import brute_force_assignment, pareto_dp_assignment
+from repro.baselines import brute_force_assignment
 from repro.core.assignment_graph import build_assignment_graph
 from repro.core.colored_ssb import ColoredSSBSearch, find_optimal_colored_ssb_path
 from repro.core.dwg import DoublyWeightedGraph, PathMeasures, SSBWeighting, SIGMA_ATTR
@@ -126,11 +126,14 @@ class TestOnAssignmentGraphs:
         problem = random_problem(n_processing=8, n_satellites=3, seed=seed,
                                  sensor_scatter=scatter)
         graph = build_assignment_graph(problem)
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment
+
         result = ColoredSSBSearch().search(graph.dwg)
         brute, _ = brute_force_assignment(problem)
-        dp, _ = pareto_dp_assignment(problem)
+        oracle = milp_assignment(problem)
         assert result.ssb_weight == pytest.approx(brute.end_to_end_delay())
-        assert result.ssb_weight == pytest.approx(dp.end_to_end_delay())
+        assert result.ssb_weight == pytest.approx(oracle.end_to_end_delay())
 
     def test_clustered_instances_mostly_avoid_the_enumeration_fallback(self):
         # one satellite per top-level branch -> contiguous colour regions, so

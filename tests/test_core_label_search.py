@@ -258,15 +258,17 @@ class TestPropertyAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(3))
     def test_previously_infeasible_scattered_regime_solves_exactly(self, seed):
         # n_processing = 20 scattered was the enumeration wall; the engine
-        # must agree with the Pareto-DP exact reference there
-        from repro.baselines import pareto_dp_assignment
+        # must agree with the MILP oracle there
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment
 
         problem = random_problem(n_processing=20, n_satellites=4, seed=seed,
                                  sensor_scatter=1.0)
         graph = build_assignment_graph(problem)
         result = ColoredSSBSearch(keep_trace=False).search(graph.dwg)
-        dp, _ = pareto_dp_assignment(problem)
-        assert result.ssb_weight == pytest.approx(dp.end_to_end_delay(), abs=1e-9)
+        oracle = milp_assignment(problem)
+        assert result.ssb_weight == pytest.approx(oracle.end_to_end_delay(),
+                                                  abs=1e-9)
 
 
 class TestColoredSSBFinisherWiring:

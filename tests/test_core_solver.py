@@ -30,7 +30,8 @@ class TestFacade:
 
     def test_exact_methods_agree(self, paper_problem):
         values = {m: solve(paper_problem, method=m).objective
-                  for m in ("colored-ssb", "brute-force", "pareto-dp", "branch-and-bound")}
+                  for m in ("colored-ssb", "brute-force", "pareto-dp-pruned",
+                            "branch-and-bound")}
         baseline = values["colored-ssb"]
         for method, value in values.items():
             assert value == pytest.approx(baseline), method
@@ -71,6 +72,6 @@ class TestFacade:
     def test_random_instances_all_methods_feasible(self, seed):
         problem = random_problem(n_processing=9, n_satellites=3, seed=seed,
                                  sensor_scatter=0.4)
-        for method in ("colored-ssb", "pareto-dp", "greedy", "genetic"):
+        for method in ("colored-ssb", "pareto-dp-pruned", "greedy", "genetic"):
             result = solve(problem, method=method, seed=seed)
             assert result.assignment.is_feasible()

@@ -1,4 +1,4 @@
-"""Cross-solver differential harness — the repo's standing exactness oracle.
+"""Cross-solver differential harness — the repo's standing exactness check.
 
 Three independent exact engines answer every instance:
 
@@ -14,9 +14,11 @@ They share no search code beyond the problem model, so agreement across a
 seeded sweep of topologies (chain / star / balanced / scattered), colourings
 and profile drift is strong evidence all of them are correct — and a latent
 bug in the hot path (the label engine is the production solver) cannot hide
-in the regime where brute force can't reach: ``pareto-dp-pruned`` now covers
-scattered instances through n=30, exactly where the old frontier-exact DP
-raised ``FrontierExplosion`` and left the label engine unchecked.
+in the regime where brute force can't reach: ``pareto-dp-pruned`` covers
+scattered instances through n=30 and wide stars through n=40.  A fourth
+reference that shares no code with any engine, the MILP model of
+``tests/milp_oracle.py``, checks them on the same topologies in
+``tests/test_milp_oracle.py``.
 
 Objectives are compared *exactly* (no tolerance): every solver reports the
 end-to-end delay of the concrete assignment it returns, computed by the same

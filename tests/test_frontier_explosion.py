@@ -1,8 +1,8 @@
 """FrontierExplosion path coverage across the runtime and distributed layers.
 
-The registry caps ``pareto-dp`` frontiers so the known blowup regime fails
-fast instead of hanging a worker.  These tests pin the whole journey of that
-cap: spec limits metadata, option propagation through
+The registry caps ``pareto-dp-pruned`` frontiers (the DP's safety valve)
+so an instance that defeats its bound pruning fails fast instead of hanging
+a worker.  These tests pin the whole journey of that cap: spec limits metadata, option propagation through
 :mod:`repro.runtime.payload` into worker processes, the error envelope a
 stream consumer sees, and the dead-letter path (a task whose worker dies
 repeatedly surfaces as an error result in :class:`ResultStream`, never as a
@@ -15,10 +15,7 @@ from repro.baselines.pareto_dp import FrontierExplosion
 from repro.distributed import ResultStream, SolveWorker, WorkQueue
 from repro.runtime import BatchTask, default_registry, prepare_tasks, task_payload
 from repro.runtime.payload import solve_payload
-from repro.runtime.registry import (
-    PARETO_DP_MAX_FRONTIER,
-    PARETO_DP_PRUNED_MAX_FRONTIER,
-)
+from repro.runtime.registry import PARETO_DP_PRUNED_MAX_FRONTIER
 from repro.workloads import random_problem
 
 
@@ -31,30 +28,26 @@ def payload_for(problem, method, **options):
 
 @pytest.fixture
 def blowup_problem():
-    # big enough that a max_frontier of 2 trips immediately, small enough
-    # that the uncapped solve would also be instant
+    # big enough that a max_frontier of 1-5 trips the pruned DP's valve,
+    # small enough that the uncapped solve would also be instant
     return random_problem(n_processing=10, n_satellites=3, seed=4,
                           sensor_scatter=0.5)
 
 
 class TestRegistryCaps:
-    def test_both_dp_specs_declare_their_caps(self):
-        registry = default_registry()
-        for name, cap in (("pareto-dp", PARETO_DP_MAX_FRONTIER),
-                          ("pareto-dp-pruned", PARETO_DP_PRUNED_MAX_FRONTIER)):
-            spec = registry.resolve(name)
-            assert any("FrontierExplosion" in limit for limit in spec.limits)
-            assert any(str(cap) in limit for limit in spec.limits)
-            assert any("FrontierExplosion" in limit
-                       for limit in spec.metadata()["limits"])
-        # the valve of the pruned rewrite is raised, not recycled
-        assert PARETO_DP_PRUNED_MAX_FRONTIER > PARETO_DP_MAX_FRONTIER
+    def test_dp_spec_declares_its_cap(self):
+        spec = default_registry().resolve("pareto-dp-pruned")
+        assert any("FrontierExplosion" in limit for limit in spec.limits)
+        assert any(str(PARETO_DP_PRUNED_MAX_FRONTIER) in limit
+                   for limit in spec.limits)
+        assert any("FrontierExplosion" in limit
+                   for limit in spec.metadata()["limits"])
 
     def test_pruned_alias_resolves(self):
         assert default_registry().resolve("dp-pruned").name == "pareto-dp-pruned"
 
     def test_cap_propagates_through_payload_options(self, blowup_problem):
-        payload = payload_for(blowup_problem, "pareto-dp", max_frontier=2)
+        payload = payload_for(blowup_problem, "pareto-dp-pruned", max_frontier=2)
         assert payload["options"]["max_frontier"] == 2
         outcome = solve_payload(payload)
         assert outcome["ok"] is False
@@ -67,26 +60,15 @@ class TestRegistryCaps:
         from repro.core.solver import solve
 
         with pytest.raises(FrontierExplosion) as excinfo:
-            solve(blowup_problem, method="pareto-dp", max_frontier=3)
+            solve(blowup_problem, method="pareto-dp-pruned", max_frontier=3)
         assert excinfo.value.limit == 3
-
-    def test_pruned_solver_survives_where_capped_dp_raises(self):
-        from repro.core.solver import solve
-
-        problem = random_problem(n_processing=30, n_satellites=4, seed=0,
-                                 sensor_scatter=1.0)
-        with pytest.raises(FrontierExplosion):
-            solve(problem, method="pareto-dp")
-        result = solve(problem, method="pareto-dp-pruned")
-        reference = solve(problem, method="colored-ssb-labels")
-        assert result.objective == reference.objective
 
 
 class TestWorkerAndStream:
     def test_worker_publishes_explosion_as_error_result(self, tmp_path,
                                                         blowup_problem):
         queue = WorkQueue(str(tmp_path / "spool"))
-        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp",
+        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp-pruned",
                                            max_frontier=2))
         assert SolveWorker(queue).run(drain=True) == 1
         result = queue.result(task_id)
@@ -100,7 +82,7 @@ class TestWorkerAndStream:
                                                            blowup_problem):
         queue = WorkQueue(str(tmp_path / "spool"))
         good = random_problem(n_processing=6, n_satellites=2, seed=1)
-        ids = [queue.submit(payload_for(blowup_problem, "pareto-dp",
+        ids = [queue.submit(payload_for(blowup_problem, "pareto-dp-pruned",
                                         max_frontier=2)),
                queue.submit(payload_for(good, "colored-ssb-labels"))]
         SolveWorker(queue).run(drain=True)
@@ -117,7 +99,7 @@ class TestWorkerAndStream:
         stream must yield it as an error result instead of waiting forever."""
         queue = WorkQueue(str(tmp_path / "spool"), lease_timeout=0.05,
                           max_requeues=2)
-        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp"))
+        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp-pruned"))
         # simulate workers that claim and die mid-solve until dead-lettered
         for _ in range(queue.max_requeues + 1):
             task = queue.claim()
@@ -139,7 +121,7 @@ class TestExplosionDiagnostics:
     """The cap's work counters ride the error envelope end to end."""
 
     def test_error_envelope_carries_the_work_counters(self, blowup_problem):
-        payload = payload_for(blowup_problem, "pareto-dp", max_frontier=2)
+        payload = payload_for(blowup_problem, "pareto-dp-pruned", max_frontier=2)
         outcome = solve_payload(payload)
         assert outcome["ok"] is False
         details = outcome["details"]
@@ -152,7 +134,7 @@ class TestExplosionDiagnostics:
         from repro.core.solver import solve
 
         with pytest.raises(FrontierExplosion) as excinfo:
-            solve(blowup_problem, method="pareto-dp", max_frontier=2)
+            solve(blowup_problem, method="pareto-dp-pruned", max_frontier=2)
         details = excinfo.value.error_details()
         assert details["labels_created"] == excinfo.value.labels_created
         assert details["peak_frontier"] == excinfo.value.peak_frontier
@@ -163,7 +145,7 @@ class TestExplosionDiagnostics:
 
         spool = str(tmp_path / "spool")
         queue = WorkQueue(spool)
-        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp",
+        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp-pruned",
                                            max_frontier=2))
         SolveWorker(queue).run(drain=True)
         result = queue.result(task_id)
@@ -183,7 +165,7 @@ class TestExplosionDiagnostics:
 
         spool = str(tmp_path / "spool")
         queue = WorkQueue(spool)
-        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp"))
+        task_id = queue.submit(payload_for(blowup_problem, "pareto-dp-pruned"))
         task = queue.claim()
         diagnostics = {"labels_created": 227639, "peak_frontier": 83696}
         queue.fail(task, error="FrontierExplosion: capped",

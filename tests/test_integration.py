@@ -12,7 +12,7 @@ from repro import (
     snmp_scenario,
     solve,
 )
-from repro.baselines import brute_force_assignment, pareto_dp_assignment
+from repro.baselines import brute_force_assignment
 from repro.model.serialization import problem_from_json, problem_to_json
 from repro.simulation import ExecutionPolicy, simulate_assignment
 
@@ -59,10 +59,13 @@ class TestCrossSolverAgreement:
     def test_three_exact_solvers_agree_on_larger_instances(self, seed):
         problem = random_problem(n_processing=14, n_satellites=4, seed=seed,
                                  sensor_scatter=0.3)
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment
+
         ssb = solve(problem).objective
-        dp, _ = pareto_dp_assignment(problem)
+        oracle = milp_assignment(problem)
         bnb = solve(problem, method="branch-and-bound").objective
-        assert ssb == pytest.approx(dp.end_to_end_delay())
+        assert ssb == pytest.approx(oracle.end_to_end_delay())
         assert ssb == pytest.approx(bnb)
 
     def test_weighted_objective_agreement(self):

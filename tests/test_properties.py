@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_assignment, count_feasible_assignments, enumerate_cuts
-from repro.baselines.pareto_dp import pareto_dp_assignment
 from repro.core.assignment import Assignment
 from repro.core.assignment_graph import build_assignment_graph
 from repro.core.colored_ssb import ColoredSSBSearch
@@ -141,11 +140,15 @@ class TestAssignmentProblemProperties:
     @common_settings
     @given(problem_instances())
     def test_solvers_agree(self, problem):
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment, resolution
+
         ssb = solve(problem, validate=False).objective
         brute, _ = brute_force_assignment(problem)
-        dp, _ = pareto_dp_assignment(problem)
+        oracle = milp_assignment(problem)
         assert ssb == pytest.approx(brute.end_to_end_delay())
-        assert ssb == pytest.approx(dp.end_to_end_delay())
+        assert ssb == pytest.approx(oracle.end_to_end_delay(),
+                                    abs=resolution(problem))
 
     @common_settings
     @given(problem_instances())
@@ -201,12 +204,16 @@ class TestAssignmentProblemProperties:
     @common_settings
     @given(problem_instances(), st.floats(min_value=0.0, max_value=1.0))
     def test_weighted_objective_agreement(self, problem, lam):
+        pytest.importorskip("scipy.optimize")
+        from milp_oracle import milp_assignment, objective, resolution
+
         weighting = SSBWeighting.convex(lam)
         brute, _ = brute_force_assignment(problem, weighting=weighting)
-        want = weighting.combine(brute.host_load(), brute.max_satellite_load())
+        want = objective(brute, weighting)
+        oracle = milp_assignment(problem, weighting)
+        assert objective(oracle, weighting) == pytest.approx(
+            want, abs=resolution(problem)), "milp"
         for method in ("colored-ssb", "colored-ssb-labels", "pareto-dp-pruned"):
             got = solve(problem, method=method, weighting=weighting,
                         validate=False).assignment
-            assert weighting.combine(got.host_load(),
-                                     got.max_satellite_load()) == \
-                pytest.approx(want), method
+            assert objective(got, weighting) == pytest.approx(want), method

@@ -10,7 +10,7 @@ class TestDefaultRegistry:
     def test_carries_every_facade_method(self):
         registry = default_registry()
         assert registry.names() == available_methods()
-        assert len(registry) == 14
+        assert len(registry) == 13
 
     def test_aliases_resolve_to_canonical_specs(self):
         registry = default_registry()
@@ -27,6 +27,18 @@ class TestDefaultRegistry:
         assert "bokhari-sb" in registry
         assert "random" in registry.names(include_aliases=True)
 
+    def test_retired_pareto_dp_resolves_to_the_pruned_dp(self):
+        from repro.core.solver import solve
+        from repro.workloads import random_problem
+
+        registry = default_registry()
+        assert registry.resolve("pareto-dp").name == "pareto-dp-pruned"
+        assert "pareto-dp" not in registry.names()
+        problem = random_problem(n_processing=10, n_satellites=3, seed=4,
+                                 sensor_scatter=0.5)
+        assert solve(problem, method="pareto-dp").objective == \
+            solve(problem, method="brute-force").objective
+
     def test_unknown_method_raises_with_available_list(self):
         registry = default_registry()
         with pytest.raises(UnknownSolverError, match="unknown method"):
@@ -39,7 +51,7 @@ class TestDefaultRegistry:
         exact = {spec.name for spec in registry if spec.exact}
         assert exact == {"colored-ssb", "colored-ssb-labels",
                          "colored-ssb-incremental", "brute-force",
-                         "pareto-dp", "pareto-dp-pruned", "branch-and-bound",
+                         "pareto-dp-pruned", "branch-and-bound",
                          "portfolio"}
         stochastic = {spec.name for spec in registry if spec.stochastic}
         assert stochastic == {"random-search", "genetic", "dag-genetic"}

@@ -230,7 +230,7 @@ class TestCaching:
         cache = LRUResultCache()
         runner = BatchRunner(workers=0, cache=cache)
         runner.solve_many(PROBLEMS[:1], method="greedy")
-        other = runner.solve_many(PROBLEMS[:1], method="pareto-dp")
+        other = runner.solve_many(PROBLEMS[:1], method="pareto-dp-pruned")
         assert other.cache_hits == 0
 
     def test_duplicate_instances_solved_once(self):
