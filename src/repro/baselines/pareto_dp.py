@@ -22,12 +22,15 @@ frontiers are pruned by a **completion potential** (the minimum host time
 the rest of the tree must still add — one parents-first walk over the DP's
 states in :func:`_completion_potentials`, whose per-subtree weights come
 from one children-first walk in :func:`_subtree_minima`, together with the
-joint and per-colour floors) against an **incumbent** found by a beam
-pre-pass over the same DP.  A label whose ``λ_S·(host + potential) +
+joint and per-colour floors) against an **incumbent**: found by a beam
+pre-pass over the same DP or, in the refutation mode the portfolio's
+cross-check uses, the objective of an answer the caller already holds (the
+beam is then skipped, and the one exact pass only has to show that nothing
+beats that answer).  A label whose ``λ_S·(host + potential) +
 λ_B·max(load)`` reaches the incumbent cannot end in a better assignment
 (loads only grow, host grows by at least the potential) and is dropped
 before it multiplies through the cross products.  The returned assignment
-is still exactly optimal — the pre-pass incumbent is feasible, and only
+is still exactly optimal — the incumbent is feasible, and only
 provably-not-better labels are discarded.
 
 The DP makes no use of the assignment graph, the colouring or the SSB search
@@ -106,6 +109,14 @@ _CANDIDATE_FACTOR = 256
 
 #: Default beam width of the pruned solver's incumbent pre-pass.
 _PRUNED_BEAM_WIDTH = 16
+
+#: Relative widening of a caller's ``incumbent`` into the refutation pass's
+#: bound.  The bound drops labels at or above it, and the DP sums a label in
+#: its own order, so the caller's own optimum can land on or 1-2 ulp above
+#: the objective the caller computed; unwidened, the bound would prune it.
+#: Mirrors ``_CUT_SLACK`` of the label sweep (:mod:`repro.core.label_search`),
+#: which the DP does not import from.
+_INCUMBENT_SLACK = 1.0 + 2.0 ** -44
 
 #: Streamed cross products: folds with at least this many candidate pairs
 #: run through the vectorised chunked kernel instead of the per-pair python
@@ -652,9 +663,12 @@ def _dp_labels(problem: AssignmentProblem,
 # --------------------------------------------------------------------------
 # Public entry points.
 # --------------------------------------------------------------------------
+def _objective(label: _Label, weighting: SSBWeighting) -> float:
+    return weighting.combine(label[0], max(label[1]) if label[1] else 0.0)
+
+
 def _select(labels: Sequence[_Label], weighting: SSBWeighting) -> _Label:
-    return min(labels, key=lambda lab: weighting.combine(
-        lab[0], max(lab[1]) if lab[1] else 0.0))
+    return min(labels, key=lambda lab: _objective(lab, weighting))
 
 
 def _greedy_fallback(problem: AssignmentProblem, weighting: SSBWeighting,
@@ -719,7 +733,8 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
                                 weighting: Optional[SSBWeighting] = None,
                                 max_frontier: Optional[int] = None,
                                 beam_width: int = _PRUNED_BEAM_WIDTH,
-                                context: Optional[SolveContext] = None
+                                context: Optional[SolveContext] = None,
+                                incumbent: Optional[float] = None
                                 ) -> Tuple[Assignment, Dict[str, object]]:
     """Exact optimum via the frontier-pruned DP (scattered ``n=30`` regime).
 
@@ -732,10 +747,20 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
     stays as a true safety valve; it should only fire on instances whose
     *pruned* frontiers still explode.
 
+    ``incumbent`` is the refutation mode of the portfolio's cross-check: the
+    objective of an assignment the caller already holds.  The beam pre-pass
+    is skipped and the one exact pass is bounded by ``incumbent`` widened by
+    ``_INCUMBENT_SLACK``, so it only has to show that nothing beats the
+    caller's answer — and returns the best label at or below it, the
+    optimum.  An empty bounded pass claims that nothing reaches an objective
+    the caller holds, a contradiction: the DP then re-solves cold (beam,
+    then exact) and returns its own optimum.  ``details["incumbent_reached"]``
+    records which happened.
+
     Anytime behaviour under a ``context``: an interruption during the beam
-    pre-pass falls back to greedy; one during the exact pass returns the beam
-    incumbent — both are valid feasible assignments, flagged via
-    ``details["interrupted"]``.
+    pre-pass or the bounded refutation pass falls back to greedy; one during
+    the cold exact pass returns the beam incumbent — all are valid feasible
+    assignments, flagged via ``details["interrupted"]``.
     """
     weighting = weighting or SSBWeighting()
     if beam_width < 1:
@@ -754,57 +779,71 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
             cpot_state.append(st)
             cpot_opt.append(op)
 
-    try:
-        beam_labels, beam_stats = _dp_labels(
+    def run(**kwargs) -> Tuple[List[_Label], Dict[str, int]]:
+        return _dp_labels(
             problem, offload, pot_state=pot_state, pot_opt=pot_opt,
             jpot_state=jpot_state, jpot_opt=jpot_opt,
             cpot_state=cpot_state, cpot_opt=cpot_opt,
-            lam_s=lam_s, lam_b=lam_b, beam_width=beam_width, context=context)
+            lam_s=lam_s, lam_b=lam_b, context=context, **kwargs)
+
+    def exact(bound: float) -> Tuple[List[_Label], Dict[str, int]]:
+        return run(max_frontier=max_frontier, bound=bound,
+                   profile=_span_profile(context))
+
+    extra: Dict[str, object] = {}
+    if incumbent is not None:
+        try:
+            exact_labels, stats = exact(incumbent * _INCUMBENT_SLACK)
+        except SolveInterrupted as exc:
+            return _greedy_fallback(problem, weighting, exc.kind, context)
+        if exact_labels:
+            return _finish(problem, weighting,
+                           _select(exact_labels, weighting), {
+                               "incumbent_reached": True,
+                               **_exact_details(exact_labels, stats)})
+        extra["incumbent_reached"] = False
+
+    try:
+        beam_labels, beam_stats = run(beam_width=beam_width)
     except SolveInterrupted as exc:
         return _greedy_fallback(problem, weighting, exc.kind, context)
     if not beam_labels:
         raise RuntimeError("the instance admits no feasible assignment")
-    incumbent = _select(beam_labels, weighting)
-    incumbent_objective = weighting.combine(
-        incumbent[0], max(incumbent[1]) if incumbent[1] else 0.0)
+    beam_best = _select(beam_labels, weighting)
+    beam_objective = _objective(beam_best, weighting)
     if context is not None:
-        context.report_incumbent(incumbent_objective, source="dp-beam")
+        context.report_incumbent(beam_objective, source="dp-beam")
+    extra["beam_objective"] = beam_objective
+    extra["beam_labels_bound_pruned"] = beam_stats["bound_rejected"]
 
     try:
-        exact_labels, stats = _dp_labels(
-            problem, offload, max_frontier=max_frontier,
-            pot_state=pot_state, pot_opt=pot_opt,
-            jpot_state=jpot_state, jpot_opt=jpot_opt,
-            cpot_state=cpot_state, cpot_opt=cpot_opt,
-            bound=incumbent_objective, lam_s=lam_s, lam_b=lam_b,
-            context=context, profile=_span_profile(context))
+        exact_labels, stats = exact(beam_objective)
     except SolveInterrupted as exc:
-        return _finish(problem, weighting, incumbent, {
-            "interrupted": exc.kind,
-            "beam_objective": incumbent_objective,
-            "beam_confirmed": False,
-            "beam_labels_bound_pruned": beam_stats["bound_rejected"],
-        })
+        return _finish(problem, weighting, beam_best, {
+            "interrupted": exc.kind, "beam_confirmed": False, **extra})
+    best, beaten = beam_best, False
     if exact_labels:
-        best = _select(exact_labels, weighting)
-        beaten = weighting.combine(
-            best[0], max(best[1]) if best[1] else 0.0) < incumbent_objective
-        if not beaten:
-            best = incumbent
-    else:
-        # nothing beat the pre-pass incumbent strictly: it is the optimum
-        best, beaten = incumbent, False
+        # anything left strictly beat the pre-pass incumbent's bound; keep
+        # the incumbent unless the best of it really is strictly better
+        candidate = _select(exact_labels, weighting)
+        if _objective(candidate, weighting) < beam_objective:
+            best, beaten = candidate, True
     return _finish(problem, weighting, best, {
-        "frontier_size": len(exact_labels),
+        "beam_confirmed": not beaten, **extra,
+        **_exact_details(exact_labels, stats)})
+
+
+def _exact_details(labels: Sequence[_Label], stats: Dict[str, int]
+                   ) -> Dict[str, object]:
+    """Work counters of one exact pass, for the solver details."""
+    return {
+        "frontier_size": len(labels),
         "peak_frontier": stats["peak_frontier"],
         "labels_dominated": stats["dominated"],
         "labels_evicted": stats["evicted"],
         "labels_bound_pruned": stats["bound_rejected"],
-        "beam_objective": incumbent_objective,
-        "beam_confirmed": not beaten,
-        "beam_labels_bound_pruned": beam_stats["bound_rejected"],
         "profile": _dp_profile(stats),
-    })
+    }
 
 
 def _finish(problem: AssignmentProblem, weighting: SSBWeighting,
@@ -814,8 +853,7 @@ def _finish(problem: AssignmentProblem, weighting: SSBWeighting,
     offloaded = [c for c in cut if problem.tree.cru(c).is_processing]
     assignment = Assignment.from_cut(problem, offloaded)
     details: Dict[str, object] = {
-        "objective": weighting.combine(host_time,
-                                       max(loads) if loads else 0.0),
+        "objective": _objective(best, weighting),
         "host_time": host_time,
         "max_load": max(loads) if loads else 0.0,
     }

@@ -24,8 +24,12 @@ existing plumbing:
    (the same incumbent plumbing the incremental solver uses), under the
    same shared context;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
-   little), the independent exact engine re-derives the optimum; agreement
-   is recorded in the details, disagreement is flagged loudly.
+   little), the independent exact engine *refutes* the answer in hand: its
+   one exact pass is bounded by that answer's objective (no beam pre-pass),
+   so it only has to prove that no assignment beats it.  If the answer were
+   suboptimal, the true optimum lies strictly inside the bound, the DP
+   finds it and the portfolio takes it; agreement is recorded in the
+   details, disagreement is flagged loudly.
 
 The stages share one context: each later stage starts from the best
 incumbent any earlier stage reported, and a deadline or cancellation fires
@@ -163,7 +167,9 @@ class PortfolioSolver:
         ``"auto"`` (default) runs the independent pruned-DP stage only when
         it is cheap relative to the sweep (small, not heavily scattered
         instances); ``True``/``"always"`` forces it, ``False``/``"never"``
-        disables it.
+        disables it.  The stage is a refutation pass: the DP is handed the
+        best objective so far as its bound and must find nothing strictly
+        better for ``cross_check_agreed`` to hold.
     beam_width:
         Beam width of the label stage's pre-pass (the greedy seed already
         provides an incumbent, so the beam mostly refines it).
@@ -265,8 +271,11 @@ class PortfolioSolver:
                 skipped=self._skip_reason(features)))
         else:
             started = time.perf_counter()
+            # refutation: the DP's one exact pass is bounded by the answer
+            # in hand, so it only has to show that nothing beats it
             dp_assignment, dp_details = pareto_dp_pruned_assignment(
-                problem, weighting=self.weighting, context=context)
+                problem, weighting=self.weighting, context=context,
+                incumbent=best_objective)
             dp_objective = self.weighting.combine(
                 dp_assignment.host_load(), dp_assignment.max_satellite_load())
             # an interrupted cross-check never downgrades the result: the

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_assignment
 from repro.baselines.pareto_dp import (
@@ -11,6 +13,7 @@ from repro.baselines.pareto_dp import (
     _subtree_minima,
     pareto_dp_pruned_assignment,
 )
+from repro.core.context import SolveContext
 from repro.core.dwg import SSBWeighting
 from repro.graphs.dag import min_weight_to_target
 from repro.graphs.digraph import DiGraph
@@ -132,6 +135,73 @@ class TestPrunedSolver:
         tiny, _ = pareto_dp_pruned_assignment(paper_problem, beam_width=1)
         brute, _ = brute_force_assignment(paper_problem)
         assert tiny.end_to_end_delay() == brute.end_to_end_delay()
+
+
+def objective(assignment, weighting=None):
+    """The objective recomputed from an assignment, as the portfolio does."""
+    weighting = weighting or SSBWeighting()
+    return weighting.combine(assignment.host_load(),
+                             assignment.max_satellite_load())
+
+
+#: incumbents handed to the refutation pass, as a function of the optimum:
+#: the optimum itself, a value above it, and an unreachable value below it
+INCUMBENTS = {
+    "optimum": lambda best: best,
+    "above": lambda best: best * 1.25 + 1.0,
+    "below": lambda best: best / 2.0,
+}
+
+
+class TestIncumbentMode:
+    """The refutation pass: bounded by a caller's objective, beam skipped."""
+
+    def check(self, problem, which, weighting=None):
+        brute, _ = brute_force_assignment(problem, weighting=weighting)
+        best = objective(brute, weighting)
+        got, details = pareto_dp_pruned_assignment(
+            problem, weighting=weighting,
+            incumbent=INCUMBENTS[which](best))
+        assert objective(got, weighting) == best
+        # a reachable incumbent needs no beam; an unreachable one is a
+        # contradiction the DP answers by re-solving cold
+        assert details["incumbent_reached"] is (which != "below")
+        assert ("beam_objective" in details) is (which == "below")
+        assert "interrupted" not in details
+
+    @pytest.mark.parametrize("which", sorted(INCUMBENTS))
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scatter", [0.0, 0.6])
+    def test_returns_the_brute_force_optimum(self, which, seed, scatter):
+        problem = random_problem(n_processing=8, n_satellites=3, seed=seed,
+                                 sensor_scatter=scatter)
+        self.check(problem, which)
+
+    @pytest.mark.parametrize("which", sorted(INCUMBENTS))
+    def test_weighted_objective(self, which, paper_problem):
+        self.check(paper_problem, which, SSBWeighting(0.3, 0.7))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=9),
+           k=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=10_000),
+           scatter=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+           which=st.sampled_from(sorted(INCUMBENTS)))
+    def test_property_matches_brute_force(self, n, k, seed, scatter, which):
+        problem = random_problem(n_processing=n, n_satellites=k, seed=seed,
+                                 sensor_scatter=scatter)
+        self.check(problem, which)
+
+    def test_interrupted_refutation_falls_back_to_greedy(self):
+        problem = random_problem(n_processing=8, n_satellites=3, seed=1,
+                                 sensor_scatter=0.3)
+        brute, _ = brute_force_assignment(problem)
+        got, details = pareto_dp_pruned_assignment(
+            problem, incumbent=objective(brute),
+            context=SolveContext(deadline_s=0.0))
+        assert details["interrupted"] == "deadline"
+        assert details["fallback"] == "greedy"
+        assert got.is_feasible()
 
 
 def dag_completion_potentials(problem, minhost, host_scale=1.0):

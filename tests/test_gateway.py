@@ -217,26 +217,37 @@ class TestEndpoints:
             gateway.stop()
 
     def test_solve_roundtrip_and_task_poll(self, shards):
+        # gateway + spool + worker return the in-process objective bit for
+        # bit: under the gateway's own default method and under the
+        # portfolio, on instances inside its cross-check regime (n <= 14)
         from repro.core.solver import solve as solve_inline
+        from repro.distributed.protocol import SolveRequest
 
         gateway = make_gateway(shards).start_background()
         try:
             with ShardDrainer(gateway.queues):
-                problem = tiny_problem(seed=3)
-                status, _, body = post_solve(
-                    gateway.port, problem_body(problem, timeout_s=60))
-                envelope = json.loads(body)
-                assert status == 200
-                assert envelope["ok"] and envelope["status"] == "optimal"
-                expected = solve_inline(problem, method="colored-ssb")
-                assert envelope["objective"] == pytest.approx(
-                    expected.objective)
-                status, body = get(gateway.port,
-                                   f"/v1/tasks/{envelope['task_id']}")
-                poll = json.loads(body)
-                assert status == 200 and poll["state"] == "done"
-                assert poll["result"]["objective"] == pytest.approx(
-                    expected.objective)
+                for method in (None, "portfolio"):
+                    for n, seed in ((6, 3), (10, 4), (14, 5)):
+                        problem = random_problem(n_processing=n,
+                                                 n_satellites=3, seed=seed,
+                                                 sensor_scatter=0.3)
+                        extra = {"method": method} if method else {}
+                        status, _, body = post_solve(
+                            gateway.port,
+                            problem_body(problem, timeout_s=60, **extra))
+                        envelope = json.loads(body)
+                        assert status == 200
+                        assert envelope["ok"]
+                        assert envelope["status"] == "optimal"
+                        expected = solve_inline(
+                            problem, method=method or SolveRequest.method)
+                        assert envelope["objective"] == expected.objective
+                        status, body = get(
+                            gateway.port, f"/v1/tasks/{envelope['task_id']}")
+                        poll = json.loads(body)
+                        assert status == 200 and poll["state"] == "done"
+                        assert poll["result"]["objective"] == \
+                            expected.objective
         finally:
             gateway.stop()
 

@@ -160,31 +160,85 @@ class TestAnytime:
         stages = {s["stage"]: s for s in result.details["stages"]}
         assert stages["dp-pruned"].get("skipped")
 
-    def test_interrupted_cross_check_does_not_downgrade_optimality(self):
-        # labels completes, proving the optimum; a context firing during the
-        # forced DP cross-check must not relabel the result as feasible
+    def test_interrupted_cross_check_does_not_downgrade_optimality(
+            self, monkeypatch):
+        # labels completes, proving the optimum; the deadline then passes
+        # as the forced DP cross-check starts, so its first poll fires — the
+        # result must not be relabelled feasible
+        import repro.baselines.pareto_dp as pareto_dp
+
         problem = make(n=8, scatter=0.0, seed=3)
+        reference = solve(problem, method="portfolio").objective
 
-        class FiresAfter:
-            """Clock that expires the deadline only after N reads."""
+        class Clock:
+            """Frozen at 0 until the DP stage starts, then far past it."""
 
-            def __init__(self, reads):
-                self.reads = reads
-                self.now = 0.0
+            now = 0.0
 
             def __call__(self):
-                self.now += 0.0 if self.reads > 0 else 10.0
-                self.reads -= 1
                 return self.now
 
-        reference = solve(problem, method="portfolio").objective
-        # enough reads to carry greedy + the sweep, too few for the DP
-        context = SolveContext(deadline_s=5.0, clock=FiresAfter(600))
+        clock = Clock()
+        dp_stage = pareto_dp.pareto_dp_pruned_assignment
+
+        def expiring_dp_stage(*args, **kwargs):
+            clock.now = 10.0
+            return dp_stage(*args, **kwargs)
+
+        monkeypatch.setattr(pareto_dp, "pareto_dp_pruned_assignment",
+                            expiring_dp_stage)
+        context = SolveContext(deadline_s=5.0, clock=clock)
         result = solve(problem, method="portfolio", cross_check="always",
                        context=context)
+        stages = {s["stage"]: s for s in result.details["stages"]}
+        assert stages["labels"].get("interrupted") is None
+        assert stages["dp-pruned"]["interrupted"] == "deadline"
+        assert result.status == "optimal"
         assert result.objective == reference
-        if result.details["stages"][-1].get("interrupted"):
-            assert result.status == "optimal"
+        assert result.details["cross_check_agreed"] is False
+
+
+class TestRefutation:
+    """The cross-check refutes the label answer; it does not re-solve."""
+
+    @pytest.mark.parametrize("seed, scatter", [(0, 0.0), (1, 0.3), (3, 0.0)])
+    def test_suboptimal_label_answer_is_caught_and_replaced(
+            self, monkeypatch, seed, scatter):
+        # mutation: the sweep reports no improvement over the one-step
+        # greedy seed, so a suboptimal seed stands as "proven"
+        from repro.core.label_search import LabelDominanceSearch, _not_found
+
+        problem = make(n=8, scatter=scatter, seed=seed)
+        optimum = solve(problem, method="brute-force").objective
+        seed_answer, _ = greedy_assignment(problem, max_steps=_SEED_STEPS)
+        assert seed_answer.end_to_end_delay() > optimum    # the premise
+
+        search = LabelDominanceSearch.search
+
+        def no_improvement(self, *args, **kwargs):
+            return _not_found(search(self, *args, **kwargs).stats)
+
+        monkeypatch.setattr(LabelDominanceSearch, "search", no_improvement)
+        result = solve(problem, method="portfolio")
+        assert result.details["cross_check_agreed"] is False
+        assert result.details["winner"] == "dp-pruned"
+        assert result.objective == optimum
+        assert result.details["optimal_proven"] is False
+
+    def test_agreeing_refutation_runs_one_exact_pass(self, monkeypatch):
+        import repro.baselines.pareto_dp as pareto_dp
+
+        beam_widths = []
+        kernel = pareto_dp._dp_labels
+
+        def recorded(*args, **kwargs):
+            beam_widths.append(kwargs.get("beam_width"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pareto_dp, "_dp_labels", recorded)
+        result = solve(make(n=8, scatter=0.0, seed=3), method="portfolio")
+        assert result.details["cross_check_agreed"] is True
+        assert beam_widths == [None]     # no beam pre-pass
 
 
 def star_problem(n=12, sats=3):
