@@ -114,8 +114,9 @@ _PRUNED_BEAM_WIDTH = 16
 #: bound.  The bound drops labels at or above it, and the DP sums a label in
 #: its own order, so the caller's own optimum can land on or 1-2 ulp above
 #: the objective the caller computed; unwidened, the bound would prune it.
-#: Mirrors ``_CUT_SLACK`` of the label sweep (:mod:`repro.core.label_search`),
-#: which the DP does not import from.
+#: A few hundred ulps cover those roundings with room to spare; the pass
+#: returns the best label it keeps, so the labels the widening lets through
+#: cost a little work, never the answer.
 _INCUMBENT_SLACK = 1.0 + 2.0 ** -44
 
 #: Streamed cross products: folds with at least this many candidate pairs
@@ -711,7 +712,7 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
 
     The DP prunes with a single completion bound (state potential plus load
     floors — a floor-type bound), so ``pruned_floor`` carries all of its
-    rejections; the joint/settle slots exist only in the label sweep.
+    rejections; the colour/joint/meet slots exist only in the label sweep.
     """
     return {
         "engine": "pareto-dp",
@@ -720,7 +721,6 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "pruned_floor": stats["bound_rejected"],
         "pruned_colour": 0,
         "pruned_joint": 0,
-        "pruned_settle": 0,
         "pruned_meet": 0,
         "pruned_total": stats["bound_rejected"],
         "frontier_peak": stats["peak_frontier"],

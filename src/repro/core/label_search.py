@@ -28,16 +28,18 @@ mechanisms keep the label sets small:
   colourless graphs).  The incomparable **joint average bound**
   ``λ_S·s + λ_B·Σloads/n_colors + potJ[v]`` with
   ``potJ[v] = min_p (λ_S·σ(p) + λ_B·β_total(p)/n_colors)`` stays as a second
-  check (the final bottleneck is at least the average colour load).  A cheap
-  *beam* pre-pass (the same bounds over plain-list buckets truncated to the
-  ``beam_width`` most promising labels, no dominance) finds a strong
-  feasible path first, so the exact pass starts with a tight incumbent —
-  on scattered instances this cuts the surviving labels by an order of
-  magnitude.  On small instances the beam usually proves that incumbent
-  optimal outright: it loses labels only by truncating them, so when
-  every truncated label's completion bounds reach the final incumbent,
-  no path beats it and the exact pass is skipped (the *beam
-  certificate*, ``LabelSearchStats.beam_certified``).
+  check (the final bottleneck is at least the average colour load).  Both
+  bounds are checked in one extension step, :func:`_extend`, that every
+  sweep shares.  A cheap *beam* pre-pass (that step over the same array
+  buckets as the exact pass, each truncated to the ``beam_width`` most
+  promising labels, no dominance) finds a strong feasible path first, so
+  the exact pass starts with a tight incumbent — on scattered instances
+  this cuts the surviving labels by an order of magnitude.  On small
+  instances the beam usually proves that incumbent optimal outright: it
+  loses labels only by truncating them, so when no truncated label
+  passes that same step against the final incumbent, no path beats it
+  and the exact pass is skipped (the *beam certificate*,
+  ``LabelSearchStats.beam_certified``).
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
@@ -76,9 +78,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from array import array
-from itertools import chain
-from operator import add as _add, itemgetter
+from operator import add as _add
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,21 +95,16 @@ from repro.graphs.dag import DagIndex, NotADagError
 from repro.graphs.digraph import Edge, Node
 from repro.graphs.paths import Path
 
-# A beam label is (sigma_so_far, loads_tuple, edge_into_node, parent_label,
-# sum_of_loads).  Plain tuples (not dataclasses) keep allocation and
-# comparison cheap in the pre-pass; the predecessor chain doubles as the
-# path reconstruction, and the running load sum feeds the average-load bound.
-_Label = Tuple[float, Tuple[float, ...], Optional[Edge], Optional[tuple], float]
-_SIGMA, _LOADS, _LOAD_SUM = itemgetter(0), itemgetter(1), itemgetter(4)
-
 #: ``(created, dominated, pruned_colour, pruned_joint, frontier_peak,
 #: settle_batches, pruned_meet, meet_edges)`` — the counter tuple the exact
 #: pass returns; the bound-pruned total is the sum of the pruned_* slots.
 _EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0)
 
 #: Element budget of one meet-join broadcast chunk: a forward chunk of
-#: ``F`` labels against ``B`` backward labels costs ``F·B·dim`` floats, so
-#: the forward chunk size is ``_MEET_CHUNK_ELEMS / (B·dim)`` (≈8 MB peaks).
+#: ``F`` labels against ``B`` backward labels is one ``F·B`` block, built a
+#: colour at a time, so the forward chunk size is ``_MEET_CHUNK_ELEMS / B``.
+#: The join's chunk working set is that block plus a same-size per-colour
+#: temporary: ≈16 MB at the default (tracemalloc, scattered n=50 k=4).
 _MEET_CHUNK_ELEMS = 1 << 20
 
 #: Meet-frontier join-space reduction: sides above this size get a windowed
@@ -122,10 +117,6 @@ _MEET_REDUCE_WINDOW = 256
 #: lower bound per (chunk row, group) cell at 1/_MEET_GROUP the cost of the
 #: exact product, and only surviving groups are evaluated exactly.
 _MEET_GROUP = 512
-#: relative widening of the beam certificate's early-exit test (a few
-#: hundred ulps): the key floor and the completion bounds it stands in for
-#: are each a handful of roundings off their exact values
-_CUT_SLACK = 1.0 + 2.0 ** -44
 #: prefix length for the settle-density probe in the half-sweeps:
 #: buckets larger than 8x this are probed first and the full dominance mask
 #: is skipped when the probe removes fewer than 1/64 of its rows.
@@ -142,13 +133,10 @@ class LabelSearchStats:
     (the joint σ/average-load bound at extension time) and
     ``pruned_meet`` (labels the meet join's pre-filter rejected against the
     opposing frontier's minima).  ``pruned_floor`` (the tree DP's
-    floor-type bound) and ``pruned_settle`` (a settle-time incumbent
-    re-check) remain in the profile schema the engines share; the sweep
-    never fires them — its incumbent only tightens at the join, after both
-    halves settled.  ``frontier_peak`` is
-    the largest settled bucket and ``settle_batches`` the number of settle
-    passes — together the bound-effectiveness profile the tracing layer
-    surfaces.
+    floor-type bound) remains in the profile schema the engines share; the
+    sweep never fires it.  ``frontier_peak`` is the largest settled bucket
+    and ``settle_batches`` the number of settle passes — together the
+    bound-effectiveness profile the tracing layer surfaces.
     """
 
     labels_created: int = 0
@@ -160,7 +148,6 @@ class LabelSearchStats:
     pruned_floor: int = 0            #: σ + colour-load floor bound rejections
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
     pruned_joint: int = 0            #: joint average-load bound rejections
-    pruned_settle: int = 0           #: settle-time incumbent re-check rejections
     pruned_meet: int = 0             #: meet-join pre-filter rejections
     meet_edges: int = 0              #: crossing edges joined
     frontier_peak: int = 0           #: largest bucket ever settled
@@ -369,19 +356,13 @@ class LabelDominanceSearch:
         n_colors = len(colors)
         zero_loads: Tuple[float, ...] = (0.0,) * n_colors
         inv_colors = 1.0 / n_colors if n_colors else 0.0
+        potjc_rows = _rows(potjc)
         out_edge_data: Dict[Node, List[tuple]] = {}
         for node in order:
-            packed = []
-            for edge in graph.out_edges(node):
-                head = edge.head
-                if head not in pot:
-                    continue  # dead end: the target is unreachable from here
-                betas = tuple((color_index[c], float(v))
-                              for c, v in DoublyWeightedGraph.beta_map(edge).items()
-                              if v != 0.0)
-                packed.append((edge, DoublyWeightedGraph.sigma(edge), betas,
-                               sum(v for _, v in betas), head,
-                               pot[head], potjc[head], potj[head]))
+            packed = [_pack(edge, edge.head, color_index, pot, potj, potjc_rows)
+                      for edge in graph.out_edges(node)
+                      # a dead end: the target is unreachable from its head
+                      if edge.head in pot]
             if packed:
                 out_edge_data[node] = packed
 
@@ -398,11 +379,11 @@ class LabelDominanceSearch:
         cuts = None                    # no beam pre-pass: nothing certified
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
-            beam_label, beam_ssb, cuts, interrupted = self._beam_sweep(
-                order, out_edge_data, potentials, inv_colors, source, target,
-                zero_loads, min(incumbent, fallback_ssb), context=context)
-            if beam_label is not None and beam_ssb < fallback_ssb:
-                fallback_path = _reconstruct(beam_label)
+            beam_path, beam_ssb, cuts, interrupted = self._beam_sweep(
+                graph, order, out_edge_data, inv_colors, source, target,
+                n_colors, min(incumbent, fallback_ssb), context=context)
+            if beam_path is not None and beam_ssb < fallback_ssb:
+                fallback_path = beam_path
                 fallback_ssb = beam_ssb
                 if context is not None:
                     context.report_incumbent(beam_ssb, source="labels-beam")
@@ -466,23 +447,25 @@ class LabelDominanceSearch:
         return _not_found(stats, interrupted)
 
     # ------------------------------------------------------------- beam sweep
-    def _beam_sweep(self, order, out_edge_data, potentials, inv_colors,
-                    source, target, zero_loads, bound,
+    def _beam_sweep(self, graph, order, out_edge_data, inv_colors, source,
+                    target, dim, bound,
                     context: Optional[SolveContext] = None
-                    ) -> Tuple[Optional[_Label], float, List[tuple],
+                    ) -> Tuple[Optional[Path], float, List[tuple],
                                Optional[str]]:
-        """The heuristic pre-pass: one topological sweep over plain lists.
+        """The heuristic pre-pass: one topological sweep over array buckets.
 
-        Buckets are truncated to the ``beam_width`` labels of smallest
-        SSB-so-far before extension and dominance is skipped, so the pass
-        stays cheap enough to run on every solve.  Extensions apply the same
-        two completion bounds as the exact pass.  Any target label it returns
-        is a real path, so its SSB weight is a valid incumbent.
+        Buckets over ``beam_width`` rows are cut to the rows of smallest
+        ``λ_S·σ + λ_B·max(loads)`` before extension and dominance is
+        skipped, so the pass stays cheap enough to run on every solve.
+        Extensions take the exact pass's bound-checked step
+        (:func:`_extend`).  A kept row reaching the target is a real path
+        whose per-colour bound is its SSB weight (the potentials are zero
+        there), so each edge into the target lowers the bound to its
+        best kept row before the next edge is extended.
 
-        Returns ``(best target label, its SSB, cuts, interruption)``.
-        ``cuts`` holds one ``(σ, Σloads, flat loads, extensions, node
-        floor)`` entry per truncated bucket, the arrays over its dropped
-        labels in key order: the certificate :meth:`search` checks (see
+        Returns ``(best path, its SSB, cuts, interruption)``.  ``cuts``
+        holds one ``(σ, Σloads, loads, packs)`` entry per truncated bucket,
+        over its dropped rows: the certificate :meth:`search` checks (see
         :func:`_cuts_clear`) before the exact pass.
 
         ``context`` is polled once per swept node; on interruption the
@@ -493,75 +476,58 @@ class LabelDominanceSearch:
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         beam_width = self.beam_width
         interrupted: Optional[str] = None
-        labels: Dict[Node, List[_Label]] = {
-            source: [(0.0, zero_loads, None, None, 0.0)]}
-        best_label: Optional[_Label] = None
+        chunks: Dict[Node, List[tuple]] = {source: [_start_chunk(dim)]}
+        settled: Dict[Node, Tuple[Any, Any]] = {}
+        best = None                     # (edge key into the target, row)
         best_ssb = float("inf")
         cuts: List[tuple] = []
-        pot, potjc = potentials.pot, potentials.potjc
         for node in order:
             if context is not None:
                 interrupted = context.interrupted()
                 if interrupted is not None:
                     break
-            bucket = labels.pop(node, None)
-            if not bucket:
+            node_chunks = chunks.pop(node, None)
+            if not node_chunks:
                 continue
-            extensions = out_edge_data.get(node)
-            if not extensions:
+            packs = out_edge_data.get(node)
+            if not packs:
                 continue
-            if len(bucket) > beam_width:
-                # all labels in this bucket share pot[node], so ranking by
-                # λ_S·σ + λ_B·max(loads) orders them by completion bound
-                bucket.sort(key=lambda lab: lam_s * lab[0] +
-                            (lam_b * max(lab[1]) if lab[1] else 0.0))
-                # the dropped labels' σ, Σloads and loads, copied into
-                # flat float arrays: holding the label tuples (or any
-                # per-label object) until the beam ends keeps their
-                # predecessor chains alive and churns the cyclic GC
-                dropped = bucket[beam_width:]
-                cuts.append((array("d", map(_SIGMA, dropped)),
-                             array("d", map(_LOAD_SUM, dropped)),
-                             array("d", chain.from_iterable(
-                                 map(_LOADS, dropped))),
-                             extensions,
-                             min(potjc[node], default=lam_s * pot[node])))
-                del bucket[beam_width:]
-            for label in bucket:
-                s, loads, lsum = label[0], label[1], label[4]
-                for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
-                        in extensions:
-                    ns = s + sigma
-                    if betas:
-                        new_loads = list(loads)
-                        for ci, bv in betas:
-                            new_loads[ci] += bv
-                        nloads = tuple(new_loads)
-                    else:
-                        nloads = loads
-                    # per-colour joint bound (all-zero potentials at the
-                    # target, where the expression is the true SSB weight)
-                    if nloads:
-                        lower = lam_s * ns + max(map(
-                            _add, map(lam_b.__mul__, nloads), potjc_h))
-                    else:
-                        lower = lam_s * (ns + pot_h)
-                    if lower >= bound:
-                        continue
-                    nsum = lsum + btotal
-                    if lam_s * ns + lam_b * nsum * inv_colors + potj_h >= bound:
-                        continue
-                    new_label: _Label = (ns, nloads, edge, label, nsum)
-                    if head == target:
-                        ssb = lower
-                        if ssb < best_ssb and ssb < bound:
-                            best_label, best_ssb = new_label, ssb
-                            bound = ssb
-                            if context is not None:
-                                context.report_incumbent(ssb, source="labels")
-                        continue
-                    labels.setdefault(head, []).append(new_label)
-        return best_label, best_ssb, cuts, interrupted
+            sig, lds, sums, parents, ekeys = _concat(node_chunks)
+            if len(sig) > beam_width:
+                # all rows in this bucket share the node's potentials, so
+                # ranking by λ_S·σ + λ_B·max(loads) orders them by
+                # completion bound
+                key = lam_s * sig + lam_b * lds.max(axis=1) if dim \
+                    else lam_s * sig
+                ranked = np.argsort(key, kind="stable")
+                dropped = ranked[beam_width:]
+                cuts.append((sig[dropped], sums[dropped], lds[dropped],
+                             packs))
+                kept = ranked[:beam_width]
+                sig, lds, sums = sig[kept], lds[kept], sums[kept]
+                parents, ekeys = parents[kept], ekeys[kept]
+            settled[node] = (parents, ekeys)
+            for pack in packs:
+                ns, nl, nsum, lower, _, keep = _extend(
+                    sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors)
+                rows = keep.nonzero()[0]
+                if not len(rows):
+                    continue
+                if pack[4] == target:
+                    row = int(rows[lower[rows].argmin()])
+                    best, best_ssb = (pack[0].key, row), float(lower[row])
+                    bound = best_ssb
+                    if context is not None:
+                        context.report_incumbent(best_ssb, source="labels")
+                    continue
+                chunks.setdefault(pack[4], []).append(
+                    (ns[rows], nl[rows], nsum[rows], rows, pack[0].key))
+        path = None
+        if best is not None:
+            edges = _walk_back(graph, settled, *best, "tail")
+            edges.reverse()
+            path = Path.from_edges(edges)
+        return path, best_ssb, cuts, interrupted
 
     # ------------------------------------------------------------- exact pass
     def _meet_partition(self, graph, order, out_edge_data, rank, spots, pot,
@@ -570,18 +536,17 @@ class LabelDominanceSearch:
 
         Returns ``(K, fwd_exts, cross_edges, in_edge_data)``: the in-region
         out-edge packs of the forward half, the crossing edges
-        (tail rank < K <= head rank, as ``(edge, σ, betas, β_total, tail,
-        head)``) and the in-region in-edge packs of the backward half.
-        Both halves' packs share one shape, ``(edge, σ, betas, β_total,
-        next node, pot, potjc, potj)`` with the next node's potentials
-        towards the half's far end (``spots`` for the backward half).
-        ``K`` balances the live edge count on either side and is clamped to
-        ``(rank(source), rank(target)]`` so both endpoints stay in their
-        halves.  Only edges on live S → T routes (tail reachable from the
-        source and reaching the target) participate — labels can never
-        appear anywhere else.
+        (tail rank < K <= head rank, as ``(edge, σ, β row, tail, head)``)
+        and the in-region in-edge packs of the backward half.  Both halves'
+        packs share one shape (see :func:`_pack`), with the next node's
+        potentials towards the half's far end (``spots`` for the backward
+        half).  ``K`` balances the live edge count on either side and is
+        clamped to ``(rank(source), rank(target)]`` so both endpoints stay
+        in their halves.  Only edges on live S → T routes (tail reachable
+        from the source and reaching the target) participate — labels can
+        never appear anywhere else.
         """
-        spot, spotj, spotjc = spots.pot, spots.potj, spots.potjc
+        spot, spotj = spots.pot, spots.potj
         total = sum(len(out_edge_data.get(node, ()))
                     for node in order if node in spot)
         K = rank[target]
@@ -594,6 +559,7 @@ class LabelDominanceSearch:
                 K = rank[node] + 1
                 break
         K = min(max(K, rank[source] + 1), rank[target])
+        zero_row = np.zeros(len(color_index))
         fwd_exts: Dict[Node, List[tuple]] = {}
         cross_edges: List[tuple] = []
         for node in order[:K]:
@@ -602,30 +568,24 @@ class LabelDominanceSearch:
             local = []
             for ext in out_edge_data.get(node, ()):
                 if rank[ext[4]] >= K:
-                    cross_edges.append((ext[0], ext[1], ext[2], ext[3],
-                                        node, ext[4]))
+                    beta_row = zero_row if ext[2] is None else ext[2]
+                    cross_edges.append((ext[0], ext[1], beta_row, node,
+                                        ext[4]))
                 else:
                     local.append(ext)
             if local:
                 fwd_exts[node] = local
+        spotjc_rows = _rows(spots.potjc)
         in_edge_data: Dict[Node, List[tuple]] = {}
         for node in order[K:]:
             if node not in pot or node not in spot:
                 continue
-            packed = []
-            for edge in graph.in_edges(node):
-                tail = edge.tail
-                if rank[tail] < K:
-                    continue        # a crossing edge joins, never extends
-                if tail not in spot or tail not in pot:
-                    continue
-                betas = tuple(
-                    (color_index[c], float(v))
-                    for c, v in DoublyWeightedGraph.beta_map(edge).items()
-                    if v != 0.0)
-                packed.append((edge, DoublyWeightedGraph.sigma(edge), betas,
-                               sum(v for _, v in betas), tail,
-                               spot[tail], spotjc[tail], spotj[tail]))
+            packed = [_pack(edge, edge.tail, color_index, spot, spotj,
+                            spotjc_rows)
+                      for edge in graph.in_edges(node)
+                      # a crossing edge joins, never extends
+                      if rank[edge.tail] >= K
+                      and edge.tail in spot and edge.tail in pot]
             if packed:
                 in_edge_data[node] = packed
         return K, fwd_exts, cross_edges, in_edge_data
@@ -659,8 +619,8 @@ class LabelDominanceSearch:
             color_index)
         path, sweep_stats, interrupted = self._bidir_blocks(
             graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            potentials.potjc, spots.potjc, inv_colors, source, target,
-            zero_loads, bound, context=context, profile=profile)
+            inv_colors, source, target, zero_loads, bound,
+            context=context, profile=profile)
         if path is None:
             return (None, float("inf"), float("inf"), float("inf"),
                     sweep_stats, interrupted)
@@ -686,17 +646,18 @@ class LabelDominanceSearch:
         return path, ssb, s, b, sweep_stats, interrupted
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, potjc, spotjc, inv_colors, source,
-                      target, zero_loads, bound,
-                      context: Optional[SolveContext] = None, profile=None):
+                      in_edge_data, inv_colors, source, target, zero_loads,
+                      bound, context: Optional[SolveContext] = None,
+                      profile=None):
         """The two half-sweeps and their join, over *array buckets*.
 
         Labels never exist as Python objects here: a node's bucket is a set
         of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
         every step — the completion-bound checks, the Pareto filter
         (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
-        capped at ``dominance_window``) and the per-edge extension — is one
-        vectorised operation per (node, edge) instead of per label.  One
+        capped at ``dominance_window``) and the bound-checked per-edge
+        extension the beam shares (:func:`_extend`) — is one vectorised
+        operation per (node, edge) instead of per label.  One
         half kernel runs in both directions: forward over ``order[:K]``
         from the source, backward over ``reversed(order[K:])`` from the
         target.  Settled buckets are retained so the winning pair's
@@ -719,16 +680,6 @@ class LabelDominanceSearch:
         pruned_colour = pruned_joint = pruned_meet = 0
         peak = settles = meet_edges = 0
         interrupted: Optional[str] = None
-        beta_rows: Dict[int, Any] = {}
-
-        def beta_row_of(edge, betas):
-            row = beta_rows.get(edge.key)
-            if row is None:
-                row = np.zeros(dim, dtype=np.float64)
-                for ci, bv in betas:
-                    row[ci] = bv
-                beta_rows[edge.key] = row
-            return row
 
         def settle_mask(sig, lds):
             """Windowed dominance mask with a cheap density probe.  Large
@@ -747,19 +698,7 @@ class LabelDominanceSearch:
                     return None
             return pareto_block_mask(sig, lds, window=window)
 
-        def concat(node_chunks):
-            if len(node_chunks) == 1:
-                sig, lds, sums, parents, ekey = node_chunks[0]
-                return sig, lds, sums, parents, \
-                    np.full(len(sig), ekey, dtype=np.int64)
-            return (np.concatenate([c[0] for c in node_chunks]),
-                    np.concatenate([c[1] for c in node_chunks]),
-                    np.concatenate([c[2] for c in node_chunks]),
-                    np.concatenate([c[3] for c in node_chunks]),
-                    np.concatenate([np.full(len(c[0]), c[4], dtype=np.int64)
-                                    for c in node_chunks]))
-
-        def half(nodes, start, packs, meet_nodes, potjc_arr):
+        def half(nodes, start, packs, meet_nodes):
             """One half-sweep from ``start`` over ``nodes`` along ``packs``.
 
             Returns the settled ``(parent row, edge key)`` arrays of every
@@ -770,9 +709,7 @@ class LabelDominanceSearch:
             nonlocal peak, settles, interrupted
             settled: Dict[Node, Tuple[Any, Any]] = {}
             meet_rows: Dict[Node, Tuple[Any, Any]] = {}
-            chunks: Dict[Node, List[tuple]] = {start: [(
-                np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-                np.full(1, -1, dtype=np.int64), -1)]}
+            chunks: Dict[Node, List[tuple]] = {start: [_start_chunk(dim)]}
             for node in nodes:
                 if context is not None:
                     interrupted = context.interrupted()
@@ -785,7 +722,7 @@ class LabelDominanceSearch:
                 is_meet = node in meet_nodes
                 if not extensions and not is_meet:
                     continue
-                sig, lds, sums, parents, ekeys = concat(node_chunks)
+                sig, lds, sums, parents, ekeys = _concat(node_chunks)
                 if profile is not None:
                     node_base = (created, dominated, pruned_colour,
                                  pruned_joint)
@@ -804,30 +741,20 @@ class LabelDominanceSearch:
                 settled[node] = (parents, ekeys)
                 if is_meet:
                     meet_rows[node] = (sig, lds)
-                for edge, sigma, betas, btotal, nxt, pot_n, _potjc, potj_n \
-                        in (extensions or ()):
-                    ns = sig + sigma
-                    nl = lds + beta_row_of(edge, betas) if betas else lds
-                    if dim:
-                        lower = lam_s * ns + \
-                            (lam_b * nl + potjc_arr[nxt]).max(axis=1)
-                    else:
-                        lower = lam_s * (ns + pot_n)
-                    keep_e = lower < bound
-                    colour_kept = int(keep_e.sum())
+                for pack in extensions or ():
+                    ns, nl, nsum, _, keep_colour, keep = _extend(
+                        sig, lds, sums, pack, bound, lam_s, lam_b,
+                        inv_colors)
+                    colour_kept = int(keep_colour.sum())
                     pruned_colour += len(ns) - colour_kept
-                    nsum = sums + btotal
-                    keep_e &= lam_s * ns + lam_b * nsum * inv_colors \
-                        + potj_n < bound
-                    count = int(keep_e.sum())
+                    count = int(keep.sum())
                     pruned_joint += colour_kept - count
                     if not count:
                         continue
                     created += count
-                    rows = np.nonzero(keep_e)[0]
-                    chunks.setdefault(nxt, []).append(
-                        (ns[rows], nl[rows], nsum[rows],
-                         rows.astype(np.int64), edge.key))
+                    rows = keep.nonzero()[0]
+                    chunks.setdefault(pack[4], []).append(
+                        (ns[rows], nl[rows], nsum[rows], rows, pack[0].key))
                 if profile is not None:
                     profile.record_node(
                         node, created - node_base[0],
@@ -837,22 +764,16 @@ class LabelDominanceSearch:
                         frontier=bucket_size, settle_batches=1)
             return settled, meet_rows
 
-        def potential_rows(table):
-            return {n: np.asarray(t, dtype=np.float64)
-                    for n, t in table.items()}
-
         # forward: prefix labels over ranks < K; backward: suffix labels
         # over ranks >= K, bounded by the potentials from the source
         settled_f, fwd_rows = half(order[:K], source, fwd_exts,
-                                   {c[4] for c in cross_edges},
-                                   potential_rows(potjc))
+                                   {c[3] for c in cross_edges})
         settled_b: Dict[Node, Tuple[Any, Any]] = {}
         bwd_rows: Dict[Node, Tuple[Any, Any]] = {}
         if interrupted is None:
             settled_b, bwd_rows = half(reversed(order[K:]), target,
                                        in_edge_data,
-                                       {c[5] for c in cross_edges},
-                                       potential_rows(spotjc))
+                                       {c[4] for c in cross_edges})
 
         # ---------------- join at the crossing edges
         best = None             # (edge, forward row, backward row, head)
@@ -891,13 +812,13 @@ class LabelDominanceSearch:
                  for node, (sig, loads) in rows.items()}
                 for rows in (fwd_rows, bwd_rows))
             jobs = []
-            for edge, sigma, betas, btotal, tail, head in cross_edges:
+            for edge, sigma, beta_row, tail, head in cross_edges:
                 fw = f_join.get(tail)
                 bw = b_join.get(head)
                 if fw is None or bw is None:
                     continue            # one side was fully pruned away
+                const = lam_s * sigma + lam_b * beta_row
                 if dim:
-                    const = lam_s * sigma + lam_b * beta_row_of(edge, betas)
                     est = float((fw[4] + const + bw[4]).max())
                     # complementary average floor: the pair maximum is at
                     # least the pair mean — strong exactly where the
@@ -909,11 +830,11 @@ class LabelDominanceSearch:
                 else:
                     est = lam_s * (float(fw[0].min()) + sigma
                                    + float(bw[0].min()))
-                jobs.append((est, edge.key, edge, sigma, betas, tail, head))
+                jobs.append((est, edge.key, edge, sigma, const, tail, head))
             # cheapest-looking joins first, so the bound tightens early and
             # the later (hopeless) cross products collapse in the pre-filter
             jobs.sort(key=lambda j: (j[0], j[1]))
-            for est, _key, edge, sigma, betas, tail, head in jobs:
+            for est, _key, edge, sigma, const, tail, head in jobs:
                 if context is not None:
                     interrupted = context.interrupted()
                     if interrupted is not None:
@@ -940,7 +861,6 @@ class LabelDominanceSearch:
                         if context is not None:
                             context.report_incumbent(v, source="labels-meet")
                     continue
-                const = lam_s * sigma + lam_b * beta_row_of(edge, betas)
                 Xe = X0 + const
                 xesum = xsum0 + float(const.sum())
                 inv_dim = 1.0 / dim
@@ -1065,82 +985,114 @@ class LabelDominanceSearch:
         if best is None:
             return None, sweep_stats, interrupted
         edge, f_row, b_row, head = best
-        edges: List[Edge] = []
-        ek, row = edge.key, f_row
-        while ek != -1:
-            e = graph.edge(ek)
-            edges.append(e)
-            parents, ekeys = settled_f[e.tail]
-            ek = int(ekeys[row])
-            row = int(parents[row])
+        edges = _walk_back(graph, settled_f, edge.key, f_row, "tail")
         edges.reverse()
-        node, row = head, b_row
-        while True:
-            parents, ekeys = settled_b[node]
-            ek = int(ekeys[row])
-            if ek == -1:
-                break
-            e = graph.edge(ek)
-            edges.append(e)
-            row = int(parents[row])
-            node = e.head
+        parents, ekeys = settled_b[head]
+        edges += _walk_back(graph, settled_b, int(ekeys[b_row]),
+                            int(parents[b_row]), "head")
         return Path.from_edges(edges), sweep_stats, interrupted
+
+
+def _rows(table: Dict[Node, Tuple[float, ...]]) -> Dict[Node, Any]:
+    """Per-colour potential tuples as numpy rows."""
+    return {n: np.asarray(t, dtype=np.float64) for n, t in table.items()}
+
+
+def _pack(edge: Edge, nxt: Node, color_index, pot, potj, potjc_rows) -> tuple:
+    """One extension pack: ``(edge, σ, β row, β_total, next node, pot,
+    potjc row, potj)``, with the next node's potentials towards the
+    sweep's far end.  The β row is ``None`` on an edge without load, so
+    the extension skips the add."""
+    betas = [(color_index[c], float(v))
+             for c, v in DoublyWeightedGraph.beta_map(edge).items()
+             if v != 0.0]
+    beta_row = None
+    if betas:
+        beta_row = np.zeros(len(color_index))
+        for ci, bv in betas:
+            beta_row[ci] = bv
+    return (edge, DoublyWeightedGraph.sigma(edge), beta_row,
+            sum(v for _, v in betas), nxt, pot[nxt], potjc_rows[nxt],
+            potj[nxt])
+
+
+def _start_chunk(dim: int) -> tuple:
+    """The single empty label a sweep starts from: ``(σ, loads, Σloads,
+    parent row, edge key)`` with no parent and no edge."""
+    return (np.zeros(1), np.zeros((1, dim)), np.zeros(1),
+            np.full(1, -1, dtype=np.int64), -1)
+
+
+def _concat(node_chunks: List[tuple]) -> tuple:
+    """A node's bucket ``(σ, loads, Σloads, parent row, edge key)`` from
+    the chunks its in-edges appended, in arrival order."""
+    if len(node_chunks) == 1:
+        sig, lds, sums, parents, ekey = node_chunks[0]
+        return sig, lds, sums, parents, \
+            np.full(len(sig), ekey, dtype=np.int64)
+    return (np.concatenate([c[0] for c in node_chunks]),
+            np.concatenate([c[1] for c in node_chunks]),
+            np.concatenate([c[2] for c in node_chunks]),
+            np.concatenate([c[3] for c in node_chunks]),
+            np.concatenate([np.full(len(c[0]), c[4], dtype=np.int64)
+                            for c in node_chunks]))
+
+
+def _extend(sig, lds, sums, pack: tuple, bound: float, lam_s: float,
+            lam_b: float, inv_colors: float) -> tuple:
+    """Extend bucket rows ``(σ, loads, Σloads)`` along one edge pack and
+    check both completion bounds against ``bound``.
+
+    Returns ``(σ', loads', Σloads', lower, keep_colour, keep)``: ``lower``
+    is the per-colour joint bound ``λ_S·σ' + max_c(λ_B·loads'_c +
+    potJc_c)`` (``λ_S·(σ' + pot)`` without colours) — the exact SSB
+    weight at the target, where the potentials are zero — ``keep_colour``
+    the rows it keeps strictly below ``bound`` and ``keep`` those of them
+    the joint average bound keeps too.  The beam, both half-sweeps and the
+    beam certificate all extend through this one step.
+    """
+    _edge, sigma, beta_row, btotal, _nxt, pot_n, potjc_n, potj_n = pack
+    ns = sig + sigma
+    nl = lds if beta_row is None else lds + beta_row
+    step = lam_s * ns
+    if lds.shape[1]:
+        lower = step + (lam_b * nl + potjc_n).max(axis=1)
+    else:
+        lower = lam_s * (ns + pot_n)
+    keep_colour = lower < bound
+    nsum = sums + btotal
+    keep = keep_colour & (step + lam_b * nsum * inv_colors + potj_n < bound)
+    return ns, nl, nsum, lower, keep_colour, keep
+
+
+def _walk_back(graph, settled, ek: int, row: int, end: str) -> List[Edge]:
+    """Follow parent rows from edge ``ek`` back to a sweep's start.
+
+    ``row`` indexes the settled bucket of the edge's ``end`` node
+    (``"tail"`` for a sweep from the source, ``"head"`` for one from the
+    target); the edges come out in walk order, ending at the start."""
+    edges: List[Edge] = []
+    while ek != -1:
+        edge = graph.edge(ek)
+        edges.append(edge)
+        parents, ekeys = settled[getattr(edge, end)]
+        ek = int(ekeys[row])
+        row = int(parents[row])
+    return edges
 
 
 def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
                 inv_colors: float) -> bool:
-    """Whether every truncated beam label is bound-pruned at ``bound``.
+    """Whether every truncated beam row is bound-pruned at ``bound``.
 
-    A truncated label survives when some extension passes both
-    extension-time bounds the sweeps prune with (per-colour joint and
-    joint average) against ``bound``.  Each cut lists its labels (σ,
-    Σloads and their loads flattened, ``dim`` per label) in beam order,
-    i.e. by ascending ``key = λ_S·σ + λ_B·max(loads)``, and ``key +
-    node_floor`` (``node_floor = min_c potJc_c[node]``, ``λ_S·pot[node]``
-    without colours) is a lower bound on every extension's per-colour
-    bound, so a cut's scan stops at the first label whose key clears
-    ``bound``: no later one can survive.  The stop test is widened by
-    ``_CUT_SLACK`` so float rounding in the keys and the potentials can
-    never skip a label that would.
+    A truncated row survives when some extension passes both completion
+    bounds of :func:`_extend` against ``bound``; each cut holds its
+    dropped rows ``(σ, Σloads, loads)`` and its node's edge packs, and
+    is scanned in full, one vectorised step per edge.
     """
-    stop = bound * _CUT_SLACK
-    for sigmas, sums, loads_flat, extensions, node_floor in cuts:
-        dim = len(loads_flat) // len(sums)
-        for i, s in enumerate(sigmas):
-            loads = loads_flat[i * dim:(i + 1) * dim]
-            lsum = sums[i]
-            if lam_s * s + (lam_b * max(loads) if loads else 0.0) \
-                    + node_floor > stop:
-                break
-            for _edge, sigma, betas, btotal, _head, pot_h, potjc_h, potj_h \
-                    in extensions:
-                ns = s + sigma
-                if betas:
-                    new_loads = list(loads)
-                    for ci, bv in betas:
-                        new_loads[ci] += bv
-                else:
-                    new_loads = loads
-                if new_loads:
-                    lower = lam_s * ns + max(map(
-                        _add, map(lam_b.__mul__, new_loads), potjc_h))
-                else:
-                    lower = lam_s * (ns + pot_h)
-                if lower < bound and lam_s * ns + lam_b * (lsum + btotal) \
-                        * inv_colors + potj_h < bound:
-                    return False
-    return True
-
-
-def _reconstruct(label: _Label) -> Path:
-    """Rebuild the path from a target label's predecessor chain."""
-    edges: List[Edge] = []
-    cursor: Optional[tuple] = label
-    while cursor is not None and cursor[2] is not None:
-        edges.append(cursor[2])
-        cursor = cursor[3]
-    edges.reverse()
-    return Path.from_edges(edges)
+    return not any(
+        _extend(sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors)[5].any()
+        for sig, sums, lds, packs in cuts for pack in packs)
 
 
 def find_optimal_colored_ssb_path_labels(

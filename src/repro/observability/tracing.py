@@ -22,9 +22,9 @@ The module also ships the read side: :func:`load_spans` /
 exports Chrome trace-event JSON loadable by Perfetto or
 ``chrome://tracing``, :func:`render_waterfall` draws an ASCII waterfall and
 :func:`render_profile` a bound-effectiveness table for the exact engines
-(which of the three completion potentials — the sigma/colour-load floor,
-the joint-average bound, the incumbent re-check at settle time — actually
-killed labels).  :class:`ProfileAccumulator` is the low-overhead carrier
+(which completion bound — the sigma/colour-load floor, the per-colour
+joint bound, the joint-average bound or the meet-join pre-filter —
+actually killed labels).  :class:`ProfileAccumulator` is the low-overhead carrier
 the label engines write per-node sweep counters into; it only exists on
 traced solves, so the untraced hot path pays a single ``is None`` test.
 """
@@ -93,8 +93,7 @@ class ProfileAccumulator:
     per node.  Totals split bound rejections by which completion potential
     fired: the sigma + per-colour load *floor* bound (tree DP), the
     per-*colour* joint sigma/load bound (label sweep), the *joint* average
-    bound, the incumbent re-check when a lazy bucket *settles*, and the
-    *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
+    bound, and the *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
     also sets ``beam_certified``: when its beam pre-pass proved the bound,
     the exact pass is skipped and no per-node rows are recorded.
     """
@@ -106,7 +105,6 @@ class ProfileAccumulator:
         "pruned_floor",
         "pruned_colour",
         "pruned_joint",
-        "pruned_settle",
         "pruned_meet",
         "frontier_peak",
         "settle_batches",
@@ -123,7 +121,6 @@ class ProfileAccumulator:
         self.pruned_floor = 0
         self.pruned_colour = 0
         self.pruned_joint = 0
-        self.pruned_settle = 0
         self.pruned_meet = 0
         self.frontier_peak = 0
         self.settle_batches = 0
@@ -139,7 +136,6 @@ class ProfileAccumulator:
         dominated: int = 0,
         pruned_floor: int = 0,
         pruned_joint: int = 0,
-        pruned_settle: int = 0,
         frontier: int = 0,
         settle_batches: int = 0,
         pruned_colour: int = 0,
@@ -150,7 +146,6 @@ class ProfileAccumulator:
         self.pruned_floor += pruned_floor
         self.pruned_colour += pruned_colour
         self.pruned_joint += pruned_joint
-        self.pruned_settle += pruned_settle
         self.pruned_meet += pruned_meet
         if frontier > self.frontier_peak:
             self.frontier_peak = frontier
@@ -164,14 +159,18 @@ class ProfileAccumulator:
                     int(dominated),
                     int(pruned_floor + pruned_colour),
                     int(pruned_joint),
-                    int(pruned_settle + pruned_meet),
+                    int(pruned_meet),
                 ]
             )
 
     @property
     def pruned_total(self) -> int:
-        return (self.pruned_floor + self.pruned_colour + self.pruned_joint
-                + self.pruned_settle + self.pruned_meet)
+        return (
+            self.pruned_floor
+            + self.pruned_colour
+            + self.pruned_joint
+            + self.pruned_meet
+        )
 
     def totals(self) -> Dict[str, int]:
         """Flat scalar totals — safe to embed in ``details['profile']``."""
@@ -181,7 +180,6 @@ class ProfileAccumulator:
             "pruned_floor": self.pruned_floor,
             "pruned_colour": self.pruned_colour,
             "pruned_joint": self.pruned_joint,
-            "pruned_settle": self.pruned_settle,
             "pruned_meet": self.pruned_meet,
             "pruned_total": self.pruned_total,
             "frontier_peak": self.frontier_peak,
@@ -619,7 +617,6 @@ _BOUND_ROWS = (
     ("pruned_floor", "sigma + colour-load floor bound"),
     ("pruned_colour", "per-colour joint sigma/load bound"),
     ("pruned_joint", "joint average-load bound"),
-    ("pruned_settle", "incumbent re-check at settle"),
     ("pruned_meet", "meet-in-the-middle join pre-filter"),
 )
 

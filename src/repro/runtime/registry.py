@@ -307,7 +307,6 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "pruned_floor": stats.pruned_floor,
         "pruned_colour": stats.pruned_colour,
         "pruned_joint": stats.pruned_joint,
-        "pruned_settle": stats.pruned_settle,
         "pruned_meet": stats.pruned_meet,
         "meet_edges": stats.meet_edges,
         "pruned_total": stats.labels_bound_pruned,

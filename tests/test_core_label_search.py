@@ -8,8 +8,10 @@ the scattered-sensor regime the engine was built for.
 
 import dataclasses
 import math
+import tracemalloc
 from operator import add
 
+import numpy as np
 import pytest
 
 from repro.baselines import brute_force_assignment
@@ -560,6 +562,52 @@ class TestJoinDeadline:
             assert left.head == right.tail
 
 
+class TestJoinMemory:
+    """The meet join's working set scales with its chunk budget: the
+    ``val`` block plus one same-size per-colour temporary."""
+
+    def join_peak(self, monkeypatch, dwg, chunk_elems):
+        """``(peak bytes above the join's start, chunks, SSB)`` of one
+        search; the join's only ``searchsorted`` call is its per-chunk
+        B-side cut, so the first call marks the start of its chunk loop."""
+        marks = []
+
+        class JoinStartNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def searchsorted(self, *args, **kwargs):
+                if not marks:
+                    tracemalloc.reset_peak()
+                    marks.append(tracemalloc.get_traced_memory()[0])
+                else:
+                    marks.append(None)
+                return np.searchsorted(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(label_search, "_MEET_CHUNK_ELEMS", chunk_elems)
+            patch.setattr(label_search, "np", JoinStartNumpy())
+            tracemalloc.start()
+            try:
+                result = LabelDominanceSearch().search(dwg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peak - marks[0], len(marks), result.ssb_weight
+
+    def test_peak_is_bounded_by_the_chunk(self, monkeypatch):
+        dwg = build_assignment_graph(random_problem(
+            n_processing=50, n_satellites=4, seed=0, sensor_scatter=1.0)).dwg
+        default = label_search._MEET_CHUNK_ELEMS
+        peak, chunks, ssb = self.join_peak(monkeypatch, dwg, default)
+        assert chunks > 1, "the join no longer spans several chunks"
+        tiny_peak, _, tiny_ssb = self.join_peak(monkeypatch, dwg,
+                                                default >> 6)
+        assert tiny_ssb == ssb
+        chunk_bytes = default * np.dtype(np.float64).itemsize
+        assert peak - tiny_peak <= 2.5 * chunk_bytes
+
+
 #: The half-sweep grid: every (weighting, n, k, scatter) at seed 0.
 HALF_SWEEP_GRID = [(weighting, n, k, scatter)
                    for weighting in ("default", "convex")
@@ -636,166 +684,166 @@ INF = float("inf")
 #: before the beam certificate existed — the half kernel's work, pinned.
 EXACT_PASS_PINS = {
     ("default", 8, 2, 0.0): (
-        (7, 0, 26, 4, 2, INF, 0, 0, 0, 0, 26, 5, 5, 4),
+        (7, 0, 26, 4, 2, INF, 0, 0, 0, 26, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 2, 0.5): (
-        (7, 0, 26, 4, 2, INF, 0, 0, 0, 0, 26, 5, 5, 4),
+        (7, 0, 26, 4, 2, INF, 0, 0, 0, 26, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 2, 1.0): (
-        (7, 0, 22, 4, 2, INF, 0, 0, 0, 0, 22, 5, 5, 4),
+        (7, 0, 22, 4, 2, INF, 0, 0, 0, 22, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 3, 0.0): (
-        (7, 0, 25, 4, 2, INF, 0, 0, 0, 0, 25, 5, 5, 4),
+        (7, 0, 25, 4, 2, INF, 0, 0, 0, 25, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 3, 0.5): (
-        (6, 0, 20, 4, 2, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 2, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 6, 8)),
     ("default", 8, 3, 1.0): (
-        (6, 0, 20, 4, 3, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 3, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 5, 7)),
     ("default", 8, 4, 0.0): (
-        (7, 0, 22, 4, 2, INF, 0, 0, 0, 0, 22, 5, 5, 4),
+        (7, 0, 22, 4, 2, INF, 0, 0, 0, 22, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 4, 0.5): (
-        (7, 0, 24, 4, 1, INF, 0, 0, 0, 0, 24, 5, 5, 4),
+        (7, 0, 24, 4, 1, INF, 0, 0, 0, 24, 5, 5, 4),
         (4, 7, 9)),
     ("default", 8, 4, 1.0): (
-        (6, 0, 20, 4, 2, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 2, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 6, 8)),
     ("default", 12, 2, 0.0): (
-        (16, 0, 42, 5, 2, INF, 0, 0, 0, 0, 42, 5, 9, 5),
+        (16, 0, 42, 5, 2, INF, 0, 0, 0, 42, 5, 9, 5),
         (5, 7, 10, 14)),
     ("default", 12, 2, 0.5): (
-        (14, 0, 10, 6, 2, INF, 0, 0, 0, 0, 10, 2, 6, 6),
+        (14, 0, 10, 6, 2, INF, 0, 0, 0, 10, 2, 6, 6),
         (2, 4, 6, 10, 11)),
     ("default", 12, 2, 1.0): (
-        (13, 0, 11, 5, 2, INF, 0, 0, 0, 0, 11, 2, 6, 5),
+        (13, 0, 11, 5, 2, INF, 0, 0, 0, 11, 2, 6, 5),
         (2, 4, 6, 10)),
     ("default", 12, 3, 0.0): (
-        (16, 0, 42, 5, 2, INF, 0, 0, 0, 0, 42, 5, 9, 5),
+        (16, 0, 42, 5, 2, INF, 0, 0, 0, 42, 5, 9, 5),
         (5, 7, 10, 14)),
     ("default", 12, 3, 0.5): (
-        (13, 0, 15, 5, 3, INF, 0, 0, 0, 0, 15, 3, 6, 5),
+        (13, 0, 15, 5, 3, INF, 0, 0, 0, 15, 3, 6, 5),
         (2, 3, 7, 11)),
     ("default", 12, 3, 1.0): (
-        (13, 0, 5, 5, 3, INF, 0, 0, 0, 0, 5, 2, 6, 5),
+        (13, 0, 5, 5, 3, INF, 0, 0, 0, 5, 2, 6, 5),
         (2, 4, 6, 10)),
     ("default", 12, 4, 0.0): (
-        (16, 0, 41, 5, 2, INF, 0, 0, 0, 0, 41, 5, 9, 5),
+        (16, 0, 41, 5, 2, INF, 0, 0, 0, 41, 5, 9, 5),
         (5, 7, 10, 14)),
     ("default", 12, 4, 0.5): (
-        (16, 0, 41, 5, 2, INF, 0, 0, 0, 0, 41, 5, 9, 5),
+        (16, 0, 41, 5, 2, INF, 0, 0, 0, 41, 5, 9, 5),
         (5, 7, 10, 14)),
     ("default", 12, 4, 1.0): (
-        (12, 0, 5, 5, 3, INF, 0, 1, 0, 0, 4, 2, 6, 5),
+        (12, 0, 5, 5, 3, INF, 0, 1, 0, 4, 2, 6, 5),
         (2, 3, 5, 9)),
     ("default", 16, 2, 0.0): (
-        (61, 7, 67, 9, 2, INF, 0, 0, 0, 0, 67, 4, 25, 9),
+        (61, 7, 67, 9, 2, INF, 0, 0, 0, 67, 4, 25, 9),
         (5, 7, 8, 11, 13, 18, 20, 22)),
     ("default", 16, 2, 0.5): (
-        (48, 0, 45, 9, 2, INF, 0, 0, 0, 0, 45, 3, 16, 9),
+        (48, 0, 45, 9, 2, INF, 0, 0, 0, 45, 3, 16, 9),
         (1, 2, 5, 7, 10, 14, 16, 18)),
     ("default", 16, 2, 1.0): (
-        (46, 0, 23, 10, 2, INF, 0, 0, 0, 0, 23, 2, 16, 10),
+        (46, 0, 23, 10, 2, INF, 0, 0, 0, 23, 2, 16, 10),
         (1, 3, 5, 7, 9, 11, 13, 14, 16)),
     ("default", 16, 3, 0.0): (
-        (59, 9, 64, 9, 2, INF, 0, 0, 0, 0, 64, 4, 23, 9),
+        (59, 9, 64, 9, 2, INF, 0, 0, 0, 64, 4, 23, 9),
         (5, 7, 9, 11, 14, 18, 19, 22)),
     ("default", 16, 3, 0.5): (
-        (48, 2, 21, 9, 3, INF, 0, 0, 0, 0, 21, 3, 16, 9),
+        (48, 2, 21, 9, 3, INF, 0, 0, 0, 21, 3, 16, 9),
         (0, 2, 5, 7, 10, 13, 16, 18)),
     ("default", 16, 3, 1.0): (
-        (48, 0, 25, 10, 3, INF, 0, 0, 0, 0, 25, 2, 16, 10),
+        (48, 0, 25, 10, 3, INF, 0, 0, 0, 25, 2, 16, 10),
         (1, 2, 5, 7, 8, 11, 14, 15, 16)),
     ("default", 16, 4, 0.0): (
-        (57, 4, 70, 9, 2, INF, 0, 0, 0, 0, 70, 4, 21, 9),
+        (57, 4, 70, 9, 2, INF, 0, 0, 0, 70, 4, 21, 9),
         (5, 7, 9, 10, 14, 18, 20, 22)),
     ("default", 16, 4, 0.5): (
-        (47, 0, 26, 9, 3, INF, 0, 1, 0, 0, 25, 2, 16, 9),
+        (47, 0, 26, 9, 3, INF, 0, 1, 0, 25, 2, 16, 9),
         (3, 4, 7, 9, 11, 12, 14, 16)),
     ("default", 16, 4, 1.0): (
-        (48, 0, 13, 9, 3, INF, 0, 0, 0, 0, 13, 2, 16, 9),
+        (48, 0, 13, 9, 3, INF, 0, 0, 0, 13, 2, 16, 9),
         (1, 2, 4, 6, 8, 12, 15, 16)),
     ("convex", 8, 2, 0.0): (
-        (7, 0, 25, 4, 2, INF, 0, 0, 0, 0, 25, 5, 5, 4),
+        (7, 0, 25, 4, 2, INF, 0, 0, 0, 25, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 2, 0.5): (
-        (7, 0, 25, 4, 2, INF, 0, 0, 0, 0, 25, 5, 5, 4),
+        (7, 0, 25, 4, 2, INF, 0, 0, 0, 25, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 2, 1.0): (
-        (7, 0, 24, 4, 2, INF, 0, 0, 0, 0, 24, 5, 5, 4),
+        (7, 0, 24, 4, 2, INF, 0, 0, 0, 24, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 3, 0.0): (
-        (7, 0, 24, 4, 2, INF, 0, 0, 0, 0, 24, 5, 5, 4),
+        (7, 0, 24, 4, 2, INF, 0, 0, 0, 24, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 3, 0.5): (
-        (6, 0, 20, 4, 2, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 2, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 6, 8)),
     ("convex", 8, 3, 1.0): (
-        (6, 0, 20, 4, 3, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 3, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 6, 8)),
     ("convex", 8, 4, 0.0): (
-        (7, 0, 24, 4, 2, INF, 0, 0, 0, 0, 24, 5, 5, 4),
+        (7, 0, 24, 4, 2, INF, 0, 0, 0, 24, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 4, 0.5): (
-        (7, 0, 24, 4, 1, INF, 0, 0, 0, 0, 24, 5, 5, 4),
+        (7, 0, 24, 4, 1, INF, 0, 0, 0, 24, 5, 5, 4),
         (4, 7, 9)),
     ("convex", 8, 4, 1.0): (
-        (6, 0, 20, 4, 2, INF, 0, 0, 0, 0, 20, 5, 4, 4),
+        (6, 0, 20, 4, 2, INF, 0, 0, 0, 20, 5, 4, 4),
         (4, 6, 8)),
     ("convex", 12, 2, 0.0): (
-        (16, 0, 42, 5, 2, INF, 0, 0, 0, 0, 42, 5, 9, 5),
+        (16, 0, 42, 5, 2, INF, 0, 0, 0, 42, 5, 9, 5),
         (5, 7, 10, 14)),
     ("convex", 12, 2, 0.5): (
-        (14, 0, 10, 6, 2, INF, 0, 0, 0, 0, 10, 2, 6, 6),
+        (14, 0, 10, 6, 2, INF, 0, 0, 0, 10, 2, 6, 6),
         (2, 4, 6, 10, 11)),
     ("convex", 12, 2, 1.0): (
-        (13, 0, 10, 5, 2, INF, 0, 0, 0, 0, 10, 2, 6, 5),
+        (13, 0, 10, 5, 2, INF, 0, 0, 0, 10, 2, 6, 5),
         (2, 4, 6, 10)),
     ("convex", 12, 3, 0.0): (
-        (16, 0, 42, 5, 2, INF, 0, 0, 0, 0, 42, 5, 9, 5),
+        (16, 0, 42, 5, 2, INF, 0, 0, 0, 42, 5, 9, 5),
         (5, 7, 10, 14)),
     ("convex", 12, 3, 0.5): (
-        (13, 0, 17, 5, 3, INF, 0, 0, 0, 0, 17, 3, 6, 5),
+        (13, 0, 17, 5, 3, INF, 0, 0, 0, 17, 3, 6, 5),
         (2, 3, 7, 11)),
     ("convex", 12, 3, 1.0): (
-        (13, 0, 10, 5, 3, INF, 0, 0, 0, 0, 10, 2, 6, 5),
+        (13, 0, 10, 5, 3, INF, 0, 0, 0, 10, 2, 6, 5),
         (2, 4, 6, 10)),
     ("convex", 12, 4, 0.0): (
-        (16, 0, 43, 5, 2, INF, 0, 0, 0, 0, 43, 5, 9, 5),
+        (16, 0, 43, 5, 2, INF, 0, 0, 0, 43, 5, 9, 5),
         (5, 7, 10, 14)),
     ("convex", 12, 4, 0.5): (
-        (16, 0, 43, 5, 2, INF, 0, 0, 0, 0, 43, 5, 9, 5),
+        (16, 0, 43, 5, 2, INF, 0, 0, 0, 43, 5, 9, 5),
         (5, 7, 10, 14)),
     ("convex", 12, 4, 1.0): (
-        (12, 0, 6, 5, 3, INF, 0, 1, 0, 0, 5, 2, 6, 5),
+        (12, 0, 6, 5, 3, INF, 0, 1, 0, 5, 2, 6, 5),
         (2, 4, 6, 9)),
     ("convex", 16, 2, 0.0): (
-        (61, 7, 67, 9, 2, INF, 0, 0, 0, 0, 67, 4, 25, 9),
+        (61, 7, 67, 9, 2, INF, 0, 0, 0, 67, 4, 25, 9),
         (5, 7, 8, 11, 13, 18, 20, 22)),
     ("convex", 16, 2, 0.5): (
-        (48, 0, 45, 9, 2, INF, 0, 0, 0, 0, 45, 3, 16, 9),
+        (48, 0, 45, 9, 2, INF, 0, 0, 0, 45, 3, 16, 9),
         (1, 2, 5, 7, 10, 14, 16, 18)),
     ("convex", 16, 2, 1.0): (
-        (46, 0, 24, 10, 2, INF, 0, 0, 0, 0, 24, 2, 16, 10),
+        (46, 0, 24, 10, 2, INF, 0, 0, 0, 24, 2, 16, 10),
         (1, 3, 5, 7, 9, 11, 13, 14, 16)),
     ("convex", 16, 3, 0.0): (
-        (59, 9, 64, 9, 2, INF, 0, 0, 0, 0, 64, 4, 23, 9),
+        (59, 9, 64, 9, 2, INF, 0, 0, 0, 64, 4, 23, 9),
         (5, 7, 9, 11, 14, 18, 20, 22)),
     ("convex", 16, 3, 0.5): (
-        (48, 2, 43, 9, 3, INF, 0, 0, 0, 0, 43, 3, 16, 9),
+        (48, 2, 43, 9, 3, INF, 0, 0, 0, 43, 3, 16, 9),
         (1, 3, 4, 7, 10, 14, 16, 18)),
     ("convex", 16, 3, 1.0): (
-        (48, 0, 25, 10, 3, INF, 0, 0, 0, 0, 25, 2, 16, 10),
+        (48, 0, 25, 10, 3, INF, 0, 0, 0, 25, 2, 16, 10),
         (1, 3, 5, 7, 8, 12, 14, 15, 17)),
     ("convex", 16, 4, 0.0): (
-        (57, 4, 68, 9, 2, INF, 0, 0, 0, 0, 68, 4, 21, 9),
+        (57, 4, 68, 9, 2, INF, 0, 0, 0, 68, 4, 21, 9),
         (5, 7, 9, 10, 14, 18, 20, 22)),
     ("convex", 16, 4, 0.5): (
-        (47, 0, 11, 9, 3, INF, 0, 1, 0, 0, 10, 2, 16, 9),
+        (47, 0, 11, 9, 3, INF, 0, 1, 0, 10, 2, 16, 9),
         (3, 5, 7, 9, 11, 13, 15, 17)),
     ("convex", 16, 4, 1.0): (
-        (48, 0, 27, 9, 3, INF, 0, 0, 0, 0, 27, 2, 16, 9),
+        (48, 0, 27, 9, 3, INF, 0, 0, 0, 27, 2, 16, 9),
         (1, 3, 5, 7, 9, 13, 15, 17)),
 }
 
@@ -849,16 +897,12 @@ CERTIFICATE_WEIGHTINGS = (SSBWeighting(), SSBWeighting.convex(0.3),
 CERTIFICATE_BEAMS = (1, 2, 4, 16, 128)
 
 
-def cuts_clear_calls(monkeypatch, full_scan=False):
-    """Record ``(number of cuts, result)`` of every ``_cuts_clear`` check;
-    ``full_scan`` disables its early exit (a ``-inf`` node floor never
-    clears the bound, so every dropped label is scanned)."""
+def cuts_clear_calls(monkeypatch):
+    """Record ``(number of cuts, result)`` of every ``_cuts_clear`` check."""
     calls = []
     original = label_search._cuts_clear
 
     def recorded(cuts, *args):
-        if full_scan:
-            cuts = [cut[:-1] + (-math.inf,) for cut in cuts]
         out = original(cuts, *args)
         calls.append((len(cuts), out))
         return out
@@ -959,34 +1003,36 @@ class TestBeamCertificate:
         assert result.ssb_weight == 5.0 == LabelDominanceSearch(
             beam_width=0).search(dwg).ssb_weight
         assert [e.head for e in result.path.edges] == ["B", "M", "D", "T"]
-        # M's bucket truncated to its best label S-B-M (σ 2): S-C-M (σ 3)
-        # completes via D for σ 6, and S-A-M (key 4 + pot[M] 3 = 7) ends
-        # the scan below bound 7, so a worse label is never drawn
+        # M's bucket truncated to its best label S-B-M (σ 2): of the
+        # dropped rows, S-C-M (σ 3) completes via D for σ 6, S-A-M (σ 4)
+        # and a σ-5 row for more
         pots = completion_potentials(dwg)
-        extensions = [(e, DoublyWeightedGraph.sigma(e), (), 0.0, e.head,
-                       pots.pot[e.head], (), pots.potj[e.head])
-                      for e in dwg.graph.out_edges("M")]
-        for bound, clear, drawn in ((6.0, True, [3.0, 4.0]),
-                                    (6.5, False, [3.0])):
-            scanned = []
-            sigmas = (s for s in (3.0, 4.0, 5.0) if not scanned.append(s))
-            cut = (sigmas, [0.0] * 3, [], extensions, pots.pot["M"])
+        packs = [label_search._pack(e, e.head, {}, pots.pot, pots.potj,
+                                    label_search._rows(pots.potjc))
+                 for e in dwg.graph.out_edges("M")]
+        cut = (np.array([3.0, 4.0, 5.0]), np.zeros(3), np.zeros((3, 0)),
+               packs)
+        for bound, clear in ((6.0, True), (6.5, False)):
             assert label_search._cuts_clear(
                 [cut], bound, 1.0, 1.0, 0.0) is clear
-            assert scanned == drawn
 
-    def test_early_exit_matches_a_full_scan(self, monkeypatch):
-        early, full = [], []
-        for n, k, scatter, seed in CERTIFICATE_GRID[::7]:
-            dwg = build_assignment_graph(random_problem(
-                n_processing=n, n_satellites=k, seed=seed,
-                sensor_scatter=scatter)).dwg
-            for weighting in CERTIFICATE_WEIGHTINGS:
-                for calls, full_scan in ((early, False), (full, True)):
-                    with monkeypatch.context() as patch:
-                        checks = cuts_clear_calls(patch, full_scan)
-                        LabelDominanceSearch(
-                            weighting=weighting, beam_width=4).search(dwg)
-                    calls.extend(checks)
-        assert early == full
-        assert {clear for cuts, clear in early if cuts} == {True, False}
+    def test_colourless_truncation_matches_the_exact_pass(self, monkeypatch):
+        # σ only (dim 0), with sums that round: every prefix into M plus
+        # its potential (0.1 + 0.6 at A, 0.2 + 0.5 at B and at M) is 0.7,
+        # one ulp below the min-σ seed path's left-to-right sum, so both
+        # routes into M pass the bound and width 1 cuts one of them —
+        # 0-width load rows through the extension step and the certificate
+        dwg = DoublyWeightedGraph(source="S", target="T")
+        for mid, into, out in (("A", 0.1, 0.1), ("B", 0.2, 0.0)):
+            dwg.add_edge("S", mid, sigma=into, beta={})
+            dwg.add_edge(mid, "M", sigma=out, beta={})
+        dwg.add_edge("M", "D", sigma=0.1, beta={})
+        dwg.add_edge("D", "T", sigma=0.4, beta={})
+        calls = cuts_clear_calls(monkeypatch)
+        result = LabelDominanceSearch(beam_width=1).search(dwg)
+        assert calls == [(1, True)] and result.stats.beam_certified
+        exact = LabelDominanceSearch(beam_width=0).search(dwg)
+        assert not exact.stats.beam_certified
+        assert result.ssb_weight == exact.ssb_weight == 0.1 + 0.1 + 0.1 + 0.4
+        assert [e.key for e in result.path.edges] == \
+            [e.key for e in exact.path.edges]

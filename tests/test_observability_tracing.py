@@ -142,7 +142,6 @@ class TestBitIdentity:
         assert profile["pruned_total"] == (profile["pruned_floor"]
                                            + profile["pruned_colour"]
                                            + profile["pruned_joint"]
-                                           + profile["pruned_settle"]
                                            + profile["pruned_meet"])
         method_spans = [s for s in load_spans(str(tmp_path))
                         if str(s["name"]).startswith("method:")]
@@ -290,7 +289,7 @@ class TestRendering:
     def test_profile_table_shares_sum_to_rejected_total(self):
         acc = ProfileAccumulator("label-search")
         acc.record_node(0, created=10, dominated=2, pruned_floor=6,
-                        pruned_joint=3, pruned_settle=1, frontier=4,
+                        pruned_joint=3, pruned_meet=1, frontier=4,
                         settle_batches=1)
         text = render_profile(acc.totals())
         assert "label-search" in text
@@ -301,11 +300,11 @@ class TestRendering:
     def test_profile_table_renders_per_colour_and_meet_rows(self):
         acc = ProfileAccumulator("label-search")
         acc.record_node(0, created=20, dominated=1, pruned_floor=2,
-                        pruned_colour=8, pruned_joint=4, pruned_settle=1,
-                        pruned_meet=5, frontier=6, settle_batches=1)
+                        pruned_colour=8, pruned_joint=4, pruned_meet=6,
+                        frontier=6, settle_batches=1)
         text = render_profile(acc.totals())
         assert "per-colour joint" in text and "( 40.0%)" in text
-        assert "meet-in-the-middle" in text and "( 25.0%)" in text
+        assert "meet-in-the-middle" in text and "( 30.0%)" in text
 
     def test_profile_table_says_when_the_beam_certified(self):
         acc = ProfileAccumulator("label-search")
