@@ -712,7 +712,8 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
 
     The DP prunes with a single completion bound (state potential plus load
     floors — a floor-type bound), so ``pruned_floor`` carries all of its
-    rejections; the colour/joint/meet slots exist only in the label sweep.
+    rejections; the colour/joint/Lagrangian/meet slots exist only in the
+    label sweep.
     """
     return {
         "engine": "pareto-dp",
@@ -721,6 +722,7 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "pruned_floor": stats["bound_rejected"],
         "pruned_colour": 0,
         "pruned_joint": 0,
+        "pruned_lagrange": 0,
         "pruned_meet": 0,
         "pruned_total": stats["bound_rejected"],
         "frontier_peak": stats["peak_frontier"],

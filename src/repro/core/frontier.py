@@ -39,7 +39,7 @@ reference filter.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -237,7 +237,8 @@ class ParetoStore:
 
 
 def pareto_block_mask(sig: "Any", lds: "Any",
-                      window: Optional[int] = None) -> "Any":
+                      window: Optional[int] = None,
+                      poll: Optional[Callable[[], bool]] = None) -> "Any":
     """Boolean keep-mask of the Pareto-maximal rows of an (σ, loads) block.
 
     ``sig`` is an ``(M,)`` float array, ``lds`` an ``(M, d)`` float array;
@@ -263,6 +264,11 @@ def pareto_block_mask(sig: "Any", lds: "Any",
     so the block's dominance plane is built from one 2-D ``<=`` per colour
     folded in place with ``&=`` — never a ``(k, b, d)`` cube reduced over
     its short last axis.
+
+    ``poll`` (optional) is a deadline checkpoint called once per block,
+    before it is checked; when it returns true the filter stops and every
+    row it has not checked yet stays kept — always safe, since a kept
+    dominated row costs time, never correctness.
     """
     total, dim = lds.shape
     order = np.lexsort(tuple(lds[:, c] for c in range(dim - 1, -1, -1))
@@ -283,6 +289,8 @@ def pareto_block_mask(sig: "Any", lds: "Any",
     doms = np.empty((dim, cap + block), dtype=np.float64)
     k = 0
     for start in range(0, total, block):
+        if poll is not None and poll():
+            break
         bc = cols[:, start:start + block]
         b = bc.shape[1]
         doms[:, k:k + b] = bc

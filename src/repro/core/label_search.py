@@ -28,9 +28,16 @@ mechanisms keep the label sets small:
   colourless graphs).  The incomparable **joint average bound**
   ``λ_S·s + λ_B·Σloads/n_colors + potJ[v]`` with
   ``potJ[v] = min_p (λ_S·σ(p) + λ_B·β_total(p)/n_colors)`` stays as a second
-  check (the final bottleneck is at least the average colour load).  Both
-  bounds are checked in one extension step, :func:`_extend`, that every
-  sweep shares.  A cheap *beam* pre-pass (that step over the same array
+  check (the final bottleneck is at least the average colour load).  It is
+  the uniform case of the **Lagrangian bound** ``λ_S·s + λ_B·w·loads +
+  potW[v]`` with ``potW[v] = min_p (λ_S·σ(p) + λ_B·w·β(p))``, admissible
+  for every weighting ``w ≥ 0`` with ``Σw ≤ 1`` (``max_c β_c ≥ w·β``);
+  when the exact pass runs, a few multiplicative-weights ascent rounds
+  pick ``w`` to maximise the root bound ``potW[S]`` (the Lagrangian dual
+  of the min-max objective, Fisher 1981), which closes most of the root
+  gap the average bound leaves on scattered instances.  All bounds are
+  checked in one extension step, :func:`_extend`, that every sweep
+  shares.  A cheap *beam* pre-pass (that step over the same array
   buckets as the exact pass, each truncated to the ``beam_width`` most
   promising labels, no dominance) finds a strong feasible path first, so
   the exact pass starts with a tight incumbent — on scattered instances
@@ -39,7 +46,10 @@ mechanisms keep the label sets small:
   loses labels only by truncating them, so when no truncated label
   passes that same step against the final incumbent, no path beats it
   and the exact pass is skipped (the *beam certificate*,
-  ``LabelSearchStats.beam_certified``).
+  ``LabelSearchStats.beam_certified``).  The weighting ``w`` is picked
+  only after that certificate fails, and the certificate is asked again
+  with the ``w``-bound before the exact pass runs — so certified solves
+  pay nothing for it.
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
@@ -61,7 +71,8 @@ mechanisms keep the label sets small:
   edge: the joined objective ``λ_S·(σ_f + σ_e + σ_b) + λ_B·max_c(load_f +
   β_e + load_b)`` is minimised over the frontier cross product in
   bounded-memory chunks, pre-filtered against the opposing frontier's
-  componentwise minima (rejections counted as ``pruned_meet``).
+  componentwise minima and its ``w``-weighted minimum (rejections counted
+  as ``pruned_meet``).
   Half-depth frontiers never materialise the deep-layer label populations
   that a full-depth sweep builds on scattered instances, so time and
   memory stay bounded where a single forward pass explodes.
@@ -77,6 +88,7 @@ paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add as _add
 from typing import Any, Dict, List, Optional, Tuple
@@ -95,17 +107,29 @@ from repro.graphs.dag import DagIndex, NotADagError
 from repro.graphs.digraph import Edge, Node
 from repro.graphs.paths import Path
 
-#: ``(created, dominated, pruned_colour, pruned_joint, frontier_peak,
-#: settle_batches, pruned_meet, meet_edges)`` — the counter tuple the exact
-#: pass returns; the bound-pruned total is the sum of the pruned_* slots.
-_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0)
+#: ``(created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
+#: frontier_peak, settle_batches, pruned_meet, meet_edges)`` — the counter
+#: tuple the exact pass returns; the bound-pruned total is the sum of the
+#: pruned_* slots.
+_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
 
-#: Element budget of one meet-join broadcast chunk: a forward chunk of
+#: Element budget of one meet-join chunk's working set: a forward chunk of
 #: ``F`` labels against ``B`` backward labels is one ``F·B`` block, built a
-#: colour at a time, so the forward chunk size is ``_MEET_CHUNK_ELEMS / B``.
-#: The join's chunk working set is that block plus a same-size per-colour
-#: temporary: ≈16 MB at the default (tracemalloc, scattered n=50 k=4).
+#: colour at a time through one same-shape scratch buffer, so the forward
+#: chunk size is ``_MEET_CHUNK_ELEMS / (2·B)``: ≈8 MB for block and buffer
+#: together at the default.
 _MEET_CHUNK_ELEMS = 1 << 20
+
+#: Multiplicative-weights ascent rounds that pick the Lagrangian load
+#: weighting ``w`` at the source (see :func:`_lagrange_bounds`); round ``t``
+#: steps by ``_LAGRANGE_STEP / sqrt(t + 1)`` along the argmin path's loads,
+#: scaled to its largest colour load.
+_LAGRANGE_ROUNDS = 20
+_LAGRANGE_STEP = 1.5
+#: A weighting is scaled to sum to this before use, so its floating-point
+#: sum stays below 1 and ``w·loads`` below the largest load even after
+#: rounding: the ``w``-bounds stay admissible in floating point.
+_LAGRANGE_MASS = 1.0 - 2.0 ** -40
 
 #: Meet-frontier join-space reduction: sides above this size get a windowed
 #: Pareto filter in (λ_S·σ + λ_B·load_c)-space before the pairwise product.
@@ -130,13 +154,17 @@ class LabelSearchStats:
     ``labels_bound_pruned`` is split by *which* completion bound fired:
     ``pruned_colour`` (the per-colour joint σ/β_c bound at extension time —
     the tightened replacement of the legacy floor bound), ``pruned_joint``
-    (the joint σ/average-load bound at extension time) and
-    ``pruned_meet`` (labels the meet join's pre-filter rejected against the
-    opposing frontier's minima).  ``pruned_floor`` (the tree DP's
-    floor-type bound) remains in the profile schema the engines share; the
-    sweep never fires it.  ``frontier_peak`` is the largest settled bucket
-    and ``settle_batches`` the number of settle passes — together the
-    bound-effectiveness profile the tracing layer surfaces.
+    (the joint σ/average-load bound at extension time),
+    ``pruned_lagrange`` (the Lagrangian ``w``-bound at extension time, on
+    labels both other bounds kept) and ``pruned_meet`` (labels the meet
+    join's pre-filter rejected against the opposing frontier's minima).
+    ``pruned_floor`` (the tree DP's floor-type bound) remains in the
+    profile schema the engines share; the sweep never fires it.
+    ``frontier_peak`` is the largest settled bucket and ``settle_batches``
+    the number of settle passes — together the bound-effectiveness profile
+    the tracing layer surfaces.  ``lagrange_root`` is the Lagrangian root
+    bound ``potW[S]`` the exact pass pruned with (``-inf`` when no
+    weighting was picked): its gap to the optimum explains a slow pass.
     """
 
     labels_created: int = 0
@@ -148,10 +176,12 @@ class LabelSearchStats:
     pruned_floor: int = 0            #: σ + colour-load floor bound rejections
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
     pruned_joint: int = 0            #: joint average-load bound rejections
+    pruned_lagrange: int = 0         #: Lagrangian w-bound rejections
     pruned_meet: int = 0             #: meet-join pre-filter rejections
     meet_edges: int = 0              #: crossing edges joined
     frontier_peak: int = 0           #: largest bucket ever settled
     settle_batches: int = 0          #: settle passes over buckets
+    lagrange_root: float = float("-inf")  #: root bound potW[S]
     beam_certified: bool = False     #: the beam proved the bound; no exact pass
 
 
@@ -328,6 +358,10 @@ class LabelDominanceSearch:
         When the beam completes and none of the labels it truncated can
         beat the bound (see :func:`_cuts_clear`), the bound is proven: the
         exact pass is skipped and the stats carry ``beam_certified``.
+        Otherwise, on two or more colours, the Lagrangian weighting is
+        picked (see :func:`_lagrange_bounds`; ``context`` is polled once
+        per ascent round), the certificate is asked again with its
+        ``w``-bound, and only then does the exact pass run.
         ``beam_width=0`` and an interrupted beam always run the exact pass.
         ``potentials`` short-circuits the backward completion-bound passes
         with precomputed ones (see :func:`completion_potentials`);
@@ -395,6 +429,22 @@ class LabelDominanceSearch:
         # the bound
         certified = (interrupted is None and cuts is not None
                      and _cuts_clear(cuts, bound, lam_s, lam_b, inv_colors))
+        # ---- Lagrangian w-bounds, only for a pass that will run: pick the
+        # weighting at the source, give every pack its w-potential and ask
+        # the certificate again with the tighter bound
+        lagrange = None
+        if interrupted is None and not certified and n_colors > 1:
+            lagrange, interrupted = _lagrange_bounds(
+                order, out_edge_data, source, target, n_colors, lam_s,
+                lam_b, context)
+            if lagrange is not None:
+                w, potw, _, _ = lagrange
+                for packs in out_edge_data.values():
+                    # in place: the beam's cuts hold these same lists
+                    packs[:] = [pack[:8] + (potw[pack[4]],)
+                                for pack in packs]
+                certified = cuts is not None and _cuts_clear(
+                    cuts, bound, lam_s, lam_b, inv_colors, w)
 
         # ---- exact pass: half-sweeps over array buckets, joined in the
         # middle
@@ -415,16 +465,22 @@ class LabelDominanceSearch:
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_bidirectional(
                 graph, order, out_edge_data, potentials, inv_colors,
-                color_index, source, target, zero_loads, bound,
+                color_index, source, target, zero_loads, bound, lagrange,
                 context=context, profile=profile)
+        (created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
+         peak, settles, pruned_meet, meet_edges) = sweep_stats
+        root = lagrange[3] if lagrange is not None else float("-inf")
+        if profile is not None and lagrange is not None:
+            profile.lagrange_root = root
         stats = LabelSearchStats(
-            labels_created=sweep_stats[0], labels_dominated=sweep_stats[1],
-            labels_bound_pruned=(sweep_stats[2] + sweep_stats[3]
-                                 + sweep_stats[6]),
+            labels_created=created, labels_dominated=dominated,
+            labels_bound_pruned=(pruned_colour + pruned_joint
+                                 + pruned_lagrange + pruned_meet),
             nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
-            pruned_colour=sweep_stats[2], pruned_joint=sweep_stats[3],
-            frontier_peak=sweep_stats[4], settle_batches=sweep_stats[5],
-            pruned_meet=sweep_stats[6], meet_edges=sweep_stats[7],
+            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
+            pruned_lagrange=pruned_lagrange, pruned_meet=pruned_meet,
+            meet_edges=meet_edges, frontier_peak=peak,
+            settle_batches=settles, lagrange_root=root,
             beam_certified=certified)
 
         if best_path is not None:
@@ -508,7 +564,7 @@ class LabelDominanceSearch:
                 parents, ekeys = parents[kept], ekeys[kept]
             settled[node] = (parents, ekeys)
             for pack in packs:
-                ns, nl, nsum, lower, _, keep = _extend(
+                ns, nl, nsum, lower, _, _, keep = _extend(
                     sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors)
                 rows = keep.nonzero()[0]
                 if not len(rows):
@@ -531,7 +587,7 @@ class LabelDominanceSearch:
 
     # ------------------------------------------------------------- exact pass
     def _meet_partition(self, graph, order, out_edge_data, rank, spots, pot,
-                        source, target, color_index):
+                        source, target, color_index, spotw=None):
         """Pick the meet rank ``K`` and split the live edges around it.
 
         Returns ``(K, fwd_exts, cross_edges, in_edge_data)``: the in-region
@@ -539,10 +595,11 @@ class LabelDominanceSearch:
         (tail rank < K <= head rank, as ``(edge, σ, β row, tail, head)``)
         and the in-region in-edge packs of the backward half.  Both halves'
         packs share one shape (see :func:`_pack`), with the next node's
-        potentials towards the half's far end (``spots`` for the backward
-        half).  ``K`` balances the live edge count on either side and is
-        clamped to ``(rank(source), rank(target)]`` so both endpoints stay
-        in their halves.  Only edges on live S → T routes (tail reachable
+        potentials towards the half's far end (``spots`` and the
+        Lagrangian ``spotw``, when given, for the backward half).  ``K``
+        balances the live edge count on either side and is clamped to
+        ``(rank(source), rank(target)]`` so both endpoints stay in their
+        halves.  Only edges on live S → T routes (tail reachable
         from the source and reaching the target) participate — labels can
         never appear anywhere else.
         """
@@ -581,7 +638,7 @@ class LabelDominanceSearch:
             if node not in pot or node not in spot:
                 continue
             packed = [_pack(edge, edge.tail, color_index, spot, spotj,
-                            spotjc_rows)
+                            spotjc_rows, spotw)
                       for edge in graph.in_edges(node)
                       # a crossing edge joins, never extends
                       if rank[edge.tail] >= K
@@ -592,10 +649,15 @@ class LabelDominanceSearch:
 
     def _sweep_bidirectional(self, graph, order, out_edge_data, potentials,
                              inv_colors, color_index, source, target,
-                             zero_loads, bound,
+                             zero_loads, bound, lagrange=None,
                              context: Optional[SolveContext] = None,
                              profile=None):
         """Meet-in-the-middle exact pass (see the module docstring).
+
+        ``lagrange`` is :func:`_lagrange_bounds`' ``(w, potw, spotw,
+        root)`` or ``None``: with it, both halves and the join also prune
+        with the ``w``-bounds (``out_edge_data``'s packs already carry
+        ``potw``).
 
         Topological ranks strictly increase along every DAG edge, so with a
         boundary rank ``K`` in ``(rank(source), rank(target)]`` every S → T
@@ -614,12 +676,15 @@ class LabelDominanceSearch:
         if target not in spots.pot:
             return (None, float("inf"), float("inf"), float("inf"),
                     _EMPTY_SWEEP_STATS, None)
+        w = spotw = None
+        if lagrange is not None:
+            w, _, spotw, _ = lagrange
         K, fwd_exts, cross_edges, in_edge_data = self._meet_partition(
             graph, order, out_edge_data, rank, spots, pot, source, target,
-            color_index)
+            color_index, spotw)
         path, sweep_stats, interrupted = self._bidir_blocks(
             graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            inv_colors, source, target, zero_loads, bound,
+            inv_colors, source, target, zero_loads, bound, w,
             context=context, profile=profile)
         if path is None:
             return (None, float("inf"), float("inf"), float("inf"),
@@ -647,7 +712,7 @@ class LabelDominanceSearch:
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
                       in_edge_data, inv_colors, source, target, zero_loads,
-                      bound, context: Optional[SolveContext] = None,
+                      bound, w=None, context: Optional[SolveContext] = None,
                       profile=None):
         """The two half-sweeps and their join, over *array buckets*.
 
@@ -668,18 +733,26 @@ class LabelDominanceSearch:
         checks already applied the same bound.  The join minimises the pair
         objective per crossing edge over ``(F_chunk, B)`` broadcast blocks
         bounded by ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each
-        frontier against the other's componentwise minima
-        (``pruned_meet``).  The join polls ``context`` once per chunk, so an
-        interrupt inside one crossing edge's chunk loop returns the best
-        pair held so far.
+        frontier against the other's componentwise minima and, given the
+        Lagrangian weighting ``w``, its ``w``-weighted minimum
+        (``pruned_meet``).  The join polls ``context`` once per chunk and
+        the dominance masks once per block, so an interrupt inside one
+        crossing edge's chunk loop returns the best pair held so far.
         """
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
         window = self.dominance_window
         created = dominated = 0
-        pruned_colour = pruned_joint = pruned_meet = 0
+        pruned_colour = pruned_joint = pruned_lagrange = pruned_meet = 0
         peak = settles = meet_edges = 0
         interrupted: Optional[str] = None
+        poll = None
+        if context is not None:
+            def poll() -> bool:
+                """The masks' per-block checkpoint."""
+                nonlocal interrupted
+                interrupted = context.interrupted()
+                return interrupted is not None
 
         def settle_mask(sig, lds):
             """Windowed dominance mask with a cheap density probe.  Large
@@ -693,10 +766,10 @@ class LabelDominanceSearch:
             if len(sig) > _SETTLE_PROBE * 8:
                 probe = pareto_block_mask(sig[:_SETTLE_PROBE],
                                           lds[:_SETTLE_PROBE],
-                                          window=window)
+                                          window=window, poll=poll)
                 if _SETTLE_PROBE - int(probe.sum()) < _SETTLE_PROBE // 64:
                     return None
-            return pareto_block_mask(sig, lds, window=window)
+            return pareto_block_mask(sig, lds, window=window, poll=poll)
 
         def half(nodes, start, packs, meet_nodes):
             """One half-sweep from ``start`` over ``nodes`` along ``packs``.
@@ -706,7 +779,7 @@ class LabelDominanceSearch:
             ``meet_nodes``; stops at the first interruption of
             ``context``."""
             nonlocal created, dominated, pruned_colour, pruned_joint
-            nonlocal peak, settles, interrupted
+            nonlocal pruned_lagrange, peak, settles, interrupted
             settled: Dict[Node, Tuple[Any, Any]] = {}
             meet_rows: Dict[Node, Tuple[Any, Any]] = {}
             chunks: Dict[Node, List[tuple]] = {start: [_start_chunk(dim)]}
@@ -725,7 +798,7 @@ class LabelDominanceSearch:
                 sig, lds, sums, parents, ekeys = _concat(node_chunks)
                 if profile is not None:
                     node_base = (created, dominated, pruned_colour,
-                                 pruned_joint)
+                                 pruned_joint, pruned_lagrange)
                 bucket_size = len(sig)
                 if bucket_size > peak:
                     peak = bucket_size
@@ -734,6 +807,8 @@ class LabelDominanceSearch:
                     mask = settle_mask(sig, lds)
                     drop = (len(sig) - int(mask.sum())
                             if mask is not None else 0)
+                    if interrupted is not None:
+                        break           # the mask's checkpoint fired
                     if drop:
                         dominated += drop
                         sig, lds, sums = sig[mask], lds[mask], sums[mask]
@@ -742,13 +817,15 @@ class LabelDominanceSearch:
                 if is_meet:
                     meet_rows[node] = (sig, lds)
                 for pack in extensions or ():
-                    ns, nl, nsum, _, keep_colour, keep = _extend(
+                    ns, nl, nsum, _, keep_colour, keep_joint, keep = _extend(
                         sig, lds, sums, pack, bound, lam_s, lam_b,
-                        inv_colors)
+                        inv_colors, w)
                     colour_kept = int(keep_colour.sum())
                     pruned_colour += len(ns) - colour_kept
+                    joint_kept = int(keep_joint.sum())
+                    pruned_joint += colour_kept - joint_kept
                     count = int(keep.sum())
-                    pruned_joint += colour_kept - count
+                    pruned_lagrange += joint_kept - count
                     if not count:
                         continue
                     created += count
@@ -761,6 +838,7 @@ class LabelDominanceSearch:
                         dominated - node_base[1],
                         pruned_colour=pruned_colour - node_base[2],
                         pruned_joint=pruned_joint - node_base[3],
+                        pruned_lagrange=pruned_lagrange - node_base[4],
                         frontier=bucket_size, settle_batches=1)
             return settled, meet_rows
 
@@ -787,7 +865,9 @@ class LabelDominanceSearch:
             # every colour) and typically shrinks each side ~10x.  A
             # crossing edge only adds a *constant* vector to X, which
             # leaves dominance unchanged — one windowed reduction per meet
-            # node therefore serves all of its crossing edges.
+            # node therefore serves all of its crossing edges.  Since
+            # Σw < 1, the pair objective is also at least the Lagrangian
+            # floor w·X[i] + w·const + w·Y[j]; each side keeps its w-sums.
             def reduce_side(sig, loads):
                 """Single windowed join-space reduction pass.  The window
                 only ever *keeps* dominated rows, never drops a
@@ -799,16 +879,18 @@ class LabelDominanceSearch:
                 idx = None
                 if len(sig) > _MEET_REDUCE_MIN:
                     mask = pareto_block_mask(rows_m[:, 0], rows_m,
-                                             window=_MEET_REDUCE_WINDOW)
+                                             window=_MEET_REDUCE_WINDOW,
+                                             poll=poll)
                     idx = np.nonzero(mask)[0]
                     dominated += len(sig) - len(idx)
                     sig, loads, rows_m = sig[idx], loads[idx], rows_m[idx]
                 return (sig, loads, rows_m, idx, rows_m.min(axis=0),
-                        rows_m.sum(axis=1))
+                        rows_m.sum(axis=1),
+                        None if w is None else rows_m @ w)
 
             f_join, b_join = (
                 {node: reduce_side(sig, loads) if dim
-                 else (sig, loads, None, None, None, None)
+                 else (sig, loads, None, None, None, None, None)
                  for node, (sig, loads) in rows.items()}
                 for rows in (fwd_rows, bwd_rows))
             jobs = []
@@ -827,6 +909,11 @@ class LabelDominanceSearch:
                            + float(bw[5].min())) / dim
                     if avg > est:
                         est = avg
+                    if w is not None:
+                        lag = (float(fw[6].min()) + float(const @ w)
+                               + float(bw[6].min()))
+                        if lag > est:
+                            est = lag
                 else:
                     est = lam_s * (float(fw[0].min()) + sigma
                                    + float(bw[0].min()))
@@ -840,8 +927,8 @@ class LabelDominanceSearch:
                     if interrupted is not None:
                         break
                 meet_edges += 1
-                sf, _lf, X0, fidx, _xmin, xsum0 = f_join[tail]
-                sb, _lb, Y, yidx, ymin, ysum = b_join[head]
+                sf, _lf, X0, fidx, _xmin, xsum0, xw0 = f_join[tail]
+                sb, _lb, Y, yidx, ymin, ysum, yw = b_join[head]
                 meet_base = pruned_meet
                 if est >= bound:
                     pruned_meet += len(sf) + len(sb)
@@ -869,12 +956,18 @@ class LabelDominanceSearch:
                 # with the average floor that bites when loads balance
                 lowf = np.maximum((Xe + ymin).max(axis=1),
                                   (xesum + float(ysum.min())) * inv_dim)
+                if w is not None:
+                    xew = xw0 + float(const @ w)
+                    np.maximum(lowf, xew + float(yw.min()), out=lowf)
                 rows_f = np.nonzero(lowf < bound)[0]
                 pruned_meet += len(sf) - len(rows_f)
                 if len(rows_f):
                     lowb = np.maximum(
                         (Y + Xe[rows_f].min(axis=0)).max(axis=1),
                         (ysum + float(xesum[rows_f].min())) * inv_dim)
+                    if w is not None:
+                        np.maximum(lowb, yw + float(xew[rows_f].min()),
+                                   out=lowb)
                     rows_b = np.nonzero(lowb < bound)[0]
                     pruned_meet += len(sb) - len(rows_b)
                 else:
@@ -919,7 +1012,8 @@ class LabelDominanceSearch:
                                                  side="left"))
                         if not nb:
                             break
-                        stop = min(start + max(1, _MEET_CHUNK_ELEMS // nb),
+                        stop = min(start + max(1, _MEET_CHUNK_ELEMS
+                                               // (2 * nb)),
                                    len(rows_f))
                         ng = (nb + _MEET_GROUP - 1) // _MEET_GROUP
                         sel = None
@@ -947,17 +1041,21 @@ class LabelDominanceSearch:
                                               min((g + 1) * _MEET_GROUP, nb))
                                     for g in gpass])
                                 YBsub = YB[sel]
-                        # 2-D per-colour maximum accumulation: never
-                        # materialises the (chunk × |B| × dim) cube
+                        # 2-D per-colour maximum accumulation through one
+                        # scratch buffer: never materialises the
+                        # (chunk × |B| × dim) cube
                         val = XF[start:stop, 0, None] + YBsub[None, :, 0]
+                        tmp = np.empty_like(val) if dim > 1 else None
                         for c in range(1, dim):
-                            np.maximum(
-                                val,
-                                XF[start:stop, c, None] + YBsub[None, :, c],
-                                out=val)
+                            np.add(XF[start:stop, c, None],
+                                   YBsub[None, :, c], out=tmp)
+                            np.maximum(val, tmp, out=val)
                         flat = int(val.argmin())
                         i, j = divmod(flat, val.shape[1])
                         v = float(val[i, j])
+                        # release both blocks before the next chunk builds
+                        # its own, so at most one chunk's pair is alive
+                        val = tmp = None
                         if v < bound:
                             bound = v
                             i0 = int(rows_f[start + i])
@@ -981,7 +1079,8 @@ class LabelDominanceSearch:
                 if interrupted is not None:
                     break
         sweep_stats = (created, dominated, pruned_colour, pruned_joint,
-                       peak, settles, pruned_meet, meet_edges)
+                       pruned_lagrange, peak, settles, pruned_meet,
+                       meet_edges)
         if best is None:
             return None, sweep_stats, interrupted
         edge, f_row, b_row, head = best
@@ -998,11 +1097,13 @@ def _rows(table: Dict[Node, Tuple[float, ...]]) -> Dict[Node, Any]:
     return {n: np.asarray(t, dtype=np.float64) for n, t in table.items()}
 
 
-def _pack(edge: Edge, nxt: Node, color_index, pot, potj, potjc_rows) -> tuple:
+def _pack(edge: Edge, nxt: Node, color_index, pot, potj, potjc_rows,
+          potw=None) -> tuple:
     """One extension pack: ``(edge, σ, β row, β_total, next node, pot,
-    potjc row, potj)``, with the next node's potentials towards the
+    potjc row, potj, potw)``, with the next node's potentials towards the
     sweep's far end.  The β row is ``None`` on an edge without load, so
-    the extension skips the add."""
+    the extension skips the add; ``potw`` (the Lagrangian potential) is
+    ``None`` until a weighting is picked."""
     betas = [(color_index[c], float(v))
              for c, v in DoublyWeightedGraph.beta_map(edge).items()
              if v != 0.0]
@@ -1013,7 +1114,7 @@ def _pack(edge: Edge, nxt: Node, color_index, pot, potj, potjc_rows) -> tuple:
             beta_row[ci] = bv
     return (edge, DoublyWeightedGraph.sigma(edge), beta_row,
             sum(v for _, v in betas), nxt, pot[nxt], potjc_rows[nxt],
-            potj[nxt])
+            potj[nxt], None if potw is None else potw[nxt])
 
 
 def _start_chunk(dim: int) -> tuple:
@@ -1039,19 +1140,22 @@ def _concat(node_chunks: List[tuple]) -> tuple:
 
 
 def _extend(sig, lds, sums, pack: tuple, bound: float, lam_s: float,
-            lam_b: float, inv_colors: float) -> tuple:
+            lam_b: float, inv_colors: float, w=None) -> tuple:
     """Extend bucket rows ``(σ, loads, Σloads)`` along one edge pack and
-    check both completion bounds against ``bound``.
+    check its completion bounds against ``bound``.
 
-    Returns ``(σ', loads', Σloads', lower, keep_colour, keep)``: ``lower``
-    is the per-colour joint bound ``λ_S·σ' + max_c(λ_B·loads'_c +
-    potJc_c)`` (``λ_S·(σ' + pot)`` without colours) — the exact SSB
-    weight at the target, where the potentials are zero — ``keep_colour``
-    the rows it keeps strictly below ``bound`` and ``keep`` those of them
-    the joint average bound keeps too.  The beam, both half-sweeps and the
-    beam certificate all extend through this one step.
+    Returns ``(σ', loads', Σloads', lower, keep_colour, keep_joint,
+    keep)``: ``lower`` is the per-colour joint bound ``λ_S·σ' +
+    max_c(λ_B·loads'_c + potJc_c)`` (``λ_S·(σ' + pot)`` without colours) —
+    the exact SSB weight at the target, where the potentials are zero —
+    ``keep_colour`` the rows it keeps strictly below ``bound``,
+    ``keep_joint`` those of them the joint average bound keeps too, and
+    ``keep`` those of them the Lagrangian bound ``λ_S·σ' +
+    λ_B·(loads'·w) + potW`` keeps as well (``keep_joint`` itself when no
+    weighting ``w`` is given).  The beam, both half-sweeps and the beam
+    certificate all extend through this one step.
     """
-    _edge, sigma, beta_row, btotal, _nxt, pot_n, potjc_n, potj_n = pack
+    _edge, sigma, beta_row, btotal, _nxt, pot_n, potjc_n, potj_n, potw_n = pack
     ns = sig + sigma
     nl = lds if beta_row is None else lds + beta_row
     step = lam_s * ns
@@ -1061,8 +1165,12 @@ def _extend(sig, lds, sums, pack: tuple, bound: float, lam_s: float,
         lower = lam_s * (ns + pot_n)
     keep_colour = lower < bound
     nsum = sums + btotal
-    keep = keep_colour & (step + lam_b * nsum * inv_colors + potj_n < bound)
-    return ns, nl, nsum, lower, keep_colour, keep
+    keep_joint = keep_colour & (step + lam_b * nsum * inv_colors + potj_n
+                                < bound)
+    keep = keep_joint
+    if w is not None:
+        keep = keep_joint & (step + lam_b * (nl @ w) + potw_n < bound)
+    return ns, nl, nsum, lower, keep_colour, keep_joint, keep
 
 
 def _walk_back(graph, settled, ek: int, row: int, end: str) -> List[Edge]:
@@ -1082,17 +1190,134 @@ def _walk_back(graph, settled, ek: int, row: int, end: str) -> List[Edge]:
 
 
 def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
-                inv_colors: float) -> bool:
+                inv_colors: float, w=None) -> bool:
     """Whether every truncated beam row is bound-pruned at ``bound``.
 
-    A truncated row survives when some extension passes both completion
-    bounds of :func:`_extend` against ``bound``; each cut holds its
-    dropped rows ``(σ, Σloads, loads)`` and its node's edge packs, and
-    is scanned in full, one vectorised step per edge.
+    A truncated row survives when some extension passes every completion
+    bound of :func:`_extend` against ``bound`` (the Lagrangian one too,
+    given the weighting ``w``); each cut holds its dropped rows ``(σ,
+    Σloads, loads)`` and its node's edge packs, and is scanned in full,
+    one vectorised step per edge.
     """
     return not any(
-        _extend(sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors)[5].any()
+        _extend(sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors,
+                w)[6].any()
         for sig, sums, lds, packs in cuts for pack in packs)
+
+
+def _admissible_weights(w):
+    """``w`` (non-negative, not all zero) scaled to sum to
+    ``_LAGRANGE_MASS``: its floating-point sum stays below 1, so
+    ``w·loads`` never exceeds the largest load."""
+    return w * (_LAGRANGE_MASS / float(w.sum()))
+
+
+def _weighted_minima(nodes, start: Node, arcs_of, weights):
+    """Min-weight paths to ``start``, in one pull-style walk.
+
+    Each node of ``nodes`` takes, over its arcs ``arcs_of[node]`` — ``(arc
+    index, other node)`` pairs whose other node precedes it in ``nodes``
+    — the minimum of ``weights[arc] + value[other]``.  Returns ``(value,
+    via)``: the minima and each node's first argmin arc; nodes no arc
+    reaches stay absent.
+    """
+    value = {start: 0.0}
+    via: Dict[Node, int] = {}
+    for node in nodes:
+        if node == start:
+            continue
+        best = None
+        for arc, other in arcs_of.get(node, ()):
+            base = value.get(other)
+            if base is None:
+                continue
+            total = weights[arc] + base
+            if best is None or total < best:
+                best, best_arc = total, arc
+        if best is not None:
+            value[node] = best
+            via[node] = best_arc
+    return value, via
+
+
+def _packed_arcs(order, out_edge_data, dim: int) -> tuple:
+    """The packed (live) edges as indexed arcs: ``(σ array, β matrix, head
+    per arc, out-arcs, in-arcs)``, the arc maps ``node → [(arc, other
+    node)]`` as :func:`_weighted_minima` walks them."""
+    sigmas: List[float] = []
+    betas: List[Any] = []
+    heads: List[Node] = []
+    out_arcs: Dict[Node, List[Tuple[int, Node]]] = {}
+    in_arcs: Dict[Node, List[Tuple[int, Node]]] = {}
+    no_load = np.zeros(dim)
+    for node in order:
+        for pack in out_edge_data.get(node, ()):
+            arc = len(sigmas)
+            sigmas.append(pack[1])
+            betas.append(no_load if pack[2] is None else pack[2])
+            heads.append(pack[4])
+            out_arcs.setdefault(node, []).append((arc, pack[4]))
+            in_arcs.setdefault(pack[4], []).append((arc, node))
+    return (np.asarray(sigmas), np.asarray(betas).reshape(-1, dim), heads,
+            out_arcs, in_arcs)
+
+
+def _arc_weights(sig, beta, w, lam_s: float, lam_b: float) -> List[float]:
+    """Each arc's Lagrangian step ``λ_S·σ + λ_B·(β·w)``."""
+    return (lam_s * sig + lam_b * (beta * w).sum(axis=1)).tolist()
+
+
+def _lagrange_bounds(order, out_edge_data, source, target, dim: int,
+                     lam_s: float, lam_b: float,
+                     context: Optional[SolveContext] = None):
+    """Pick a Lagrangian load weighting ``w`` and its completion bounds.
+
+    For any ``w ≥ 0`` with ``Σw ≤ 1``, ``max_c β_c ≥ w·β``, so ``potW[v] =
+    min_p (λ_S·σ(p) + λ_B·w·β(p))`` over ``v → T`` paths bounds every
+    completion; the best ``w`` maximises the root bound ``potW[S]``, the
+    Lagrangian dual of the min-max objective (Fisher 1981).  ``potW[S]``
+    is concave in ``w`` with supergradient ``λ_B·β(p*)`` on its argmin
+    path ``p*``, so ``_LAGRANGE_ROUNDS`` multiplicative-weights rounds
+    climb it from uniform ``w`` — never weaker than the joint average
+    bound at the root — keeping the best ``w`` seen.  Each round is one
+    walk of :func:`_weighted_minima` over the packed (live) edges towards
+    the target; the best ``w``'s mirror walk from the source serves the
+    backward half (the minimum over S → T paths is the same both ways).
+
+    Returns ``((w, potw, spotw, root), None)``, with ``w`` scaled by
+    :func:`_admissible_weights`, or ``(None, kind)`` when ``context``,
+    polled once per round, fires first.
+    """
+    sig, beta, heads, out_arcs, in_arcs = _packed_arcs(order, out_edge_data,
+                                                       dim)
+    backward = order[::-1]
+    mw = np.full(dim, 1.0 / dim)
+    best = None
+    for t in range(_LAGRANGE_ROUNDS):
+        if context is not None:
+            interrupted = context.interrupted()
+            if interrupted is not None:
+                return None, interrupted
+        w = _admissible_weights(mw)
+        weights = _arc_weights(sig, beta, w, lam_s, lam_b)
+        potw, via = _weighted_minima(backward, target, out_arcs, weights)
+        root = potw[source]
+        if best is None or root > best[3]:
+            best = (w, potw, weights, root)
+        path = []
+        node = source
+        while node != target:
+            path.append(via[node])
+            node = heads[path[-1]]
+        load = beta[path].sum(axis=0)
+        top = float(load.max())
+        if top <= 0.0:
+            break                   # a load-free argmin path: w is moot
+        mw = mw * np.exp(_LAGRANGE_STEP / math.sqrt(t + 1) * (load / top))
+        mw /= mw.sum()
+    w, potw, weights, root = best
+    spotw, _ = _weighted_minima(order, source, in_arcs, weights)
+    return (w, potw, spotw, root), None
 
 
 def find_optimal_colored_ssb_path_labels(

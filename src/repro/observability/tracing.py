@@ -93,9 +93,12 @@ class ProfileAccumulator:
     per node.  Totals split bound rejections by which completion potential
     fired: the sigma + per-colour load *floor* bound (tree DP), the
     per-*colour* joint sigma/load bound (label sweep), the *joint* average
-    bound, and the *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
+    bound, the *Lagrangian* w-weighted load bound (label sweep) and the
+    *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
     also sets ``beam_certified``: when its beam pre-pass proved the bound,
-    the exact pass is skipped and no per-node rows are recorded.
+    the exact pass is skipped and no per-node rows are recorded.  When the
+    exact pass picked a Lagrangian weighting, ``lagrange_root`` holds its
+    root bound, so the root gap to the optimum shows in the trace.
     """
 
     __slots__ = (
@@ -105,11 +108,13 @@ class ProfileAccumulator:
         "pruned_floor",
         "pruned_colour",
         "pruned_joint",
+        "pruned_lagrange",
         "pruned_meet",
         "frontier_peak",
         "settle_batches",
         "nodes_swept",
         "beam_certified",
+        "lagrange_root",
         "per_node",
         "node_cap",
     )
@@ -121,11 +126,13 @@ class ProfileAccumulator:
         self.pruned_floor = 0
         self.pruned_colour = 0
         self.pruned_joint = 0
+        self.pruned_lagrange = 0
         self.pruned_meet = 0
         self.frontier_peak = 0
         self.settle_batches = 0
         self.nodes_swept = 0
         self.beam_certified: Optional[bool] = None
+        self.lagrange_root: Optional[float] = None
         self.per_node: List[List[Any]] = []
         self.node_cap = node_cap
 
@@ -140,12 +147,14 @@ class ProfileAccumulator:
         settle_batches: int = 0,
         pruned_colour: int = 0,
         pruned_meet: int = 0,
+        pruned_lagrange: int = 0,
     ) -> None:
         self.labels_created += created
         self.labels_dominated += dominated
         self.pruned_floor += pruned_floor
         self.pruned_colour += pruned_colour
         self.pruned_joint += pruned_joint
+        self.pruned_lagrange += pruned_lagrange
         self.pruned_meet += pruned_meet
         if frontier > self.frontier_peak:
             self.frontier_peak = frontier
@@ -160,6 +169,7 @@ class ProfileAccumulator:
                     int(pruned_floor + pruned_colour),
                     int(pruned_joint),
                     int(pruned_meet),
+                    int(pruned_lagrange),
                 ]
             )
 
@@ -169,6 +179,7 @@ class ProfileAccumulator:
             self.pruned_floor
             + self.pruned_colour
             + self.pruned_joint
+            + self.pruned_lagrange
             + self.pruned_meet
         )
 
@@ -180,6 +191,7 @@ class ProfileAccumulator:
             "pruned_floor": self.pruned_floor,
             "pruned_colour": self.pruned_colour,
             "pruned_joint": self.pruned_joint,
+            "pruned_lagrange": self.pruned_lagrange,
             "pruned_meet": self.pruned_meet,
             "pruned_total": self.pruned_total,
             "frontier_peak": self.frontier_peak,
@@ -190,6 +202,8 @@ class ProfileAccumulator:
             out["engine"] = self.engine
         if self.beam_certified is not None:
             out["beam_certified"] = self.beam_certified
+        if self.lagrange_root is not None:
+            out["lagrange_root"] = self.lagrange_root
         return out
 
     def as_dict(self) -> Dict[str, Any]:
@@ -617,6 +631,7 @@ _BOUND_ROWS = (
     ("pruned_floor", "sigma + colour-load floor bound"),
     ("pruned_colour", "per-colour joint sigma/load bound"),
     ("pruned_joint", "joint average-load bound"),
+    ("pruned_lagrange", "Lagrangian w-weighted load bound"),
     ("pruned_meet", "meet-in-the-middle join pre-filter"),
 )
 
@@ -652,6 +667,10 @@ def render_profile(profile: Mapping[str, Any], title: str = "") -> str:
         f"  nodes swept               "
         f"{int(profile.get('nodes_swept', 0) or 0):>12,}"
     )
+    if profile.get("lagrange_root") is not None:
+        lines.append(
+            f"  Lagrangian root bound     {float(profile['lagrange_root']):>12.6g}"
+        )
     if profile.get("beam_certified"):
         lines.append("  exact pass skipped: the beam certified its incumbent")
     return "\n".join(lines)

@@ -307,6 +307,7 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "pruned_floor": stats.pruned_floor,
         "pruned_colour": stats.pruned_colour,
         "pruned_joint": stats.pruned_joint,
+        "pruned_lagrange": stats.pruned_lagrange,
         "pruned_meet": stats.pruned_meet,
         "meet_edges": stats.meet_edges,
         "pruned_total": stats.labels_bound_pruned,
@@ -315,6 +316,9 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "nodes_swept": stats.nodes_swept,
         # a certified sweep skipped the exact pass: its counters are zero
         "beam_certified": stats.beam_certified,
+        # the Lagrangian root bound, when the exact pass picked a weighting
+        "lagrange_root": (stats.lagrange_root
+                          if stats.lagrange_root > float("-inf") else None),
     }
 
 

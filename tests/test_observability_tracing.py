@@ -142,13 +142,19 @@ class TestBitIdentity:
         assert profile["pruned_total"] == (profile["pruned_floor"]
                                            + profile["pruned_colour"]
                                            + profile["pruned_joint"]
+                                           + profile["pruned_lagrange"]
                                            + profile["pruned_meet"])
+        # the uncertified pass picked a Lagrangian weighting: its root
+        # bound rides along, at most the optimum
+        assert profile["lagrange_root"] <= item.details["ssb_weight"]
         method_spans = [s for s in load_spans(str(tmp_path))
                         if str(s["name"]).startswith("method:")]
         span_profile = next(s["profile"] for s in method_spans
                             if s.get("profile"))
         assert span_profile["labels_created"] == profile["labels_created"]
         assert span_profile["beam_certified"] is False
+        assert span_profile["lagrange_root"] == profile["lagrange_root"]
+        assert span_profile["pruned_lagrange"] == profile["pruned_lagrange"]
         assert span_profile["per_node"], "traced solves keep per-node rows"
 
     def test_certified_profile_says_why_it_has_no_rows(self, tmp_path):
@@ -162,6 +168,7 @@ class TestBitIdentity:
         profile = item.details["profile"]
         assert profile["beam_certified"] is True
         assert profile["labels_created"] == 0
+        assert profile["lagrange_root"] is None
         span_profile = next(
             s["profile"] for s in load_spans(str(tmp_path))
             if str(s["name"]).startswith("method:") and s.get("profile"))
@@ -305,6 +312,21 @@ class TestRendering:
         text = render_profile(acc.totals())
         assert "per-colour joint" in text and "( 40.0%)" in text
         assert "meet-in-the-middle" in text and "( 30.0%)" in text
+
+    def test_profile_table_renders_the_lagrangian_rows(self):
+        acc = ProfileAccumulator("label-search")
+        acc.record_node(0, created=10, pruned_colour=2, pruned_lagrange=6,
+                        pruned_meet=2, frontier=3, settle_batches=1)
+        assert "Lagrangian root" not in render_profile(acc.totals())
+        acc.lagrange_root = 32.5
+        totals = acc.totals()
+        assert totals["pruned_lagrange"] == 6 and totals["pruned_total"] == 10
+        assert totals["lagrange_root"] == 32.5
+        assert acc.per_node[0][-1] == 6
+        text = render_profile(totals)
+        assert "Lagrangian w-weighted load bound" in text
+        assert "( 60.0%)" in text
+        assert "Lagrangian root bound" in text and "32.5" in text
 
     def test_profile_table_says_when_the_beam_certified(self):
         acc = ProfileAccumulator("label-search")
