@@ -38,18 +38,29 @@ mechanisms keep the label sets small:
   gap the average bound leaves on scattered instances.  All bounds are
   checked in one extension step, :func:`_extend`, that every sweep
   shares.  A cheap *beam* pre-pass (that step over the same array
-  buckets as the exact pass, each truncated to the ``beam_width`` most
-  promising labels, no dominance) finds a strong feasible path first, so
-  the exact pass starts with a tight incumbent — on scattered instances
-  this cuts the surviving labels by an order of magnitude.  On small
-  instances the beam usually proves that incumbent optimal outright: it
-  loses labels only by truncating them, so when no truncated label
-  passes that same step against the final incumbent, no path beats it
-  and the exact pass is skipped (the *beam certificate*,
+  buckets as the exact pass, each truncated to the ``beam_width`` labels
+  of smallest per-colour completion bound, no dominance) finds a strong
+  feasible path first, so the exact pass starts with a tight incumbent —
+  on scattered instances this cuts the surviving labels by an order of
+  magnitude.  On small instances the beam usually proves that incumbent
+  optimal outright: it loses labels only by truncating them, so when no
+  truncated label passes that same step against the final incumbent, no
+  path beats it and the exact pass is skipped (the *beam certificate*,
   ``LabelSearchStats.beam_certified``).  The weighting ``w`` is picked
   only after that certificate fails, and the certificate is asked again
   with the ``w``-bound before the exact pass runs — so certified solves
-  pay nothing for it.
+  pay nothing for it.  The root bound then aims the exact pass: when the
+  incumbent is the search's own (seed or beam) path, the pass runs first
+  bounded at the *midpoint probe* halfway between ``potW[S]`` and that
+  incumbent.  The pass is exact below its bound, so a path the probe
+  finds is the optimum; an empty probe proves the optimum lies at or
+  above it, and the pass reruns at the incumbent
+  (``LabelSearchStats.exact_passes``).  The work a pass does falls
+  steeply with its bound, and the root bound sits far closer to the
+  optimum than the beam's incumbent on scattered instances.  A caller's
+  incumbent is not probed below: callers pass one when they hold a
+  likely optimum (a warm start, a finisher's candidate), and a probe
+  below the optimum always misses.
 * **Pareto dominance** — a label whose σ and *every* per-colour load are
   simultaneously ``>=`` another label's at the same node can never complete
   into a better path (suffixes add the same increments to both, and
@@ -110,8 +121,10 @@ from repro.graphs.paths import Path
 #: ``(created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
 #: frontier_peak, settle_batches, pruned_meet, meet_edges)`` — the counter
 #: tuple the exact pass returns; the bound-pruned total is the sum of the
-#: pruned_* slots.
+#: pruned_* slots.  Two passes' tuples add slot by slot, except
+#: ``frontier_peak`` (slot ``_PEAK_SLOT``), which takes the larger.
 _EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+_PEAK_SLOT = 5
 
 #: Element budget of one meet-join chunk's working set: a forward chunk of
 #: ``F`` labels against ``B`` backward labels is one ``F·B`` block, built a
@@ -130,6 +143,10 @@ _LAGRANGE_STEP = 1.5
 #: sum stays below 1 and ``w·loads`` below the largest load even after
 #: rounding: the ``w``-bounds stay admissible in floating point.
 _LAGRANGE_MASS = 1.0 - 2.0 ** -40
+
+#: Where the exact pass probes first, as a share of the gap between the
+#: Lagrangian root bound and the incumbent (see :func:`_probe_bound`).
+_PROBE_SHARE = 0.5
 
 #: Meet-frontier join-space reduction: sides above this size get a windowed
 #: Pareto filter in (λ_S·σ + λ_B·load_c)-space before the pairwise product.
@@ -165,6 +182,11 @@ class LabelSearchStats:
     the tracing layer surfaces.  ``lagrange_root`` is the Lagrangian root
     bound ``potW[S]`` the exact pass pruned with (``-inf`` when no
     weighting was picked): its gap to the optimum explains a slow pass.
+    ``exact_passes`` counts the exact passes run: 0 when the beam
+    certified its incumbent, 1 when the midpoint probe found the optimum
+    or no probe ran (one colour, or the caller's ``incumbent`` was the
+    bound), 2 when the probe came back empty and the pass reran at the
+    incumbent; the counters above sum over both.
     """
 
     labels_created: int = 0
@@ -183,6 +205,7 @@ class LabelSearchStats:
     settle_batches: int = 0          #: settle passes over buckets
     lagrange_root: float = float("-inf")  #: root bound potW[S]
     beam_certified: bool = False     #: the beam proved the bound; no exact pass
+    exact_passes: int = 0            #: exact passes run (probe, then full)
 
 
 @dataclass
@@ -361,7 +384,12 @@ class LabelDominanceSearch:
         Otherwise, on two or more colours, the Lagrangian weighting is
         picked (see :func:`_lagrange_bounds`; ``context`` is polled once
         per ascent round), the certificate is asked again with its
-        ``w``-bound, and only then does the exact pass run.
+        ``w``-bound, and only then does the exact pass run.  When the
+        bound is the search's own seed or beam path (not ``incumbent``),
+        the pass runs first at the midpoint probe between the root bound
+        and that bound, and again at the bound only when the probe finds
+        no path (the stats' ``exact_passes``; see
+        :meth:`_sweep_bidirectional`).
         ``beam_width=0`` and an interrupted beam always run the exact pass.
         ``potentials`` short-circuits the backward completion-bound passes
         with precomputed ones (see :func:`completion_potentials`);
@@ -414,8 +442,9 @@ class LabelDominanceSearch:
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
             beam_path, beam_ssb, cuts, interrupted = self._beam_sweep(
-                graph, order, out_edge_data, inv_colors, source, target,
-                n_colors, min(incumbent, fallback_ssb), context=context)
+                graph, order, out_edge_data, potjc_rows, inv_colors, source,
+                target, n_colors, min(incumbent, fallback_ssb),
+                context=context)
             if beam_path is not None and beam_ssb < fallback_ssb:
                 fallback_path = beam_path
                 fallback_ssb = beam_ssb
@@ -460,18 +489,27 @@ class LabelDominanceSearch:
         if interrupted is not None or certified:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
-            sweep_stats = _EMPTY_SWEEP_STATS
+            sweep_stats, passes = _EMPTY_SWEEP_STATS, 0
         else:
-            (best_path, best_ssb, best_s, best_b,
-             sweep_stats, interrupted) = self._sweep_bidirectional(
+            # probe only below the search's own seed or beam path: a
+            # caller's incumbent is often the optimum already
+            caps = (bound,)
+            if lagrange is not None and fallback_ssb < incumbent:
+                probe = _probe_bound(lagrange[3], bound)
+                if probe < bound:
+                    caps = (probe, bound)
+            (best_path, best_ssb, best_s, best_b, sweep_stats, passes,
+             interrupted) = self._sweep_bidirectional(
                 graph, order, out_edge_data, potentials, inv_colors,
-                color_index, source, target, zero_loads, bound, lagrange,
+                color_index, source, target, zero_loads, caps, lagrange,
                 context=context, profile=profile)
         (created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
          peak, settles, pruned_meet, meet_edges) = sweep_stats
         root = lagrange[3] if lagrange is not None else float("-inf")
-        if profile is not None and lagrange is not None:
-            profile.lagrange_root = root
+        if profile is not None:
+            profile.exact_passes = passes
+            if lagrange is not None:
+                profile.lagrange_root = root
         stats = LabelSearchStats(
             labels_created=created, labels_dominated=dominated,
             labels_bound_pruned=(pruned_colour + pruned_joint
@@ -481,7 +519,7 @@ class LabelDominanceSearch:
             pruned_lagrange=pruned_lagrange, pruned_meet=pruned_meet,
             meet_edges=meet_edges, frontier_peak=peak,
             settle_batches=settles, lagrange_root=root,
-            beam_certified=certified)
+            beam_certified=certified, exact_passes=passes)
 
         if best_path is not None:
             return LabelSearchResult(
@@ -503,16 +541,18 @@ class LabelDominanceSearch:
         return _not_found(stats, interrupted)
 
     # ------------------------------------------------------------- beam sweep
-    def _beam_sweep(self, graph, order, out_edge_data, inv_colors, source,
-                    target, dim, bound,
+    def _beam_sweep(self, graph, order, out_edge_data, potjc_rows,
+                    inv_colors, source, target, dim, bound,
                     context: Optional[SolveContext] = None
                     ) -> Tuple[Optional[Path], float, List[tuple],
                                Optional[str]]:
         """The heuristic pre-pass: one topological sweep over array buckets.
 
         Buckets over ``beam_width`` rows are cut to the rows of smallest
-        ``λ_S·σ + λ_B·max(loads)`` before extension and dominance is
-        skipped, so the pass stays cheap enough to run on every solve.
+        completion bound ``λ_S·σ + max_c(λ_B·loads_c + potJc_c)`` at the
+        node (``potjc_rows``; the bound :func:`_extend` computed for each
+        row on arrival) before extension and dominance is skipped, so the
+        pass stays cheap enough to run on every solve.
         Extensions take the exact pass's bound-checked step
         (:func:`_extend`).  A kept row reaching the target is a real path
         whose per-colour bound is its SSB weight (the potentials are zero
@@ -550,11 +590,13 @@ class LabelDominanceSearch:
                 continue
             sig, lds, sums, parents, ekeys = _concat(node_chunks)
             if len(sig) > beam_width:
-                # all rows in this bucket share the node's potentials, so
-                # ranking by λ_S·σ + λ_B·max(loads) orders them by
-                # completion bound
-                key = lam_s * sig + lam_b * lds.max(axis=1) if dim \
-                    else lam_s * sig
+                # keep the rows of smallest completion bound: the per-colour
+                # potentials differ by colour, so a row's load profile
+                # decides which of them it meets.  Without colours every
+                # row shares the node's σ-potential, so σ alone orders them
+                key = (lam_s * sig
+                       + (lam_b * lds + potjc_rows[node]).max(axis=1)
+                       if dim else lam_s * sig)
                 ranked = np.argsort(key, kind="stable")
                 dropped = ranked[beam_width:]
                 cuts.append((sig[dropped], sums[dropped], lds[dropped],
@@ -649,7 +691,7 @@ class LabelDominanceSearch:
 
     def _sweep_bidirectional(self, graph, order, out_edge_data, potentials,
                              inv_colors, color_index, source, target,
-                             zero_loads, bound, lagrange=None,
+                             zero_loads, caps, lagrange=None,
                              context: Optional[SolveContext] = None,
                              profile=None):
         """Meet-in-the-middle exact pass (see the module docstring).
@@ -657,7 +699,15 @@ class LabelDominanceSearch:
         ``lagrange`` is :func:`_lagrange_bounds`' ``(w, potw, spotw,
         root)`` or ``None``: with it, both halves and the join also prune
         with the ``w``-bounds (``out_edge_data``'s packs already carry
-        ``potw``).
+        ``potw``).  ``caps`` are the increasing bounds the halves and join
+        run at, in turn, until one finds a path: the incumbent alone, or
+        the midpoint probe :func:`_probe_bound` first.  The pass is exact
+        below its bound, so a path the probe finds is the optimum; an empty
+        probe proves the optimum is at least the probe, and the halves and
+        join rerun at the incumbent.  The source-side potentials and the
+        meet partition serve every run; the counters sum over the runs
+        (``frontier_peak`` takes the largest), returned with the number of
+        runs.
 
         Topological ranks strictly increase along every DAG edge, so with a
         boundary rank ``K`` in ``(rank(source), rank(target)]`` every S → T
@@ -675,20 +725,30 @@ class LabelDominanceSearch:
                              self.weighting.lambda_s, self.weighting.lambda_b)
         if target not in spots.pot:
             return (None, float("inf"), float("inf"), float("inf"),
-                    _EMPTY_SWEEP_STATS, None)
+                    _EMPTY_SWEEP_STATS, 0, None)
         w = spotw = None
         if lagrange is not None:
             w, _, spotw, _ = lagrange
         K, fwd_exts, cross_edges, in_edge_data = self._meet_partition(
             graph, order, out_edge_data, rank, spots, pot, source, target,
             color_index, spotw)
-        path, sweep_stats, interrupted = self._bidir_blocks(
-            graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            inv_colors, source, target, zero_loads, bound, w,
-            context=context, profile=profile)
+        sweep_stats = _EMPTY_SWEEP_STATS
+        for passes, cap in enumerate(caps, 1):
+            if passes > 1 and profile is not None:
+                # the per-node rows show the rerun, which does most work
+                profile.restart_nodes()
+            path, pass_stats, interrupted = self._bidir_blocks(
+                graph, order, K, fwd_exts, cross_edges, in_edge_data,
+                inv_colors, source, target, zero_loads, cap, w,
+                context=context, profile=profile)
+            sweep_stats = tuple(
+                max(a, b) if slot == _PEAK_SLOT else a + b
+                for slot, (a, b) in enumerate(zip(sweep_stats, pass_stats)))
+            if path is not None or interrupted is not None:
+                break
         if path is None:
             return (None, float("inf"), float("inf"), float("inf"),
-                    sweep_stats, interrupted)
+                    sweep_stats, passes, interrupted)
         # The join accumulates σ/loads as prefix + suffix sums, whose
         # floating-point association depends on where the meet rank fell and
         # differs from a left-to-right walk by an ulp or two.  Re-accumulate
@@ -708,7 +768,7 @@ class LabelDominanceSearch:
         else:
             ssb = lam_s * s
             b = 0.0
-        return path, ssb, s, b, sweep_stats, interrupted
+        return path, ssb, s, b, sweep_stats, passes, interrupted
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
                       in_edge_data, inv_colors, source, target, zero_loads,
@@ -1203,6 +1263,14 @@ def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
         _extend(sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors,
                 w)[6].any()
         for sig, sums, lds, packs in cuts for pack in packs)
+
+
+def _probe_bound(root: float, bound: float) -> float:
+    """The midpoint probe's bound: ``_PROBE_SHARE`` of the way from the
+    Lagrangian root bound ``root`` up to the incumbent ``bound``.  Written
+    from ``bound`` down, so a share of 1 gives ``bound`` itself exactly
+    (no probe)."""
+    return bound - (1.0 - _PROBE_SHARE) * (bound - root)
 
 
 def _admissible_weights(w):

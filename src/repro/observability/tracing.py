@@ -98,7 +98,13 @@ class ProfileAccumulator:
     also sets ``beam_certified``: when its beam pre-pass proved the bound,
     the exact pass is skipped and no per-node rows are recorded.  When the
     exact pass picked a Lagrangian weighting, ``lagrange_root`` holds its
-    root bound, so the root gap to the optimum shows in the trace.
+    root bound, so the root gap to the optimum shows in the trace, and
+    ``exact_passes`` says how many exact passes ran: 0 when certified, 1
+    when the midpoint probe found the optimum (or none ran), 2 when it
+    came back empty and the pass reran at the incumbent.  Over two passes
+    the totals sum both, as ``LabelSearchStats``' counters do, while
+    ``per_node`` and ``nodes_swept`` cover the rerun only (see
+    :meth:`restart_nodes`).
     """
 
     __slots__ = (
@@ -115,6 +121,7 @@ class ProfileAccumulator:
         "nodes_swept",
         "beam_certified",
         "lagrange_root",
+        "exact_passes",
         "per_node",
         "node_cap",
     )
@@ -133,6 +140,7 @@ class ProfileAccumulator:
         self.nodes_swept = 0
         self.beam_certified: Optional[bool] = None
         self.lagrange_root: Optional[float] = None
+        self.exact_passes: Optional[int] = None
         self.per_node: List[List[Any]] = []
         self.node_cap = node_cap
 
@@ -173,6 +181,13 @@ class ProfileAccumulator:
                 ]
             )
 
+    def restart_nodes(self) -> None:
+        """Start another pass over the same nodes: the per-node rows and
+        ``nodes_swept`` restart, so they describe the last pass (and the
+        ``node_cap`` rows go to it); the totals keep summing."""
+        self.per_node.clear()
+        self.nodes_swept = 0
+
     @property
     def pruned_total(self) -> int:
         return (
@@ -204,6 +219,8 @@ class ProfileAccumulator:
             out["beam_certified"] = self.beam_certified
         if self.lagrange_root is not None:
             out["lagrange_root"] = self.lagrange_root
+        if self.exact_passes is not None:
+            out["exact_passes"] = self.exact_passes
         return out
 
     def as_dict(self) -> Dict[str, Any]:
@@ -671,6 +688,8 @@ def render_profile(profile: Mapping[str, Any], title: str = "") -> str:
         lines.append(
             f"  Lagrangian root bound     {float(profile['lagrange_root']):>12.6g}"
         )
+    if profile.get("exact_passes") is not None:
+        lines.append(f"  exact passes              {int(profile['exact_passes']):>12,}")
     if profile.get("beam_certified"):
         lines.append("  exact pass skipped: the beam certified its incumbent")
     return "\n".join(lines)

@@ -319,6 +319,8 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         # the Lagrangian root bound, when the exact pass picked a weighting
         "lagrange_root": (stats.lagrange_root
                           if stats.lagrange_root > float("-inf") else None),
+        # 0 certified, 1 probe hit or no probe, 2 probe missed and reran
+        "exact_passes": stats.exact_passes,
     }
 
 

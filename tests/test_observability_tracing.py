@@ -147,6 +147,8 @@ class TestBitIdentity:
         # the uncertified pass picked a Lagrangian weighting: its root
         # bound rides along, at most the optimum
         assert profile["lagrange_root"] <= item.details["ssb_weight"]
+        # the midpoint probe found the optimum, or missed and the pass reran
+        assert profile["exact_passes"] in (1, 2)
         method_spans = [s for s in load_spans(str(tmp_path))
                         if str(s["name"]).startswith("method:")]
         span_profile = next(s["profile"] for s in method_spans
@@ -154,6 +156,7 @@ class TestBitIdentity:
         assert span_profile["labels_created"] == profile["labels_created"]
         assert span_profile["beam_certified"] is False
         assert span_profile["lagrange_root"] == profile["lagrange_root"]
+        assert span_profile["exact_passes"] == profile["exact_passes"]
         assert span_profile["pruned_lagrange"] == profile["pruned_lagrange"]
         assert span_profile["per_node"], "traced solves keep per-node rows"
 
@@ -169,10 +172,12 @@ class TestBitIdentity:
         assert profile["beam_certified"] is True
         assert profile["labels_created"] == 0
         assert profile["lagrange_root"] is None
+        assert profile["exact_passes"] == 0
         span_profile = next(
             s["profile"] for s in load_spans(str(tmp_path))
             if str(s["name"]).startswith("method:") and s.get("profile"))
         assert span_profile["beam_certified"] is True
+        assert span_profile["exact_passes"] == 0
         assert span_profile["per_node"] == []
 
 
@@ -328,6 +333,15 @@ class TestRendering:
         assert "( 60.0%)" in text
         assert "Lagrangian root bound" in text and "32.5" in text
 
+    def test_profile_table_renders_the_exact_passes(self):
+        acc = ProfileAccumulator("label-search")
+        acc.record_node(0, created=4, frontier=2, settle_batches=1)
+        assert "exact passes" not in render_profile(acc.totals())
+        acc.exact_passes = 2
+        totals = acc.totals()
+        assert totals["exact_passes"] == 2
+        assert "exact passes                         2" in render_profile(totals)
+
     def test_profile_table_says_when_the_beam_certified(self):
         acc = ProfileAccumulator("label-search")
         assert "certified" not in render_profile(acc.totals())
@@ -336,6 +350,18 @@ class TestRendering:
         acc.beam_certified = True
         assert acc.totals()["beam_certified"] is True
         assert "exact pass skipped" in render_profile(acc.totals())
+
+    def test_restart_nodes_keeps_the_totals(self):
+        acc = ProfileAccumulator("label-search", node_cap=4)
+        for node in range(6):
+            acc.record_node(node, created=1, frontier=5)
+        acc.restart_nodes()
+        acc.record_node("rerun", created=2, frontier=3)
+        assert acc.per_node == [["rerun", 2, 0, 0, 0, 0, 0]]
+        totals = acc.totals()
+        assert totals["nodes_swept"] == 1
+        assert totals["labels_created"] == 8
+        assert totals["frontier_peak"] == 5
 
     def test_profile_node_cap_bounds_memory(self):
         acc = ProfileAccumulator("label-search", node_cap=4)
