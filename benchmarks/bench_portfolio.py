@@ -37,7 +37,7 @@ GRID = [
 SIZES = smoke_scaled((16, 30, 40), (8, 12))
 SEED = 5
 
-#: Single solvers the portfolio races against (greedy is the seed it embeds).
+#: Single solvers the portfolio races against (greedy climbs from its seed cut).
 FIELD = ["colored-ssb-labels", "pareto-dp-pruned", "greedy"]
 
 #: Regret is only meaningful above measurement noise on a shared CI box.

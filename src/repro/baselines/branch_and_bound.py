@@ -50,16 +50,10 @@ def branch_and_bound_assignment(problem: AssignmentProblem,
 
     # Pre-compute, per CRU, the satellite-side cost of offloading its subtree.
     offload_cost: Dict[str, Optional[Tuple[int, float]]] = {}
-    for cru_id in tree.cru_ids():
+    for cru_id, beta in problem.offload_costs().items():
         satellite = problem.correspondent_satellite(cru_id)
-        parent = tree.parent_id(cru_id)
-        if satellite is None or parent is None:
-            offload_cost[cru_id] = None
-            continue
-        processing = [i for i in tree.subtree_ids(cru_id) if tree.cru(i).is_processing]
-        load = sum(problem.satellite_time(i) for i in processing)
-        load += problem.comm_cost(cru_id, parent)
-        offload_cost[cru_id] = (sat_index[satellite], load)
+        offload_cost[cru_id] = (None if satellite is None
+                                else (sat_index[satellite], beta))
 
     # The branches to cover: the root's children (the root is host-bound).
     branches = tree.children_ids(tree.root_id)

@@ -48,6 +48,13 @@ def _cut_to_assignment(problem: AssignmentProblem, cut: List[str]) -> Assignment
     return Assignment.from_cut(problem, offloaded)
 
 
+def maximal_offload_assignment(problem: AssignmentProblem) -> Assignment:
+    """The :func:`maximal_offload_cut` as an assignment: feasible, built in
+    one pass with no search, so it is the instant incumbent of anytime
+    solvers."""
+    return _cut_to_assignment(problem, maximal_offload_cut(problem))
+
+
 def _lower_moves(problem: AssignmentProblem, cut: List[str]) -> List[List[str]]:
     """All cuts obtained by splitting one offloaded processing subtree."""
     moves: List[List[str]] = []
@@ -87,12 +94,12 @@ def greedy_assignment(problem: AssignmentProblem, max_steps: int = 10_000,
 
     Returns the best assignment found and a details dict with the number of
     improvement steps taken.  The starting cut is already feasible, so under
-    a ``context`` (polled once per improvement step) the climb is anytime
-    from its very first instant — which is why the portfolio solver uses it
-    as the instant incumbent seed.
+    a ``context`` the climb is anytime from its very first instant; the
+    context is polled once per candidate move, since one step may scan
+    every move of a large cut before it finds an improving one.
     """
-    cut = maximal_offload_cut(problem)
-    best = _cut_to_assignment(problem, cut)
+    best = maximal_offload_assignment(problem)
+    cut = best.cut_children()
     best_delay = best.end_to_end_delay()
     steps = 0
     interrupted: Optional[str] = None
@@ -101,12 +108,12 @@ def greedy_assignment(problem: AssignmentProblem, max_steps: int = 10_000,
 
     improved = True
     while improved and steps < max_steps:
-        if context is not None:
-            interrupted = context.interrupted()
-            if interrupted is not None:
-                break
         improved = False
         for move in _lower_moves(problem, cut) + _raise_moves(problem, cut):
+            if context is not None:
+                interrupted = context.interrupted()
+                if interrupted is not None:
+                    break
             candidate = _cut_to_assignment(problem, move)
             delay = candidate.end_to_end_delay()
             if delay < best_delay - 1e-12:

@@ -154,7 +154,8 @@ def _subtree_minima(problem: AssignmentProblem, lam_s: float, lam_b: float
     own shares.  One children-first walk computes, per subtree:
 
     * ``offload[u] = (colour, β_u)`` — the colour index of the
-      correspondent satellite; absent when ``u`` has none;
+      correspondent satellite and ``u``'s entry of
+      :meth:`AssignmentProblem.offload_costs`; absent when ``u`` has none;
     * ``minhost[u] = min(0 if offloadable, h_u + Σ minhost(children))`` —
       the minimum host time, the σ weight of the completion walk;
     * ``joint[u] = min(λ_B·β_u/n, λ_S·h_u + Σ joint(children))`` — an
@@ -179,6 +180,7 @@ def _subtree_minima(problem: AssignmentProblem, lam_s: float, lam_b: float
     minhost: Dict[str, float] = {}
     joint: Dict[str, float] = {}
     per_colour: List[Dict[str, float]] = [{} for _ in range(dim)]
+    betas = problem.offload_costs()
     root = tree.root_id
     for u in reversed(tree.cru_ids()):      # children before parents
         if u == root:
@@ -187,9 +189,7 @@ def _subtree_minima(problem: AssignmentProblem, lam_s: float, lam_b: float
         off_host = off_joint = _INF
         off_colour = [_INF] * dim
         if sat is not None:
-            beta = sum(problem.satellite_time(i) for i in tree.subtree_ids(u)
-                       if tree.cru(i).is_processing)
-            beta += problem.comm_cost(u, tree.parent_id(u))
+            beta = betas[u]
             colour = sat_index[sat]
             offload[u] = (colour, beta)
             off_host = 0.0
@@ -678,13 +678,13 @@ def _greedy_fallback(problem: AssignmentProblem, weighting: SSBWeighting,
     """Feasible anytime answer when the DP was interrupted mid-kernel.
 
     The tree DP holds no usable partial solution (its labels only become
-    assignments at the root), so the best-so-far incumbent of an interrupted
-    DP is the near-instant greedy hill-climb — run context-free: the context
-    already fired.
+    assignments at the root), so an interrupted DP returns the greedy
+    module's maximal-offload cut: built in one pass, with no climb, since
+    the context has already fired.
     """
-    from repro.baselines.greedy import greedy_assignment
+    from repro.baselines.greedy import maximal_offload_assignment
 
-    assignment, greedy_details = greedy_assignment(problem)
+    assignment = maximal_offload_assignment(problem)
     objective = weighting.combine(assignment.host_load(),
                                   assignment.max_satellite_load())
     if context is not None:
@@ -693,7 +693,6 @@ def _greedy_fallback(problem: AssignmentProblem, weighting: SSBWeighting,
         "objective": objective,
         "interrupted": interrupted,
         "fallback": "greedy",
-        "greedy_steps": greedy_details["steps"],
     }
 
 
@@ -760,8 +759,9 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
     records which happened.
 
     Anytime behaviour under a ``context``: an interruption during the beam
-    pre-pass or the bounded refutation pass falls back to greedy; one during
-    the cold exact pass returns the beam incumbent — all are valid feasible
+    pre-pass or the bounded refutation pass returns the maximal-offload cut
+    (``details["fallback"] == "greedy"``, no climb); one during the cold
+    exact pass returns the beam incumbent — all are valid feasible
     assignments, flagged via ``details["interrupted"]``.
     """
     weighting = weighting or SSBWeighting()

@@ -191,7 +191,7 @@ class SolveContext:
         now (never loosened).  Cancellation token, callback, the incumbent
         history list and the best-incumbent cursor are all *shared* with the
         parent — the distributed worker uses this to cap a task's deadline at
-        its remaining lease, the portfolio to time-box its seed stage."""
+        its remaining lease."""
         child = SolveContext.__new__(SolveContext)
         child.clock = self.clock
         child.started = self.started

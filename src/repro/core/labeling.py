@@ -59,12 +59,10 @@ def satellite_cut_cost(problem: AssignmentProblem, parent_id: str, child_id: str
 
     Sum of satellite execution times of every processing CRU in the child's
     subtree, plus the communication cost of shipping the child's output (or
-    raw sensor data) from the satellite to the host.
+    raw sensor data) from the satellite to the host: one entry of
+    :meth:`AssignmentProblem.offload_costs`.
     """
-    subtree = problem.tree.subtree_ids(child_id)
-    processing = [i for i in subtree if problem.tree.cru(i).is_processing]
-    sat_time = sum(problem.satellite_time(i) for i in processing)
-    return float(sat_time + problem.comm_cost(child_id, parent_id))
+    return problem.offload_costs()[child_id]
 
 
 def label_assignment_graph(problem: AssignmentProblem) -> Tuple[
@@ -79,8 +77,7 @@ def label_assignment_graph(problem: AssignmentProblem) -> Tuple[
         simply skips the conflicted ones.
     """
     sigma_labels = host_weight_labels(problem.tree, problem.profile)
-    beta_labels = {
-        (parent, child): satellite_cut_cost(problem, parent, child)
-        for parent, child in problem.tree.edges()
-    }
+    beta = problem.offload_costs()
+    beta_labels = {(parent, child): beta[child]
+                   for parent, child in problem.tree.edges()}
     return sigma_labels, beta_labels

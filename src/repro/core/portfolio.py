@@ -1,7 +1,7 @@
 """Racing portfolio solver: feature-scheduled stages under one context.
 
 No single engine is the best answer at every point of the instance space:
-the greedy hill-climb is effectively free but unproven, the label-dominance
+the maximal-offload cut is effectively free but unproven, the label-dominance
 sweep is the production exact engine (and the only one standing on fully
 scattered large instances), and the bound-pruned Pareto DP is an independent
 exact construction that doubles as a cross-check oracle.  Metareasoning over
@@ -15,14 +15,15 @@ existing plumbing:
 1. **features** — cheap instance features (offloadable size ``n``, colour
    count, star width and a *scatter ratio*: how non-contiguously each
    satellite's sensors sit in the tree) decide whether the cross-check runs;
-2. **greedy seed** — a hill-climb capped at ``_SEED_STEPS`` moves runs first
-   and reports its objective into the shared
+2. **greedy seed** — the maximal-offload cut, built in one pass with no
+   climb, reports its objective into the shared
    :class:`~repro.core.context.SolveContext`, so an answer exists
    microseconds in, whatever happens later;
 3. **label sweep** — the main exact stage (the meet-in-the-middle sweep of
    :mod:`repro.core.label_search`), warm-started from the best bound so far
    (the same incumbent plumbing the incremental solver uses), under the
-   same shared context;
+   same shared context; its beam pre-pass does the refining a hill-climb
+   from the seed would;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
    little), the independent exact engine *refutes* the answer in hand: its
    one exact pass is bounded by that answer's objective (no beam pre-pass),
@@ -69,15 +70,6 @@ _CROSS_CHECK_MAX_STAR_WIDTH = 0.5
 #: ``bench_exact_engine``); past this cap even star-shaped folds get big.
 _CROSS_CHECK_MAX_STAR_N = 48
 
-#: Improvement steps of the greedy seed stage.  The seed exists to guarantee
-#: an incumbent from the first milliseconds — not to race the sweep — so its
-#: hill-climb is cut after this many moves.  A step count, unlike a wall
-#: budget, gives the same seed (and so the same sweep pruning) on every
-#: machine and every run.  The initial maximal-offload cut is evaluated
-#: before the first step, so an incumbent exists whatever the cap.
-_SEED_STEPS = 1
-
-
 def instance_features(problem: AssignmentProblem) -> Dict[str, Any]:
     """Cheap features steering the schedule: size, colours, scatter ratio.
 
@@ -91,21 +83,16 @@ def instance_features(problem: AssignmentProblem) -> Dict[str, Any]:
     n_processing = len(tree.processing_ids())
     satellites = problem.system.satellite_ids()
 
-    # sensors in DFS order, labelled by their correspondent satellite;
+    # sensors in pre-order, labelled by their correspondent satellite;
     # the same walk records the widest fan-out of any node (star shape)
     sensor_colors: List[str] = []
     max_branching = 0
-    stack = [tree.root_id]
-    while stack:
-        cru_id = stack.pop()
-        cru = tree.cru(cru_id)
-        if cru.is_sensor:
+    for cru_id in tree.preorder():
+        if tree.cru(cru_id).is_sensor:
             satellite = problem.correspondent_satellite(cru_id)
             if satellite is not None:
                 sensor_colors.append(satellite)
-        children = tree.children_ids(cru_id)
-        max_branching = max(max_branching, len(children))
-        stack.extend(reversed(children))
+        max_branching = max(max_branching, len(tree.children_ids(cru_id)))
 
     runs: Dict[str, int] = {}
     counts: Dict[str, int] = {}
@@ -171,8 +158,8 @@ class PortfolioSolver:
         best objective so far as its bound and must find nothing strictly
         better for ``cross_check_agreed`` to hold.
     beam_width:
-        Beam width of the label stage's pre-pass (the greedy seed already
-        provides an incumbent, so the beam mostly refines it).
+        Beam width of the label stage's pre-pass, which refines the
+        maximal-offload seed into the search's own incumbent.
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
@@ -193,7 +180,7 @@ class PortfolioSolver:
               context: Optional[SolveContext] = None
               ) -> Tuple[Any, Dict[str, Any]]:
         """Run the schedule; returns ``(assignment, details)`` runner-style."""
-        from repro.baselines.greedy import greedy_assignment
+        from repro.baselines.greedy import maximal_offload_assignment
         from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
         from repro.core.assignment_graph import build_assignment_graph
         from repro.core.coloring import color_tree
@@ -205,12 +192,8 @@ class PortfolioSolver:
         optimal_proven = False
 
         # ---- stage 1: greedy — the instant incumbent seed ----------------
-        # The climb is capped at _SEED_STEPS moves (the caller's context
-        # still bounds it, so a real deadline/cancel wins): its job is an
-        # immediate incumbent, not racing the exact engine.
         started = time.perf_counter()
-        best_assignment, greedy_details = greedy_assignment(
-            problem, max_steps=_SEED_STEPS, context=context)
+        best_assignment = maximal_offload_assignment(problem)
         best_objective = self.weighting.combine(
             best_assignment.host_load(), best_assignment.max_satellite_load())
         if context is not None:
@@ -219,8 +202,7 @@ class PortfolioSolver:
         stages.append(StageOutcome(
             stage="greedy", objective=best_objective,
             elapsed_s=time.perf_counter() - started, improved=True,
-            interrupted=greedy_details.get("interrupted"),
-            extra={"steps": greedy_details.get("steps")}))
+            interrupted=interrupted))
         winner = "greedy"
 
         # ---- stage 2: label-dominance sweep — the main exact engine ------

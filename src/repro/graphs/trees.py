@@ -81,7 +81,7 @@ class RootedTree:
     def leaves(self) -> List[Node]:
         """Leaves in DFS (left-to-right) order."""
         children = self._children
-        return [n for n in self._index()[0] if not children[n]]
+        return [n for n in self.preorder_index()[0] if not children[n]]
 
     def number_of_nodes(self) -> int:
         return len(self._children)
@@ -89,7 +89,7 @@ class RootedTree:
     def edges(self) -> List[Tuple[Node, Node]]:
         """All (parent, child) pairs in pre-order of the child."""
         parent = self._parent
-        return [(parent[n], n) for n in self._index()[0][1:]]
+        return [(parent[n], n) for n in self.preorder_index()[0][1:]]
 
     def depth(self, node: Node) -> int:
         d = 0
@@ -104,7 +104,7 @@ class RootedTree:
         return max((self.depth(leaf) for leaf in self.leaves()), default=0)
 
     # ------------------------------------------------------------ traversals
-    def _index(self) -> Tuple[List[Node], Dict[Node, int], List[int]]:
+    def preorder_index(self) -> Tuple[List[Node], Dict[Node, int], List[int]]:
         """The topology index: pre-order list, positions and subtree sizes.
 
         Built by one walk on first use after a mutation.  A subtree is the
@@ -129,7 +129,7 @@ class RootedTree:
 
     def preorder(self, start: Optional[Node] = None) -> Iterator[Node]:
         """Pre-order traversal (node before its children, children in order)."""
-        order, pos, size = self._index()
+        order, pos, size = self.preorder_index()
         if start is None:
             return iter(order)
         i = pos[start]
@@ -148,7 +148,7 @@ class RootedTree:
 
     def subtree_nodes(self, node: Node) -> List[Node]:
         """All nodes of the subtree rooted at ``node`` (including ``node``)."""
-        order, pos, size = self._index()
+        order, pos, size = self.preorder_index()
         i = pos[node]
         return order[i:i + size[i]]
 

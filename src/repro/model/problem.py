@@ -86,6 +86,22 @@ class AssignmentProblem:
     def correspondent_satellite(self, cru_id: str) -> Optional[str]:
         return self._correspondents()[cru_id]
 
+    def offload_costs(self) -> Dict[str, float]:
+        """Non-root CRU id -> ``β_u``, the satellite-side cost of cutting above it.
+
+        ``β_u`` (§5.3) is the satellite time of every processing CRU in the
+        subtree of ``u`` plus ``c_{u,parent}``, the uplink of ``u``'s output.
+        A subtree is a contiguous slice of the tree's pre-order, so each entry
+        is one slice sum.  Not memoised: profiles may be edited in place.
+        """
+        tree = self.tree
+        order, _, size = tree.tree.preorder_index()
+        times = [self.satellite_time(u) if tree.cru(u).is_processing else 0.0
+                 for u in order]
+        return {u: float(sum(times[i:i + size[i]])
+                         + self.comm_cost(u, tree.parent_id(u)))
+                for i, u in enumerate(order) if i}
+
     def _correspondents(self) -> Dict[str, Optional[str]]:
         """The memoised correspondent map (shared; callers must not mutate)."""
         if self._correspondent_cache is not None:

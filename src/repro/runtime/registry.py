@@ -588,13 +588,13 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="portfolio",
         runner=_run_portfolio,
-        description="feature-scheduled racing portfolio: greedy incumbent "
-                    "seed, label-dominance main stage, pruned-DP cross-check, "
-                    "all under one shared anytime context",
+        description="feature-scheduled racing portfolio: maximal-offload "
+                    "incumbent seed, label-dominance main stage, pruned-DP "
+                    "cross-check, all under one shared anytime context",
         exact=True,
         supports_weighting=True,
         anytime=True,
-        complexity="dominated by the label sweep; greedy seed is O(steps·|T|)",
+        complexity="dominated by the label sweep; the seed cut is O(|T|)",
         aliases=("auto",),
     ),
 )

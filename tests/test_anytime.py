@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.baselines.greedy import maximal_offload_assignment
 from repro.core.context import DeadlineExpired, SolveContext
 from repro.core.solver import solve
 from repro.runtime import default_registry
@@ -206,7 +207,8 @@ class TestNoDeadlineBitIdentical:
 
 class TestDeadlineSmoke:
     """The CI smoke bar: scattered n=50 under a 100 ms budget must return a
-    valid feasible answer within 2x-ish of the deadline, never hang."""
+    valid feasible answer within 2x-ish of the deadline, never hang; larger
+    instances under a 5 ms budget return within 100 ms of it."""
 
     @pytest.mark.parametrize("method, options", [
         ("colored-ssb-labels", {}),
@@ -236,3 +238,31 @@ class TestDeadlineSmoke:
         assert result.status == "feasible"
         assert result.interrupted == "deadline"
         assert elapsed < 1.0, f"pruned DP took {elapsed:.2f}s on a 100ms budget"
+
+    @pytest.mark.parametrize("method, n, seed", [
+        ("pareto-dp-pruned", 300, 1),
+        ("pareto-dp-pruned", 120, 0),
+        ("portfolio", 200, 0),
+    ])
+    def test_overshoot_of_a_5ms_budget_stays_under_100ms(self, method, n,
+                                                         seed):
+        # the DP's fallback and the portfolio's seed are the maximal-offload
+        # cut, built without a hill-climb that would run past the deadline
+        problem = random_problem(n_processing=n, n_satellites=4, seed=seed,
+                                 sensor_scatter=0.6)
+        started = time.perf_counter()
+        result = solve(problem, method=method, deadline_s=0.005)
+        elapsed = time.perf_counter() - started
+        assert result.assignment is not None and result.assignment.is_feasible()
+        assert result.interrupted == "deadline"
+        assert elapsed <= 0.005 + 0.1, \
+            f"{method} took {elapsed * 1e3:.0f} ms on a 5 ms budget"
+        seed_cut = maximal_offload_assignment(problem)
+        if method == "portfolio":
+            stages = {s["stage"]: s for s in result.details["stages"]}
+            assert "steps" not in stages["greedy"]
+            assert stages["greedy"]["objective"] == seed_cut.end_to_end_delay()
+        else:
+            assert result.details["fallback"] == "greedy"
+            assert "greedy_steps" not in result.details
+            assert result.assignment.placement == seed_cut.placement

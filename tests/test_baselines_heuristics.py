@@ -53,6 +53,30 @@ class TestGreedy:
         improved, _ = greedy_assignment(paper_problem)
         assert improved.end_to_end_delay() <= start.end_to_end_delay() + 1e-9
 
+    def test_context_is_polled_per_candidate_move(self, monkeypatch):
+        # at n=200 one improvement step scans every move of a wide cut; a
+        # simulated clock charges each evaluated cut one millisecond, so the
+        # deadline fires inside that scan, not after it
+        from repro.core.assignment import Assignment
+        from repro.core.context import SolveContext
+
+        problem = random_problem(n_processing=200, n_satellites=4, seed=0,
+                                 sensor_scatter=0.6)
+        now = [0.0]
+        evaluate = Assignment.end_to_end_delay
+
+        def charged(self):
+            now[0] += 0.001
+            return evaluate(self)
+
+        monkeypatch.setattr(Assignment, "end_to_end_delay", charged)
+        context = SolveContext(deadline_s=0.005, clock=lambda: now[0])
+        assignment, details = greedy_assignment(problem, context=context)
+        assert details["interrupted"] == "deadline"
+        assert assignment.is_feasible()
+        # the seed and the four moves before the deadline, nothing after it
+        assert now[0] < 0.0055
+
 
 class TestRandomSearch:
     def test_random_assignment_is_feasible(self, paper_problem):

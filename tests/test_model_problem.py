@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads import paper_example_problem
+from repro.workloads import paper_example_problem, random_problem
 
 
 class TestAccessors:
@@ -57,6 +57,40 @@ class TestCorrespondentSatellites:
         paper_problem.invalidate_caches()
         second = paper_problem.correspondent_satellites()
         assert first == second
+
+
+def reference_beta(problem, parent, child):
+    """β as each engine once summed it: a generator over the child's subtree."""
+    tree = problem.tree
+    sat_time = sum(problem.satellite_time(i) for i in tree.subtree_ids(child)
+                   if tree.cru(i).is_processing)
+    return float(sat_time + problem.comm_cost(child, parent))
+
+
+class TestOffloadCosts:
+    @pytest.mark.parametrize("scatter", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_matches_the_subtree_sum_bit_for_bit(self, k, scatter):
+        sensor_edges = 0
+        for seed in range(8):
+            problem = random_problem(n_processing=5 + 9 * seed, n_satellites=k,
+                                     seed=seed, sensor_scatter=scatter)
+            beta = problem.offload_costs()
+            edges = problem.tree.edges()
+            assert set(beta) == {child for _, child in edges}
+            for parent, child in edges:
+                assert beta[child].hex() == reference_beta(
+                    problem, parent, child).hex()
+                sensor_edges += problem.tree.cru(child).is_sensor
+        assert sensor_edges > 0
+
+    def test_reads_the_profile_as_edited(self):
+        problem = random_problem(n_processing=6, n_satellites=2, seed=3)
+        child = problem.tree.children_ids(problem.tree.root_id)[0]
+        before = problem.offload_costs()[child]
+        problem.profile.set_satellite_time(
+            child, problem.satellite_time(child) + 1.0)
+        assert problem.offload_costs()[child] == pytest.approx(before + 1.0)
 
 
 class TestScenariosAreValid:

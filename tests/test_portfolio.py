@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines.greedy import greedy_assignment
+from repro.baselines.greedy import maximal_offload_assignment
 from repro.core.context import SolveContext
-from repro.core.portfolio import _SEED_STEPS, PortfolioSolver, instance_features
+from repro.core.portfolio import PortfolioSolver, instance_features
 from repro.core.solver import solve
 from repro.workloads import random_problem
 
@@ -91,8 +91,8 @@ class TestAttribution:
 
 
 class TestLabelStage:
-    """Every label stage runs the one meet-in-the-middle kernel, and the
-    greedy seed is capped by a step count, never by the clock."""
+    """Every label stage runs the one meet-in-the-middle kernel, from the
+    same maximal-offload seed on every run."""
 
     def test_worst_scattered_instance_stays_small(self):
         # perfbench's worst solve-scattered instance (scatter ratio 0.707):
@@ -105,19 +105,19 @@ class TestLabelStage:
         assert stages["labels"]["labels_created"] < 100_000
 
     @pytest.mark.parametrize("n, seed", [(10, 5), (30, 0)])
-    def test_seed_climb_is_capped_by_steps_not_the_clock(self, n, seed):
-        # both ends of a wall-clock seed budget: at n=10 a climb step costs
-        # well under a millisecond, so a 1 ms budget ran the whole 4-step
-        # climb; at n=30 one step costs more than a millisecond, so the
-        # budget cut the climb after one or two steps, by the clock
+    def test_seed_is_the_maximal_offload_cut(self, n, seed):
+        # no climb, so no step count or clock decides the seed: an expired
+        # budget returns the seed stage's assignment itself
         problem = make(n=n, scatter=1.0, seed=seed, sats=4)
-        _, full = greedy_assignment(problem)
-        assert full["steps"] > _SEED_STEPS
+        seed_cut = maximal_offload_assignment(problem)
+        expired = solve(problem, method="portfolio",
+                        context=SolveContext(deadline_s=0.0))
+        assert expired.assignment.placement == seed_cut.placement
         runs = [solve(problem, method="portfolio") for _ in range(2)]
         for result in runs:
             stages = {s["stage"]: s for s in result.details["stages"]}
-            assert stages["greedy"]["steps"] == min(full["steps"],
-                                                    _SEED_STEPS)
+            assert stages["greedy"]["objective"] == seed_cut.end_to_end_delay()
+            assert "steps" not in stages["greedy"]
         created = [{s["stage"]: s for s in r.details["stages"]}["labels"]
                    ["labels_created"] for r in runs]
         assert created[0] == created[1]
@@ -204,13 +204,13 @@ class TestRefutation:
     @pytest.mark.parametrize("seed, scatter", [(0, 0.0), (1, 0.3), (3, 0.0)])
     def test_suboptimal_label_answer_is_caught_and_replaced(
             self, monkeypatch, seed, scatter):
-        # mutation: the sweep reports no improvement over the one-step
-        # greedy seed, so a suboptimal seed stands as "proven"
+        # mutation: the sweep reports no improvement over the
+        # maximal-offload seed, so a suboptimal seed stands as "proven"
         from repro.core.label_search import LabelDominanceSearch, _not_found
 
         problem = make(n=8, scatter=scatter, seed=seed)
         optimum = solve(problem, method="brute-force").objective
-        seed_answer, _ = greedy_assignment(problem, max_steps=_SEED_STEPS)
+        seed_answer = maximal_offload_assignment(problem)
         assert seed_answer.end_to_end_delay() > optimum    # the premise
 
         search = LabelDominanceSearch.search
