@@ -38,10 +38,11 @@ def branch_and_bound_assignment(problem: AssignmentProblem,
                                 **_ignored) -> Tuple[Assignment, Dict[str, object]]:
     """Exact branch-and-bound over feasible cuts.
 
-    Anytime: ``context`` is polled every :data:`_CONTEXT_STRIDE` explored
-    nodes; on expiry the exploration stops (like an exhausted node budget)
-    and the incumbent — seeded by the greedy heuristic before the first
-    branch — is returned with ``details["interrupted"]`` set.
+    Anytime: ``context`` is polled once per candidate move of the greedy
+    seed's climb and then every :data:`_CONTEXT_STRIDE` explored nodes; on
+    expiry the climb or the exploration stops (like an exhausted node
+    budget) and the incumbent — the greedy seed until a branch beats it —
+    is returned with ``details["interrupted"]`` set.
     """
     tree = problem.tree
     satellite_ids = problem.system.satellite_ids()
@@ -60,19 +61,21 @@ def branch_and_bound_assignment(problem: AssignmentProblem,
 
     best_cut: Optional[List[str]] = None
     best_value = float("inf")
+    interrupted: Optional[str] = None
     if use_greedy_incumbent or context is not None:
         # under a context the greedy incumbent doubles as the guaranteed
-        # anytime answer, so it is always seeded
-        incumbent, _ = greedy_assignment(problem)
+        # anytime answer, so it is always seeded; its climb polls the
+        # context, and a climb the context stopped skips the branching
+        incumbent, seeded = greedy_assignment(problem, context=context)
         best_value = incumbent.end_to_end_delay()
         best_cut = incumbent.cut_children()
+        interrupted = seeded.get("interrupted")
         if context is not None:
             context.report_incumbent(best_value, source="b&b-greedy-seed")
 
     explored = 0
     pruned = 0
     limit_hit = False
-    interrupted: Optional[str] = None
 
     # Work list of "pending" nodes still to be covered, processed depth-first.
     def recurse(pending: List[str], host_time: float, loads: List[float],

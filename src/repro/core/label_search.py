@@ -32,9 +32,10 @@ mechanisms keep the label sets small:
   the uniform case of the **Lagrangian bound** ``λ_S·s + λ_B·w·loads +
   potW[v]`` with ``potW[v] = min_p (λ_S·σ(p) + λ_B·w·β(p))``, admissible
   for every weighting ``w ≥ 0`` with ``Σw ≤ 1`` (``max_c β_c ≥ w·β``);
-  when the exact pass runs, a few multiplicative-weights ascent rounds
-  pick ``w`` to maximise the root bound ``potW[S]`` (the Lagrangian dual
-  of the min-max objective, Fisher 1981), which closes most of the root
+  when the exact pass runs, twenty multiplicative-weights ascent rounds
+  and ten Polyak rounds aimed at the incumbent pick ``w`` to maximise the
+  root bound ``potW[S]`` (the Lagrangian dual of the min-max objective,
+  Fisher 1981; Held, Wolfe & Crowder 1974), which closes most of the root
   gap the average bound leaves on scattered instances.  All bounds are
   checked in one extension step, :func:`_extend`, that every sweep
   shares.  A cheap *beam* pre-pass (that step over the same array
@@ -51,9 +52,9 @@ mechanisms keep the label sets small:
   with the ``w``-bound before the exact pass runs — so certified solves
   pay nothing for it.  The root bound then aims the exact pass: when the
   incumbent is the search's own (seed or beam) path, the pass runs first
-  bounded at the *midpoint probe* halfway between ``potW[S]`` and that
-  incumbent.  The pass is exact below its bound, so a path the probe
-  finds is the optimum; an empty probe proves the optimum lies at or
+  bounded at the *midpoint probe*, 45% of the way from ``potW[S]`` up
+  to that incumbent.  The pass is exact below its bound, so a path the
+  probe finds is the optimum; an empty probe proves the optimum lies at or
   above it, and the pass reruns at the incumbent
   (``LabelSearchStats.exact_passes``).  The work a pass does falls
   steeply with its bound, and the root bound sits far closer to the
@@ -139,6 +140,12 @@ _MEET_CHUNK_ELEMS = 1 << 20
 #: scaled to its largest colour load.
 _LAGRANGE_ROUNDS = 20
 _LAGRANGE_STEP = 1.5
+#: Projected-subgradient rounds that follow, aimed at the search's bound
+#: (Polyak's step, see :func:`_lagrange_bounds`): each moves ``w`` by
+#: ``_POLYAK_STEP`` times the step that would close the gap to that bound
+#: if the dual were linear.
+_POLYAK_ROUNDS = 10
+_POLYAK_STEP = 0.5
 #: A weighting is scaled to sum to this before use, so its floating-point
 #: sum stays below 1 and ``w·loads`` below the largest load even after
 #: rounding: the ``w``-bounds stay admissible in floating point.
@@ -146,7 +153,11 @@ _LAGRANGE_MASS = 1.0 - 2.0 ** -40
 
 #: Where the exact pass probes first, as a share of the gap between the
 #: Lagrangian root bound and the incumbent (see :func:`_probe_bound`).
-_PROBE_SHARE = 0.5
+#: Just under half: the Polyak rounds lift the root towards the optimum,
+#: and the probe rises with it by ``1 − _PROBE_SHARE`` of that lift, so a
+#: share of 0.45 leaves the probe about where a share of 0.5 put it above
+#: the multiplicative-weights root alone.
+_PROBE_SHARE = 0.45
 
 #: Meet-frontier join-space reduction: sides above this size get a windowed
 #: Pareto filter in (λ_S·σ + λ_B·load_c)-space before the pairwise product.
@@ -382,8 +393,9 @@ class LabelDominanceSearch:
         beat the bound (see :func:`_cuts_clear`), the bound is proven: the
         exact pass is skipped and the stats carry ``beam_certified``.
         Otherwise, on two or more colours, the Lagrangian weighting is
-        picked (see :func:`_lagrange_bounds`; ``context`` is polled once
-        per ascent round), the certificate is asked again with its
+        picked, its Polyak rounds aimed at the bound (see
+        :func:`_lagrange_bounds`; ``context`` is polled once per ascent
+        round), the certificate is asked again with its
         ``w``-bound, and only then does the exact pass run.  When the
         bound is the search's own seed or beam path (not ``incumbent``),
         the pass runs first at the midpoint probe between the root bound
@@ -465,7 +477,7 @@ class LabelDominanceSearch:
         if interrupted is None and not certified and n_colors > 1:
             lagrange, interrupted = _lagrange_bounds(
                 order, out_edge_data, source, target, n_colors, lam_s,
-                lam_b, context)
+                lam_b, bound, context)
             if lagrange is not None:
                 w, potw, _, _ = lagrange
                 for packs in out_edge_data.values():
@@ -1267,7 +1279,8 @@ def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
 
 def _probe_bound(root: float, bound: float) -> float:
     """The midpoint probe's bound: ``_PROBE_SHARE`` of the way from the
-    Lagrangian root bound ``root`` up to the incumbent ``bound``.  Written
+    Lagrangian root bound ``root`` up to the incumbent ``bound`` (just
+    under halfway, see ``_PROBE_SHARE``).  Written
     from ``bound`` down, so a share of 1 gives ``bound`` itself exactly
     (no probe)."""
     return bound - (1.0 - _PROBE_SHARE) * (bound - root)
@@ -1335,8 +1348,18 @@ def _arc_weights(sig, beta, w, lam_s: float, lam_b: float) -> List[float]:
     return (lam_s * sig + lam_b * (beta * w).sum(axis=1)).tolist()
 
 
+def _simplex_projection(v):
+    """The Euclidean projection of ``v`` onto the probability simplex
+    (sort-and-threshold, Held, Wolfe & Crowder 1974)."""
+    u = np.sort(v)[::-1]
+    ranks = np.arange(1, len(u) + 1)
+    cumulative = np.cumsum(u) - 1.0
+    rho = int(np.nonzero(u * ranks > cumulative)[0][-1])
+    return np.maximum(v - cumulative[rho] / (rho + 1), 0.0)
+
+
 def _lagrange_bounds(order, out_edge_data, source, target, dim: int,
-                     lam_s: float, lam_b: float,
+                     lam_s: float, lam_b: float, upper: float,
                      context: Optional[SolveContext] = None):
     """Pick a Lagrangian load weighting ``w`` and its completion bounds.
 
@@ -1344,13 +1367,20 @@ def _lagrange_bounds(order, out_edge_data, source, target, dim: int,
     min_p (λ_S·σ(p) + λ_B·w·β(p))`` over ``v → T`` paths bounds every
     completion; the best ``w`` maximises the root bound ``potW[S]``, the
     Lagrangian dual of the min-max objective (Fisher 1981).  ``potW[S]``
-    is concave in ``w`` with supergradient ``λ_B·β(p*)`` on its argmin
-    path ``p*``, so ``_LAGRANGE_ROUNDS`` multiplicative-weights rounds
-    climb it from uniform ``w`` — never weaker than the joint average
-    bound at the root — keeping the best ``w`` seen.  Each round is one
-    walk of :func:`_weighted_minima` over the packed (live) edges towards
-    the target; the best ``w``'s mirror walk from the source serves the
-    backward half (the minimum over S → T paths is the same both ways).
+    is concave in ``w`` with supergradient ``g = λ_B·β(p*)`` on its argmin
+    path ``p*``.  ``_LAGRANGE_ROUNDS`` multiplicative-weights rounds climb
+    it from uniform ``w`` — never weaker than the joint average bound at
+    the root — and ``_POLYAK_ROUNDS`` projected-subgradient rounds then
+    aim it at ``upper``, the search's bound (Held, Wolfe & Crowder 1974):
+    from the best ``w`` so far, each steps ``w ← Π_Δ(w + θ·(upper −
+    root)/‖g − ḡ‖²·(g − ḡ))`` with ``θ = _POLYAK_STEP``.  The ascent keeps
+    the best ``w`` seen, so the Polyak rounds never weaken the root; it
+    stops early when the argmin path carries no load, when its loads are
+    flat (no direction on the simplex) or when the root reaches
+    ``upper``.  Each round is one walk of :func:`_weighted_minima` over
+    the packed (live) edges towards the target; the best ``w``'s mirror
+    walk from the source serves the backward half (the minimum over S →
+    T paths is the same both ways).
 
     Returns ``((w, potw, spotw, root), None)``, with ``w`` scaled by
     :func:`_admissible_weights`, or ``(None, kind)`` when ``context``,
@@ -1361,7 +1391,7 @@ def _lagrange_bounds(order, out_edge_data, source, target, dim: int,
     backward = order[::-1]
     mw = np.full(dim, 1.0 / dim)
     best = None
-    for t in range(_LAGRANGE_ROUNDS):
+    for t in range(_LAGRANGE_ROUNDS + _POLYAK_ROUNDS):
         if context is not None:
             interrupted = context.interrupted()
             if interrupted is not None:
@@ -1370,20 +1400,32 @@ def _lagrange_bounds(order, out_edge_data, source, target, dim: int,
         weights = _arc_weights(sig, beta, w, lam_s, lam_b)
         potw, via = _weighted_minima(backward, target, out_arcs, weights)
         root = potw[source]
-        if best is None or root > best[3]:
-            best = (w, potw, weights, root)
         path = []
         node = source
         while node != target:
             path.append(via[node])
             node = heads[path[-1]]
         load = beta[path].sum(axis=0)
+        if best is None or root > best[3]:
+            best = (w, potw, weights, root, mw, load)
         top = float(load.max())
         if top <= 0.0:
             break                   # a load-free argmin path: w is moot
-        mw = mw * np.exp(_LAGRANGE_STEP / math.sqrt(t + 1) * (load / top))
-        mw /= mw.sum()
-    w, potw, weights, root = best
+        if t + 1 < _LAGRANGE_ROUNDS:
+            mw = mw * np.exp(_LAGRANGE_STEP / math.sqrt(t + 1)
+                             * (load / top))
+            mw /= mw.sum()
+            continue
+        if t + 1 == _LAGRANGE_ROUNDS:
+            # the Polyak rounds start from the best weighting so far
+            root, mw, load = best[3], best[4], best[5]
+        slope = lam_b * (load - load.mean())
+        norm = float(slope @ slope)
+        if root >= upper or norm <= 0.0:
+            break
+        mw = _simplex_projection(
+            mw + _POLYAK_STEP * (upper - root) / norm * slope)
+    w, potw, weights, root = best[:4]
     spotw, _ = _weighted_minima(order, source, in_arcs, weights)
     return (w, potw, spotw, root), None
 

@@ -694,7 +694,8 @@ INF = float("inf")
 #: ``pruned_lagrange`` slot, and ``pruned_meet`` in four entries whose
 #: join order the w-floors changed) and again when the exact pass began
 #: probing at the duality midpoint (the counters sum over the probe and,
-#: when it misses, the rerun).
+#: when it misses, the rerun), and again (22 entries) when Polyak rounds
+#: aimed at the incumbent followed the multiplicative-weights ascent.
 EXACT_PASS_PINS = {
     ('default', 8, 2, 0.0): (
         (5, 0, 20, 4, 2, INF, 0, 1, 0, 1, 18, 5, 3, 4, 1),
@@ -727,13 +728,13 @@ EXACT_PASS_PINS = {
         (16, 0, 43, 5, 2, INF, 0, 0, 0, 0, 43, 5, 9, 5, 1),
         (5, 7, 10, 14)),
     ('default', 12, 2, 0.5): (
-        (13, 0, 11, 6, 2, INF, 0, 1, 0, 0, 10, 2, 5, 6, 1),
+        (11, 0, 9, 6, 2, INF, 0, 1, 0, 0, 8, 2, 4, 6, 1),
         (2, 4, 6, 10, 11)),
     ('default', 12, 2, 1.0): (
         (12, 0, 11, 5, 2, INF, 0, 1, 0, 0, 10, 2, 6, 5, 1),
         (2, 4, 6, 10)),
     ('default', 12, 3, 0.0): (
-        (16, 0, 46, 5, 2, INF, 0, 0, 0, 0, 46, 5, 9, 5, 1),
+        (15, 0, 42, 5, 2, INF, 0, 1, 0, 0, 41, 5, 8, 5, 1),
         (5, 7, 10, 14)),
     ('default', 12, 3, 0.5): (
         (12, 0, 14, 5, 3, INF, 0, 1, 0, 0, 13, 3, 6, 5, 1),
@@ -757,7 +758,7 @@ EXACT_PASS_PINS = {
         (47, 0, 45, 9, 2, INF, 0, 1, 0, 0, 44, 3, 16, 9, 1),
         (1, 2, 5, 7, 10, 14, 16, 18)),
     ('default', 16, 2, 1.0): (
-        (46, 0, 26, 10, 2, INF, 0, 0, 0, 0, 26, 2, 16, 10, 1),
+        (45, 0, 26, 10, 2, INF, 0, 1, 0, 0, 25, 2, 15, 10, 1),
         (1, 3, 5, 7, 9, 11, 13, 14, 16)),
     ('default', 16, 3, 0.0): (
         (59, 9, 64, 9, 2, INF, 0, 0, 0, 0, 64, 4, 23, 9, 1),
@@ -766,16 +767,16 @@ EXACT_PASS_PINS = {
         (47, 2, 42, 9, 3, INF, 0, 1, 0, 0, 41, 3, 16, 9, 1),
         (0, 2, 5, 7, 10, 13, 16, 18)),
     ('default', 16, 3, 1.0): (
-        (47, 0, 25, 10, 3, INF, 0, 1, 0, 0, 24, 2, 15, 10, 1),
+        (45, 0, 25, 10, 3, INF, 0, 3, 0, 0, 22, 2, 14, 10, 1),
         (1, 2, 5, 7, 8, 11, 14, 15, 16)),
     ('default', 16, 4, 0.0): (
-        (56, 4, 69, 9, 2, INF, 0, 1, 0, 0, 68, 4, 20, 9, 1),
+        (56, 4, 71, 9, 2, INF, 0, 1, 0, 0, 70, 4, 20, 9, 1),
         (5, 7, 9, 10, 14, 18, 20, 22)),
     ('default', 16, 4, 0.5): (
-        (46, 0, 26, 9, 3, INF, 0, 2, 0, 0, 24, 2, 16, 9, 1),
+        (46, 0, 28, 9, 3, INF, 0, 2, 0, 0, 26, 2, 16, 9, 1),
         (3, 4, 7, 9, 11, 12, 14, 16)),
     ('default', 16, 4, 1.0): (
-        (46, 0, 17, 9, 3, INF, 0, 2, 0, 0, 15, 2, 16, 9, 1),
+        (46, 0, 16, 9, 3, INF, 0, 2, 0, 0, 14, 2, 16, 9, 1),
         (1, 2, 4, 6, 8, 12, 15, 16)),
     ('convex', 8, 2, 0.0): (
         (5, 0, 18, 4, 2, INF, 0, 2, 0, 0, 16, 5, 3, 4, 1),
@@ -805,58 +806,58 @@ EXACT_PASS_PINS = {
         (6, 0, 20, 4, 2, INF, 0, 0, 0, 0, 20, 5, 4, 4, 1),
         (4, 6, 8)),
     ('convex', 12, 2, 0.0): (
-        (16, 0, 43, 5, 2, INF, 0, 0, 0, 0, 43, 5, 9, 5, 1),
+        (15, 0, 40, 5, 2, INF, 0, 1, 0, 0, 39, 5, 8, 5, 1),
         (5, 7, 10, 14)),
     ('convex', 12, 2, 0.5): (
         (11, 0, 9, 6, 2, INF, 0, 1, 0, 0, 8, 2, 4, 6, 1),
         (2, 4, 6, 10, 11)),
     ('convex', 12, 2, 1.0): (
-        (12, 0, 10, 5, 2, INF, 0, 1, 0, 0, 9, 2, 6, 5, 1),
+        (12, 0, 11, 5, 2, INF, 0, 1, 0, 0, 10, 2, 6, 5, 1),
         (2, 4, 6, 10)),
     ('convex', 12, 3, 0.0): (
-        (14, 0, 38, 5, 2, INF, 0, 2, 0, 0, 36, 5, 7, 5, 1),
+        (11, 0, 29, 5, 2, INF, 0, 3, 0, 0, 26, 5, 5, 5, 1),
         (5, 7, 10, 14)),
     ('convex', 12, 3, 0.5): (
         (12, 0, 17, 5, 3, INF, 0, 1, 0, 0, 16, 3, 6, 5, 1),
         (2, 3, 7, 11)),
     ('convex', 12, 3, 1.0): (
-        (12, 0, 11, 5, 3, INF, 0, 1, 0, 0, 10, 2, 6, 5, 1),
+        (11, 0, 10, 5, 3, INF, 0, 2, 0, 0, 8, 2, 6, 5, 1),
         (2, 4, 6, 10)),
     ('convex', 12, 4, 0.0): (
-        (12, 0, 33, 5, 2, INF, 0, 2, 0, 0, 31, 5, 6, 5, 1),
+        (11, 0, 29, 5, 2, INF, 0, 3, 0, 0, 26, 5, 5, 5, 1),
         (5, 7, 10, 14)),
     ('convex', 12, 4, 0.5): (
-        (12, 0, 33, 5, 2, INF, 0, 2, 0, 0, 31, 5, 6, 5, 1),
+        (11, 0, 29, 5, 2, INF, 0, 3, 0, 0, 26, 5, 5, 5, 1),
         (5, 7, 10, 14)),
     ('convex', 12, 4, 1.0): (
-        (12, 0, 6, 5, 3, INF, 0, 1, 0, 0, 5, 2, 6, 5, 1),
+        (12, 0, 7, 5, 3, INF, 0, 1, 0, 0, 6, 2, 6, 5, 1),
         (2, 4, 6, 9)),
     ('convex', 16, 2, 0.0): (
-        (59, 7, 66, 9, 2, INF, 0, 1, 0, 1, 64, 4, 24, 9, 1),
+        (56, 6, 65, 9, 2, INF, 0, 2, 0, 1, 62, 4, 22, 9, 1),
         (5, 7, 8, 11, 13, 18, 20, 22)),
     ('convex', 16, 2, 0.5): (
-        (47, 0, 45, 9, 2, INF, 0, 1, 0, 0, 44, 3, 16, 9, 1),
+        (45, 0, 45, 9, 2, INF, 0, 3, 0, 0, 42, 3, 16, 9, 1),
         (1, 2, 5, 7, 10, 14, 16, 18)),
     ('convex', 16, 2, 1.0): (
-        (44, 0, 24, 10, 2, INF, 0, 2, 0, 0, 22, 2, 14, 10, 1),
+        (44, 0, 27, 10, 2, INF, 0, 2, 0, 0, 25, 2, 14, 10, 1),
         (1, 3, 5, 7, 9, 11, 13, 14, 16)),
     ('convex', 16, 3, 0.0): (
-        (58, 9, 66, 9, 2, INF, 0, 1, 0, 0, 65, 4, 23, 9, 1),
+        (56, 9, 62, 9, 2, INF, 0, 3, 0, 0, 59, 4, 21, 9, 1),
         (5, 7, 9, 11, 14, 18, 20, 22)),
     ('convex', 16, 3, 0.5): (
-        (47, 2, 43, 9, 3, INF, 0, 1, 0, 0, 42, 3, 16, 9, 1),
+        (45, 1, 44, 9, 3, INF, 0, 3, 0, 0, 41, 3, 16, 9, 1),
         (1, 3, 4, 7, 10, 14, 16, 18)),
     ('convex', 16, 3, 1.0): (
-        (46, 0, 25, 10, 3, INF, 0, 2, 0, 0, 23, 2, 14, 10, 1),
+        (45, 0, 25, 10, 3, INF, 0, 3, 0, 0, 22, 2, 14, 10, 1),
         (1, 3, 5, 7, 8, 12, 14, 15, 17)),
     ('convex', 16, 4, 0.0): (
-        (52, 4, 61, 9, 2, INF, 0, 3, 0, 0, 58, 4, 18, 9, 1),
+        (52, 4, 63, 9, 2, INF, 0, 3, 0, 0, 60, 4, 18, 9, 1),
         (5, 7, 9, 10, 14, 18, 20, 22)),
     ('convex', 16, 4, 0.5): (
         (43, 0, 26, 9, 3, INF, 0, 3, 0, 0, 23, 2, 16, 9, 1),
         (3, 5, 7, 9, 11, 13, 15, 17)),
     ('convex', 16, 4, 1.0): (
-        (46, 0, 27, 9, 3, INF, 0, 2, 0, 0, 25, 2, 16, 9, 1),
+        (45, 0, 27, 9, 3, INF, 0, 3, 0, 0, 24, 2, 16, 9, 1),
         (1, 3, 5, 7, 9, 13, 15, 17)),
 }
 
@@ -1073,6 +1074,14 @@ def out_packs(dwg, weighting):
     return order, {node: p for node, p in packs.items() if p}, pots
 
 
+def seed_bound(dwg, weighting):
+    """The SSB of the min-σ seed path: the bound a beam-off search aims
+    its Lagrangian ascent at."""
+    seed = DagIndex(dwg.graph).shortest_path(dwg.source, dwg.target,
+                                             weight=SIGMA_ATTR)
+    return PathMeasures(weighting).ssb_colored(seed)
+
+
 def accumulate(edges, color_index, dim):
     """``(σ, loads)`` summed edge by edge in the given order."""
     s, loads = 0.0, np.zeros(dim)
@@ -1121,7 +1130,8 @@ class TestLagrangeBounds:
             order, dwg.source, in_arcs, weights)
         tables = [(w, potw, spotw)]
         (w, potw, spotw, root), interrupted = label_search._lagrange_bounds(
-            order, packs, dwg.source, dwg.target, dim, lam_s, lam_b)
+            order, packs, dwg.source, dwg.target, dim, lam_s, lam_b,
+            seed_bound(dwg, weighting))
         assert interrupted is None and root == potw[dwg.source]
         tables.append((w, potw, spotw))
         measures = PathMeasures(weighting)
@@ -1156,7 +1166,8 @@ class TestLagrangeBounds:
         weighting = SSBWeighting()
         order, packs, pots = out_packs(dwg, weighting)
         (w, potw, _, root), _ = label_search._lagrange_bounds(
-            order, packs, dwg.source, dwg.target, len(pots.colors), 1.0, 1.0)
+            order, packs, dwg.source, dwg.target, len(pots.colors), 1.0, 1.0,
+            seed_bound(dwg, weighting))
         # uniform w is the first round; it is the average bound up to the
         # admissibility margin
         assert root >= pots.potj[dwg.source] * (1 - 1e-9)
@@ -1220,6 +1231,67 @@ class TestLagrangeBounds:
         result = LabelDominanceSearch().search(dwg, context=context)
         assert result.interrupted == "deadline" and result.found
         assert result.stats.labels_created == 0
+        assert not result.stats.beam_certified
+        assert result.ssb_weight == result.stats.beam_ssb
+
+    def test_polyak_rounds_never_lower_the_root(self, monkeypatch):
+        # the Polyak rounds keep the best weighting, so the root is never
+        # below that of the multiplicative-weights rounds alone
+        instances = [(n, k, scatter, seed, weighting)
+                     for n, k, scatter, seed in PROBE_GRID
+                     for weighting in self.WEIGHTINGS]
+        instances += [(30, 4, 1.0, seed, SSBWeighting())
+                      for seed in range(4)]
+        lifted = 0
+        for n, k, scatter, seed, weighting in instances:
+            dwg = build_assignment_graph(random_problem(
+                n_processing=n, n_satellites=k, seed=seed,
+                sensor_scatter=scatter)).dwg
+            order, packs, pots = out_packs(dwg, weighting)
+            args = (order, packs, dwg.source, dwg.target, len(pots.colors),
+                    weighting.lambda_s, weighting.lambda_b,
+                    seed_bound(dwg, weighting))
+            (_, _, _, root), _ = label_search._lagrange_bounds(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(label_search, "_POLYAK_ROUNDS", 0)
+                (_, _, _, climbed), _ = label_search._lagrange_bounds(*args)
+            assert root >= climbed
+            lifted += root > climbed
+        # aimed at the far seed bound, they still lift some roots
+        assert lifted > 0
+
+    def test_an_interrupted_polyak_round_skips_the_exact_pass(
+            self, monkeypatch):
+        class ArmedContext:
+            span = None
+            walks = 0
+
+            def interrupted(self):
+                # fires at the second Polyak round's poll
+                if self.walks > label_search._LAGRANGE_ROUNDS:
+                    return "deadline"
+                return None
+
+            def report_incumbent(self, *args, **kwargs):
+                return True
+
+        context = ArmedContext()
+        original = label_search._weighted_minima
+
+        def counting(*args):
+            context.walks += 1
+            return original(*args)
+
+        monkeypatch.setattr(label_search, "_weighted_minima", counting)
+        dwg = build_assignment_graph(random_problem(
+            n_processing=30, n_satellites=4, seed=0,
+            sensor_scatter=1.0)).dwg
+        result = LabelDominanceSearch().search(dwg, context=context)
+        # one Polyak round walked, and no mirror walk followed
+        assert context.walks == label_search._LAGRANGE_ROUNDS + 1
+        assert result.interrupted == "deadline" and result.found
+        assert result.stats.labels_created == 0
+        assert result.stats.exact_passes == 0
         assert not result.stats.beam_certified
         assert result.ssb_weight == result.stats.beam_ssb
 
@@ -1444,16 +1516,17 @@ class TestMaskDeadline:
 
 #: Scattered n=70 k=6: per seed, the optimum the exact label engine
 #: returned before the Lagrangian w-bounds (via ``repro.solve``) and the
-#: labels the search created with them, the completion-ranked beam and
-#: the midpoint probe (both passes counted where the probe missed) — the
-#: bounds that keep these seeds well under a second.
+#: labels the search created with them, the completion-ranked beam, the
+#: midpoint probe (both passes counted where the probe missed) and the
+#: Polyak rounds of the ascent — the bounds that keep these seeds well
+#: under a second.
 TAIL_SEEDS = {
-    0: (33.392875065103325, 10733),
-    1: (33.77607380636956, 11428),
-    2: (31.94680358739864, 7182),
-    3: (35.2526632636891, 32639),
-    4: (34.66706815064406, 15023),
-    5: (33.08542749345493, 31249),
+    0: (33.392875065103325, 7565),
+    1: (33.77607380636956, 6672),
+    2: (31.94680358739864, 4661),
+    3: (35.2526632636891, 2958),
+    4: (34.66706815064406, 13379),
+    5: (33.08542749345493, 23000),
 }
 
 
