@@ -23,38 +23,54 @@ from repro.core.dwg import SSBWeighting
 from repro.model.problem import AssignmentProblem
 
 
-def _subtree_cut_options(problem: AssignmentProblem, cru_id: str) -> List[Tuple[str, ...]]:
-    """All cuts of the subtree of ``cru_id``, as tuples of cut children.
+def _subtree_cuts(problem: AssignmentProblem, cru_id: str) -> Iterator[Tuple[str, ...]]:
+    """Every cut of the subtree of ``cru_id``, as tuples of cut children.
 
-    Each option assumes the parent of ``cru_id`` runs on the host, so the
-    subtree either hangs below a cut at ``cru_id`` itself or keeps ``cru_id``
-    on the host and cuts somewhere below.
+    Each cut assumes the parent of ``cru_id`` runs on the host, so the
+    subtree either hangs below a cut at ``cru_id`` itself (yielded first) or
+    keeps ``cru_id`` on the host and cuts somewhere below.
     """
-    tree = problem.tree
-    options: List[Tuple[str, ...]] = []
-
     if problem.correspondent_satellite(cru_id) is not None:
-        options.append((cru_id,))
+        yield (cru_id,)
+    if problem.tree.cru(cru_id).is_processing:
+        yield from _sibling_cuts(problem, problem.tree.children_ids(cru_id))
 
-    if tree.cru(cru_id).is_processing:
-        children = tree.children_ids(cru_id)
-        child_options = [_subtree_cut_options(problem, c) for c in children]
-        if all(child_options):
-            for combo in itertools.product(*child_options):
-                merged: Tuple[str, ...] = tuple(itertools.chain.from_iterable(combo))
-                options.append(merged)
-    return options
+
+def _sibling_cuts(problem: AssignmentProblem,
+                  children: List[str]) -> Iterator[Tuple[str, ...]]:
+    """The product of the children's cuts, concatenated, last child fastest.
+
+    ``itertools.product``'s order without materialising any child's cuts: an
+    odometer over one lazy generator per child, restarting a child's
+    generator when it runs out.  Nothing is yielded when a child has no cut.
+    """
+    streams = [_subtree_cuts(problem, child) for child in children]
+    current = [next(stream, None) for stream in streams]
+    if None in current:
+        return
+    while True:
+        yield tuple(itertools.chain.from_iterable(current))
+        j = len(children) - 1
+        while j >= 0:
+            cut = next(streams[j], None)
+            if cut is not None:
+                current[j] = cut
+                break
+            streams[j] = _subtree_cuts(problem, children[j])
+            current[j] = next(streams[j])
+            j -= 1
+        else:
+            return
 
 
 def enumerate_cuts(problem: AssignmentProblem) -> Iterator[Tuple[str, ...]]:
-    """Yield every feasible cut (the root always stays on the host)."""
+    """Yield every feasible cut (the root always stays on the host).
+
+    The enumeration is lazy: memory stays linear in the tree size and the
+    first cut arrives after one walk, however many cuts there are.
+    """
     tree = problem.tree
-    children = tree.children_ids(tree.root_id)
-    child_options = [_subtree_cut_options(problem, c) for c in children]
-    if not all(child_options):
-        return
-    for combo in itertools.product(*child_options):
-        yield tuple(itertools.chain.from_iterable(combo))
+    return _sibling_cuts(problem, tree.children_ids(tree.root_id))
 
 
 def enumerate_assignments(problem: AssignmentProblem) -> Iterator[Assignment]:

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis import experiments as exp
 from repro.analysis.reporting import format_table
 from repro.core.assignment_graph import build_assignment_graph
-from repro.core.coloring import color_tree
 from repro.core.solver import available_methods, solve
 from repro.model.problem import AssignmentProblem
 from repro.model.serialization import problem_from_json
@@ -167,13 +166,13 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     print("CRU tree (sensors marked with *):")
     print(problem.tree.to_ascii())
     print()
-    colored = color_tree(problem)
+    graph = build_assignment_graph(problem)
+    colored = graph.colored_tree
     print("Edge colouring (conflicted edges force CRUs onto the host):")
     for parent, child in problem.tree.edges():
         color = colored.edge_color(parent, child) or "CONFLICT"
         print(f"  {parent} -> {child}: {color}")
     print(f"host-forced CRUs: {', '.join(colored.forced_host_crus())}")
-    graph = build_assignment_graph(problem, colored_tree=colored)
     print(f"assignment graph: {graph.num_faces} faces, {graph.number_of_edges()} edges")
     return 0
 

@@ -20,22 +20,32 @@ a partition of the leaf sequence into consecutive runs, each run being the
 full leaf set of one cut subtree — exactly the cuts of the drawn construction.
 The graph is a DAG whose edges always advance the face index, which the
 adapted SSB search exploits.
+
+Every label of the dual is a subtree aggregate over the tree's cached
+pre-order index, so :func:`build_assignment_graph` is one parents-first pass
+over it: a leaf-count prefix sum gives each subtree's leaf interval, the
+Figure-8 σ of :mod:`repro.core.labeling` and β of
+:meth:`AssignmentProblem.offload_costs` are read by pre-order position, and
+the owning satellite comes from the memoised correspondent map.  The §5.1
+:class:`~repro.core.coloring.ColoredTree` is not needed for any of this; it
+is built on demand, the first time :attr:`ColoredAssignmentGraph.colored_tree`
+is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.coloring import ColoredTree, color_tree
 from repro.core.dwg import (
     BETA_ATTR,
+    COLOR_ATTR,
     DoublyWeightedGraph,
     SIGMA_ATTR,
     TREE_EDGE_ATTR,
 )
-from repro.core.labeling import label_assignment_graph
+from repro.core.labeling import label_assignment_graph, preorder_host_weights
 from repro.graphs.digraph import Edge
 from repro.graphs.paths import Path
 from repro.model.problem import AssignmentProblem
@@ -50,7 +60,6 @@ class AssignmentGraphError(ValueError):
     """Raised when the problem instance cannot produce an assignment graph."""
 
 
-@dataclass
 class ColoredAssignmentGraph:
     """The coloured, doubly weighted assignment graph of a problem instance.
 
@@ -59,7 +68,9 @@ class ColoredAssignmentGraph:
     problem:
         The instance the graph was built from.
     colored_tree:
-        The §5.1 colouring used during construction.
+        The §5.1 colouring of the instance: the one passed to the builder,
+        else computed by :func:`~repro.core.coloring.color_tree` on first
+        access (the edges already carry their colours and satellites).
     dwg:
         The doubly weighted graph; ``dwg.source`` is the left outer face
         (``S``), ``dwg.target`` the right outer face (``T``).
@@ -69,11 +80,20 @@ class ColoredAssignmentGraph:
         Number of face nodes (``number of leaves + 1``).
     """
 
-    problem: AssignmentProblem
-    colored_tree: ColoredTree
-    dwg: DoublyWeightedGraph
-    leaf_positions: Dict[str, int]
-    num_faces: int
+    def __init__(self, problem: AssignmentProblem, dwg: DoublyWeightedGraph,
+                 leaf_positions: Dict[str, int], num_faces: int,
+                 colored_tree: Optional[ColoredTree] = None) -> None:
+        self.problem = problem
+        self.dwg = dwg
+        self.leaf_positions = leaf_positions
+        self.num_faces = num_faces
+        self._colored_tree = colored_tree
+
+    @property
+    def colored_tree(self) -> ColoredTree:
+        if self._colored_tree is None:
+            self._colored_tree = color_tree(self.problem)
+        return self._colored_tree
 
     # ----------------------------------------------------------------- edges
     def tree_edge_of(self, edge: Edge) -> Tuple[str, str]:
@@ -152,10 +172,10 @@ class ColoredAssignmentGraph:
         """
         sigma_labels, beta_labels = label_assignment_graph(problem)
         for edge in self.dwg.edges():
-            tree_edge = edge.data[TREE_EDGE_ATTR]
-            edge.data[SIGMA_ATTR] = float(sigma_labels[tree_edge])
-            coloring = self.colored_tree.edge_coloring(*tree_edge)
-            edge.data[BETA_ATTR] = {coloring.color: float(beta_labels[tree_edge])}
+            data = edge.data
+            tree_edge = data[TREE_EDGE_ATTR]
+            data[SIGMA_ATTR] = float(sigma_labels[tree_edge])
+            data[BETA_ATTR] = {data[COLOR_ATTR][0]: float(beta_labels[tree_edge])}
         self.problem = problem
         self.dwg.graph.bump_version()
         return self
@@ -178,58 +198,91 @@ def build_assignment_graph(problem: AssignmentProblem,
                            colored_tree: Optional[ColoredTree] = None) -> ColoredAssignmentGraph:
     """Construct the coloured, doubly weighted assignment graph of an instance.
 
+    The interval dual comes from the tree's pre-order index: with
+    ``before[i]`` the number of leaves ahead of position ``i`` (a prefix
+    sum), the subtree at ``i`` covers leaves ``before[i] + 1 ..
+    before[i + size[i]]``.  One parents-first pass then turns every parent
+    edge that is not conflicted into the assignment edge between those
+    faces, in pre-order of the child (:meth:`CRUTree.edges` order), carrying
+    σ, β as ``{colour: β}``, the colour, the tree edge, the owning satellite
+    and the leaf interval.
+
+    ``colored_tree`` is kept as :attr:`ColoredAssignmentGraph.colored_tree`
+    when given; otherwise the §5.1 colouring is computed only if that
+    attribute is read.
+
     Raises
     ------
     AssignmentGraphError
         If some leaf of the CRU tree is not a sensor (the closed tree then has
         a branch that can never be cut, i.e. the instance is degenerate), or
         if the instance has no sensors at all.
+    ValueError
+        If a cuttable edge gets a negative σ or β (possible only on an
+        instance that skipped validation).
     """
     tree = problem.tree
-    leaves = tree.tree.leaves()
-    if not leaves:
+    order, _, size = tree.tree.preorder_index()
+    n = len(order)
+
+    # leaf-count prefix sum over the pre-order; leaves are numbered 1..m
+    before = [0] * (n + 1)
+    leaf_positions: Dict[str, int] = {}
+    non_sensor_leaves: List[str] = []
+    for i, cru_id in enumerate(order):
+        before[i] = len(leaf_positions)
+        if size[i] == 1:
+            leaf_positions[cru_id] = len(leaf_positions) + 1
+            if not tree.cru(cru_id).is_sensor:
+                non_sensor_leaves.append(cru_id)
+    num_leaves = before[n] = len(leaf_positions)
+    if not num_leaves:
         raise AssignmentGraphError("the CRU tree has no leaves")
-    non_sensor_leaves = [l for l in leaves if not tree.cru(l).is_sensor]
     if non_sensor_leaves:
         raise AssignmentGraphError(
             "every leaf of the CRU tree must be a sensor; offending leaves: "
             f"{non_sensor_leaves!r}")
 
-    colored = colored_tree if colored_tree is not None else color_tree(problem)
-    sigma_labels, beta_labels = label_assignment_graph(problem)
+    sigma = preorder_host_weights(tree, problem.profile)
+    beta = problem.offload_costs()
+    correspondent = problem.correspondent_satellites()
+    color_of = problem.system.color_of
 
-    leaf_positions = {leaf: i + 1 for i, leaf in enumerate(leaves)}
-    intervals = tree.tree.leaf_intervals()
-    num_leaves = len(leaves)
-
-    source = 0
-    target = num_leaves
-    dwg = DoublyWeightedGraph(source=source, target=target)
+    dwg = DoublyWeightedGraph(source=0, target=num_leaves)
+    graph = dwg.graph
     for face in range(num_leaves + 1):
-        dwg.graph.add_node(face)
+        graph.add_node(face)
 
-    for parent_id, child_id in tree.edges():
-        coloring = colored.edge_coloring(parent_id, child_id)
-        if coloring.is_conflicted:
-            continue  # not cuttable: the CRUs above must stay on the host
-        lo, hi = intervals[child_id]
-        dwg.add_edge(
+    for i, tree_edge in enumerate(tree.edges(), 1):
+        child_id = tree_edge[1]
+        satellite_id = correspondent[child_id]
+        if satellite_id is None:
+            continue  # conflicted, not cuttable: the CRUs above stay on the host
+        sigma_weight = float(sigma[i])
+        beta_weight = float(beta[child_id])
+        if sigma_weight < 0:
+            raise ValueError("sigma weight must be non-negative")
+        color = color_of(satellite_id)
+        if beta_weight < 0:
+            raise ValueError(f"beta weight must be non-negative (colour {color!r})")
+        lo, hi = before[i] + 1, before[i + size[i]]
+        graph.add_edge(
             lo - 1,
             hi,
-            sigma=sigma_labels[(parent_id, child_id)],
-            beta=beta_labels[(parent_id, child_id)],
-            color=coloring.color,
             **{
-                TREE_EDGE_ATTR: (parent_id, child_id),
-                SATELLITE_ATTR: coloring.satellite_id,
+                SIGMA_ATTR: sigma_weight,
+                BETA_ATTR: {color: beta_weight},
+                COLOR_ATTR: (color,),
+                TREE_EDGE_ATTR: tree_edge,
+                SATELLITE_ATTR: satellite_id,
                 INTERVAL_ATTR: (lo, hi),
             },
         )
 
     return ColoredAssignmentGraph(
         problem=problem,
-        colored_tree=colored,
         dwg=dwg,
         leaf_positions=leaf_positions,
         num_faces=num_leaves + 1,
+        colored_tree=colored_tree,
     )

@@ -27,8 +27,9 @@ uncoloured graphs).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.graphs.digraph import DiGraph, Edge, Node
 from repro.graphs.paths import Path

@@ -20,15 +20,36 @@ the closed CRU tree; it receives
   total host execution time of the CRUs above the cut — each host CRU is
   counted exactly once, on the unique cut edge its leftmost-descendant chain
   crosses.
+
+σ has one implementation: a node's leftmost child directly follows it in
+pre-order, so the labelling is one pass over the tree's cached pre-order
+index (:func:`preorder_host_weights`).  The per-edge maps below, the
+assignment-graph builder and its reweighting all read that pass; β is one
+entry of :meth:`AssignmentProblem.offload_costs`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.model.problem import AssignmentProblem
 from repro.model.profiles import ExecutionProfile
 from repro.model.cru import CRUTree
+
+
+def preorder_host_weights(tree: CRUTree, profile: ExecutionProfile) -> List[float]:
+    """Figure-8 σ of the tree edge entering each node, by pre-order position.
+
+    Entry ``i`` is the label of the edge ``(parent, order[i])``; the root's
+    entry is 0.  A node with children has its leftmost child at position
+    ``i + 1``, whose edge gets ``incoming(u) + h_u``; every other edge keeps 0.
+    """
+    order, _, size = tree.tree.preorder_index()
+    sigma = [0.0] * len(order)
+    for i, cru_id in enumerate(order):
+        if size[i] > 1:
+            sigma[i + 1] = sigma[i] + profile.host_time(cru_id)
+    return sigma
 
 
 def host_weight_labels(tree: CRUTree, profile: ExecutionProfile) -> Dict[Tuple[str, str], float]:
@@ -36,22 +57,9 @@ def host_weight_labels(tree: CRUTree, profile: ExecutionProfile) -> Dict[Tuple[s
 
     Only edges leading to a *leftmost* child carry weight; all other edges are 0.
     """
-    labels: Dict[Tuple[str, str], float] = {edge: 0.0 for edge in tree.edges()}
-    # weight of the edge entering each node (0 for the root)
-    incoming: Dict[str, float] = {tree.root_id: 0.0}
-
-    for cru_id in tree.preorder():
-        parent = tree.parent_id(cru_id)
-        if parent is not None and cru_id not in incoming:
-            incoming[cru_id] = labels[(parent, cru_id)]
-        w_in = incoming[cru_id]
-        leftmost = tree.leftmost_child_id(cru_id)
-        if leftmost is not None:
-            labels[(cru_id, leftmost)] = w_in + profile.host_time(cru_id)
-        # record incoming weights of all children now that labels are final
-        for child in tree.children_ids(cru_id):
-            incoming[child] = labels[(cru_id, child)]
-    return labels
+    sigma = preorder_host_weights(tree, profile)
+    # tree.edges() lists the edges in pre-order of the child, from position 1
+    return {edge: sigma[i] for i, edge in enumerate(tree.edges(), 1)}
 
 
 def satellite_cut_cost(problem: AssignmentProblem, parent_id: str, child_id: str) -> float:

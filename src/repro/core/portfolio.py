@@ -80,19 +80,28 @@ def instance_features(problem: AssignmentProblem) -> Dict[str, Any]:
     gives 1.0.
     """
     tree = problem.tree
-    n_processing = len(tree.processing_ids())
+    order, _, size = tree.tree.preorder_index()
+    correspondent = problem.correspondent_satellites()
     satellites = problem.system.satellite_ids()
 
-    # sensors in pre-order, labelled by their correspondent satellite;
-    # the same walk records the widest fan-out of any node (star shape)
+    # sensors in pre-order, labelled by their correspondent satellite; the
+    # same pass counts processing CRUs and the widest fan-out of any node
+    # (star shape): the children of position i start at i + 1, each
+    # following one a whole subtree later
     sensor_colors: List[str] = []
-    max_branching = 0
-    for cru_id in tree.preorder():
+    n_processing = max_branching = 0
+    for i, cru_id in enumerate(order):
         if tree.cru(cru_id).is_sensor:
-            satellite = problem.correspondent_satellite(cru_id)
+            satellite = correspondent[cru_id]
             if satellite is not None:
                 sensor_colors.append(satellite)
-        max_branching = max(max_branching, len(tree.children_ids(cru_id)))
+            continue
+        n_processing += 1
+        branching, child, end = 0, i + 1, i + size[i]
+        while child < end:
+            branching += 1
+            child += size[child]
+        max_branching = max(max_branching, branching)
 
     runs: Dict[str, int] = {}
     counts: Dict[str, int] = {}
@@ -183,7 +192,6 @@ class PortfolioSolver:
         from repro.baselines.greedy import maximal_offload_assignment
         from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
         from repro.core.assignment_graph import build_assignment_graph
-        from repro.core.coloring import color_tree
         from repro.core.label_search import LabelDominanceSearch
 
         features = instance_features(problem)
@@ -208,8 +216,7 @@ class PortfolioSolver:
         # ---- stage 2: label-dominance sweep — the main exact engine ------
         if interrupted is None:
             started = time.perf_counter()
-            colored = color_tree(problem)
-            graph = build_assignment_graph(problem, colored_tree=colored)
+            graph = build_assignment_graph(problem)
             search = LabelDominanceSearch(weighting=self.weighting,
                                           beam_width=self.beam_width)
             result = search.search(graph.dwg, incumbent=best_objective,

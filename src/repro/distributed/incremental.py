@@ -180,7 +180,6 @@ class IncrementalSolver:
               ) -> Tuple[Any, Dict[str, Any]]:
         from repro.core.assignment import Assignment
         from repro.core.assignment_graph import build_assignment_graph
-        from repro.core.coloring import color_tree
         from repro.core.label_search import (LabelDominanceSearch,
                                              completion_potentials)
         from repro.runtime.cache import problem_fingerprint
@@ -194,8 +193,7 @@ class IncrementalSolver:
             graph.reweight(problem)
             self.skeleton_reuses += 1
         else:
-            colored = color_tree(problem)
-            graph = build_assignment_graph(problem, colored_tree=colored)
+            graph = build_assignment_graph(problem)
             entry = {"graph": graph, "potentials": {}}
             if self.max_skeletons > 0:
                 if len(self._skeletons) >= self.max_skeletons:

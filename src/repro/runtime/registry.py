@@ -265,11 +265,9 @@ class SolverRegistry:
 def _run_colored_ssb(problem: AssignmentProblem, weighting: Optional[SSBWeighting],
                      options: Mapping[str, Any]):
     from repro.core.assignment_graph import build_assignment_graph
-    from repro.core.coloring import color_tree
     from repro.core.colored_ssb import ColoredSSBSearch
 
-    colored = color_tree(problem)
-    graph = build_assignment_graph(problem, colored_tree=colored)
+    graph = build_assignment_graph(problem)
     search = ColoredSSBSearch(weighting=weighting,
                               enable_expansion=options.get("enable_expansion", True),
                               finisher=options.get("finisher", "labels"))
@@ -329,11 +327,9 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
                             options: Mapping[str, Any]):
     """Pure label-dominance solve: one DAG sweep, no elimination loop."""
     from repro.core.assignment_graph import build_assignment_graph
-    from repro.core.coloring import color_tree
     from repro.core.label_search import LabelDominanceSearch
 
-    colored = color_tree(problem)
-    graph = build_assignment_graph(problem, colored_tree=colored)
+    graph = build_assignment_graph(problem)
     search = LabelDominanceSearch(
         weighting=weighting,
         beam_width=options.get("beam_width", 128),

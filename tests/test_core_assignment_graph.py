@@ -120,3 +120,177 @@ class TestPathCutBijection:
         for satellite_id, load in assignment.satellite_loads().items():
             color = paper_problem.color_of_satellite(satellite_id)
             assert loads.get(color, 0.0) == pytest.approx(load)
+
+
+# --------------------------------------------------------------------------
+# The one-pass build against a reference assembled from the public pieces
+# --------------------------------------------------------------------------
+def _reference_edges(problem):
+    """``(key, tail, head, data)`` per edge, from the per-edge public maps."""
+    from repro.core.coloring import color_tree
+    from repro.core.labeling import label_assignment_graph
+
+    colored = color_tree(problem)
+    sigma_labels, beta_labels = label_assignment_graph(problem)
+    intervals = problem.tree.tree.leaf_intervals()
+    rows = []
+    for parent, child in problem.tree.edges():
+        coloring = colored.edge_coloring(parent, child)
+        if coloring.is_conflicted:
+            continue
+        lo, hi = intervals[child]
+        data = {"sigma": float(sigma_labels[(parent, child)]),
+                "beta": {coloring.color: float(beta_labels[(parent, child)])},
+                "colors": (coloring.color,),
+                "tree_edge": (parent, child),
+                "satellite": coloring.satellite_id,
+                "leaf_interval": (lo, hi)}
+        rows.append((len(rows), lo - 1, hi, data))
+    return rows
+
+
+def _reference_features(problem):
+    """The schedule features from a plain ``tree.preorder()`` walk."""
+    tree = problem.tree
+    sensor_colors, max_branching, n_processing = [], 0, 0
+    for cru_id in tree.preorder():
+        if tree.cru(cru_id).is_sensor:
+            satellite = problem.correspondent_satellite(cru_id)
+            if satellite is not None:
+                sensor_colors.append(satellite)
+        else:
+            n_processing += 1
+        max_branching = max(max_branching, len(tree.children_ids(cru_id)))
+    runs, counts, previous = {}, {}, None
+    for color in sensor_colors:
+        counts[color] = counts.get(color, 0) + 1
+        if color != previous:
+            runs[color] = runs.get(color, 0) + 1
+        previous = color
+    ratios = [(runs[c] - 1) / (counts[c] - 1) for c in counts if counts[c] > 1]
+    return {
+        "n_processing": n_processing,
+        "n_satellites": len(problem.system.satellite_ids()),
+        "n_sensors": len(sensor_colors),
+        "scatter_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
+        "max_branching": max_branching,
+        "star_width": max_branching / max(1, n_processing),
+    }
+
+
+def _sensors_under_root_problem():
+    """Sensors wired straight to the root, between processing branches."""
+    tree = CRUTree(CRU("root"))
+    tree.add_sensor("root", "s0")
+    tree.add_processing("root", "a")
+    tree.add_sensor("a", "s1")
+    tree.add_sensor("a", "s2")
+    tree.add_sensor("root", "s3")
+    tree.add_processing("root", "b")
+    tree.add_processing("b", "c")
+    tree.add_sensor("c", "s4")
+    tree.add_sensor("root", "s5")
+    system = HostSatelliteSystem(Host())
+    for sid in ("x", "y"):
+        system.add_satellite(Satellite(sid))
+    attachment = {"s0": "x", "s1": "x", "s2": "y", "s3": "y", "s4": "y", "s5": "x"}
+    profile = ExecutionProfile()
+    for i, cru_id in enumerate(("root", "a", "b", "c")):
+        profile.set_times(cru_id, 0.5 + i, 1.5 + 2 * i)
+    return AssignmentProblem(tree=tree, system=system,
+                             sensor_attachment=attachment, profile=profile)
+
+
+def _one_pass_cases():
+    cases = [("paper", paper_example_problem()),
+             ("sensors-under-root", _sensors_under_root_problem()),
+             ("wide-star", random_problem(n_processing=30, n_satellites=4, seed=7,
+                                          max_children=64, sensor_scatter=0.5))]
+    for n in (4, 10, 17, 25, 40):
+        for k in (1, 2, 3, 6):
+            for scatter in (0.0, 0.5, 1.0):
+                cases.append((f"n{n}-k{k}-s{scatter}",
+                              random_problem(n_processing=n, n_satellites=k,
+                                             seed=n * 31 + k, sensor_scatter=scatter)))
+    return cases
+
+
+_ONE_PASS_CASES = _one_pass_cases()
+
+
+class TestOnePassBuild:
+    """The pre-order build equals the per-edge construction it replaced."""
+
+    @pytest.mark.parametrize("name, problem", _ONE_PASS_CASES,
+                             ids=[name for name, _ in _ONE_PASS_CASES])
+    def test_edges_match_the_reference(self, name, problem):
+        graph = build_assignment_graph(problem)
+        built = [(e.key, e.tail, e.head, e.data) for e in graph.dwg.edges()]
+        assert built == _reference_edges(problem)
+        for _, _, _, data in built:
+            assert list(data) == ["sigma", "beta", "colors", "tree_edge",
+                                  "satellite", "leaf_interval"]
+        leaves = problem.tree.tree.leaves()
+        assert graph.leaf_positions == {leaf: i + 1 for i, leaf in enumerate(leaves)}
+        assert graph.num_faces == len(leaves) + 1
+        assert graph.dwg.graph.nodes() == [0, len(leaves)] + list(range(1, len(leaves)))
+
+    def test_the_grid_has_conflicted_edges(self):
+        from repro.core.coloring import color_tree
+
+        conflicted = sum(len(color_tree(p).conflicted_edges())
+                         for _, p in _ONE_PASS_CASES)
+        assert conflicted > 0
+
+    @pytest.mark.parametrize("name, problem", _ONE_PASS_CASES[:6],
+                             ids=[name for name, _ in _ONE_PASS_CASES[:6]])
+    def test_lazy_colouring_equals_color_tree(self, name, problem):
+        from repro.core.coloring import color_tree
+
+        graph = build_assignment_graph(problem)
+        assert graph._colored_tree is None       # not built until asked for
+        lazy, eager = graph.colored_tree, color_tree(problem)
+        assert graph.colored_tree is lazy
+        assert lazy.colorings() == eager.colorings()
+        assert lazy.forced_host_crus() == eager.forced_host_crus()
+
+    def test_a_passed_colouring_is_kept(self, paper_problem):
+        from repro.core.coloring import color_tree
+
+        colored = color_tree(paper_problem)
+        assert build_assignment_graph(paper_problem, colored).colored_tree is colored
+
+    @pytest.mark.parametrize("name, problem", _ONE_PASS_CASES[:6],
+                             ids=[name for name, _ in _ONE_PASS_CASES[:6]])
+    def test_reweight_keeps_the_weights(self, name, problem):
+        graph = build_assignment_graph(problem)
+        before = [(e.key, dict(e.data)) for e in graph.dwg.edges()]
+        graph.reweight(problem)
+        assert [(e.key, e.data) for e in graph.dwg.edges()] == before
+
+    def test_unvalidated_negative_costs_raise(self):
+        from repro.core.solver import solve
+
+        problem = random_problem(n_processing=8, n_satellites=2, seed=3,
+                                 sensor_scatter=0.0)
+        graph = build_assignment_graph(problem)
+        edge = next(e for e in graph.dwg.edges()
+                    if problem.tree.cru(graph.tree_edge_of(e)[1]).is_processing)
+        problem.profile._sat[graph.tree_edge_of(edge)[1]] = -100.0
+        with pytest.raises(ValueError, match="beta weight must be non-negative"):
+            solve(problem, method="colored-ssb-labels", validate=False)
+
+        problem = random_problem(n_processing=8, n_satellites=2, seed=3,
+                                 sensor_scatter=0.0)
+        graph = build_assignment_graph(problem)
+        edge = next(e for e in graph.dwg.edges() if DoublyWeightedGraph.sigma(e) > 0)
+        problem.profile._host[graph.tree_edge_of(edge)[0]] = -100.0
+        with pytest.raises(ValueError, match="sigma weight must be non-negative"):
+            solve(problem, method="colored-ssb-labels", validate=False)
+
+    @pytest.mark.parametrize("name, problem", _ONE_PASS_CASES,
+                             ids=[name for name, _ in _ONE_PASS_CASES])
+    def test_instance_features_match_a_preorder_walk(self, name, problem):
+        from repro.core.portfolio import instance_features
+
+        assert instance_features(problem) == _reference_features(problem)
