@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.context import SolveContext
 from repro.core.dwg import PathMeasures, SSBWeighting
 from repro.model.problem import AssignmentProblem
-from repro.runtime.cache import write_json_atomic
+from repro.runtime.fsio import default_fs
 
 #: Default beam width for cold solves (matches LabelDominanceSearch).
 _COLD_BEAM_WIDTH = 128
@@ -116,7 +116,7 @@ class WarmStartIndex:
         record = {"cut": list(cut), "objective": objective}
         self._memory[fingerprint] = record
         if self.directory:
-            write_json_atomic(self._path(fingerprint), record)
+            default_fs().write_json_atomic(self._path(fingerprint), record)
 
     def __len__(self) -> int:
         count = len(self._memory)

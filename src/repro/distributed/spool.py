@@ -112,15 +112,22 @@ def new_task_id() -> str:
             f"{uuid.uuid4().hex[:8]}")
 
 
-def payload_trace_id(payload: Optional[Dict[str, Any]]) -> Optional[str]:
-    """The trace id carried in a task payload's trace context, if any."""
-    if not isinstance(payload, dict):
-        return None
-    trace = payload.get("trace")
-    if not isinstance(trace, dict):
-        return None
-    trace_id = trace.get("trace_id")
-    return str(trace_id) if trace_id else None
+def trace_fields(payload: Any,
+                 started: Optional[float] = None) -> Dict[str, Any]:
+    """A record's trace fields: ``{}`` untraced, else the ``trace_id``, plus,
+    given the operation's wall-clock ``started``, the fields that make the
+    record the operation's span (parented on the payload's span)."""
+    trace = payload.get("trace") if isinstance(payload, dict) else None
+    if not isinstance(trace, dict) or not trace.get("trace_id"):
+        return {}
+    fields: Dict[str, Any] = {"trace_id": str(trace["trace_id"])}
+    if started is not None:
+        fields.update(span_id=os.urandom(4).hex(), start=started,
+                      dur_s=round(max(0.0, time.time() - started), 9),
+                      pid=os.getpid())
+        if trace.get("span_id"):
+            fields["parent_id"] = trace["span_id"]
+    return fields
 
 
 def _split_name(name: str) -> Optional[Dict[str, Any]]:
@@ -171,7 +178,8 @@ class WorkQueue:
         Event log for lifecycle events (submit/claim/ack/...).  By default
         one is opened at ``<directory>/events.jsonl`` so ``repro audit``
         works with no flags; pass ``False`` to disable logging, or an
-        :class:`~repro.observability.events.EventLog` to redirect it.
+        :class:`~repro.observability.events.EventLog` to redirect it.  A
+        traced task's submit/claim/ack/requeue event is also its span.
     metrics:
         Metrics registry for transition counters and depth gauges; defaults
         to the process-wide :func:`default_metrics` registry.
@@ -216,28 +224,18 @@ class WorkQueue:
             "Corrupt spool files moved into quarantine/, by reason")
 
     def _emit(self, kind: str, task_id: Optional[str] = None,
-              **fields: Any) -> None:
+              payload: Optional[Dict[str, Any]] = None,
+              started: Optional[float] = None, **fields: Any) -> None:
+        """Count and log one transition, traced per :func:`trace_fields`."""
         self._transitions.inc(kind=kind)
-        if self.events is not None:
-            self.events.emit(kind, task_id=task_id, **fields)
-
-    def _trace_span(self, payload: Optional[Dict[str, Any]], name: str,
-                    task_id: Optional[str]):
-        """A queue-op span continuing the payload's trace, or ``None``.
-
-        The span writes through this spool's own event log; failures leave
-        the operation untraced — telemetry never takes down the queue.
-        """
-        trace = payload.get("trace") if isinstance(payload, dict) else None
-        if not isinstance(trace, dict) or self.events is None:
-            return None
-        try:
-            from repro.observability.tracing import Tracer
-
-            tracer = Tracer(self.events, registry=self.metrics)
-            return tracer.resume(trace, name, task_id=task_id)
-        except Exception:  # noqa: BLE001 - tracing is best-effort
-            return None
+        if self.events is None:
+            return
+        fields.update(trace_fields(payload, started))
+        if "span_id" in fields:
+            self.metrics.counter(
+                _events.SPANS_TOTAL,
+                "Finished tracing spans by span name").inc(kind=kind)
+        self.events.emit(kind, task_id=task_id, **fields)
 
     # ------------------------------------------------------------ primitives
     def _dir(self, sub: str) -> str:
@@ -280,8 +278,7 @@ class WorkQueue:
 
     # ------------------------------------------------------------ quarantine
     def quarantine(self, path: str, reason: str,
-                   task_id: Optional[str] = None,
-                   trace_id: Optional[str] = None) -> Optional[str]:
+                   task_id: Optional[str] = None) -> Optional[str]:
         """Move a corrupt file into ``quarantine/`` (atomic rename).
 
         Returns the quarantine path, or ``None`` when the file vanished
@@ -302,8 +299,7 @@ class WorkQueue:
             return None
         self._quarantined.inc(reason=reason)
         self._emit(_events.EVENT_QUARANTINE, task_id, reason=reason,
-                   source=name,
-                   **({"trace_id": trace_id} if trace_id else {}))
+                   source=name)
         return target
 
     def quarantined_ids(self) -> List[str]:
@@ -335,20 +331,15 @@ class WorkQueue:
         record.update(extra)
         # stamp the originating trace so audit/chaos triage can correlate a
         # dead-lettered task back to its submitter's trace
-        trace_id = record.get("trace_id") or payload_trace_id(payload)
-        if trace_id:
-            record["trace_id"] = trace_id
+        record.update(trace_fields(payload))
         try:
             self._write_atomic(
                 os.path.join(self._dir(FAILED_DIR), f"{task_id}.json"),
                 record, op="spool_dead_letter")
         except OSError:
             return False
-        event_fields: Dict[str, Any] = {"attempt": attempt, "reason": kind,
-                                        "error": error}
-        if trace_id:
-            event_fields["trace_id"] = trace_id
-        self._emit(_events.EVENT_DEAD_LETTER, task_id, **event_fields)
+        self._emit(_events.EVENT_DEAD_LETTER, task_id, payload,
+                   attempt=attempt, reason=kind, error=error)
         wake.ring(self.directory, wake.RESULT)
         return True
 
@@ -360,14 +351,10 @@ class WorkQueue:
         if "/" in task_id or task_id.startswith("."):
             raise SpoolError(f"invalid task id {task_id!r}")
         target = os.path.join(self._dir(TASKS_DIR), f"{task_id}.a0.json")
-        span = self._trace_span(payload, "submit", task_id)
+        started = time.time()
         self._write_atomic(target, payload, op="spool_submit")
-        trace_id = payload_trace_id(payload)
-        self._emit(_events.EVENT_SUBMIT, task_id,
-                   **({"trace_id": trace_id} if trace_id else {}))
+        self._emit(_events.EVENT_SUBMIT, task_id, payload, started)
         wake.ring(self.directory, wake.CLAIM)
-        if span is not None:
-            span.finish()
         return task_id
 
     def submit_many(self, payloads: Iterable[Dict[str, Any]]) -> List[str]:
@@ -444,13 +431,8 @@ class WorkQueue:
                 continue
             if error is not None:
                 continue           # vanished or transient: next scan decides
-            span = self._trace_span(payload, "claim", parts["task_id"])
-            trace_id = payload_trace_id(payload)
-            self._emit(_events.EVENT_CLAIM, parts["task_id"],
-                       attempt=parts["attempt"],
-                       **({"trace_id": trace_id} if trace_id else {}))
-            if span is not None:
-                span.finish(attempt=parts["attempt"])
+            self._emit(_events.EVENT_CLAIM, parts["task_id"], payload,
+                       time.time(), attempt=parts["attempt"])
             return SpoolTask(task_id=parts["task_id"], payload=payload,
                              attempt=parts["attempt"], path=target)
         return None
@@ -555,16 +537,13 @@ class WorkQueue:
         payload = dict(result)
         payload.setdefault("task_id", task.task_id)
         payload.setdefault("attempt", task.attempt)
-        span = self._trace_span(task.payload, "ack", task.task_id)
+        started = time.time()
         self._write_atomic(self._result_path(task.task_id), payload,
                            op="spool_ack")
-        trace_id = payload_trace_id(task.payload)
-        self._emit(_events.EVENT_ACK, task.task_id, attempt=task.attempt,
-                   method=payload.get("method"), status=payload.get("status"),
-                   **({"trace_id": trace_id} if trace_id else {}))
+        self._emit(_events.EVENT_ACK, task.task_id, task.payload, started,
+                   attempt=task.attempt, method=payload.get("method"),
+                   status=payload.get("status"))
         wake.ring(self.directory, wake.RESULT)
-        if span is not None:
-            span.finish(status=payload.get("status"))
         try:
             self.fs.unlink(task.path)
         except OSError:
@@ -680,13 +659,9 @@ class WorkQueue:
         # requeues are rare (lease expiry only), so the extra read purely
         # for trace correlation stays off the hot path
         payload, _read_error = self._read_json(target)
-        span = self._trace_span(payload, "requeue", parts["task_id"])
-        trace_id = payload_trace_id(payload)
-        self._emit(_events.EVENT_REQUEUE, parts["task_id"], attempt=attempt,
-                   **({"trace_id": trace_id} if trace_id else {}))
+        self._emit(_events.EVENT_REQUEUE, parts["task_id"], payload,
+                   time.time(), attempt=attempt)
         wake.ring(self.directory, wake.CLAIM)
-        if span is not None:
-            span.finish(attempt=attempt)
         return True
 
     # --------------------------------------------------------------- results

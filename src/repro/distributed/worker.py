@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.context import SolveContext
 from repro.distributed.spool import (POISON_DIR, TMP_DIR, SpoolTask,
-                                     WorkQueue, _split_name, payload_trace_id)
+                                     WorkQueue, _split_name, trace_fields)
 from repro.observability import events as _events
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.cache import ResultCache, cache_get_with_source, make_cache_entry
@@ -251,10 +251,11 @@ class SolveWorker:
             "repro_solve_seconds",
             "Wall-clock solve latency by solver method and final status")
 
-    def _event(self, kind: str, task_id: str, **fields: Any) -> None:
+    def _event(self, kind: str, task: SpoolTask, **fields: Any) -> None:
         if self.queue.events is not None:
-            self.queue.events.emit(kind, task_id=task_id,
-                                   worker_id=self.worker_id, **fields)
+            self.queue.events.emit(kind, task_id=task.task_id,
+                                   worker_id=self.worker_id, **fields,
+                                   **trace_fields(task.payload))
 
     def request_stop(self) -> None:
         """Cooperatively stop: claimed-but-unsolved tasks are requeued and
@@ -312,20 +313,17 @@ class SolveWorker:
         # let downstream spans (solve/method) carry the spool task id instead
         # of falling back to the cache key, so audit joins line up exactly
         payload.setdefault("task_id", task.task_id)
-        trace_id = payload_trace_id(payload)
-        trace_field = {"trace_id": trace_id} if trace_id else {}
         poisoned = self._poison_check(task)
         if poisoned is not None:
             return poisoned
         outcome = self._cached_outcome(payload)
         if outcome is not None:
-            self._event(_events.EVENT_CACHE_HIT, task.task_id,
-                        source=outcome.get("cache_source"), **trace_field)
+            self._event(_events.EVENT_CACHE_HIT, task,
+                        source=outcome.get("cache_source"))
             self._tasks_total.inc(outcome="cached")
         else:
-            self._event(_events.EVENT_SOLVE_START, task.task_id,
-                        method=payload.get("method"),
-                        attempt=task.attempt, **trace_field)
+            self._event(_events.EVENT_SOLVE_START, task,
+                        method=payload.get("method"), attempt=task.attempt)
             solve_started = time.monotonic()
             self._mark_crash(task)
             try:
@@ -352,12 +350,12 @@ class SolveWorker:
                 method=str(outcome.get("method") or payload.get("method")),
                 status=str(outcome.get("status") or
                            ("ok" if outcome.get("ok") else "error")))
-            self._event(_events.EVENT_SOLVE_END, task.task_id,
+            self._event(_events.EVENT_SOLVE_END, task,
                         method=outcome.get("method"),
                         status=outcome.get("status"),
                         ok=outcome.get("ok"),
                         objective=outcome.get("objective"),
-                        elapsed_s=solve_elapsed, **trace_field)
+                        elapsed_s=solve_elapsed)
             if (self.stop_event.is_set() and not outcome.get("ok")
                     and outcome.get("status") == "cancelled"):
                 # the stop landed after the claim check but before the
@@ -468,14 +466,10 @@ class SolveWorker:
         error = (f"poison task: {markers} previous attempt(s) crashed their "
                  f"worker mid-solve (threshold {self.poison_threshold}); "
                  f"dead-lettered without solving")
-        trace_id = payload_trace_id(task.payload)
-        trace_field = {"trace_id": trace_id} if trace_id else {}
         self.queue.fail(task, error=error, kind="poison",
-                        crash_markers=markers, worker_id=self.worker_id,
-                        **trace_field)
-        self._event(_events.EVENT_POISON, task.task_id,
-                    attempt=task.attempt, crash_markers=markers,
-                    **trace_field)
+                        crash_markers=markers, worker_id=self.worker_id)
+        self._event(_events.EVENT_POISON, task,
+                    attempt=task.attempt, crash_markers=markers)
         self._clear_markers(task)
         self._tasks_total.inc(outcome="poisoned")
         self.processed += 1

@@ -11,6 +11,9 @@ objects and silently skipping anything else.
 
 ``repro audit`` replays this file (joined with spool result artifacts) into
 per-task timelines; ``repro top`` tails it for incumbent sparklines.
+A traced task's ``submit``/``claim``/``ack``/``requeue`` event also
+carries span fields (``span_id``, ``parent_id``, ``start``, ``dur_s``,
+``pid``): it is that transition's span.
 """
 
 from __future__ import annotations
@@ -39,9 +42,13 @@ EVENT_RELEASE = "release"
 EVENT_DEAD_LETTER = "dead_letter"
 EVENT_QUARANTINE = "quarantine"
 EVENT_POISON = "poison"
-# A finished tracing span (see repro.observability.tracing); rides the same
-# crash-safe log so a SIGKILL'd worker loses at most its open spans.
+# A finished tracing span other than a spool transition (task, solve,
+# method:*; see repro.observability.tracing); rides the same crash-safe log
+# so a SIGKILL'd worker loses at most its open spans.
 EVENT_SPAN = "span"
+
+#: Metric: one increment per finished span, labelled by span name.
+SPANS_TOTAL = "repro_trace_spans_total"
 
 KNOWN_KINDS = (
     EVENT_SUBMIT,

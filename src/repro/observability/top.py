@@ -17,6 +17,13 @@ import os
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.distributed.spool import (
+    CLAIMED_DIR,
+    FAILED_DIR,
+    RESULTS_DIR,
+    TASKS_DIR,
+    _split_name,
+)
 from repro.observability.events import EVENT_PROGRESS, EventLog
 
 #: Results whose mtime falls inside this window count toward throughput.
@@ -25,17 +32,7 @@ THROUGHPUT_WINDOW_S = 60.0
 #: Eight-level block characters for incumbent convergence sparklines.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-_SPOOL_SUBDIRS = ("tasks", "claimed", "results", "failed")
-
-
-def _split_name(name: str) -> Optional[Dict[str, Any]]:
-    if not name.endswith(".json"):
-        return None
-    stem = name[: -len(".json")]
-    task_id, sep, attempt_text = stem.rpartition(".a")
-    if not sep or not task_id or not attempt_text.isdigit():
-        return None
-    return {"task_id": task_id, "attempt": int(attempt_text)}
+_SPOOL_SUBDIRS = (TASKS_DIR, CLAIMED_DIR, RESULTS_DIR, FAILED_DIR)
 
 
 def sparkline(values: List[float], width: int = 16) -> str:
@@ -75,7 +72,7 @@ def spool_snapshot(
 
     # claimed tasks: lease age + latest published progress per claim file
     claimed: List[Dict[str, Any]] = []
-    claimed_dir = os.path.join(directory, "claimed")
+    claimed_dir = os.path.join(directory, CLAIMED_DIR)
     try:
         names = sorted(os.listdir(claimed_dir))
     except OSError:
@@ -116,7 +113,7 @@ def spool_snapshot(
 
     # per-solver throughput: results published inside the trailing window
     throughput: Dict[str, Dict[str, Any]] = {}
-    results_dir = os.path.join(directory, "results")
+    results_dir = os.path.join(directory, RESULTS_DIR)
     try:
         names = os.listdir(results_dir)
     except OSError:

@@ -6,7 +6,9 @@ persists each *finished* span as one ``kind="span"`` line through the
 existing SIGKILL-atomic :class:`~repro.observability.events.EventLog`.  A
 killed worker therefore loses at most its still-open spans; everything
 already finished survives, torn-line tolerant, next to the ordinary
-lifecycle events it interleaves with.
+lifecycle events it interleaves with.  A traced spool transition
+(``submit``/``claim``/``ack``/``requeue``) is a span with no separate
+``kind="span"`` line: its lifecycle event carries the span fields.
 
 Trace context crosses process boundaries as a plain dict
 (``{"trace_id", "span_id", "log"}``) carried inside the task payload: the
@@ -36,7 +38,7 @@ import os
 import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.observability.events import EVENT_SPAN, EVENTS_FILENAME, EventLog
+from repro.observability.events import EVENT_SPAN, SPANS_TOTAL, EventLog
 from repro.observability.metrics import MetricsRegistry, default_metrics
 
 __all__ = [
@@ -51,9 +53,6 @@ __all__ = [
     "sampled",
     "trace_context",
 ]
-
-#: Metric: one increment per finished span, labelled by span name.
-SPANS_TOTAL = "repro_trace_spans_total"
 
 # Denominator for head-based sampling: the first 8 hex digits of the
 # canonical problem hash, read as a 32-bit integer.
@@ -472,19 +471,39 @@ class Tracer:
 
 
 # ---------------------------------------------------------------- read side
+#: Fields of a traced transition event that belong to its span; the others
+#: (``attempt``, ``status``, ``method``, ...) are the span's attributes.
+_SPAN_KEYS = frozenset("ts task_id trace_id span_id parent_id start dur_s pid".split())
+
+
+def _as_span(event: Dict[str, Any]) -> Dict[str, Any]:
+    """A span record as is; a traced transition event in span shape."""
+    if event["kind"] == EVENT_SPAN:
+        return event
+    span: Dict[str, Any] = {"name": event["kind"], "attrs": {}}
+    for key, value in event.items():
+        if key in _SPAN_KEYS:
+            span[key] = value
+        elif key != "kind":
+            span["attrs"][key] = value
+    return span
+
+
 def load_spans(source: Any) -> List[Dict[str, Any]]:
-    """Span records from an :class:`EventLog`, events file, or spool dir."""
+    """Span records from an :class:`EventLog`, events file, or spool dir.
+
+    Every record with a ``trace_id`` and a ``span_id`` is a span: a
+    ``kind="span"`` line, or a traced spool transition named by its kind.
+    """
     if isinstance(source, EventLog):
         log = source
     else:
         path = str(source)
-        if os.path.isdir(path):
-            path = os.path.join(path, EVENTS_FILENAME)
-        log = EventLog(path)
+        log = EventLog.for_spool(path) if os.path.isdir(path) else EventLog(path)
     spans = [
-        event
+        _as_span(event)
         for event in log.iter_events()
-        if event.get("kind") == EVENT_SPAN and event.get("trace_id")
+        if event.get("trace_id") and event.get("span_id")
     ]
     spans.sort(key=lambda record: record.get("start", 0.0))
     return spans

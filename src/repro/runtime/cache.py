@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, Mapping, Optional, Protocol, Tuple
 
@@ -43,29 +42,6 @@ from repro.observability.metrics import default_metrics
 CacheEntry = Dict[str, Any]
 
 _ENTRY_VERSION = 1
-
-
-def write_json_atomic(path: str, data: Any,
-                      tmp_dir: Optional[str] = None) -> None:
-    """Write JSON via tempfile + rename so readers never see a torn file.
-
-    The temp file is staged in ``tmp_dir`` (default: the target's directory —
-    it must be on the same filesystem for the rename to stay atomic) and
-    unlinked on failure.  Shared by the result cache, the work-queue spool
-    and the warm-start index.
-    """
-    directory = tmp_dir if tmp_dir is not None else (os.path.dirname(path) or ".")
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 # ------------------------------------------------------------------- hashing

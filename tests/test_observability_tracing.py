@@ -7,6 +7,7 @@ test pins the observability contract: tracing a solve must not change its
 result.
 """
 
+import collections
 import json
 import os
 import subprocess
@@ -241,6 +242,84 @@ class TestCrossProcessContinuity:
         service.enqueue(submission)
         SolveWorker(service.queue, cache=None).run(drain=True)
         assert load_spans(spool) == []
+
+
+class TestOneRecordPerTransition:
+    """A traced spool transition writes one record: its lifecycle event,
+    which carries the span fields, and no separate ``kind="span"`` line."""
+
+    QUEUE_SPANS = ("submit", "claim", "ack", "requeue")
+    SPAN_FIELDS = ("span_id", "parent_id", "start", "dur_s", "pid")
+
+    def _drain(self, spool, trace, count=2):
+        problems = [random_problem(n_processing=8, n_satellites=3, seed=s)
+                    for s in range(count)]
+        service = SolveService(spool, cache=None, trace=trace)
+        submission = service.submit(problems)
+        service.enqueue(submission)
+        SolveWorker(service.queue, cache=None).run(drain=True)
+        # gathering finishes each task's root span
+        assert service.gather(submission, timeout=60.0).failed == 0
+        return EventLog.for_spool(spool).read()
+
+    def test_one_line_per_task_and_transition(self, spool):
+        events = self._drain(spool, trace=True)
+        lines = collections.Counter((e.get("task_id"), e["kind"])
+                                    for e in events)
+        task_ids = {e["task_id"] for e in events if e["kind"] == "submit"}
+        assert len(task_ids) == 2
+        for task_id in task_ids:
+            for kind in ("submit", "claim", "ack"):
+                assert lines[(task_id, kind)] == 1
+        assert not [e for e in events if e["kind"] == "span"
+                    and e.get("name") in self.QUEUE_SPANS]
+
+    def test_transition_spans_hang_off_the_task_root(self, spool):
+        self._drain(spool, trace=True)
+        traces = group_traces(load_spans(spool))
+        assert len(traces) == 2
+        for spans in traces.values():
+            (root,) = [s for s in spans if s["name"] == "task"]
+            by_name = {s["name"]: s for s in spans
+                       if s["name"] in self.QUEUE_SPANS}
+            assert set(by_name) == {"submit", "claim", "ack"}
+            for span in by_name.values():
+                assert span["parent_id"] == root["span_id"]
+                assert span["pid"] == os.getpid()
+                assert span["start"] <= span["ts"]
+                assert span["dur_s"] >= 0.0
+            assert by_name["claim"]["attrs"]["attempt"] == 0
+            assert by_name["ack"]["attrs"]["status"] == "optimal"
+
+    def test_traced_nack_writes_one_requeue_span(self, spool):
+        problem = random_problem(n_processing=8, n_satellites=3, seed=3)
+        service = SolveService(spool, cache=None, trace=True)
+        service.enqueue(service.submit([problem]))
+        service.queue.nack(service.queue.claim())
+        events = EventLog.for_spool(spool).read()
+        assert [e["kind"] for e in events].count("requeue") == 1
+        (requeue,) = [s for s in load_spans(spool) if s["name"] == "requeue"]
+        assert requeue["attrs"]["attempt"] == 1
+        assert requeue["pid"] == os.getpid()
+
+    def test_untraced_records_carry_no_span_fields(self, spool):
+        events = self._drain(spool, trace=False)
+        assert len(events) == 2 * 5
+        for event in events:
+            assert not set(self.SPAN_FIELDS) & set(event)
+            assert "trace_id" not in event
+
+    def test_span_counter_counts_each_traced_submit(self, spool):
+        registry = MetricsRegistry()
+        queue = WorkQueue(spool, metrics=registry)
+        service = SolveService(queue, cache=None, trace=True)
+        problems = [random_problem(n_processing=8, n_satellites=3, seed=s)
+                    for s in range(3)]
+        service.enqueue(service.submit(problems))
+        spans_total = registry.get("repro_trace_spans_total")
+        assert spans_total.value(kind="submit") == 3
+        queue.submit({"method": "colored-ssb"})      # untraced: not a span
+        assert spans_total.value(kind="submit") == 3
 
 
 class TestChromeExport:
