@@ -711,8 +711,8 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
 
     The DP prunes with a single completion bound (state potential plus load
     floors — a floor-type bound), so ``pruned_floor`` carries all of its
-    rejections; the colour/joint/Lagrangian/meet slots exist only in the
-    label sweep.
+    rejections; the colour/Lagrangian/meet slots exist only in the label
+    sweep.
     """
     return {
         "engine": "pareto-dp",
@@ -720,7 +720,6 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "labels_dominated": stats["dominated"] + stats["evicted"],
         "pruned_floor": stats["bound_rejected"],
         "pruned_colour": 0,
-        "pruned_joint": 0,
         "pruned_lagrange": 0,
         "pruned_meet": 0,
         "pruned_total": stats["bound_rejected"],

@@ -440,13 +440,24 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         base = shard_dirs[0]
         shard_dirs = [os.path.join(base, f"shard-{index}")
                       for index in range(args.shards)]
+    tracer = None
+    if args.trace:
+        if len(shard_dirs) > 1:
+            # each shard's queue writes its spool-transition spans into its
+            # own event log, so one trace would be split across the shards
+            print("error: --trace records into one span log and needs a "
+                  "single shard", file=sys.stderr)
+            return 2
+        from repro.observability.tracing import Tracer
+
+        tracer = Tracer.for_spool(shard_dirs[0])
     queues = [WorkQueue(directory, lease_timeout=args.lease_timeout,
                         poll_interval=args.poll_interval)
               for directory in shard_dirs]
     gateway = Gateway(queues, GatewayConfig(
         host=args.host, port=args.port, rate_per_client=args.rate,
         burst_per_client=args.burst, max_inflight=args.max_inflight,
-        default_timeout_s=args.timeout))
+        default_timeout_s=args.timeout), tracer=tracer)
     workers: List[subprocess.Popen] = []
     if args.local_workers:
         # round-robin the local fleet across the shard directories so every
@@ -820,6 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gateway.add_argument("--poll-interval", type=float, default=0.05,
                            help="fallback scan cadence of the gateway's "
                                 "waits and its local workers")
+    p_gateway.add_argument("--trace", action="store_true",
+                           help="record distributed trace spans (one "
+                                "gateway.solve span per request, plus "
+                                "submit/claim/solve/ack per task) into the "
+                                "spool's event log; single shard only")
     p_gateway.add_argument("--local-workers", type=int, default=0,
                            help="spawn N worker subprocesses round-robin "
                                 "across the shards")

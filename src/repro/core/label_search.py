@@ -25,19 +25,17 @@ mechanisms keep the label sets small:
   dominates the sum of the mins, this is always at least as tight as the
   older σ + per-colour-load floor bound ``λ_S·(s + pot[v]) +
   λ_B·max_c(loads_c + potβ_c[v])`` it replaces (``pot`` is kept for
-  colourless graphs).  The incomparable **joint average bound**
-  ``λ_S·s + λ_B·Σloads/n_colors + potJ[v]`` with
-  ``potJ[v] = min_p (λ_S·σ(p) + λ_B·β_total(p)/n_colors)`` stays as a second
-  check (the final bottleneck is at least the average colour load).  It is
-  the uniform case of the **Lagrangian bound** ``λ_S·s + λ_B·w·loads +
-  potW[v]`` with ``potW[v] = min_p (λ_S·σ(p) + λ_B·w·β(p))``, admissible
-  for every weighting ``w ≥ 0`` with ``Σw ≤ 1`` (``max_c β_c ≥ w·β``);
-  when the exact pass runs, twenty multiplicative-weights ascent rounds
-  and ten Polyak rounds aimed at the incumbent pick ``w`` to maximise the
-  root bound ``potW[S]`` (the Lagrangian dual of the min-max objective,
-  Fisher 1981; Held, Wolfe & Crowder 1974), which closes most of the root
-  gap the average bound leaves on scattered instances.  All bounds are
-  checked in one extension step, :func:`_extend`, that every sweep
+  colourless graphs).  The second, incomparable check is the
+  **Lagrangian bound** ``λ_S·s + λ_B·w·loads + potW[v]`` with ``potW[v] =
+  min_p (λ_S·σ(p) + λ_B·w·β(p))``, admissible for every weighting ``w ≥
+  0`` with ``Σw ≤ 1`` (``max_c β_c ≥ w·β``); when the exact pass runs,
+  twenty multiplicative-weights ascent rounds and ten Polyak rounds aimed
+  at the incumbent pick ``w`` to maximise the root bound ``potW[S]`` (the
+  Lagrangian dual of the min-max objective, Fisher 1981; Held, Wolfe &
+  Crowder 1974).  Its first round, uniform ``w``, is the joint
+  average-load bound (the final bottleneck is at least the average colour
+  load), so the picked ``w`` is never weaker at the root.  Both bounds
+  are checked in one extension step, :func:`_extend`, that every sweep
   shares.  A cheap *beam* pre-pass (that step over the same array
   buckets as the exact pass, each truncated to the ``beam_width`` labels
   of smallest per-colour completion bound, no dominance) finds a strong
@@ -119,13 +117,13 @@ from repro.graphs.dag import DagIndex, NotADagError
 from repro.graphs.digraph import Edge, Node
 from repro.graphs.paths import Path
 
-#: ``(created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
-#: frontier_peak, settle_batches, pruned_meet, meet_edges)`` — the counter
-#: tuple the exact pass returns; the bound-pruned total is the sum of the
-#: pruned_* slots.  Two passes' tuples add slot by slot, except
-#: ``frontier_peak`` (slot ``_PEAK_SLOT``), which takes the larger.
-_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
-_PEAK_SLOT = 5
+#: ``(created, dominated, pruned_colour, pruned_lagrange, frontier_peak,
+#: settle_batches, pruned_meet, meet_edges)`` — the counter tuple the exact
+#: pass returns; the bound-pruned total is the sum of the pruned_* slots.
+#: Two passes' tuples add slot by slot, except ``frontier_peak`` (slot
+#: ``_PEAK_SLOT``), which takes the larger.
+_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0)
+_PEAK_SLOT = 4
 
 #: Element budget of one meet-join chunk's working set: a forward chunk of
 #: ``F`` labels against ``B`` backward labels is one ``F·B`` block, built a
@@ -181,13 +179,10 @@ class LabelSearchStats:
 
     ``labels_bound_pruned`` is split by *which* completion bound fired:
     ``pruned_colour`` (the per-colour joint σ/β_c bound at extension time —
-    the tightened replacement of the legacy floor bound), ``pruned_joint``
-    (the joint σ/average-load bound at extension time),
+    the tightened replacement of the legacy floor bound),
     ``pruned_lagrange`` (the Lagrangian ``w``-bound at extension time, on
-    labels both other bounds kept) and ``pruned_meet`` (labels the meet
+    labels the per-colour bound kept) and ``pruned_meet`` (labels the meet
     join's pre-filter rejected against the opposing frontier's minima).
-    ``pruned_floor`` (the tree DP's floor-type bound) remains in the
-    profile schema the engines share; the sweep never fires it.
     ``frontier_peak`` is the largest settled bucket and ``settle_batches``
     the number of settle passes — together the bound-effectiveness profile
     the tracing layer surfaces.  ``lagrange_root`` is the Lagrangian root
@@ -206,9 +201,7 @@ class LabelSearchStats:
     nodes_swept: int = 0
     colors: int = 0
     beam_ssb: float = float("inf")   #: incumbent produced by the beam pre-pass
-    pruned_floor: int = 0            #: σ + colour-load floor bound rejections
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
-    pruned_joint: int = 0            #: joint average-load bound rejections
     pruned_lagrange: int = 0         #: Lagrangian w-bound rejections
     pruned_meet: int = 0             #: meet-join pre-filter rejections
     meet_edges: int = 0              #: crossing edges joined
@@ -252,13 +245,12 @@ def _not_found(stats: LabelSearchStats,
 class CompletionPotentials:
     """The path-minima bounds of one weighted graph, towards one end node.
 
-    One walk over the DAG (see :func:`_path_minima`) fills all of them:
-    ``pot`` (min σ), ``potj`` (joint σ/average-load potential) and
-    ``potjc`` (per colour, the joint σ/β_c bound ``min_p (λ_S·σ(p) +
-    λ_B·β_c(p))``).  :func:`completion_potentials` walks towards the
-    target; the exact pass walks the mirror from the source.  Valid only
-    for the exact (graph contents, end node, weighting) they were computed
-    from — callers that cache them (the incremental solver keys on
+    One walk over the DAG (see :func:`_path_minima`) fills both of them:
+    ``pot`` (min σ) and ``potjc`` (per colour, the joint σ/β_c bound
+    ``min_p (λ_S·σ(p) + λ_B·β_c(p))``).  :func:`completion_potentials`
+    walks towards the target; the exact pass walks the mirror from the
+    source.  Valid only for the exact (graph contents, end node,
+    weighting) they were computed from — callers that cache them (the incremental solver keys on
     structure *and* cost fingerprints) are responsible for that;
     ``lambda_s``/``lambda_b`` are kept so a mismatched weighting is at
     least detected and recomputed.
@@ -266,7 +258,6 @@ class CompletionPotentials:
 
     colors: Tuple[Any, ...]
     pot: Dict[Node, float]
-    potj: Dict[Node, float]
     potjc: Dict[Node, Tuple[float, ...]]
     lambda_s: float
     lambda_b: float
@@ -280,19 +271,16 @@ def _path_minima(nodes, start: Node, edges_of, end: str,
     A pull-style DAG pass: each node of ``nodes`` takes, over its arcs
     ``edges_of(node)`` whose ``end`` node (``"head"`` or ``"tail"``)
     precedes it in ``nodes``, the minimum of the arc's weight plus that
-    node's value — for three additive weights at once: σ, the joint average
-    ``λ_S·σ + λ_B·β_total/n_colors`` (the final bottleneck is at least the
-    average colour load) and, per colour, ``λ_S·σ + λ_B·β_c`` (the min of
-    the sum dominates the sum of the mins, so these floors are never looser
-    than separate σ and colour-load floors).  Nodes no arc reaches stay
-    absent.  Backward over out-edges this yields the completion bounds to
-    the target; forward over in-edges, their mirror from the source.
+    node's value — for σ and, per colour, ``λ_S·σ + λ_B·β_c`` at once (the
+    min of the sum dominates the sum of the mins, so these floors are never
+    looser than separate σ and colour-load floors).  Nodes no arc reaches
+    stay absent.  Backward over out-edges this yields the completion
+    bounds to the target; forward over in-edges, their mirror from the
+    source.
     """
     color_index = {c: i for i, c in enumerate(colors)}
     n_colors = len(colors)
-    inv_colors = 1.0 / n_colors if n_colors else 0.0
     pot: Dict[Node, float] = {start: 0.0}
-    potj: Dict[Node, float] = {start: 0.0}
     potjc: Dict[Node, Tuple[float, ...]] = {start: (0.0,) * n_colors}
     for node in nodes:
         if node == start:
@@ -309,23 +297,18 @@ def _path_minima(nodes, start: Node, edges_of, end: str,
             for c, v in DoublyWeightedGraph.beta_map(edge).items():
                 steps[color_index[c]] = step + lam_b * v
             s = sigma + base
-            j = (step + lam_b * DoublyWeightedGraph.beta(edge) * inv_colors
-                 + potj[other]) if n_colors else 0.0
             jc = tuple(map(_add, steps, potjc[other]))
             if best_s is None:
-                best_s, best_j, best_jc = s, j, jc
+                best_s, best_jc = s, jc
             else:
                 if s < best_s:
                     best_s = s
-                if j < best_j:
-                    best_j = j
                 best_jc = tuple(map(min, best_jc, jc))
         if best_s is not None:
             pot[node] = best_s
-            potj[node] = best_j
             potjc[node] = best_jc
-    return CompletionPotentials(colors=colors, pot=pot, potj=potj,
-                                potjc=potjc, lambda_s=lam_s, lambda_b=lam_b)
+    return CompletionPotentials(colors=colors, pot=pot, potjc=potjc,
+                                lambda_s=lam_s, lambda_b=lam_b)
 
 
 def completion_potentials(dwg: DoublyWeightedGraph,
@@ -421,7 +404,7 @@ class LabelDominanceSearch:
                 or potentials.lambda_b != lam_b:
             potentials = completion_potentials(dwg, self.weighting, index)
         colors = potentials.colors
-        pot, potj, potjc = potentials.pot, potentials.potj, potentials.potjc
+        pot = potentials.pot
         if source not in pot:
             return _not_found(LabelSearchStats())
 
@@ -429,11 +412,10 @@ class LabelDominanceSearch:
         color_index = {c: i for i, c in enumerate(colors)}
         n_colors = len(colors)
         zero_loads: Tuple[float, ...] = (0.0,) * n_colors
-        inv_colors = 1.0 / n_colors if n_colors else 0.0
-        potjc_rows = _rows(potjc)
+        potjc_rows = _rows(potentials.potjc)
         out_edge_data: Dict[Node, List[tuple]] = {}
         for node in order:
-            packed = [_pack(edge, edge.head, color_index, pot, potj, potjc_rows)
+            packed = [_pack(edge, edge.head, color_index, pot, potjc_rows)
                       for edge in graph.out_edges(node)
                       # a dead end: the target is unreachable from its head
                       if edge.head in pot]
@@ -454,9 +436,8 @@ class LabelDominanceSearch:
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
             beam_path, beam_ssb, cuts, interrupted = self._beam_sweep(
-                graph, order, out_edge_data, potjc_rows, inv_colors, source,
-                target, n_colors, min(incumbent, fallback_ssb),
-                context=context)
+                graph, order, out_edge_data, potjc_rows, source, target,
+                n_colors, min(incumbent, fallback_ssb), context=context)
             if beam_path is not None and beam_ssb < fallback_ssb:
                 fallback_path = beam_path
                 fallback_ssb = beam_ssb
@@ -469,7 +450,7 @@ class LabelDominanceSearch:
         # checks those) — so it would have reached the target and lowered
         # the bound
         certified = (interrupted is None and cuts is not None
-                     and _cuts_clear(cuts, bound, lam_s, lam_b, inv_colors))
+                     and _cuts_clear(cuts, bound, lam_s, lam_b))
         # ---- Lagrangian w-bounds, only for a pass that will run: pick the
         # weighting at the source, give every pack its w-potential and ask
         # the certificate again with the tighter bound
@@ -482,10 +463,10 @@ class LabelDominanceSearch:
                 w, potw, _, _ = lagrange
                 for packs in out_edge_data.values():
                     # in place: the beam's cuts hold these same lists
-                    packs[:] = [pack[:8] + (potw[pack[4]],)
+                    packs[:] = [pack[:6] + (potw[pack[3]],)
                                 for pack in packs]
                 certified = cuts is not None and _cuts_clear(
-                    cuts, bound, lam_s, lam_b, inv_colors, w)
+                    cuts, bound, lam_s, lam_b, w)
 
         # ---- exact pass: half-sweeps over array buckets, joined in the
         # middle
@@ -512,11 +493,11 @@ class LabelDominanceSearch:
                     caps = (probe, bound)
             (best_path, best_ssb, best_s, best_b, sweep_stats, passes,
              interrupted) = self._sweep_bidirectional(
-                graph, order, out_edge_data, potentials, inv_colors,
-                color_index, source, target, zero_loads, caps, lagrange,
-                context=context, profile=profile)
-        (created, dominated, pruned_colour, pruned_joint, pruned_lagrange,
-         peak, settles, pruned_meet, meet_edges) = sweep_stats
+                graph, order, out_edge_data, potentials, color_index,
+                source, target, zero_loads, caps, lagrange, context=context,
+                profile=profile)
+        (created, dominated, pruned_colour, pruned_lagrange, peak, settles,
+         pruned_meet, meet_edges) = sweep_stats
         root = lagrange[3] if lagrange is not None else float("-inf")
         if profile is not None:
             profile.exact_passes = passes
@@ -524,11 +505,10 @@ class LabelDominanceSearch:
                 profile.lagrange_root = root
         stats = LabelSearchStats(
             labels_created=created, labels_dominated=dominated,
-            labels_bound_pruned=(pruned_colour + pruned_joint
-                                 + pruned_lagrange + pruned_meet),
+            labels_bound_pruned=pruned_colour + pruned_lagrange + pruned_meet,
             nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
-            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
-            pruned_lagrange=pruned_lagrange, pruned_meet=pruned_meet,
+            pruned_colour=pruned_colour, pruned_lagrange=pruned_lagrange,
+            pruned_meet=pruned_meet,
             meet_edges=meet_edges, frontier_peak=peak,
             settle_batches=settles, lagrange_root=root,
             beam_certified=certified, exact_passes=passes)
@@ -553,9 +533,8 @@ class LabelDominanceSearch:
         return _not_found(stats, interrupted)
 
     # ------------------------------------------------------------- beam sweep
-    def _beam_sweep(self, graph, order, out_edge_data, potjc_rows,
-                    inv_colors, source, target, dim, bound,
-                    context: Optional[SolveContext] = None
+    def _beam_sweep(self, graph, order, out_edge_data, potjc_rows, source,
+                    target, dim, bound, context: Optional[SolveContext] = None
                     ) -> Tuple[Optional[Path], float, List[tuple],
                                Optional[str]]:
         """The heuristic pre-pass: one topological sweep over array buckets.
@@ -572,7 +551,7 @@ class LabelDominanceSearch:
         best kept row before the next edge is extended.
 
         Returns ``(best path, its SSB, cuts, interruption)``.  ``cuts``
-        holds one ``(σ, Σloads, loads, packs)`` entry per truncated bucket,
+        holds one ``(σ, loads, packs)`` entry per truncated bucket,
         over its dropped rows: the certificate :meth:`search` checks (see
         :func:`_cuts_clear`) before the exact pass.
 
@@ -600,7 +579,7 @@ class LabelDominanceSearch:
             packs = out_edge_data.get(node)
             if not packs:
                 continue
-            sig, lds, sums, parents, ekeys = _concat(node_chunks)
+            sig, lds, parents, ekeys = _concat(node_chunks)
             if len(sig) > beam_width:
                 # keep the rows of smallest completion bound: the per-colour
                 # potentials differ by colour, so a row's load profile
@@ -611,27 +590,26 @@ class LabelDominanceSearch:
                        if dim else lam_s * sig)
                 ranked = np.argsort(key, kind="stable")
                 dropped = ranked[beam_width:]
-                cuts.append((sig[dropped], sums[dropped], lds[dropped],
-                             packs))
+                cuts.append((sig[dropped], lds[dropped], packs))
                 kept = ranked[:beam_width]
-                sig, lds, sums = sig[kept], lds[kept], sums[kept]
+                sig, lds = sig[kept], lds[kept]
                 parents, ekeys = parents[kept], ekeys[kept]
             settled[node] = (parents, ekeys)
             for pack in packs:
-                ns, nl, nsum, lower, _, _, keep = _extend(
-                    sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors)
+                ns, nl, lower, _, keep = _extend(sig, lds, pack, bound,
+                                                 lam_s, lam_b)
                 rows = keep.nonzero()[0]
                 if not len(rows):
                     continue
-                if pack[4] == target:
+                if pack[3] == target:
                     row = int(rows[lower[rows].argmin()])
                     best, best_ssb = (pack[0].key, row), float(lower[row])
                     bound = best_ssb
                     if context is not None:
                         context.report_incumbent(best_ssb, source="labels")
                     continue
-                chunks.setdefault(pack[4], []).append(
-                    (ns[rows], nl[rows], nsum[rows], rows, pack[0].key))
+                chunks.setdefault(pack[3], []).append(
+                    (ns[rows], nl[rows], rows, pack[0].key))
         path = None
         if best is not None:
             edges = _walk_back(graph, settled, *best, "tail")
@@ -657,7 +635,7 @@ class LabelDominanceSearch:
         from the source and reaching the target) participate — labels can
         never appear anywhere else.
         """
-        spot, spotj = spots.pot, spots.potj
+        spot = spots.pot
         total = sum(len(out_edge_data.get(node, ()))
                     for node in order if node in spot)
         K = rank[target]
@@ -678,10 +656,10 @@ class LabelDominanceSearch:
                 continue
             local = []
             for ext in out_edge_data.get(node, ()):
-                if rank[ext[4]] >= K:
+                if rank[ext[3]] >= K:
                     beta_row = zero_row if ext[2] is None else ext[2]
                     cross_edges.append((ext[0], ext[1], beta_row, node,
-                                        ext[4]))
+                                        ext[3]))
                 else:
                     local.append(ext)
             if local:
@@ -691,8 +669,8 @@ class LabelDominanceSearch:
         for node in order[K:]:
             if node not in pot or node not in spot:
                 continue
-            packed = [_pack(edge, edge.tail, color_index, spot, spotj,
-                            spotjc_rows, spotw)
+            packed = [_pack(edge, edge.tail, color_index, spot, spotjc_rows,
+                            spotw)
                       for edge in graph.in_edges(node)
                       # a crossing edge joins, never extends
                       if rank[edge.tail] >= K
@@ -702,8 +680,8 @@ class LabelDominanceSearch:
         return K, fwd_exts, cross_edges, in_edge_data
 
     def _sweep_bidirectional(self, graph, order, out_edge_data, potentials,
-                             inv_colors, color_index, source, target,
-                             zero_loads, caps, lagrange=None,
+                             color_index, source, target, zero_loads, caps,
+                             lagrange=None,
                              context: Optional[SolveContext] = None,
                              profile=None):
         """Meet-in-the-middle exact pass (see the module docstring).
@@ -751,8 +729,8 @@ class LabelDominanceSearch:
                 profile.restart_nodes()
             path, pass_stats, interrupted = self._bidir_blocks(
                 graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                inv_colors, source, target, zero_loads, cap, w,
-                context=context, profile=profile)
+                source, target, zero_loads, cap, w, context=context,
+                profile=profile)
             sweep_stats = tuple(
                 max(a, b) if slot == _PEAK_SLOT else a + b
                 for slot, (a, b) in enumerate(zip(sweep_stats, pass_stats)))
@@ -783,13 +761,12 @@ class LabelDominanceSearch:
         return path, ssb, s, b, sweep_stats, passes, interrupted
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, inv_colors, source, target, zero_loads,
-                      bound, w=None, context: Optional[SolveContext] = None,
-                      profile=None):
+                      in_edge_data, source, target, zero_loads, bound, w=None,
+                      context: Optional[SolveContext] = None, profile=None):
         """The two half-sweeps and their join, over *array buckets*.
 
         Labels never exist as Python objects here: a node's bucket is a set
-        of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
+        of numpy blocks ``(σ, loads, parent row, edge key)`` and
         every step — the completion-bound checks, the Pareto filter
         (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
         capped at ``dominance_window``) and the bound-checked per-edge
@@ -815,7 +792,7 @@ class LabelDominanceSearch:
         dim = len(zero_loads)
         window = self.dominance_window
         created = dominated = 0
-        pruned_colour = pruned_joint = pruned_lagrange = pruned_meet = 0
+        pruned_colour = pruned_lagrange = pruned_meet = 0
         peak = settles = meet_edges = 0
         interrupted: Optional[str] = None
         poll = None
@@ -850,8 +827,8 @@ class LabelDominanceSearch:
             processed node and the settled ``(σ, loads)`` of its
             ``meet_nodes``; stops at the first interruption of
             ``context``."""
-            nonlocal created, dominated, pruned_colour, pruned_joint
-            nonlocal pruned_lagrange, peak, settles, interrupted
+            nonlocal created, dominated, pruned_colour, pruned_lagrange
+            nonlocal peak, settles, interrupted
             settled: Dict[Node, Tuple[Any, Any]] = {}
             meet_rows: Dict[Node, Tuple[Any, Any]] = {}
             chunks: Dict[Node, List[tuple]] = {start: [_start_chunk(dim)]}
@@ -867,10 +844,10 @@ class LabelDominanceSearch:
                 is_meet = node in meet_nodes
                 if not extensions and not is_meet:
                     continue
-                sig, lds, sums, parents, ekeys = _concat(node_chunks)
+                sig, lds, parents, ekeys = _concat(node_chunks)
                 if profile is not None:
                     node_base = (created, dominated, pruned_colour,
-                                 pruned_joint, pruned_lagrange)
+                                 pruned_lagrange)
                 bucket_size = len(sig)
                 if bucket_size > peak:
                     peak = bucket_size
@@ -883,34 +860,30 @@ class LabelDominanceSearch:
                         break           # the mask's checkpoint fired
                     if drop:
                         dominated += drop
-                        sig, lds, sums = sig[mask], lds[mask], sums[mask]
+                        sig, lds = sig[mask], lds[mask]
                         parents, ekeys = parents[mask], ekeys[mask]
                 settled[node] = (parents, ekeys)
                 if is_meet:
                     meet_rows[node] = (sig, lds)
                 for pack in extensions or ():
-                    ns, nl, nsum, _, keep_colour, keep_joint, keep = _extend(
-                        sig, lds, sums, pack, bound, lam_s, lam_b,
-                        inv_colors, w)
+                    ns, nl, _, keep_colour, keep = _extend(
+                        sig, lds, pack, bound, lam_s, lam_b, w)
                     colour_kept = int(keep_colour.sum())
                     pruned_colour += len(ns) - colour_kept
-                    joint_kept = int(keep_joint.sum())
-                    pruned_joint += colour_kept - joint_kept
                     count = int(keep.sum())
-                    pruned_lagrange += joint_kept - count
+                    pruned_lagrange += colour_kept - count
                     if not count:
                         continue
                     created += count
                     rows = keep.nonzero()[0]
-                    chunks.setdefault(pack[4], []).append(
-                        (ns[rows], nl[rows], nsum[rows], rows, pack[0].key))
+                    chunks.setdefault(pack[3], []).append(
+                        (ns[rows], nl[rows], rows, pack[0].key))
                 if profile is not None:
                     profile.record_node(
                         node, created - node_base[0],
                         dominated - node_base[1],
                         pruned_colour=pruned_colour - node_base[2],
-                        pruned_joint=pruned_joint - node_base[3],
-                        pruned_lagrange=pruned_lagrange - node_base[4],
+                        pruned_lagrange=pruned_lagrange - node_base[3],
                         frontier=bucket_size, settle_batches=1)
             return settled, meet_rows
 
@@ -1150,9 +1123,8 @@ class LabelDominanceSearch:
                         frontier=len(sf) + len(sb))
                 if interrupted is not None:
                     break
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint,
-                       pruned_lagrange, peak, settles, pruned_meet,
-                       meet_edges)
+        sweep_stats = (created, dominated, pruned_colour, pruned_lagrange,
+                       peak, settles, pruned_meet, meet_edges)
         if best is None:
             return None, sweep_stats, interrupted
         edge, f_row, b_row, head = best
@@ -1169,65 +1141,59 @@ def _rows(table: Dict[Node, Tuple[float, ...]]) -> Dict[Node, Any]:
     return {n: np.asarray(t, dtype=np.float64) for n, t in table.items()}
 
 
-def _pack(edge: Edge, nxt: Node, color_index, pot, potj, potjc_rows,
+def _pack(edge: Edge, nxt: Node, color_index, pot, potjc_rows,
           potw=None) -> tuple:
-    """One extension pack: ``(edge, σ, β row, β_total, next node, pot,
-    potjc row, potj, potw)``, with the next node's potentials towards the
-    sweep's far end.  The β row is ``None`` on an edge without load, so
-    the extension skips the add; ``potw`` (the Lagrangian potential) is
-    ``None`` until a weighting is picked."""
-    betas = [(color_index[c], float(v))
-             for c, v in DoublyWeightedGraph.beta_map(edge).items()
-             if v != 0.0]
+    """One extension pack: ``(edge, σ, β row, next node, pot, potjc row,
+    potw)``, with the next node's potentials towards the sweep's far end.
+    The β row is ``None`` on an edge without load, so the extension skips
+    the add; ``potw`` (the Lagrangian potential) is ``None`` until a
+    weighting is picked."""
     beta_row = None
-    if betas:
-        beta_row = np.zeros(len(color_index))
-        for ci, bv in betas:
-            beta_row[ci] = bv
-    return (edge, DoublyWeightedGraph.sigma(edge), beta_row,
-            sum(v for _, v in betas), nxt, pot[nxt], potjc_rows[nxt],
-            potj[nxt], None if potw is None else potw[nxt])
+    for c, v in DoublyWeightedGraph.beta_map(edge).items():
+        if v != 0.0:
+            if beta_row is None:
+                beta_row = np.zeros(len(color_index))
+            beta_row[color_index[c]] = float(v)
+    return (edge, DoublyWeightedGraph.sigma(edge), beta_row, nxt, pot[nxt],
+            potjc_rows[nxt], None if potw is None else potw[nxt])
 
 
 def _start_chunk(dim: int) -> tuple:
-    """The single empty label a sweep starts from: ``(σ, loads, Σloads,
-    parent row, edge key)`` with no parent and no edge."""
-    return (np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)
+    """The single empty label a sweep starts from: ``(σ, loads, parent
+    row, edge key)`` with no parent and no edge."""
+    return (np.zeros(1), np.zeros((1, dim)), np.full(1, -1, dtype=np.int64),
+            -1)
 
 
 def _concat(node_chunks: List[tuple]) -> tuple:
-    """A node's bucket ``(σ, loads, Σloads, parent row, edge key)`` from
-    the chunks its in-edges appended, in arrival order."""
+    """A node's bucket ``(σ, loads, parent row, edge key)`` from the chunks
+    its in-edges appended, in arrival order."""
     if len(node_chunks) == 1:
-        sig, lds, sums, parents, ekey = node_chunks[0]
-        return sig, lds, sums, parents, \
-            np.full(len(sig), ekey, dtype=np.int64)
+        sig, lds, parents, ekey = node_chunks[0]
+        return sig, lds, parents, np.full(len(sig), ekey, dtype=np.int64)
     return (np.concatenate([c[0] for c in node_chunks]),
             np.concatenate([c[1] for c in node_chunks]),
             np.concatenate([c[2] for c in node_chunks]),
-            np.concatenate([c[3] for c in node_chunks]),
-            np.concatenate([np.full(len(c[0]), c[4], dtype=np.int64)
+            np.concatenate([np.full(len(c[0]), c[3], dtype=np.int64)
                             for c in node_chunks]))
 
 
-def _extend(sig, lds, sums, pack: tuple, bound: float, lam_s: float,
-            lam_b: float, inv_colors: float, w=None) -> tuple:
-    """Extend bucket rows ``(σ, loads, Σloads)`` along one edge pack and
-    check its completion bounds against ``bound``.
+def _extend(sig, lds, pack: tuple, bound: float, lam_s: float,
+            lam_b: float, w=None) -> tuple:
+    """Extend bucket rows ``(σ, loads)`` along one edge pack and check its
+    completion bounds against ``bound``.
 
-    Returns ``(σ', loads', Σloads', lower, keep_colour, keep_joint,
-    keep)``: ``lower`` is the per-colour joint bound ``λ_S·σ' +
-    max_c(λ_B·loads'_c + potJc_c)`` (``λ_S·(σ' + pot)`` without colours) —
-    the exact SSB weight at the target, where the potentials are zero —
-    ``keep_colour`` the rows it keeps strictly below ``bound``,
-    ``keep_joint`` those of them the joint average bound keeps too, and
-    ``keep`` those of them the Lagrangian bound ``λ_S·σ' +
-    λ_B·(loads'·w) + potW`` keeps as well (``keep_joint`` itself when no
-    weighting ``w`` is given).  The beam, both half-sweeps and the beam
-    certificate all extend through this one step.
+    Returns ``(σ', loads', lower, keep_colour, keep)``: ``lower`` is the
+    per-colour joint bound ``λ_S·σ' + max_c(λ_B·loads'_c + potJc_c)``
+    (``λ_S·(σ' + pot)`` without colours) — the exact SSB weight at the
+    target, where the potentials are zero — ``keep_colour`` the rows it
+    keeps strictly below ``bound``, and ``keep`` those of them the
+    Lagrangian bound ``λ_S·σ' + λ_B·(loads'·w) + potW`` keeps as well
+    (``keep_colour`` itself when no weighting ``w`` is given).  The beam,
+    both half-sweeps and the beam certificate all extend through this one
+    step.
     """
-    _edge, sigma, beta_row, btotal, _nxt, pot_n, potjc_n, potj_n, potw_n = pack
+    _edge, sigma, beta_row, _nxt, pot_n, potjc_n, potw_n = pack
     ns = sig + sigma
     nl = lds if beta_row is None else lds + beta_row
     step = lam_s * ns
@@ -1236,13 +1202,10 @@ def _extend(sig, lds, sums, pack: tuple, bound: float, lam_s: float,
     else:
         lower = lam_s * (ns + pot_n)
     keep_colour = lower < bound
-    nsum = sums + btotal
-    keep_joint = keep_colour & (step + lam_b * nsum * inv_colors + potj_n
-                                < bound)
-    keep = keep_joint
+    keep = keep_colour
     if w is not None:
-        keep = keep_joint & (step + lam_b * (nl @ w) + potw_n < bound)
-    return ns, nl, nsum, lower, keep_colour, keep_joint, keep
+        keep = keep_colour & (step + lam_b * (nl @ w) + potw_n < bound)
+    return ns, nl, lower, keep_colour, keep
 
 
 def _walk_back(graph, settled, ek: int, row: int, end: str) -> List[Edge]:
@@ -1262,19 +1225,18 @@ def _walk_back(graph, settled, ek: int, row: int, end: str) -> List[Edge]:
 
 
 def _cuts_clear(cuts, bound: float, lam_s: float, lam_b: float,
-                inv_colors: float, w=None) -> bool:
+                w=None) -> bool:
     """Whether every truncated beam row is bound-pruned at ``bound``.
 
     A truncated row survives when some extension passes every completion
     bound of :func:`_extend` against ``bound`` (the Lagrangian one too,
     given the weighting ``w``); each cut holds its dropped rows ``(σ,
-    Σloads, loads)`` and its node's edge packs, and is scanned in full,
-    one vectorised step per edge.
+    loads)`` and its node's edge packs, and is scanned in full, one
+    vectorised step per edge.
     """
     return not any(
-        _extend(sig, lds, sums, pack, bound, lam_s, lam_b, inv_colors,
-                w)[6].any()
-        for sig, sums, lds, packs in cuts for pack in packs)
+        _extend(sig, lds, pack, bound, lam_s, lam_b, w)[4].any()
+        for sig, lds, packs in cuts for pack in packs)
 
 
 def _probe_bound(root: float, bound: float) -> float:
@@ -1336,9 +1298,9 @@ def _packed_arcs(order, out_edge_data, dim: int) -> tuple:
             arc = len(sigmas)
             sigmas.append(pack[1])
             betas.append(no_load if pack[2] is None else pack[2])
-            heads.append(pack[4])
-            out_arcs.setdefault(node, []).append((arc, pack[4]))
-            in_arcs.setdefault(pack[4], []).append((arc, node))
+            heads.append(pack[3])
+            out_arcs.setdefault(node, []).append((arc, pack[3]))
+            in_arcs.setdefault(pack[3], []).append((arc, node))
     return (np.asarray(sigmas), np.asarray(betas).reshape(-1, dim), heads,
             out_arcs, in_arcs)
 

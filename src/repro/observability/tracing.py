@@ -25,7 +25,7 @@ exports Chrome trace-event JSON loadable by Perfetto or
 ``chrome://tracing``, :func:`render_waterfall` draws an ASCII waterfall and
 :func:`render_profile` a bound-effectiveness table for the exact engines
 (which completion bound — the sigma/colour-load floor, the per-colour
-joint bound, the joint-average bound or the meet-join pre-filter —
+joint bound, the Lagrangian w-bound or the meet-join pre-filter —
 actually killed labels).  :class:`ProfileAccumulator` is the low-overhead carrier
 the label engines write per-node sweep counters into; it only exists on
 traced solves, so the untraced hot path pays a single ``is None`` test.
@@ -91,11 +91,11 @@ class ProfileAccumulator:
     never per label — so the traced overhead is a handful of integer adds
     per node.  Totals split bound rejections by which completion potential
     fired: the sigma + per-colour load *floor* bound (tree DP), the
-    per-*colour* joint sigma/load bound (label sweep), the *joint* average
-    bound, the *Lagrangian* w-weighted load bound (label sweep) and the
-    *meet*-in-the-middle join pre-filter (label sweep).  The label sweep
-    also sets ``beam_certified``: when its beam pre-pass proved the bound,
-    the exact pass is skipped and no per-node rows are recorded.  When the
+    per-*colour* joint sigma/load bound (label sweep), the *Lagrangian*
+    w-weighted load bound (label sweep) and the *meet*-in-the-middle join
+    pre-filter (label sweep).  The label sweep also sets
+    ``beam_certified``: when its beam pre-pass proved the bound, the exact
+    pass is skipped and no per-node rows are recorded.  When the
     exact pass picked a Lagrangian weighting, ``lagrange_root`` holds its
     root bound, so the root gap to the optimum shows in the trace, and
     ``exact_passes`` says how many exact passes ran: 0 when certified, 1
@@ -112,7 +112,6 @@ class ProfileAccumulator:
         "labels_dominated",
         "pruned_floor",
         "pruned_colour",
-        "pruned_joint",
         "pruned_lagrange",
         "pruned_meet",
         "frontier_peak",
@@ -131,7 +130,6 @@ class ProfileAccumulator:
         self.labels_dominated = 0
         self.pruned_floor = 0
         self.pruned_colour = 0
-        self.pruned_joint = 0
         self.pruned_lagrange = 0
         self.pruned_meet = 0
         self.frontier_peak = 0
@@ -149,7 +147,6 @@ class ProfileAccumulator:
         created: int = 0,
         dominated: int = 0,
         pruned_floor: int = 0,
-        pruned_joint: int = 0,
         frontier: int = 0,
         settle_batches: int = 0,
         pruned_colour: int = 0,
@@ -160,7 +157,6 @@ class ProfileAccumulator:
         self.labels_dominated += dominated
         self.pruned_floor += pruned_floor
         self.pruned_colour += pruned_colour
-        self.pruned_joint += pruned_joint
         self.pruned_lagrange += pruned_lagrange
         self.pruned_meet += pruned_meet
         if frontier > self.frontier_peak:
@@ -174,7 +170,6 @@ class ProfileAccumulator:
                     int(created),
                     int(dominated),
                     int(pruned_floor + pruned_colour),
-                    int(pruned_joint),
                     int(pruned_meet),
                     int(pruned_lagrange),
                 ]
@@ -192,7 +187,6 @@ class ProfileAccumulator:
         return (
             self.pruned_floor
             + self.pruned_colour
-            + self.pruned_joint
             + self.pruned_lagrange
             + self.pruned_meet
         )
@@ -204,7 +198,6 @@ class ProfileAccumulator:
             "labels_dominated": self.labels_dominated,
             "pruned_floor": self.pruned_floor,
             "pruned_colour": self.pruned_colour,
-            "pruned_joint": self.pruned_joint,
             "pruned_lagrange": self.pruned_lagrange,
             "pruned_meet": self.pruned_meet,
             "pruned_total": self.pruned_total,
@@ -666,7 +659,6 @@ def render_waterfall(spans: List[Mapping[str, Any]], width: int = 40) -> str:
 _BOUND_ROWS = (
     ("pruned_floor", "sigma + colour-load floor bound"),
     ("pruned_colour", "per-colour joint sigma/load bound"),
-    ("pruned_joint", "joint average-load bound"),
     ("pruned_lagrange", "Lagrangian w-weighted load bound"),
     ("pruned_meet", "meet-in-the-middle join pre-filter"),
 )

@@ -302,9 +302,7 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "engine": "label-search",
         "labels_created": stats.labels_created,
         "labels_dominated": stats.labels_dominated,
-        "pruned_floor": stats.pruned_floor,
         "pruned_colour": stats.pruned_colour,
-        "pruned_joint": stats.pruned_joint,
         "pruned_lagrange": stats.pruned_lagrange,
         "pruned_meet": stats.pruned_meet,
         "meet_edges": stats.meet_edges,

@@ -488,3 +488,101 @@ class TestFailover:
             assert envelope["ok"] and envelope["status"] == "optimal"
         finally:
             gateway.stop()
+
+
+# ------------------------------------------------------------------- tracing
+class TestTracedGatewayCommand:
+    """``repro gateway --trace`` hands the gateway a tracer on its spool;
+    without the flag the gateway traces nothing.  A sharded gateway
+    refuses ``--trace``: each shard's queue logs its own transitions."""
+
+    @staticmethod
+    def env():
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+        return env
+
+    @classmethod
+    def launch(cls, spool, *flags):
+        """Start ``repro gateway`` on ``spool``; returns (process, port)."""
+        import re
+        import select
+
+        env = cls.env()
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gateway", "--spool", spool,
+             "--port", "0", "--poll-interval", "0.01", *flags],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            stdin=subprocess.DEVNULL, text=True)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            ready, _, _ = select.select([proc.stdout], [], [],
+                                        deadline - time.monotonic())
+            line = proc.stdout.readline() if ready else ""
+            match = re.search(r"gateway listening on http://[^:]+:(\d+)",
+                              line)
+            if match:
+                return proc, int(match.group(1))
+            if not line and proc.poll() is not None:
+                break
+        proc.kill()
+        proc.wait()
+        raise AssertionError("repro gateway did not start listening")
+
+    @staticmethod
+    def stop(proc):
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=15.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+    def solve_once(self, spool, *flags):
+        """One POST /v1/solve drained in process; returns the envelope."""
+        proc, port = self.launch(spool, *flags)
+        try:
+            with ShardDrainer([WorkQueue(spool, poll_interval=0.01)]):
+                status, _, text = post_solve(
+                    port, problem_body(tiny_problem(seed=5), timeout_s=60))
+            assert status == 200
+            return json.loads(text)
+        finally:
+            self.stop(proc)
+
+    def test_trace_writes_a_gateway_solve_span(self, tmp_path):
+        from repro.observability.tracing import load_spans
+
+        spool = str(tmp_path / "spool")
+        envelope = self.solve_once(spool, "--trace")
+        assert envelope["ok"] and envelope["status"] == "optimal"
+        spans = load_spans(spool)
+        (solve,) = [span for span in spans if span["name"] == "gateway.solve"]
+        assert solve["attrs"]["status"] == "ok"
+        assert solve["dur_s"] > 0
+        # the task itself was traced too: its spool transitions are spans
+        assert {"submit", "claim", "ack"} <= {span["name"] for span in spans}
+
+    def test_untraced_by_default(self, tmp_path):
+        from repro.observability.tracing import load_spans
+
+        spool = str(tmp_path / "spool")
+        assert self.solve_once(spool)["ok"]
+        assert load_spans(spool) == []
+
+    @pytest.mark.parametrize("layout", ["shards", "repeated"])
+    def test_trace_refuses_more_than_one_shard(self, tmp_path, layout):
+        base = str(tmp_path / "spool")
+        flags = (["--spool", base, "--shards", "2"] if layout == "shards"
+                 else ["--spool", base + "-0", "--spool", base + "-1"])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "gateway", *flags, "--port", "0",
+             "--trace"],
+            env=self.env(), capture_output=True, text=True, timeout=60,
+            stdin=subprocess.DEVNULL)
+        assert done.returncode == 2
+        assert "single shard" in done.stderr
+        assert "listening" not in done.stdout

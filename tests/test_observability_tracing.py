@@ -140,9 +140,11 @@ class TestBitIdentity:
         assert profile["engine"] == "label-search"
         assert profile["beam_certified"] is False
         assert profile["labels_created"] > 0
-        assert profile["pruned_total"] == (profile["pruned_floor"]
-                                           + profile["pruned_colour"]
-                                           + profile["pruned_joint"]
+        # the sweep checks the per-colour and Lagrangian bounds and the
+        # meet pre-filter; the DP's floor slot is not in its profile
+        assert "pruned_floor" not in profile
+        assert "pruned_joint" not in profile
+        assert profile["pruned_total"] == (profile["pruned_colour"]
                                            + profile["pruned_lagrange"]
                                            + profile["pruned_meet"])
         # the uncertified pass picked a Lagrangian weighting: its root
@@ -380,18 +382,19 @@ class TestRendering:
     def test_profile_table_shares_sum_to_rejected_total(self):
         acc = ProfileAccumulator("label-search")
         acc.record_node(0, created=10, dominated=2, pruned_floor=6,
-                        pruned_joint=3, pruned_meet=1, frontier=4,
+                        pruned_colour=3, pruned_meet=1, frontier=4,
                         settle_batches=1)
         text = render_profile(acc.totals())
         assert "label-search" in text
         assert "10" in text
-        assert "floor bound" in text and "joint average-load" in text
+        assert "floor bound" in text and "per-colour joint" in text
+        assert "joint average-load" not in text
         assert "( 60.0%)" in text and "( 30.0%)" in text and "( 10.0%)" in text
 
     def test_profile_table_renders_per_colour_and_meet_rows(self):
         acc = ProfileAccumulator("label-search")
         acc.record_node(0, created=20, dominated=1, pruned_floor=2,
-                        pruned_colour=8, pruned_joint=4, pruned_meet=6,
+                        pruned_colour=8, pruned_lagrange=4, pruned_meet=6,
                         frontier=6, settle_batches=1)
         text = render_profile(acc.totals())
         assert "per-colour joint" in text and "( 40.0%)" in text
@@ -436,7 +439,7 @@ class TestRendering:
             acc.record_node(node, created=1, frontier=5)
         acc.restart_nodes()
         acc.record_node("rerun", created=2, frontier=3)
-        assert acc.per_node == [["rerun", 2, 0, 0, 0, 0, 0]]
+        assert acc.per_node == [["rerun", 2, 0, 0, 0, 0]]
         totals = acc.totals()
         assert totals["nodes_swept"] == 1
         assert totals["labels_created"] == 8
