@@ -764,7 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--drain", action="store_true",
                           help="exit as soon as the spool is empty")
     p_worker.add_argument("--no-cache", action="store_true",
-                          help="do not consult/feed the shared result cache")
+                          help="neither probe nor write the shared result "
+                               "cache; workers are its only writers, so "
+                               "what this worker solves stays uncached")
     p_worker.add_argument("--metrics-dir",
                           help="write a metrics snapshot (JSON + Prometheus "
                                "text) into this directory on exit")
@@ -782,7 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="workers exit when the spool is empty (serve "
                               "returns once all have exited)")
     p_serve.add_argument("--no-cache", action="store_true",
-                         help="workers do not consult/feed the shared cache")
+                         help="workers neither probe nor write the shared "
+                              "cache, so their results stay uncached")
     p_serve.add_argument("--janitor-interval", type=float, default=60.0,
                          help="seconds between cache janitor passes")
     p_serve.add_argument("--cache-max-entries", type=int, default=None,
@@ -882,7 +885,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--enqueue-only", action="store_true",
                           help="spool the tasks and exit without waiting")
     p_submit.add_argument("--no-cache", action="store_true",
-                          help="disable the shared result cache")
+                          help="do not probe the shared result cache; "
+                               "--local-workers then neither probe nor "
+                               "write it")
     p_submit.add_argument("--quiet", action="store_true",
                           help="suppress per-instance output")
     p_submit.add_argument("--trace", action="store_true",

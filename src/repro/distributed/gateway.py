@@ -75,7 +75,7 @@ from repro.distributed.service import SolveService, _Entry
 from repro.distributed.spool import ShardRouter, SpoolError, WorkQueue
 from repro.model.problem import AssignmentProblem
 from repro.model.serialization import problem_from_json
-from repro.observability.tracing import Tracer
+from repro.observability.tracing import Span, Tracer
 from repro.runtime.registry import SolverRegistry
 from repro.runtime.runner import BatchTask
 
@@ -155,6 +155,11 @@ class Gateway:
         where its duplicates land, because the router sends a given problem
         hash to one shard deterministically.  A waiting request falls back
         to polling its shard every ``WorkQueue.poll_interval``.
+    cache:
+        Result cache each shard's :class:`SolveService` probes before it
+        spools a task.  Only the workers write results into a cache, so it
+        must be the store they write: the default ``"spool"`` (each shard's
+        colocated store, the one ``repro worker`` uses) or ``None``.
     """
 
     def __init__(self, shards: Sequence[Union[str, WorkQueue]],
@@ -450,7 +455,7 @@ class Gateway:
                 if self.tracer is not None else None)
         try:
             envelope = await self._solve_and_wait(problem, solve, writer,
-                                                  started)
+                                                  started, span)
             if envelope is not None:            # non-SSE: one JSON response
                 self._count("solve", 200)
                 writer.write(json_response(200, envelope))
@@ -465,15 +470,16 @@ class Gateway:
             self._inflight -= 1
             self._inflight_gauge.set(self._inflight)
 
-    def _submit(self, problem: AssignmentProblem,
-                solve: SolveRequest) -> Tuple[int, Optional[str],
-                                              _Entry, SolveService]:
+    def _submit(self, problem: AssignmentProblem, solve: SolveRequest,
+                span: Optional[Span]) -> Tuple[int, Optional[str],
+                                               _Entry, SolveService]:
         """Route + submit one problem; ``(shard, task_id, entry, service)``.
 
         ``task_id`` is ``None`` on a cache hit (nothing was spooled).  The
         shard's :class:`SolveService` does the heavy lifting: cache probe,
         canonical key, and cross-client coalescing through its in-flight
-        index.
+        index.  A spooled task's span nests under the request's ``span``,
+        so a traced request is one trace.
         """
         task = BatchTask(problem=problem, method=solve.method,
                          options=dict(solve.options), tag=problem.name,
@@ -488,6 +494,7 @@ class Gateway:
         entry = submission.entries[0]
         if entry.cached_entry is not None:
             return shard, None, entry, service
+        entry.parent = span
         service.enqueue(submission)
         if entry.coalesced:
             self._coalesced_total.inc()
@@ -496,12 +503,13 @@ class Gateway:
     async def _solve_and_wait(self, problem: AssignmentProblem,
                               solve: SolveRequest,
                               writer: asyncio.StreamWriter,
-                              started: float) -> Optional[Dict[str, Any]]:
+                              started: float, span: Optional[Span]
+                              ) -> Optional[Dict[str, Any]]:
         """Submit and wait for the outcome; returns the JSON envelope, or
         ``None`` after writing an SSE stream (stream responses are written
         here, terminal JSON responses by the caller)."""
         try:
-            shard, task_id, entry, service = self._submit(problem, solve)
+            shard, task_id, entry, service = self._submit(problem, solve, span)
         except SpoolError as exc:
             raise ProtocolError(503, str(exc)) from exc
 
@@ -515,8 +523,8 @@ class Gateway:
             await writer.drain()
 
         if entry.cached_entry is not None:
-            envelope = self._envelope_from_cache(entry, shard)
-            return await self._finish(envelope, sse, writer)
+            return await self._finish(
+                self._envelope_from_cache(entry, shard), sse, writer)
 
         timeout = solve.timeout_s or self.config.default_timeout_s
         deadline = started + timeout
@@ -527,31 +535,16 @@ class Gateway:
         while True:
             # taken before the probe: a ring landing after it sets this event
             rung = self._wakes[shard]
-            outcome = failure = None
+            outcome = None
             try:
-                outcome = queue.result(task_id)
-                if outcome is None:
-                    failure = queue.failure(task_id)
+                outcome = queue.outcome(task_id)
             except OSError:
                 self.router.probe()    # a sick shard: re-judge immediately
             if outcome is not None:
-                if entry.prep.cacheable:
-                    service.inflight.complete(entry.prep.key, task_id)
-                service._feed_cache(entry, outcome)
-                service._finish_span(entry, outcome)
+                service.complete(entry, task_id, outcome)
                 return await self._finish(
                     self._envelope_from_outcome(outcome, task_id, shard,
                                                 entry), sse, writer)
-            if failure is not None:
-                if entry.prep.cacheable:
-                    service.inflight.complete(entry.prep.key, task_id)
-                service._finish_span(entry, {"status": "error", "ok": False})
-                envelope = {"task_id": task_id, "shard": shard, "ok": False,
-                            "status": "error",
-                            "error": failure.get("error", "dead-lettered"),
-                            "error_kind": failure.get("kind"),
-                            "coalesced": entry.coalesced}
-                return await self._finish(envelope, sse, writer)
 
             if sse:
                 record = None
@@ -578,36 +571,38 @@ class Gateway:
                 next_beat = time.monotonic() + queue.poll_interval
                 self._maybe_recover()
                 self._maybe_probe()
-                if not self.router.is_healthy(shard):
+                vanished = False
+                healthy = self.router.is_healthy(shard)
+                if healthy:
+                    # a task with no artifact anywhere (not pending, not
+                    # claimed, no result, no dead-letter) was lost to
+                    # external cleanup; one listing can race the claim
+                    # rename, so require consecutive misses before
+                    # resubmitting
+                    try:
+                        live = queue.task_live(task_id)
+                    except OSError:
+                        live = False
+                    missing_polls = 0 if live else missing_polls + 1
+                    vanished = missing_polls >= self.config.vanish_polls
+                if vanished or not healthy:
                     shard, task_id, entry, service, queue = self._failover(
-                        problem, solve, shard, sse, writer)
+                        problem, solve, span, shard, sse, writer,
+                        vanished=vanished)
+                    if entry.cached_entry is not None:
+                        return await self._finish(
+                            self._envelope_from_cache(entry, shard), sse,
+                            writer)
                     if sse:
                         await writer.drain()
                     last_best = None   # new task: replay improvements fresh
                     missing_polls = 0
                     continue
-                # a task with no artifact anywhere (not pending, not
-                # claimed, no result, no dead-letter) was lost to external
-                # cleanup; one listing can race the claim rename, so
-                # require consecutive misses before resubmitting
-                try:
-                    live = queue.task_live(task_id)
-                except OSError:
-                    live = False
-                missing_polls = 0 if live else missing_polls + 1
-                if missing_polls >= self.config.vanish_polls:
-                    shard, task_id, entry, service, queue = self._failover(
-                        problem, solve, shard, sse, writer, vanished=True)
-                    if sse:
-                        await writer.drain()
-                    last_best = None
-                    missing_polls = 0
-                    continue
 
             now = time.monotonic()
             if now >= deadline:
-                if entry.prep.cacheable and task_id is not None:
-                    service.inflight.complete(entry.prep.key, task_id)
+                service.complete(entry, task_id,
+                                 {"ok": False, "status": "timeout"})
                 if sse:
                     writer.write(sse_event("error", {
                         "error": f"request timed out after {timeout:.3g}s",
@@ -624,7 +619,7 @@ class Gateway:
                     rung.wait(), max(min(next_beat, deadline) - now, 0.0))
 
     def _failover(self, problem: AssignmentProblem, solve: SolveRequest,
-                  dead_shard: int, sse: bool,
+                  span: Optional[Span], dead_shard: int, sse: bool,
                   writer: asyncio.StreamWriter, vanished: bool = False
                   ) -> Tuple[int, Optional[str], _Entry, SolveService,
                              WorkQueue]:
@@ -635,7 +630,8 @@ class Gateway:
             # on the same shard and enqueue a fresh task
             self.router.probe()
         try:
-            shard, task_id, entry, service = self._submit(problem, solve)
+            shard, task_id, entry, service = self._submit(problem, solve,
+                                                          span)
         except SpoolError as exc:
             raise ProtocolError(503, str(exc)) from exc
         if sse:
@@ -671,8 +667,7 @@ class Gateway:
                                shard: int, entry: _Entry) -> Dict[str, Any]:
         envelope = {"task_id": task_id, "shard": shard,
                     "ok": bool(outcome.get("ok")),
-                    "status": outcome.get("status")
-                    or ("feasible" if outcome.get("ok") else "error"),
+                    "status": outcome["status"],
                     "cached": bool(outcome.get("cached")),
                     "coalesced": entry.coalesced}
         if envelope["ok"]:
@@ -681,6 +676,7 @@ class Gateway:
             envelope["elapsed_s"] = outcome.get("elapsed_s", 0.0)
         else:
             envelope["error"] = outcome.get("error", "unknown error")
+            envelope["error_kind"] = outcome.get("error_kind")
         return envelope
 
     # ------------------------------------------------------------ fleet beat

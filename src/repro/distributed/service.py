@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.core.dwg import SSBWeighting
@@ -40,7 +40,7 @@ from repro.distributed.stream import ResultStream
 from repro.distributed.worker import spool_cache
 from repro.model.problem import AssignmentProblem
 from repro.observability.tracing import Span, Tracer
-from repro.runtime.cache import ResultCache, cache_get_with_source, make_cache_entry
+from repro.runtime.cache import ResultCache, cache_get_with_source
 from repro.runtime.payload import PreparedTask, prepare_tasks, task_payload
 from repro.runtime.registry import SolverRegistry, default_registry
 from repro.runtime.runner import BatchItemResult, BatchReport, BatchTask
@@ -57,7 +57,8 @@ class _Entry:
     leader: Optional[int] = None     #: index of the identical task queued for us
     task_id: Optional[str] = None    #: set once the task is spooled
     coalesced: bool = False          #: attached to another submission's task
-    span: Optional[Span] = None      #: root tracing span, open until the result
+    span: Optional[Span] = None      #: the task's span, open until the result
+    parent: Optional[Span] = None    #: span the task's span nests under
 
 
 class InFlightIndex:
@@ -149,10 +150,12 @@ class SolveService:
     spool:
         Spool directory or an existing :class:`WorkQueue`.
     cache:
-        Result cache probed at submission and fed by streamed results.  The
-        default is the spool-colocated tiered store — the same one
-        ``repro worker`` uses — so submitter and workers stay coherent.
-        Pass ``cache=None`` explicitly to disable.
+        Result cache probed at submission; workers write it, and the
+        service never does, so it must be the store the workers write.
+        The default is the spool-colocated tiered store — the same one
+        ``repro worker`` uses — so a result a worker published is a cache
+        hit for every later submission.  Pass ``cache=None`` explicitly to
+        disable; any other cache would never be filled.
     """
 
     def __init__(self, spool: Union[str, WorkQueue],
@@ -272,28 +275,39 @@ class SolveService:
         return task_id
 
     def _payload(self, entry: _Entry) -> Dict[str, Any]:
-        """Build the spool payload, opening the task's root span when traced.
+        """Build the spool payload, opening the task's span when traced.
 
-        The root span is created *before* the payload so its context rides
-        along to whatever process solves the task; it stays open until the
-        result comes back through :meth:`stream` (fire-and-forget submissions
-        that are never streamed simply leave it unrecorded — child spans
-        still share its trace id).
+        The span is created *before* the payload so its context rides along
+        to whatever process solves the task; it stays open until
+        :meth:`complete` (fire-and-forget submissions that are never
+        streamed simply leave it unrecorded — child spans still share its
+        trace id).  It is a trace root of its own unless ``entry.parent``
+        is set (the gateway's request span), whose trace it then joins.
+        Either way the tracer's problem-hash sampling decides whether the
+        task is traced.
         """
         trace = None
-        if self.tracer is not None and self.tracer.enabled:
-            span = self.tracer.root("task", problem_hash=entry.prep.key,
-                                    method=entry.prep.spec.name,
-                                    tag=entry.prep.task.tag,
-                                    index=entry.index)
-            if span is not None:
-                entry.span = span
-                trace = span.context()
+        if self.tracer is not None and self.tracer.sampled(entry.prep.key):
+            attrs = dict(method=entry.prep.spec.name,
+                         tag=entry.prep.task.tag, index=entry.index)
+            entry.span = (entry.parent.child("task", **attrs)
+                          if entry.parent is not None else
+                          self.tracer.root("task", **attrs))
+            trace = entry.span.context()
         payload = task_payload(entry.prep, validate=self.validate, trace=trace)
         payload["index"] = entry.index
         return payload
 
-    def _finish_span(self, entry: _Entry, outcome: Dict[str, Any]) -> None:
+    def complete(self, entry: _Entry, task_id: str,
+                 outcome: Dict[str, Any]) -> None:
+        """Close out ``entry`` once ``task_id``'s ``outcome`` was observed.
+
+        Releases the in-flight index entry, so later identical submissions
+        hit the result cache (or re-solve) instead of chaining onto this
+        task id, and finishes the task's span.
+        """
+        if entry.prep.cacheable:
+            self.inflight.complete(entry.prep.key, task_id)
         if entry.span is not None:
             entry.span.finish(status=outcome.get("status"),
                               ok=outcome.get("ok"),
@@ -379,13 +393,8 @@ class SolveService:
         for task_id, outcome in stream:
             index = id_to_index[task_id]
             entry = submission.entries[index]
-            if entry.prep.cacheable:
-                # outcome observed: later identical submissions must hit the
-                # result cache (or re-solve), not chain onto this task id
-                self.inflight.complete(entry.prep.key, task_id)
+            self.complete(entry, task_id, outcome)
             item = self._item_from_outcome(entry, outcome)
-            self._finish_span(entry, outcome)
-            self._feed_cache(entry, outcome)
             emitted[index] = item
             if ordered:
                 yield from ordered_flush()
@@ -490,26 +499,3 @@ class SolveService:
 
             item.assignment = Assignment(problem=entry.prep.task.problem,
                                          placement=item.placement)
-
-    def _feed_cache(self, entry: _Entry, outcome: Dict[str, Any]) -> None:
-        """Keep the submitter-side cache coherent with worker results.
-
-        Interrupted (anytime-partial) outcomes are excluded: their objective
-        is only best-so-far for *this* request's budget and must not be
-        replayed as the answer to future budget-free submissions.
-        """
-        from repro.runtime.payload import outcome_cacheable
-
-        if (self.cache is None or not entry.prep.cacheable
-                or not outcome_cacheable(outcome) or outcome.get("cached")):
-            return
-        try:
-            self.cache.put(entry.prep.key, make_cache_entry(
-                outcome.get("method", entry.prep.spec.name),
-                outcome.get("objective"), outcome.get("elapsed_s", 0.0),
-                outcome.get("placement") or {}, outcome.get("details") or {},
-                status=outcome.get("status")))
-        except OSError:
-            # cache write failed (disk full past the retry budget): the
-            # result was already streamed, losing the cache copy is fine
-            pass

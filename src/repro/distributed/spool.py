@@ -714,9 +714,40 @@ class WorkQueue:
         return [name[: -len(".json")] for name in self._listing(FAILED_DIR)
                 if name.endswith(".json")]
 
+    def outcome(self, task_id: str) -> Optional[Dict[str, Any]]:
+        """The outcome of a finished task, or None while it is outstanding.
+
+        A published result comes back with its ``status`` filled in: results
+        from older workers (or hand-written files) default to ``"feasible"``
+        on success — a valid assignment with no proof claim — and
+        ``"error"`` otherwise.  A dead-lettered task comes back as an error
+        outcome: ``ok=False``, ``status="error"``, the record's ``error``,
+        its failure class as ``error_kind`` (poison / quarantined /
+        max_requeues / result_corrupted / failed), its structured
+        ``details`` and ``dead_lettered=True``.  Every waiter — result
+        streams, :meth:`wait_result`, the gateway — reads a finished task
+        here.
+        """
+        result = self.result(task_id)
+        if result is not None:
+            if not result.get("status"):
+                result["status"] = "feasible" if result.get("ok") else "error"
+            return result
+        failure = self.failure(task_id)
+        if failure is None:
+            return None
+        outcome = {"task_id": task_id, "ok": False, "status": "error",
+                   "error": failure.get("error", "dead-lettered"),
+                   "dead_lettered": True}
+        if failure.get("kind"):
+            outcome["error_kind"] = failure["kind"]
+        if failure.get("details"):
+            outcome["details"] = failure["details"]
+        return outcome
+
     def wait_result(self, task_id: str,
                     timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """Block until a task's result (or dead-letter record) appears.
+        """Block until a task finishes; its :meth:`outcome`, or None on timeout.
 
         Woken early by a same-host ack or dead-letter; lease recovery runs
         at most once per ``poll_interval`` while waiting.
@@ -725,12 +756,9 @@ class WorkQueue:
         next_recover = 0.0
         with wake.Endpoint(self.directory, wake.RESULT) as endpoint:
             while True:
-                outcome = self.result(task_id)
+                outcome = self.outcome(task_id)
                 if outcome is not None:
                     return outcome
-                failure = self.failure(task_id)
-                if failure is not None:
-                    return failure
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
                     return None

@@ -28,14 +28,13 @@ plain generator over the spool that provides both:
   next).  The wait is clamped to the remaining deadline, so the timeout
   fires on time instead of overshooting by up to a full ``poll_interval``.
 
-Dead-lettered tasks surface as error results (``ok=False``,
-``status="error"``) rather than silently never arriving.  Anytime partials
-are surfaced *distinctly from errors*: a worker that ran out of deadline
-publishes its incumbent with ``ok=True``, ``status="feasible"`` and an
-``"interrupted"`` marker, and the stream normalises every yielded outcome to
-carry a ``status`` (``optimal`` / ``feasible`` / ``timeout`` / ``cancelled``
-/ ``error``) so consumers never have to guess which kind of result they are
-holding.
+Every finished task is read through :meth:`WorkQueue.outcome`, so
+dead-lettered tasks surface as error results (``ok=False``,
+``status="error"``) rather than silently never arriving, and every yielded
+outcome carries a ``status`` (``optimal`` / ``feasible`` / ``timeout`` /
+``cancelled`` / ``error``).  Anytime partials are surfaced *distinctly from
+errors*: a worker that ran out of deadline publishes its incumbent with
+``ok=True``, ``status="feasible"`` and an ``"interrupted"`` marker.
 """
 
 from __future__ import annotations
@@ -45,20 +44,6 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.distributed import wake
 from repro.distributed.spool import WorkQueue
-
-
-def _normalize_status(outcome: Dict[str, Any]) -> None:
-    """Ensure every published result carries a ``status``.
-
-    Workers since the anytime refactor publish one; results from older
-    workers (or hand-written spool files) default to ``"feasible"`` on
-    success — a valid assignment with no proof claim — and ``"error"``
-    otherwise.  A present ``status`` (e.g. ``timeout`` on a no-incumbent
-    expiry) is preserved, which is what keeps feasible partials
-    distinguishable from genuine failures.
-    """
-    if not outcome.get("status"):
-        outcome["status"] = "feasible" if outcome.get("ok") else "error"
 
 
 class StreamTimeout(RuntimeError):
@@ -175,26 +160,9 @@ class ResultStream:
                     if len(finished) < len(self._pending) else set())
             for task_id in [tid for tid in self._pending
                             if tid in finished or tid in dead]:
-                if task_id in finished:
-                    outcome = self.queue.result(task_id)
-                    if outcome is None:
-                        continue          # torn rename race; next scan has it
-                    _normalize_status(outcome)
-                else:
-                    failure = self.queue.failure(task_id) or {}
-                    outcome = {"task_id": task_id, "ok": False,
-                               "status": "error",
-                               "error": failure.get("error", "dead-lettered"),
-                               "dead_lettered": True}
-                    # typed failure class (poison / quarantined /
-                    # max_requeues / result_corrupted / failed) so consumers
-                    # can branch without parsing the error string
-                    if failure.get("kind"):
-                        outcome["error_kind"] = failure["kind"]
-                    # structured diagnostics from the dead-letter record
-                    # (e.g. FrontierExplosion's labels-created counts)
-                    if failure.get("details"):
-                        outcome["details"] = failure["details"]
+                outcome = self.queue.outcome(task_id)
+                if outcome is None:
+                    continue              # torn rename race; next scan has it
                 order = self._pending.pop(task_id)
                 progressed = True
                 if self.ordered:

@@ -5,7 +5,8 @@ it at a spool directory (``repro worker --spool DIR``) and it claims tasks,
 dispatches them through the same :func:`repro.runtime.payload.solve_payload`
 path the batch runner uses, and publishes results back into the spool.  It
 consults the shared result cache before solving (so a re-submitted sweep is
-served without burning CPU) and feeds it after, and it injects the spool's
+served without burning CPU) and writes it after — the worker that solved a
+task is the only writer of its cache entry — and it injects the spool's
 shared warm-start directory into ``colored-ssb-incremental`` tasks so every
 worker benefits from every other worker's previous solve of the same tree
 structure.
@@ -167,8 +168,9 @@ class SolveWorker:
     queue:
         The spool to pull from (or a directory path).
     cache:
-        Optional shared result cache, probed before and fed after each
-        solve.  Pass the spool-colocated store so all workers share it.
+        Optional shared result cache, probed before and written after each
+        solve, before the ack.  Workers are the cache's only writers.  Pass
+        the spool-colocated store so all workers share it.
     registry:
         Solver registry used to resolve canonical method names (for the
         warm-dir injection); solving itself goes through the facade.

@@ -49,6 +49,12 @@ def _canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), default=repr)
 
 
+def problem_canonical_json(problem: AssignmentProblem) -> str:
+    """Compact, key-sorted JSON of an instance: the text
+    :func:`problem_fingerprint` hashes and task payloads carry."""
+    return _canonical_json(problem_to_dict(problem))
+
+
 def problem_fingerprint(problem: AssignmentProblem) -> str:
     """SHA-256 hex digest of the canonical serialised instance.
 
@@ -60,7 +66,7 @@ def problem_fingerprint(problem: AssignmentProblem) -> str:
     if cached is not None:
         return cached
     fingerprint = hashlib.sha256(
-        _canonical_json(problem_to_dict(problem)).encode("utf-8")).hexdigest()
+        problem_canonical_json(problem).encode("utf-8")).hexdigest()
     problem._fingerprint_cache = fingerprint
     return fingerprint
 

@@ -29,7 +29,8 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.context import SolveContext
 from repro.core.dwg import SSBWeighting
-from repro.runtime.cache import problem_fingerprint, result_key
+from repro.runtime.cache import (problem_canonical_json, problem_fingerprint,
+                                 result_key)
 from repro.runtime.registry import SolverRegistry
 
 PAYLOAD_VERSION = 1
@@ -134,14 +135,16 @@ def prepare_tasks(tasks: Iterable[Any], registry: SolverRegistry,
 
 def task_payload(prep: PreparedTask, validate: bool = True,
                  trace: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """The JSON-safe envelope a worker needs to solve one prepared task."""
-    from repro.model.serialization import problem_to_json
+    """The JSON-safe envelope a worker needs to solve one prepared task.
 
+    ``problem_json`` is the canonical text whose SHA-256 is
+    ``prep.problem_hash`` (compact separators: ``json``'s C encoder).
+    """
     task = prep.task
     payload = {
         "payload_version": PAYLOAD_VERSION,
         "key": prep.key,
-        "problem_json": problem_to_json(task.problem, indent=0),
+        "problem_json": problem_canonical_json(task.problem),
         "method": prep.spec.name,
         "options": prep.options,
         "weighting": (None if task.weighting is None else

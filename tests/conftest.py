@@ -47,3 +47,19 @@ def small_random_problem():
 def clustered_random_problem():
     """A small random instance with clustered sensors (contiguous colour regions)."""
     return random_problem(n_processing=8, n_satellites=3, seed=5, sensor_scatter=0.0)
+
+
+@pytest.fixture
+def cache_puts(monkeypatch):
+    """Keys of every ``JSONFileCache.put`` made while the test runs."""
+    from repro.runtime.cache import JSONFileCache
+
+    keys = []
+    put = JSONFileCache.put
+
+    def counted(self, key, entry):
+        keys.append(key)
+        put(self, key, entry)
+
+    monkeypatch.setattr(JSONFileCache, "put", counted)
+    return keys

@@ -100,7 +100,8 @@ class TestCorruptResult:
         _corrupt(os.path.join(queue.directory, "results", f"{task_id}.json"))
         outcome = queue.wait_result(task_id, timeout=5.0)
         assert outcome is not None
-        assert outcome["kind"] == "result_corrupted"
+        assert outcome["ok"] is False and outcome["dead_lettered"]
+        assert outcome["error_kind"] == "result_corrupted"
 
 
 class TestCorruptDeadLetterRecord:

@@ -320,3 +320,53 @@ class TestCrossSubmissionCoalescing:
         ids = service.enqueue(second)
         assert ids and ids[0] != task_id       # fresh task, not the corpse
         assert service.queue.counts()["pending"] == 1
+
+
+class TestOneOutcomePath:
+    """The worker that solved a task is the only writer of its cache entry,
+    and every waiter reads a finished task through ``WorkQueue.outcome``."""
+
+    def test_gather_puts_once_per_unique_solve(self, spool, cache_puts):
+        service = SolveService(spool)                  # default spool cache
+        sweep = PROBLEMS + [PROBLEMS[0]]
+        with _BackgroundWorker(spool, cache=spool_cache(spool)):
+            report = service.gather(service.submit(sweep), timeout=60.0)
+        assert report.solved == len(PROBLEMS) and report.failed == 0
+        assert len(cache_puts) == len(PROBLEMS)        # one put per unique solve
+        assert len(set(cache_puts)) == len(PROBLEMS)
+        warm = service.gather(service.submit(PROBLEMS), timeout=5.0)
+        assert warm.cache_hits == len(PROBLEMS)
+
+    def test_uncached_worker_leaves_the_cache_empty(self, spool):
+        service = SolveService(spool)                  # default spool cache
+        with _BackgroundWorker(spool, cache=None):
+            report = service.gather(service.submit(PROBLEMS), timeout=60.0)
+        assert report.solved == len(PROBLEMS)
+        assert len(spool_cache(spool).disk) == 0
+        assert service.submit(PROBLEMS).cache_hits == 0
+
+    def test_wait_result_on_a_dead_letter_is_the_stream_outcome(self, spool):
+        queue = WorkQueue(spool, poll_interval=0.01)
+        task_id = queue.submit({"n": 1})
+        queue.fail(queue.claim(), "poisoned", kind="poison",
+                   details={"labels_created": 7})
+        outcome = queue.wait_result(task_id, timeout=5.0)
+        assert outcome == {"task_id": task_id, "ok": False,
+                           "status": "error", "error": "poisoned",
+                           "error_kind": "poison",
+                           "details": {"labels_created": 7},
+                           "dead_lettered": True}
+        [(_, streamed)] = ResultStream(queue, task_ids=[task_id], timeout=5.0)
+        assert streamed == outcome
+
+    def test_outcome_fills_a_missing_status(self, spool):
+        queue = WorkQueue(spool, poll_interval=0.01)
+        ok_id, bad_id, kept_id = queue.submit_many([{"n": i}
+                                                    for i in range(3)])
+        queue.ack(queue.claim(), {"ok": True})
+        queue.ack(queue.claim(), {"ok": False, "error": "boom"})
+        queue.ack(queue.claim(), {"ok": False, "status": "timeout"})
+        assert queue.outcome(ok_id)["status"] == "feasible"
+        assert queue.outcome(bad_id)["status"] == "error"
+        assert queue.outcome(kept_id)["status"] == "timeout"
+        assert queue.outcome(queue.submit({"n": 3})) is None  # outstanding

@@ -19,6 +19,7 @@ from repro.distributed import (
     SolveWorker,
     TokenBucket,
     WorkQueue,
+    spool_cache,
 )
 from repro.distributed.spool import SpoolError
 from repro.model.serialization import problem_to_json
@@ -76,16 +77,19 @@ def parse_sse(text):
 
 
 class ShardDrainer:
-    """In-process worker threads draining every shard of a gateway."""
+    """In-process worker threads draining every shard of a gateway; with
+    ``cached`` each worker reads and writes its shard's spool cache."""
 
-    def __init__(self, queues):
+    def __init__(self, queues, cached=False):
         self.queues = queues
+        self.cached = cached
         self._stop = threading.Event()
         self._threads = [threading.Thread(target=self._loop, args=(queue,),
                                           daemon=True) for queue in queues]
 
     def _loop(self, queue):
-        worker = SolveWorker(queue, cache=None)
+        worker = SolveWorker(queue, cache=(spool_cache(queue.directory)
+                                           if self.cached else None))
         while not self._stop.is_set():
             task = queue.claim(block=True, timeout=0.05)
             if task is not None:
@@ -446,6 +450,53 @@ class TestFailover:
         finally:
             gateway.stop()
 
+    def test_failover_onto_a_cached_answer_returns_it(self, shards):
+        """A request failed over to a shard whose cache holds the answer is
+        answered from that cache, not left waiting on a task it never
+        spooled."""
+        from repro.core.solver import solve as solve_inline
+        from repro.runtime import BatchTask
+        from repro.runtime.cache import make_cache_entry
+
+        queues = [WorkQueue(directory, poll_interval=0.01)
+                  for directory in shards]
+        gateway = Gateway(queues, GatewayConfig(
+            port=0, probe_interval=0.1, recover_interval=0.05)
+        ).start_background()
+        try:
+            problem = self._routed_problem(gateway, 0)
+            expected = solve_inline(problem, method="colored-ssb")
+            survivor = gateway.services[1]
+            key = survivor.submit([BatchTask(
+                problem=problem, method="colored-ssb")]).entries[0].prep.key
+            survivor.cache.put(key, make_cache_entry(
+                "colored-ssb", expected.objective, 0.0,
+                dict(expected.assignment.placement), {},
+                status=expected.status))
+            result_holder = {}
+
+            def request():
+                result_holder["response"] = post_solve(
+                    gateway.port, problem_body(problem, timeout_s=10))
+
+            client = threading.Thread(target=request)
+            client.start()
+            deadline = time.monotonic() + 10.0
+            while (queues[0].counts()["pending"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            shutil.rmtree(shards[0])           # no worker anywhere
+            client.join(timeout=30.0)
+            assert not client.is_alive()
+            status, _, text = result_holder["response"]
+            envelope = json.loads(text)
+            assert status == 200
+            assert envelope["ok"] and envelope["cached"]
+            assert envelope["shard"] == 1
+            assert envelope["objective"] == expected.objective
+        finally:
+            gateway.stop()
+
     @pytest.mark.slow
     def test_killed_worker_mid_solve_recovers_via_lease(self, shards):
         """SIGKILL a worker holding the lease: the gateway's recovery sweep
@@ -486,6 +537,65 @@ class TestFailover:
             envelope = json.loads(text)
             assert status == 200
             assert envelope["ok"] and envelope["status"] == "optimal"
+        finally:
+            gateway.stop()
+
+
+# --------------------------------------------------------- one outcome path
+class TestGatewayOutcomePath:
+    """The gateway writes no cache entry of its own and reads a finished
+    task, dead-lettered ones included, through ``WorkQueue.outcome``."""
+
+    def test_repeat_post_is_a_cache_hit_and_spools_nothing(self, shards,
+                                                          cache_puts):
+        queue = WorkQueue(shards[0], poll_interval=0.01)
+        gateway = Gateway([queue], GatewayConfig(port=0)).start_background()
+        try:
+            body = problem_body(tiny_problem(seed=17), timeout_s=60)
+            with ShardDrainer([queue], cached=True):
+                status, _, text = post_solve(gateway.port, body)
+            first = json.loads(text)
+            assert status == 200 and first["ok"] and not first["cached"]
+            assert len(cache_puts) == 1        # the worker's, and only it
+            status, _, text = post_solve(gateway.port, body)   # no workers
+            again = json.loads(text)
+            assert status == 200 and again["ok"] and again["cached"]
+            assert again["task_id"] is None
+            assert again["objective"] == first["objective"]
+            # the gateway never writes the cache: its first hit is the
+            # worker's disk entry, which the read promotes into memory
+            assert again["cache_source"] == "disk"
+            status, _, text = post_solve(gateway.port, body)
+            assert json.loads(text)["cache_source"] == "memory"
+            assert len(cache_puts) == 1
+            counts = queue.counts()
+            assert counts["results"] == 1
+            assert counts["pending"] == counts["claimed"] == 0
+        finally:
+            gateway.stop()
+
+    def test_dead_lettered_task_answers_an_error_envelope(self, shards):
+        gateway = make_gateway([shards[0]]).start_background()
+        queue = gateway.queues[0]
+
+        def poison():
+            task = queue.claim(block=True, timeout=30.0)
+            queue.fail(task, "poisoned: crashed two workers", kind="poison")
+
+        thread = threading.Thread(target=poison)
+        thread.start()
+        try:
+            status, _, text = post_solve(
+                gateway.port, problem_body(tiny_problem(seed=19),
+                                           timeout_s=60))
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            envelope = json.loads(text)
+            assert status == 200
+            assert envelope["ok"] is False
+            assert envelope["status"] == "error"
+            assert envelope["error"] == "poisoned: crashed two workers"
+            assert envelope["error_kind"] == "poison"
         finally:
             gateway.stop()
 
@@ -554,7 +664,7 @@ class TestTracedGatewayCommand:
             self.stop(proc)
 
     def test_trace_writes_a_gateway_solve_span(self, tmp_path):
-        from repro.observability.tracing import load_spans
+        from repro.observability.tracing import group_traces, load_spans
 
         spool = str(tmp_path / "spool")
         envelope = self.solve_once(spool, "--trace")
@@ -565,6 +675,36 @@ class TestTracedGatewayCommand:
         assert solve["dur_s"] > 0
         # the task itself was traced too: its spool transitions are spans
         assert {"submit", "claim", "ack"} <= {span["name"] for span in spans}
+        # ... inside the request's trace, below its gateway.solve span
+        assert len(group_traces(spans)) == 1
+        parents = {span["span_id"]: span.get("parent_id") for span in spans}
+        for name in ("task", "ack"):
+            (span,) = [span for span in spans if span["name"] == name]
+            ancestors, parent = [], span.get("parent_id")
+            while parent is not None:
+                ancestors.append(parent)
+                parent = parents.get(parent)
+            assert solve["span_id"] in ancestors
+
+    def test_sampled_out_request_traces_no_task(self, tmp_path):
+        from repro.observability.tracing import Tracer, load_spans
+
+        spool = str(tmp_path / "spool")
+        queue = WorkQueue(spool, poll_interval=0.01)
+        gateway = Gateway([queue], GatewayConfig(port=0), cache=None,
+                          tracer=Tracer.for_spool(spool, sample_rate=0.0))
+        gateway.start_background()
+        try:
+            with ShardDrainer([queue]):
+                status, _, text = post_solve(
+                    gateway.port, problem_body(tiny_problem(seed=5),
+                                               timeout_s=60))
+            assert status == 200 and json.loads(text)["ok"]
+        finally:
+            gateway.stop()
+        # the request span is kept; the task under it follows the rate
+        names = [span["name"] for span in load_spans(spool)]
+        assert names == ["gateway.solve"]
 
     def test_untraced_by_default(self, tmp_path):
         from repro.observability.tracing import load_spans

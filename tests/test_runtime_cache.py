@@ -59,6 +59,29 @@ class TestFingerprints:
             result_key(paper_problem, "greedy")
 
 
+class TestPayloadProblemText:
+    """A task payload carries the canonical text the fingerprint hashes."""
+
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    def test_payload_text_is_the_hashed_text(self, scatter):
+        import hashlib
+
+        from repro.runtime import (BatchTask, default_registry, prepare_tasks,
+                                   task_payload)
+
+        problems = [random_problem(n_processing=n, n_satellites=k,
+                                   seed=10 * n + k, sensor_scatter=scatter)
+                    for n in range(6, 21) for k in range(1, 5)]
+        preps = prepare_tasks([BatchTask(problem=problem, method="greedy")
+                               for problem in problems], default_registry())
+        for prep in preps:
+            text = task_payload(prep)["problem_json"]
+            assert hashlib.sha256(
+                text.encode("utf-8")).hexdigest() == prep.problem_hash
+            assert problem_fingerprint(
+                problem_from_json(text)) == prep.problem_hash
+
+
 class TestLRUResultCache:
     def test_put_get_and_stats(self):
         cache = LRUResultCache(maxsize=4)
