@@ -69,7 +69,13 @@ mechanisms keep the label sets small:
   (:func:`~repro.core.frontier.pareto_block_mask`, dominator set capped at
   ``dominance_window``) and every extension is one vectorised operation per
   (node, edge).  The window only lets some dominated labels survive — a
-  kept dominated label costs time, never correctness.
+  kept dominated label costs time, never correctness.  The filter runs
+  only on buckets where a new dominator can be: a bucket that arrived as
+  one in-edge chunk no wider than the window is that edge's shift of a
+  bucket already filtered at its tail (the same σ and β added to every row
+  keep every pairwise comparison), and a meet-only bucket wider than
+  ``_MEET_REDUCE_MIN`` goes to the join's join-space filter, which is
+  coarser and wider-windowed.
 * **Meeting in the middle** — the sweep is split at a topological meet
   rank ``K``: ranks strictly increase along every edge of a DAG, so each
   S → T path crosses *exactly one* edge whose tail ranks below ``K`` and
@@ -184,7 +190,8 @@ class LabelSearchStats:
     labels the per-colour bound kept) and ``pruned_meet`` (labels the meet
     join's pre-filter rejected against the opposing frontier's minima).
     ``frontier_peak`` is the largest settled bucket and ``settle_batches``
-    the number of settle passes — together the bound-effectiveness profile
+    the number of buckets settled, whether or not the dominance filter ran
+    on them — together the bound-effectiveness profile
     the tracing layer surfaces.  ``lagrange_root`` is the Lagrangian root
     bound ``potW[S]`` the exact pass pruned with (``-inf`` when no
     weighting was picked): its gap to the optimum explains a slow pass.
@@ -206,7 +213,7 @@ class LabelSearchStats:
     pruned_meet: int = 0             #: meet-join pre-filter rejections
     meet_edges: int = 0              #: crossing edges joined
     frontier_peak: int = 0           #: largest bucket ever settled
-    settle_batches: int = 0          #: settle passes over buckets
+    settle_batches: int = 0          #: buckets settled
     lagrange_root: float = float("-inf")  #: root bound potW[S]
     beam_certified: bool = False     #: the beam proved the bound; no exact pass
     exact_passes: int = 0            #: exact passes run (probe, then full)
@@ -779,12 +786,22 @@ class LabelDominanceSearch:
         :class:`~repro.graphs.paths.Path`.  The incumbent never tightens
         inside a half (complete paths only appear at the join), so buckets
         are not re-checked against it when they settle: the extension-time
-        checks already applied the same bound.  The join minimises the pair
-        objective per crossing edge over ``(F_chunk, B)`` broadcast blocks
-        bounded by ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each
-        frontier against the other's componentwise minima and, given the
-        Lagrangian weighting ``w``, its ``w``-weighted minimum
-        (``pruned_meet``).  The join polls ``context`` once per chunk and
+        checks already applied the same bound.  A bucket is filtered only
+        where a new dominator can be.  One in-edge chunk no wider than the
+        window is skipped: it is the edge's shift of the tail's filtered
+        bucket, and bound pruning only removes rows.  A meet-only bucket
+        (no extensions in its half) wider than ``_MEET_REDUCE_MIN`` is
+        skipped too: the join's ``reduce_side`` filter drops every row the
+        (σ, loads) filter would, since σ folds into every join-space
+        component, and it has the wider window; narrower meet-only buckets,
+        and every bucket of a colourless graph, keep the settle mask,
+        because ``reduce_side`` leaves them as they are.  Skipping a filter
+        only keeps rows, so answers stay exact.  The join minimises the
+        pair objective per crossing edge over ``(F_chunk, B)`` broadcast
+        blocks bounded by ``_MEET_CHUNK_ELEMS`` elements, after
+        pre-filtering each frontier against the other's componentwise
+        minima and, given the Lagrangian weighting ``w``, its
+        ``w``-weighted minimum (``pruned_meet``).  The join polls ``context`` once per chunk and
         the dominance masks once per block, so an interrupt inside one
         crossing edge's chunk loop returns the best pair held so far.
         """
@@ -826,7 +843,10 @@ class LabelDominanceSearch:
             Returns the settled ``(parent row, edge key)`` arrays of every
             processed node and the settled ``(σ, loads)`` of its
             ``meet_nodes``; stops at the first interruption of
-            ``context``."""
+            ``context``.  A node's bucket gets the settle mask unless it
+            is one chunk no wider than the window or a meet-only bucket
+            the join reduces (see :meth:`_bidir_blocks`); every processed
+            node counts as a settle batch either way."""
             nonlocal created, dominated, pruned_colour, pruned_lagrange
             nonlocal peak, settles, interrupted
             settled: Dict[Node, Tuple[Any, Any]] = {}
@@ -852,7 +872,12 @@ class LabelDominanceSearch:
                 if bucket_size > peak:
                     peak = bucket_size
                 settles += 1
-                if window and len(sig) > 1:
+                # no new dominator in a lone chunk within the window, nor
+                # one reduce_side would miss in a wide meet-only bucket
+                if (window and len(sig) > 1
+                        and (len(node_chunks) > 1 or len(sig) > window)
+                        and (extensions or not dim
+                             or len(sig) <= _MEET_REDUCE_MIN)):
                     mask = settle_mask(sig, lds)
                     drop = (len(sig) - int(mask.sum())
                             if mask is not None else 0)

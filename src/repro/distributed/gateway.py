@@ -42,7 +42,7 @@ Endpoints::
     GET  /metrics       Prometheus exposition of the process registry
     GET  /v1/shards     shard table: directory, healthy, occupancy
     POST /v1/solve      solve one instance (JSON in; JSON or SSE out)
-    GET  /v1/tasks/ID   poll a task: state, progress, result
+    GET  /v1/tasks/ID   poll a task: state, progress, outcome
 
 The server is single-threaded asyncio; spool operations are local-
 filesystem metadata calls (fractions of a millisecond), so they run inline
@@ -405,14 +405,11 @@ class Gateway:
         if shard is None:
             raise ProtocolError(404, f"unknown task: {task_id}")
         queue = self.queues[shard]
-        outcome = queue.result(task_id)
+        outcome = queue.outcome(task_id)
         if outcome is not None:
+            state = "failed" if outcome.get("dead_lettered") else "done"
             return json_response(200, {"task_id": task_id, "shard": shard,
-                                       "state": "done", "result": outcome})
-        failure = queue.failure(task_id)
-        if failure is not None:
-            return json_response(200, {"task_id": task_id, "shard": shard,
-                                       "state": "failed", "failure": failure})
+                                       "state": state, "result": outcome})
         return json_response(200, {"task_id": task_id, "shard": shard,
                                    "state": "running",
                                    "progress": queue.progress(task_id)})

@@ -8,6 +8,7 @@ the scattered-sensor regime the engine was built for.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from operator import add
 
@@ -317,7 +318,46 @@ class TestColoredSSBFinisherWiring:
 
 
 class TestDominanceWindow:
-    """The half-sweeps' windowed Pareto filter: a knob on speed only."""
+    """The half-sweeps' windowed Pareto filter: a knob on speed only, run
+    only on buckets where a new dominator can be.  A lone in-edge chunk no
+    wider than the window is one edge's shift of a bucket already filtered
+    at its tail, and a meet-only bucket wider than ``_MEET_REDUCE_MIN``
+    goes to the join's coarser join-space filter; neither is settled."""
+
+    @staticmethod
+    def settle_calls(monkeypatch, dwg, **kwargs):
+        """One exact search, and per settle-mask call the width of the
+        bucket it filters, that bucket's in-edge chunk count and whether
+        its node extends in its half."""
+        calls = []
+        original = label_search.pareto_block_mask
+
+        def recorded(sig, lds, window=None, poll=None):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "settle_mask":
+                half = caller.f_back.f_locals
+                calls.append((len(half["sig"]), len(half["node_chunks"]),
+                              bool(half["extensions"])))
+            return original(sig, lds, window=window, poll=poll)
+
+        monkeypatch.setattr(label_search, "pareto_block_mask", recorded)
+        result = LabelDominanceSearch(beam_width=0, **kwargs).search(dwg)
+        return result, calls
+
+    def test_settle_runs_only_where_a_dominator_can_be(self, monkeypatch):
+        dwg = build_assignment_graph(random_problem(
+            n_processing=30, n_satellites=4, seed=0,
+            sensor_scatter=1.0)).dwg
+        result, calls = self.settle_calls(monkeypatch, dwg)
+        window = LabelDominanceSearch().dominance_window
+        assert calls, "the filter no longer runs anywhere"
+        for width, chunks, extends in calls:
+            assert chunks > 1 or width > window
+            assert extends or width <= label_search._MEET_REDUCE_MIN
+        unfiltered, none = self.settle_calls(monkeypatch, dwg,
+                                             dominance_window=0)
+        assert none == []
+        assert unfiltered.ssb_weight == result.ssb_weight
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="dominance_window"):

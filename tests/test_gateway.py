@@ -574,28 +574,56 @@ class TestGatewayOutcomePath:
         finally:
             gateway.stop()
 
-    def test_dead_lettered_task_answers_an_error_envelope(self, shards):
-        gateway = make_gateway([shards[0]]).start_background()
+    @staticmethod
+    def post_poisoned(gateway, seed, **extra):
+        """POST a problem whose task a stand-in worker dead-letters as
+        poison; returns the solve envelope."""
         queue = gateway.queues[0]
 
         def poison():
             task = queue.claim(block=True, timeout=30.0)
-            queue.fail(task, "poisoned: crashed two workers", kind="poison")
+            queue.fail(task, "poisoned: crashed two workers", kind="poison",
+                       **extra)
 
         thread = threading.Thread(target=poison)
         thread.start()
+        status, _, text = post_solve(
+            gateway.port, problem_body(tiny_problem(seed=seed), timeout_s=60))
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert status == 200
+        return json.loads(text)
+
+    def test_dead_lettered_task_answers_an_error_envelope(self, shards):
+        gateway = make_gateway([shards[0]]).start_background()
         try:
-            status, _, text = post_solve(
-                gateway.port, problem_body(tiny_problem(seed=19),
-                                           timeout_s=60))
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
-            envelope = json.loads(text)
-            assert status == 200
+            envelope = self.post_poisoned(gateway, seed=19)
             assert envelope["ok"] is False
             assert envelope["status"] == "error"
             assert envelope["error"] == "poisoned: crashed two workers"
             assert envelope["error_kind"] == "poison"
+        finally:
+            gateway.stop()
+
+    def test_poll_of_a_dead_lettered_task_reads_its_outcome(self, shards):
+        gateway = make_gateway([shards[0]]).start_background()
+        try:
+            envelope = self.post_poisoned(gateway, seed=23,
+                                          details={"crashes": 2})
+            status, body = get(gateway.port,
+                               f"/v1/tasks/{envelope['task_id']}")
+            poll = json.loads(body)
+            assert status == 200 and poll["state"] == "failed"
+            result = poll["result"]
+            # the same outcome the solve envelope was built from, not the
+            # raw dead-letter record with its task payload
+            assert result["ok"] is False and result["status"] == "error"
+            assert result["dead_lettered"] is True
+            assert result["details"] == {"crashes": 2}
+            for key in ("error", "error_kind"):
+                assert result[key] == envelope[key]
+            assert "payload" not in result and "kind" not in result
+            assert "payload" not in body
         finally:
             gateway.stop()
 
