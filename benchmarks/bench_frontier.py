@@ -1,4 +1,4 @@
-"""Pareto frontier engine benchmarks: label sweep, pruned DP, store inserts.
+"""Pareto frontier engine benchmarks: label sweep, pruned DP, list filter.
 
 Tracks the frontier kernels over time (the nightly smoke run emits
 ``BENCH_bench_frontier.json``):
@@ -12,7 +12,8 @@ Tracks the frontier kernels over time (the nightly smoke run emits
   ``n >= 30`` used to raise ``FrontierExplosion`` at any practical cap),
   cross-checked against the label engine — the differential harness's
   second oracle must stay cheap enough to run routinely;
-* raw :class:`ParetoStore` insert throughput (the eager path the DP uses).
+* raw :func:`pareto_front` throughput (the list filter the DP settles its
+  short per-node candidate lists with).
 """
 
 import random
@@ -23,7 +24,7 @@ import pytest
 from repro.analysis.smoke import smoke_scaled
 from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
 from repro.core.assignment_graph import build_assignment_graph
-from repro.core.frontier import ParetoStore
+from repro.core.frontier import pareto_front
 from repro.core.label_search import LabelDominanceSearch
 from repro.workloads.generators import random_problem
 
@@ -56,21 +57,15 @@ def test_bench_pruned_dp_scattered(benchmark, n_crus):
     assert assignment.is_feasible()
 
 
-def test_bench_store_inserts(benchmark):
+def test_bench_pareto_front(benchmark):
     rng = random.Random(0)
     count = smoke_scaled(4000, 800)
     items = [(rng.random() * 10,
               tuple(rng.random() * 10 for _ in range(4)))
              for _ in range(count)]
 
-    def run():
-        store = ParetoStore(4)
-        for s, loads in items:
-            store.insert(s, loads)
-        return store
-
-    store = benchmark(run)
-    assert len(store) > 0
+    front = benchmark(lambda: pareto_front(items))
+    assert 0 < len(front) < len(items)
 
 
 @pytest.mark.slow

@@ -10,10 +10,10 @@ Pareto-optimal cost labels
 where the load vector records, for every satellite, the execution plus uplink
 time the subtree's cut contributes to it.  Combining children is additive in
 every component; dominated labels (componentwise ≥ another label) are pruned
-via the shared :class:`~repro.core.frontier.ParetoStore` (σ-sorted, exact,
-O(log F) staircase inserts on single-satellite instances).  At the root the
-label minimising ``λ_S · host + λ_B · max(load)`` is selected — with the
-default weighting this is exactly the end-to-end delay.
+by the shared :func:`~repro.core.frontier.pareto_front` (one sort and one
+scan per node's candidate list), or by its array twin on the large streamed
+folds.  At the root the label minimising ``λ_S · host + λ_B · max(load)`` is
+selected — with the default weighting this is exactly the end-to-end delay.
 
 The full frontier blows up combinatorially on scattered instances around
 ``n_processing >= 30``, so the one entry point,
@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.assignment import Assignment
 from repro.core.context import SolveContext, SolveInterrupted
 from repro.core.dwg import SSBWeighting
-from repro.core.frontier import ParetoStore, pareto_block_mask
+from repro.core.frontier import pareto_block_mask, pareto_front
 from repro.model.problem import AssignmentProblem
 
 _INF = float("inf")
@@ -125,8 +125,8 @@ _INCUMBENT_SLACK = 1.0 + 2.0 ** -44
 _STREAM_MIN_PAIRS = 2048
 _STREAM_CHUNK_PAIRS = 1 << 18
 #: label-list size past which the host-time fold at a node bypasses the
-#: per-row ParetoStore inserts (O(frontier²) python) for the vectorised
-#: ``finish_fold`` tail.
+#: list filter (O(frontier²) python) for the vectorised ``finish_fold``
+#: tail.
 _STREAM_MIN_LABELS = 512
 #: dominator-window cap for the streamed Pareto masks.  An unwindowed mask
 #: is quadratic in the frontier and dwarfs the whole fold on wide stars;
@@ -294,11 +294,14 @@ def _dp_labels(problem: AssignmentProblem,
     """Run the tree DP; returns the root frontier labels plus prune counters.
 
     ``offload`` is the ``(colour, β_u)`` table of :func:`_subtree_minima`.
-    Inserts go through :meth:`ParetoStore.insert_bounded` (labels provably
-    at or above ``bound`` are dropped), and ``beam_width`` truncates every
-    frontier to the labels of best completion bound — the heuristic pre-pass
-    whose best root label seeds the exact pass's incumbent.  Every caller
-    passes a finite ``bound`` or a ``beam_width``.
+    Every node builds its candidate labels (a fold's cross product, a node's
+    offload label plus its host-combined labels, or the root's labels) and
+    settles them in one step: the bounds drop the labels provably at or
+    above ``bound``, and :func:`pareto_front` keeps the exact front of the
+    rest.  ``beam_width`` truncates every frontier to the labels of best
+    completion bound — the heuristic pre-pass whose best root label seeds
+    the exact pass's incumbent.  Every caller passes a finite ``bound`` or a
+    ``beam_width``.
 
     ``context`` is polled once per tree node and once per cross-product row
     (the two loop granularities that dominate the runtime); when it fires the
@@ -349,53 +352,60 @@ def _dp_labels(problem: AssignmentProblem,
                         est = alt
             return est
         return key
-    stats = {"created": 0, "dominated": 0, "evicted": 0, "bound_rejected": 0,
+    stats = {"created": 0, "dominated": 0, "bound_rejected": 0,
              "peak_frontier": 0, "drains": 0}
 
-    def drain(store: ParetoStore, pot: float, node=None,
-              jpot: float = 0.0,
+    def close(node: str, labels: List[_Label], created: int, rejected: int,
+              pot: float, jpot: float = 0.0,
               cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
-        stats["dominated"] += store.dominated
-        stats["evicted"] += store.evicted
-        stats["bound_rejected"] += store.bound_rejected
+        """The end of every node's step: count it, cap it, trace it, beam it.
+
+        ``created`` candidates came in and the bounds ``rejected`` some; the
+        rest not in ``labels`` were dominated."""
+        dominated = created - rejected - len(labels)
+        stats["created"] += created
+        stats["bound_rejected"] += rejected
+        stats["dominated"] += dominated
+        if max_frontier is not None and len(labels) > max_frontier:
+            raise FrontierExplosion(
+                len(labels), max_frontier,
+                labels_created=stats["created"],
+                peak_frontier=max(stats["peak_frontier"], len(labels)))
         stats["drains"] += 1
-        if len(store) > stats["peak_frontier"]:
-            stats["peak_frontier"] = len(store)
-        if profile is not None and node is not None:
-            profile.record_node(
-                node,
-                created=len(store) + store.dominated + store.bound_rejected,
-                dominated=store.dominated + store.evicted,
-                pruned_floor=store.bound_rejected,
-                frontier=len(store), settle_batches=1)
-        labels: List[_Label] = [(s, loads, cut) for s, loads, cut in store]
+        if len(labels) > stats["peak_frontier"]:
+            stats["peak_frontier"] = len(labels)
+        if profile is not None:
+            profile.record_node(node, created=created, dominated=dominated,
+                                pruned_floor=rejected, frontier=len(labels),
+                                settle_batches=1)
         if beam_width is not None and len(labels) > beam_width:
             labels.sort(key=beam_key(pot, jpot, cpot))
             del labels[beam_width:]
         return labels
 
-    def insert(store: ParetoStore, label: _Label, pot: float,
+    def settle(node: str, candidates: List[_Label], pot: float,
                jpot: float = 0.0,
-               cpot: Optional[Tuple[float, ...]] = None) -> None:
-        stats["created"] += 1
-        if joint and lam_s * label[0] + lam_b * sum(label[1]) * inv_n \
-                + jpot >= bound:
-            stats["bound_rejected"] += 1
-            return
-        if colour and cpot is not None:
-            sig = lam_s * label[0]
-            for c in range(n):
-                if sig + lam_b * label[1][c] + cpot[c] >= bound:
-                    stats["bound_rejected"] += 1
-                    return
-        kept = store.insert_bounded(label[0], label[1], label[2],
-                                    potential=pot, bound=bound,
-                                    lambda_s=lam_s, lambda_b=lam_b)
-        if kept and max_frontier is not None and len(store) > max_frontier:
-            raise FrontierExplosion(
-                len(store), max_frontier,
-                labels_created=stats["created"],
-                peak_frontier=max(stats["peak_frontier"], len(store)))
+               cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
+        """One node's list step: bound the candidates, keep their front."""
+        admitted = candidates
+        if bound != _INF:
+            admitted = []
+            for label in candidates:
+                sig, loads = label[0], label[1]
+                if joint and lam_s * sig + lam_b * sum(loads) * inv_n \
+                        + jpot >= bound:
+                    continue
+                if colour and cpot is not None:
+                    base = lam_s * sig
+                    if any(base + lam_b * load + floor >= bound
+                           for load, floor in zip(loads, cpot)):
+                        continue
+                if lam_s * (sig + pot) + \
+                        lam_b * (max(loads) if loads else 0.0) >= bound:
+                    continue
+                admitted.append(label)
+        return close(node, pareto_front(admitted), len(candidates),
+                     len(candidates) - len(admitted), pot, jpot, cpot)
 
     def offload_label(cru_id: str) -> Optional[_Label]:
         if cru_id not in offload:
@@ -412,24 +422,21 @@ def _dp_labels(problem: AssignmentProblem,
                             ) -> List[_Label]:
         """One child fold as a chunked, vectorised cross product.
 
-        Identical semantics to the per-pair loop below — every candidate
-        pair counts as created, the completion bound drops pairs first
-        (``bound_rejected``), dominance is the exact componentwise filter of
-        :meth:`ParetoStore.insert` via :func:`pareto_block_mask`, and the
-        frontier cap raises :class:`FrontierExplosion` — but the ``A x B``
-        product streams through bounded-size chunks of float arrays instead
-        of materialising per-pair python tuples, and the cut tuples are
-        built only for the rows that survive both filters.
+        The same step as the list fold — every candidate pair counts as
+        created, the bounds drop pairs first, and :func:`pareto_block_mask`
+        filters dominance (windowed, so a dominated pair may survive) — but
+        the ``A x B`` product streams through bounded-size chunks of float
+        arrays instead of materialising per-pair python tuples, and the cut
+        tuples are built only for the rows that survive both filters.
         """
         A, B = len(acc), len(labels)
-        base = (stats["created"], stats["dominated"],
-                stats["bound_rejected"])
         ah = np.array([lab[0] for lab in acc])
         al = np.array([lab[1] for lab in acc]).reshape(A, n)
         bh = np.array([lab[0] for lab in labels])
         bl = np.array([lab[1] for lab in labels]).reshape(B, n)
         cp = np.asarray(cpot) if cpot is not None else None
         rows = max(1, _STREAM_CHUNK_PAIRS // B)
+        created = rejected = 0
         sigs: List[object] = []
         loads: List[object] = []
         pairs: List[object] = []
@@ -439,7 +446,7 @@ def _dp_labels(problem: AssignmentProblem,
             a1 = min(a0 + rows, A)
             hs = (ah[a0:a1, None] + bh[None, :]).ravel()
             ld = (al[a0:a1, None, :] + bl[None, :, :]).reshape(-1, n)
-            stats["created"] += len(hs)
+            created += len(hs)
             if bound != _INF:
                 obj = lam_s * (hs + pot) + lam_b * ld.max(axis=1)
                 keep = obj < bound
@@ -450,7 +457,7 @@ def _dp_labels(problem: AssignmentProblem,
                     keep &= (lam_s * hs[:, None] + lam_b * ld
                              + cp[None, :] < bound).all(axis=1)
                 kept = int(keep.sum())
-                stats["bound_rejected"] += len(hs) - kept
+                rejected += len(hs) - kept
                 if not kept:
                     continue
                 idx = np.nonzero(keep)[0]
@@ -460,49 +467,24 @@ def _dp_labels(problem: AssignmentProblem,
             if len(hs) > 1:
                 # chunk-local dominance filter keeps the accumulation small
                 mask = pareto_block_mask(hs, ld, window=_STREAM_MASK_WINDOW)
-                drop = len(hs) - int(mask.sum())
-                if drop:
-                    stats["dominated"] += drop
-                    hs, ld, idx = hs[mask], ld[mask], idx[mask]
+                hs, ld, idx = hs[mask], ld[mask], idx[mask]
             sigs.append(hs)
             loads.append(ld)
             pairs.append(idx + a0 * B)     # chunk-flat -> product-flat index
+        out: List[_Label] = []
         if sigs:
             sig = np.concatenate(sigs)
             ld = np.concatenate(loads)
             pair = np.concatenate(pairs)
             if len(sigs) > 1 and len(sig) > 1:
                 mask = pareto_block_mask(sig, ld, window=_STREAM_MASK_WINDOW)
-                drop = len(sig) - int(mask.sum())
-                if drop:
-                    stats["dominated"] += drop
-                    sig, ld, pair = sig[mask], ld[mask], pair[mask]
-        else:
-            sig = ld = pair = ()
-        if max_frontier is not None and len(sig) > max_frontier:
-            raise FrontierExplosion(
-                len(sig), max_frontier,
-                labels_created=stats["created"],
-                peak_frontier=max(stats["peak_frontier"], len(sig)))
-        stats["drains"] += 1
-        if len(sig) > stats["peak_frontier"]:
-            stats["peak_frontier"] = len(sig)
-        if profile is not None:
-            profile.record_node(
-                f"{cru_id}/{i + 1}",
-                created=stats["created"] - base[0],
-                dominated=stats["dominated"] - base[1],
-                pruned_floor=stats["bound_rejected"] - base[2],
-                frontier=len(sig), settle_batches=1)
-        out: List[_Label] = []
-        for s, lo, p in zip(sig, ld, pair):
-            ai, bi = divmod(int(p), B)
-            out.append((float(s), tuple(lo.tolist()),
-                        acc[ai][2] + labels[bi][2]))
-        if beam_width is not None and len(out) > beam_width:
-            out.sort(key=beam_key(pot, jpot, cpot))
-            del out[beam_width:]
-        return out
+                sig, ld, pair = sig[mask], ld[mask], pair[mask]
+            for s, lo, p in zip(sig, ld, pair):
+                ai, bi = divmod(int(p), B)
+                out.append((float(s), tuple(lo.tolist()),
+                            acc[ai][2] + labels[bi][2]))
+        return close(f"{cru_id}/{i + 1}", out, created, rejected, pot, jpot,
+                     cpot)
 
     def combine_children(cru_id: str,
                          children_labels: Sequence[List[_Label]]
@@ -524,18 +506,16 @@ def _dp_labels(problem: AssignmentProblem,
                 acc = combine_fold_stream(cru_id, i, acc, labels, pot,
                                           jpot, cpot)
                 continue
-            store = ParetoStore(n)
+            candidates: List[_Label] = []
             for ah, aloads, acut in acc:
                 if context is not None:
                     context.checkpoint()
                 for bh, bloads, bcut in labels:
-                    insert(store,
-                           (ah + bh,
-                            tuple(x + y for x, y in zip(aloads, bloads)),
-                            acut + bcut),
-                           pot, jpot, cpot)
-            acc = drain(store, pot, node=f"{cru_id}/{i + 1}",
-                        jpot=jpot, cpot=cpot)
+                    candidates.append(
+                        (ah + bh,
+                         tuple(x + y for x, y in zip(aloads, bloads)),
+                         acut + bcut))
+            acc = settle(f"{cru_id}/{i + 1}", candidates, pot, jpot, cpot)
         return acc
 
     def finish_fold(node: str, combined: List[_Label], h: float,
@@ -544,17 +524,15 @@ def _dp_labels(problem: AssignmentProblem,
                     cpot: Optional[Tuple[float, ...]] = None
                     ) -> List[_Label]:
         """Vectorised tail of :func:`labels_of`: fold the host time into an
-        already Pareto-filtered label list, apply the completion bound, and
-        merge the (single) offload label.  The per-row ``insert`` loop is
-        O(frontier²) python exactly where the stream fold just spent effort
-        keeping the frontier flat; adding the constant ``h`` to every σ
-        leaves dominance unchanged, so no re-filter is needed beyond the
-        offload cross-check."""
-        base = (stats["created"], stats["dominated"],
-                stats["bound_rejected"])
+        already Pareto-filtered label list, apply the bounds, and merge the
+        (single) offload label.  The list step is O(frontier²) python
+        exactly where the stream fold just spent effort keeping the frontier
+        flat; adding the constant ``h`` to every σ leaves dominance
+        unchanged, so no re-filter is needed beyond the offload
+        cross-check."""
         hs = np.array([lab[0] for lab in combined]) + h
         ld = np.array([lab[1] for lab in combined]).reshape(-1, n)
-        stats["created"] += len(combined)
+        created = len(combined)
         keep = np.ones(len(combined), dtype=bool)
         if bound != _INF:
             obj = lam_s * (hs + pot) + lam_b * ld.max(axis=1)
@@ -566,10 +544,10 @@ def _dp_labels(problem: AssignmentProblem,
                 cp = np.asarray(cpot)
                 keep &= (lam_s * hs[:, None] + lam_b * ld
                          + cp[None, :] < bound).all(axis=1)
-            stats["bound_rejected"] += len(combined) - int(keep.sum())
+        rejected = len(combined) - int(keep.sum())
         keep_off = False
         if offload is not None:
-            stats["created"] += 1
+            created += 1
             oh, ol = offload[0], np.asarray(offload[1], dtype=np.float64)
             keep_off = True
             if bound != _INF and (
@@ -579,45 +557,19 @@ def _dp_labels(problem: AssignmentProblem,
                     or (cpot is not None and any(
                         lam_s * oh + lam_b * float(ol[c]) + cpot[c] >= bound
                         for c in range(n)))):
-                stats["bound_rejected"] += 1
+                rejected += 1
                 keep_off = False
             if keep_off:
-                # the offload label sits first in insertion order, so exact
-                # ties go to it — mirrored by `<=` in both directions here
-                dom_off = ((oh <= hs) & (ol[None, :] <= ld).all(axis=1)
-                           & keep)
-                dropped = int(dom_off.sum())
-                if dropped:
-                    stats["dominated"] += dropped
-                    keep &= ~dom_off
-                beats = ((hs <= oh) & (ld <= ol[None, :]).all(axis=1)
-                         & keep)
-                if bool(beats.any()):
-                    stats["dominated"] += 1
-                    keep_off = False
-        idx = np.nonzero(keep)[0]
+                # the offload label comes first among the candidates, so
+                # exact ties go to it — mirrored by `<=` in both directions
+                keep &= ~((oh <= hs) & (ol[None, :] <= ld).all(axis=1))
+                keep_off = not bool(
+                    ((hs <= oh) & (ld <= ol[None, :]).all(axis=1)
+                     & keep).any())
         labels: List[_Label] = [offload] if keep_off else []
         labels += [(float(hs[i]), tuple(ld[i].tolist()), combined[i][2])
-                   for i in idx.tolist()]
-        if max_frontier is not None and len(labels) > max_frontier:
-            raise FrontierExplosion(
-                len(labels), max_frontier,
-                labels_created=stats["created"],
-                peak_frontier=max(stats["peak_frontier"], len(labels)))
-        stats["drains"] += 1
-        if len(labels) > stats["peak_frontier"]:
-            stats["peak_frontier"] = len(labels)
-        if profile is not None:
-            profile.record_node(
-                node,
-                created=stats["created"] - base[0],
-                dominated=stats["dominated"] - base[1],
-                pruned_floor=stats["bound_rejected"] - base[2],
-                frontier=len(labels), settle_batches=1)
-        if beam_width is not None and len(labels) > beam_width:
-            labels.sort(key=beam_key(pot, jpot, cpot))
-            del labels[beam_width:]
-        return labels
+                   for i in np.nonzero(keep)[0].tolist()]
+        return close(node, labels, created, rejected, pot, jpot, cpot)
 
     def labels_of(cru_id: str) -> List[_Label]:
         if context is not None:
@@ -635,14 +587,12 @@ def _dp_labels(problem: AssignmentProblem,
         if combined and n and len(combined) >= _STREAM_MIN_LABELS:
             return finish_fold(cru_id, combined, problem.host_time(cru_id),
                                off_label, pot, jpot, cpot)
-        store = ParetoStore(n)
-        if off_label is not None:
-            insert(store, off_label, pot, jpot, cpot)
+        candidates = [off_label] if off_label is not None else []
         if combined:
             h = problem.host_time(cru_id)
-            for ch, cloads, ccut in combined:
-                insert(store, (ch + h, cloads, ccut), pot, jpot, cpot)
-        return drain(store, pot, node=cru_id, jpot=jpot, cpot=cpot)
+            candidates += [(ch + h, cloads, ccut)
+                           for ch, cloads, ccut in combined]
+        return settle(cru_id, candidates, pot, jpot, cpot)
 
     root = tree.root_id
     root_children = tree.children_ids(root)
@@ -655,10 +605,8 @@ def _dp_labels(problem: AssignmentProblem,
     # so the bound check compares the exact objective to the incumbent
     if combined and n and len(combined) >= _STREAM_MIN_LABELS:
         return finish_fold(root, combined, h_root, None, 0.0), stats
-    store = ParetoStore(n)
-    for ch, cloads, ccut in combined:
-        insert(store, (ch + h_root, cloads, ccut), 0.0)
-    return drain(store, 0.0, node=root), stats
+    return settle(root, [(ch + h_root, cloads, ccut)
+                         for ch, cloads, ccut in combined], 0.0), stats
 
 
 # --------------------------------------------------------------------------
@@ -717,7 +665,7 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
     return {
         "engine": "pareto-dp",
         "labels_created": stats["created"],
-        "labels_dominated": stats["dominated"] + stats["evicted"],
+        "labels_dominated": stats["dominated"],
         "pruned_floor": stats["bound_rejected"],
         "pruned_colour": 0,
         "pruned_lagrange": 0,
@@ -841,7 +789,6 @@ def _exact_details(labels: Sequence[_Label], stats: Dict[str, int]
         "frontier_size": len(labels),
         "peak_frontier": stats["peak_frontier"],
         "labels_dominated": stats["dominated"],
-        "labels_evicted": stats["evicted"],
         "labels_bound_pruned": stats["bound_rejected"],
         "profile": _dp_profile(stats),
     }

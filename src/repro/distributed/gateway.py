@@ -76,6 +76,7 @@ from repro.distributed.spool import ShardRouter, SpoolError, WorkQueue
 from repro.model.problem import AssignmentProblem
 from repro.model.serialization import problem_from_json
 from repro.observability.tracing import Span, Tracer
+from repro.runtime.cache import problem_fingerprint
 from repro.runtime.registry import SolverRegistry
 from repro.runtime.runner import BatchTask
 
@@ -481,11 +482,11 @@ class Gateway:
         task = BatchTask(problem=problem, method=solve.method,
                          options=dict(solve.options), tag=problem.name,
                          deadline_s=solve.deadline_s)
-        # route on the instance identity so identical problems from
-        # different clients meet in the same shard's in-flight index
-        # (prepare_tasks computes the canonical key; routing on the
-        # serialised problem is equivalent for shard placement)
-        shard = self.router.route(solve.problem_json + ":" + solve.method)
+        # route on the instance's fingerprint, the identity part of the
+        # result key: every spelling of one instance and method (an alias,
+        # "auto") meets in the same shard's in-flight index and cache; the
+        # fingerprint is memoised, so prepare_tasks reuses it
+        shard = self.router.route(problem_fingerprint(problem))
         service = self.services[shard]
         submission = service.submit([task])
         entry = submission.entries[0]

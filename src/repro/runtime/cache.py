@@ -11,8 +11,7 @@ Two stores are provided, plus a tier combining them:
 * :class:`LRUResultCache` — bounded in-memory store with LRU eviction;
 * :class:`JSONFileCache` — one JSON file per key, **sharded** into 256
   two-hex-character subdirectories (million-entry stores must not put every
-  file into one directory); writes are atomic, flat legacy entries migrate
-  into their shard transparently on first access, and hits touch the file
+  file into one directory); writes are atomic, and hits touch the file
   mtime so the :class:`~repro.distributed.janitor.CacheJanitor` can evict
   least-recently-*used* entries first;
 * :class:`TieredResultCache` — memory in front of disk, promoting disk hits.
@@ -280,8 +279,6 @@ class JSONFileCache(_CacheStats):
     ``directory/quarantine/`` (counted under
     ``repro_spool_quarantined_total{reason="cache_entry"}``) and served as a
     miss, so it is recomputed once instead of poisoning every future probe.
-    Flat legacy entries (``directory/<key>.json`` from the pre-sharding
-    layout) are migrated into their shard transparently on first access.
     Hits refresh the file mtime so the janitor's oldest-first eviction
     approximates least-recently-used.
     """
@@ -303,9 +300,6 @@ class JSONFileCache(_CacheStats):
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, shard_of(key), f"{key}.json")
-
-    def _legacy_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
 
     def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside so it cannot poison future probes."""
@@ -336,17 +330,8 @@ class JSONFileCache(_CacheStats):
         path = self._path(key)
         entry = self._load(path)
         if entry is None:
-            entry = self._load(self._legacy_path(key))
-            if entry is None:
-                self._miss()
-                return None
-            # migrate the flat legacy file into its shard (atomic; a loser
-            # of a concurrent migration race merely re-writes the same entry)
-            try:
-                self.fs.makedirs(os.path.dirname(path), exist_ok=True)
-                self.fs.replace(self._legacy_path(key), path)
-            except OSError:
-                pass
+            self._miss()
+            return None
         if self.touch_on_hit:
             try:
                 self.fs.utime(path)
@@ -374,16 +359,14 @@ class JSONFileCache(_CacheStats):
                         op="cache_put")
 
     def paths(self) -> Iterator[str]:
-        """Every entry file currently in the store (shards + legacy flat)."""
+        """Every entry file currently in the store's shards."""
         try:
             names = sorted(os.listdir(self.directory))
         except OSError:
             return
         for name in names:
             path = os.path.join(self.directory, name)
-            if name.endswith(".json"):
-                yield path
-            elif _is_shard_name(name) and os.path.isdir(path):
+            if _is_shard_name(name) and os.path.isdir(path):
                 try:
                     inner = sorted(os.listdir(path))
                 except OSError:

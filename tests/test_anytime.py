@@ -98,7 +98,7 @@ class TestMidSolveDeadline:
 
     def test_interruption_leaves_no_corrupted_state(self):
         # an interrupted sweep must not poison later solves in the same
-        # process (ParetoStore buckets, DagIndex caches, skeletons...)
+        # process (label buckets, DagIndex caches, skeletons...)
         clock = SteppingClock(step=0.05)
         interrupted = solve(PROBLEM, method="colored-ssb-labels",
                             context=SolveContext(deadline_s=1.0, clock=clock))

@@ -13,6 +13,7 @@ from repro.baselines.pareto_dp import (
     _subtree_minima,
     pareto_dp_pruned_assignment,
 )
+from repro.core.assignment import HOST_DEVICE
 from repro.core.context import SolveContext
 from repro.core.dwg import SSBWeighting
 from repro.graphs.dag import min_weight_to_target
@@ -394,3 +395,97 @@ class TestCompletionPotentials:
             got = _completion_potentials(problem, table, host_scale=host_scale)
             assert got == dag_completion_potentials(problem, table,
                                                     host_scale)
+
+
+def whole_second(problem, seed):
+    """Redraw every time from {1, 2, 3} s, so many cuts tie exactly."""
+    rng = random.Random(seed)
+    for cru_id in problem.tree.processing_ids():
+        problem.profile.set_times(cru_id, float(rng.randint(1, 3)),
+                                  float(rng.randint(1, 3)))
+    for parent, child in problem.tree.edges():
+        problem.costs.set_cost(child, parent, float(rng.randint(1, 3)))
+    problem.invalidate_caches()
+    return problem
+
+
+#: ``(n, k, seed, max_children, scatter, whole-second times, convex(0.3)
+#: weighting, mode)`` -> ``(objective.hex(), offloaded processing CRUs,
+#: labels_created, labels_dominated, pruned_floor, frontier_peak)`` of the
+#: exact pass.  ``mode`` is a cold solve, or refutation at the optimum or
+#: at ``1.25·optimum + 1``.  The last two rows without ties run the
+#: streamed fold and the vectorised node tail.
+PINNED = [
+    ((8, 1, 0, 3, 0.0, False, False, 'cold'),
+     ('0x1.b72cb10e02f1cp+2', '',
+      10, 0, 10, 0)),
+    ((12, 1, 1, 3, 0.5, True, False, 'above'),
+     ('0x1.9000000000000p+4', 'P10 P11 P2 P4 P5 P6 P7 P8 P9',
+      88, 14, 2, 6)),
+    ((10, 1, 3, 3, 0.5, False, False, 'optimum'),
+     ('0x1.ec09f132d4a4ep+2', '',
+      36, 0, 9, 1)),
+    ((12, 2, 1, 3, 0.5, False, False, 'above'),
+     ('0x1.61e7fbace019cp+3', '',
+      371, 30, 68, 66)),
+    ((12, 3, 2, 3, 1.0, False, True, 'cold'),
+     ('0x1.87e6abf6caa72p+1', '',
+      46, 0, 8, 2)),
+    ((14, 4, 3, 3, 0.6, False, False, 'cold'),
+     ('0x1.3545624c28864p+3', 'P10 P2 P6',
+      18, 0, 18, 0)),
+    ((14, 4, 3, 3, 0.6, False, False, 'optimum'),
+     ('0x1.3545624c28864p+3', 'P10 P2 P6',
+      48, 0, 9, 1)),
+    ((12, 3, 1, 64, 0.5, False, False, 'above'),
+     ('0x1.47432f479ff87p+3', 'P10 P2 P9',
+      677, 52, 25, 117)),
+    ((22, 4, 1, 64, 1.0, False, False, 'cold'),
+     ('0x1.a5e641e80e0b0p+3', 'P12 P13 P15 P16 P17 P19 P2 P20 P21 P4 P5 P9',
+      5345, 190, 2032, 518)),
+    ((30, 3, 1, 64, 0.5, False, False, 'cold'),
+     ('0x1.35c794f24b29cp+4', 'P10 P16 P19 P22 P23 P24 P25 P29',
+      41418, 2569, 17623, 4477)),
+    ((10, 2, 0, 3, 0.5, True, False, 'optimum'),
+     ('0x1.c000000000000p+3', 'P1 P2 P3 P4 P5 P6 P7 P8 P9',
+      21, 0, 10, 2)),
+    ((10, 3, 1, 3, 0.5, True, False, 'above'),
+     ('0x1.1000000000000p+4', 'P1 P2 P3 P5 P6 P8 P9',
+      188, 30, 18, 24)),
+    ((12, 4, 1, 3, 0.5, True, True, 'above'),
+     ('0x1.d99999999999ap+2', 'P10 P11 P3 P9',
+      162, 21, 9, 29)),
+]
+
+
+class TestPinnedWork:
+    """The DP's answers and work counters on a small committed grid.
+
+    Ties make which of two equal labels survives a filter visible in the
+    returned cut, and the counters move with any change to what the bounds
+    or the dominance filter drop."""
+
+    @pytest.mark.parametrize("case, pinned", PINNED)
+    def test_answers_and_counters(self, case, pinned):
+        n, k, seed, max_children, scatter, ties, convex, mode = case
+        problem = random_problem(n_processing=n, n_satellites=k, seed=seed,
+                                 max_children=max_children,
+                                 sensor_scatter=scatter)
+        if ties:
+            whole_second(problem, seed)
+        weighting = SSBWeighting.convex(0.3) if convex else None
+        got, details = pareto_dp_pruned_assignment(problem,
+                                                   weighting=weighting)
+        if mode != "cold":
+            best = details["objective"]
+            incumbent = best if mode == "optimum" else best * 1.25 + 1.0
+            got, details = pareto_dp_pruned_assignment(
+                problem, weighting=weighting, incumbent=incumbent)
+            assert details["incumbent_reached"]
+        offloaded = sorted(
+            cru_id for cru_id, device in got.placement.items()
+            if device != HOST_DEVICE and problem.tree.cru(cru_id).is_processing)
+        profile = details["profile"]
+        assert (details["objective"].hex(), " ".join(offloaded),
+                profile["labels_created"], profile["labels_dominated"],
+                profile["pruned_floor"], profile["frontier_peak"]) == pinned

@@ -1,15 +1,14 @@
-"""Property tests for the shared Pareto-frontier engine.
+"""Property tests for the shared Pareto-frontier filters.
 
-Seeded fuzz loops (hypothesis-style, no dependency) pin the store's three
-contracts against a naive O(F²) reference filter:
+Seeded fuzz loops (hypothesis-style, no dependency) pin both filters against
+a naive O(F²) reference filter:
 
-* the surviving set equals the maximal elements of everything inserted,
-  duplicates collapsed — *exactly*, for the eager inserts and the
-  block-mask kernel;
-* the result is independent of insertion order;
-* the structural invariants hold after every insert: σ ascending, at most
-  one entry per load tuple, and for single-colour stores the full staircase
-  (σ strictly ascending, load strictly descending).
+* the surviving set equals the maximal elements of the input, duplicates
+  collapsed — *exactly*, for :func:`pareto_front` and the block-mask
+  kernel;
+* the result is independent of input order;
+* :func:`pareto_front` returns the front in ascending ``(σ, loads)`` order
+  and of two exact duplicates keeps the earlier one with its payload.
 
 Load values are drawn from small integer grids so ties and dominations are
 frequent — the regime where off-by-one tie handling would diverge from the
@@ -23,24 +22,31 @@ import pytest
 
 import numpy as np
 
-from repro.core.frontier import ParetoStore, pareto_block_mask
+from repro.core.frontier import pareto_block_mask, pareto_front
+
+
+def naive_front(items):
+    """Reference O(F²) sequential insert-and-prune, in insertion order.
+
+    Items are ``(σ, loads, ...)`` tuples.  Dominance is componentwise
+    ``<=`` on (σ, loads); exact ties count as dominated, so the first of two
+    equal labels survives.
+    """
+    kept = []
+    for item in items:
+        s, loads = item[0], item[1]
+        if any(k[0] <= s and all(a <= b for a, b in zip(k[1], loads))
+               for k in kept):
+            continue
+        kept = [k for k in kept
+                if not (s <= k[0] and all(a <= b for a, b in zip(loads, k[1])))]
+        kept.append(item)
+    return kept
 
 
 def naive_filter(items):
-    """Reference O(F²) sequential insert-and-prune; returns the survivor set.
-
-    Dominance is componentwise ``<=`` on (σ, loads); exact ties count as
-    dominated, so the first of two equal labels survives.
-    """
-    kept = []
-    for s, loads in items:
-        if any(es <= s and all(a <= b for a, b in zip(el, loads))
-               for es, el in kept):
-            continue
-        kept = [(es, el) for es, el in kept
-                if not (s <= es and all(a <= b for a, b in zip(loads, el)))]
-        kept.append((s, loads))
-    return set(kept)
+    """The reference survivor set of ``(σ, loads)`` pairs."""
+    return {(item[0], item[1]) for item in naive_front(items)}
 
 
 def random_items(rng, count, dim, grid=6):
@@ -49,83 +55,46 @@ def random_items(rng, count, dim, grid=6):
             for _ in range(count)]
 
 
-def store_set(store):
-    return {(s, loads) for s, loads, _ in store}
+def front_set(labels):
+    return {(label[0], label[1]) for label in pareto_front(labels)}
 
 
-class TestEagerInsert:
+class TestParetoFront:
     @pytest.mark.parametrize("dim", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_naive_filter(self, dim, seed):
         rng = random.Random(seed * 101 + dim)
         items = random_items(rng, 120, dim)
-        store = ParetoStore(dim)
-        for s, loads in items:
-            store.insert(s, loads)
-        assert store_set(store) == naive_filter(items)
-
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_invariants_hold_after_every_insert(self, dim):
-        rng = random.Random(99 + dim)
-        store = ParetoStore(dim)
-        for s, loads in random_items(rng, 200, dim):
-            store.insert(s, loads)
-            entries = list(store)
-            sigmas = [e[0] for e in entries]
-            assert sigmas == sorted(sigmas)
-            # at most one entry per load tuple (exact-duplicate collapse)
-            assert len({e[1] for e in entries}) == len(entries)
-            if dim == 1:
-                # the full staircase: σ strictly ascending, load strictly
-                # descending — this is what makes 1-d inserts O(log F)
-                loads_seq = [e[1][0] for e in entries]
-                assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
-                assert all(a > b for a, b in zip(loads_seq, loads_seq[1:]))
+        assert front_set(items) == naive_filter(items)
 
     def test_order_independence(self):
         rng = random.Random(4242)
         items = random_items(rng, 24, 2, grid=4)
-        reference = None
+        reference = front_set(items)
         for _ in range(12):
             rng.shuffle(items)
-            store = ParetoStore(2)
-            for s, loads in items:
-                store.insert(s, loads)
-            if reference is None:
-                reference = store_set(store)
-            assert store_set(store) == reference
+            assert front_set(items) == reference
 
-    def test_counters_and_payloads(self):
-        store = ParetoStore(2)
-        assert store.insert(1.0, (1.0, 1.0), "a")
-        assert not store.insert(2.0, (1.0, 1.0), "dup")   # dominated (tie)
-        assert store.dominated == 1
-        assert store.insert(0.5, (2.0, 0.5), "b")         # incomparable
-        assert store.insert(0.5, (1.0, 0.5), "c")         # evicts "a" AND "b"
-        assert store.evicted == 2
-        assert [p for _, _, p in store] == ["c"]
-        assert len(store) == 1 and store.min_sigma() == 0.5
-        store.clear()
-        assert len(store) == 0 and not store
+    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_and_first_duplicate_with_payloads(self, dim, seed):
+        # payload = input position: the front is the reference's survivors,
+        # earlier duplicates winning, sorted by (σ, loads)
+        rng = random.Random(seed * 7 + dim)
+        items = [(s, loads, i) for i, (s, loads)
+                 in enumerate(random_items(rng, 150, dim, grid=4))]
+        expected = sorted(naive_front(items), key=lambda item: item[:2])
+        assert pareto_front(items) == expected
 
-    def test_dim_mismatch_raises(self):
-        store = ParetoStore(2)
-        with pytest.raises(ValueError, match="components"):
-            store.insert(1.0, (1.0,))
-        with pytest.raises(ValueError):
-            ParetoStore(-1)
-
-    def test_payloads_iterate_in_sigma_order(self):
-        rng = random.Random(11)
-        items = random_items(rng, 80, 2)
-        store = ParetoStore(2)
-        for i, (s, loads) in enumerate(items):
-            store.insert(s, loads, i)
-        result = list(store)
-        assert {(s, loads) for s, loads, _ in result} == naive_filter(items)
-        assert all(items[i] == (s, loads) for s, loads, i in result)
-        sigmas = [s for s, _, _ in result]
-        assert sigmas == sorted(sigmas)
+    def test_dominators_and_duplicates(self):
+        labels = [(1.0, (1.0, 1.0), "a"),
+                  (2.0, (1.0, 1.0), "dominated"),
+                  (0.5, (2.0, 0.5), "b"),
+                  (0.5, (1.0, 0.5), "c"),           # dominates "a" and "b"
+                  (0.5, (1.0, 0.5), "twin")]        # exact tie: "c" wins
+        assert pareto_front(labels) == [(0.5, (1.0, 0.5), "c")]
+        assert pareto_front([]) == []
+        assert pareto_front(labels[:1]) == labels[:1]
 
     def test_exhaustive_tiny_cases(self):
         # every multiset of 4 labels over a 2x2x2 grid, every order
@@ -135,94 +104,22 @@ class TestEagerInsert:
         for _ in range(200):
             items = [rng.choice(grid) for _ in range(4)]
             for perm in itertools.permutations(items):
-                store = ParetoStore(2)
-                for s, loads in perm:
-                    store.insert(s, loads)
-                assert store_set(store) == naive_filter(perm)
-
-
-class TestBoundedInsert:
-    def test_rejects_exactly_the_provably_worse_labels(self):
-        rng = random.Random(7)
-        items = random_items(rng, 150, 3)
-        bound, potential = 6.0, 1.0
-        store = ParetoStore(3)
-        for s, loads in items:
-            store.insert_bounded(s, loads, potential=potential, bound=bound)
-        admissible = [(s, loads) for s, loads in items
-                      if (s + potential) + max(loads) < bound]
-        assert store_set(store) == naive_filter(admissible)
-        assert store.bound_rejected == len(items) - len(admissible)
-
-    def test_weighted_bound(self):
-        store = ParetoStore(1)
-        # λ_S·(σ+pot) + λ_B·max = 2·(1+1) + 0.5·4 = 6
-        assert not store.insert_bounded(1.0, (4.0,), potential=1.0, bound=6.0,
-                                        lambda_s=2.0, lambda_b=0.5)
-        assert store.insert_bounded(1.0, (4.0,), potential=1.0, bound=6.1,
-                                    lambda_s=2.0, lambda_b=0.5)
-
-    @pytest.mark.parametrize("lambda_s, lambda_b",
-                             [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0), (0.0, 1.0)])
-    def test_weighted_bound_equals_prefiltered_eager_store(self, lambda_s,
-                                                           lambda_b):
-        rng = random.Random(int(10 * lambda_s + lambda_b))
-        items = random_items(rng, 300, 3)
-        bound, potential = 7.0, 0.5
-        bounded = ParetoStore(3)
-        for s, loads in items:
-            bounded.insert_bounded(s, loads, potential=potential, bound=bound,
-                                   lambda_s=lambda_s, lambda_b=lambda_b)
-        admissible = [(s, loads) for s, loads in items
-                      if lambda_s * (s + potential) + lambda_b * max(loads)
-                      < bound]
-        eager = ParetoStore(3)
-        for s, loads in admissible:
-            eager.insert(s, loads)
-        assert store_set(bounded) == store_set(eager)
-        assert bounded.bound_rejected == len(items) - len(admissible)
-
-    def test_mixed_plain_and_bounded_inserts(self):
-        rng = random.Random(3)
-        items = random_items(rng, 200, 2)
-        store = ParetoStore(2)
-        kept = []
-        for i, (s, loads) in enumerate(items):
-            if i % 3:
-                store.insert_bounded(s, loads, potential=1.0, bound=8.0)
-                if s + 1.0 + max(loads) < 8.0:
-                    kept.append((s, loads))
-            else:
-                store.insert(s, loads)      # plain inserts ignore the bound
-                kept.append((s, loads))
-        assert store_set(store) == naive_filter(kept)
-
-    def test_rejected_label_never_evicts_stored_entries(self):
-        store = ParetoStore(2)
-        store.insert(9.0, (9.0, 9.0))
-        # would dominate the stored label, but cannot beat the incumbent
-        assert not store.insert_bounded(1.0, (1.0, 1.0), potential=1.0,
-                                        bound=2.5)
-        assert store_set(store) == {(9.0, (9.0, 9.0))}
-        assert store.evicted == 0 and store.bound_rejected == 1
+                assert front_set(list(perm)) == naive_filter(perm)
 
 
 class TestBlockMask:
     @pytest.mark.parametrize("dim", [0, 1, 2, 4])
     @pytest.mark.parametrize("seed", range(6))
-    def test_exact_mask_equals_eager_store(self, dim, seed):
-        # the sweep's block kernel and the tree DP's store are the same
-        # filter: identical survivors on the same labels
+    def test_exact_mask_equals_pareto_front(self, dim, seed):
+        # the sweep's block kernel and the tree DP's list filter are the
+        # same filter: identical survivors on the same labels
         rng = random.Random(seed * 31 + dim)
         items = random_items(rng, 400, dim)
         sig = np.array([s for s, _ in items])
         lds = np.array([l for _, l in items]).reshape(len(items), dim)
         keep = pareto_block_mask(sig, lds)
-        store = ParetoStore(dim)
-        for s, loads in items:
-            store.insert(s, loads)
         assert {items[i] for i in range(len(items)) if keep[i]} == \
-            store_set(store)
+            front_set(items)
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     @pytest.mark.parametrize("seed", range(5))

@@ -23,6 +23,7 @@ from repro.distributed import (
 )
 from repro.distributed.spool import SpoolError
 from repro.model.serialization import problem_to_json
+from repro.runtime.cache import problem_fingerprint
 from repro.workloads import random_problem
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -303,6 +304,34 @@ class TestGatewayCoalescing:
 
 
 # ---------------------------------------------------------------- rate limits
+class TestShardIdentity:
+    def test_method_spellings_of_one_instance_meet_in_one_shard(self,
+                                                                shards):
+        """The gateway routes on the instance fingerprint, the identity part
+        of the result key, so a request naming ``auto`` reads the answer a
+        ``portfolio`` request for the same instance left in its shard."""
+        queues = [WorkQueue(directory, poll_interval=0.01)
+                  for directory in shards]
+        gateway = Gateway(queues, GatewayConfig(port=0)).start_background()
+        try:
+            # a "<problem>:<method>" routing key sends these two spellings
+            # of seed 0 to different shards of a 2-shard ring
+            problem = tiny_problem(seed=0)
+            with ShardDrainer(queues, cached=True):
+                status, _, text = post_solve(gateway.port, problem_body(
+                    problem, method="portfolio", timeout_s=60))
+            first = json.loads(text)
+            assert status == 200 and first["ok"] and not first["cached"]
+            status, _, text = post_solve(gateway.port, problem_body(
+                problem, method="auto", timeout_s=5))      # no workers
+            again = json.loads(text)
+            assert status == 200 and again["cached"]
+            assert again["shard"] == first["shard"]
+            assert again["objective"] == first["objective"]
+        finally:
+            gateway.stop()
+
+
 class TestRateLimiting:
     def test_burst_sheds_with_429_and_retry_after(self, shards):
         gateway = make_gateway(shards, rate_per_client=2.0,
@@ -408,13 +437,12 @@ class TestProgressStreaming:
 
 # ------------------------------------------------------------------- failover
 class TestFailover:
-    def _routed_problem(self, gateway, target_shard, method="colored-ssb"):
-        """A tiny problem whose canonical key routes to ``target_shard``."""
+    def _routed_problem(self, gateway, target_shard):
+        """A tiny problem whose fingerprint routes to ``target_shard``."""
         for seed in range(200):
             problem = tiny_problem(seed=seed)
-            canonical = json.dumps(
-                json.loads(problem_to_json(problem)), sort_keys=True)
-            if gateway.router.route(canonical + ":" + method) == target_shard:
+            if gateway.router.route(problem_fingerprint(problem)) == \
+                    target_shard:
                 return problem
         raise AssertionError("no seed routed to the target shard")
 

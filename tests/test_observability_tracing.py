@@ -163,6 +163,33 @@ class TestBitIdentity:
         assert span_profile["pruned_lagrange"] == profile["pruned_lagrange"]
         assert span_profile["per_node"], "traced solves keep per-node rows"
 
+    @pytest.mark.parametrize("n, k, seed, scatter", [
+        (8, 1, 0, 0.0), (10, 3, 1, 0.3), (12, 4, 2, 0.6), (14, 2, 3, 1.0)])
+    def test_dp_span_profile_matches_its_details(self, tmp_path, n, k, seed,
+                                                 scatter):
+        """The DP's traced per-node rows add up to its details' counters:
+        each node's row counts every candidate it settled, whichever bound
+        or dominance check dropped it."""
+        from repro.runtime.runner import BatchRunner, BatchTask
+
+        problem = random_problem(n_processing=n, n_satellites=k, seed=seed,
+                                 sensor_scatter=scatter)
+        tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
+        task = BatchTask(problem=problem, method="pareto-dp-pruned")
+        item = BatchRunner(workers=0, tracer=tracer).run([task]).results[0]
+
+        profile = item.details["profile"]
+        assert profile["engine"] == "pareto-dp"
+        assert profile["labels_created"] > 0
+        span_profile = next(
+            s["profile"] for s in load_spans(str(tmp_path))
+            if str(s["name"]).startswith("method:") and s.get("profile"))
+        for key in ("labels_created", "labels_dominated", "pruned_floor",
+                    "frontier_peak"):
+            assert span_profile[key] == profile[key], key
+        assert sum(row[1] for row in span_profile["per_node"]) == \
+            profile["labels_created"]
+
     def test_certified_profile_says_why_it_has_no_rows(self, tmp_path):
         from repro.runtime.runner import BatchRunner
 

@@ -148,19 +148,6 @@ class TestJSONFileCache:
         assert len(cache) == 64
         assert all(cache.get(f"key{i}") is not None for i in range(64))
 
-    def test_flat_legacy_entries_migrate_on_first_access(self, tmp_path):
-        # a pre-sharding store wrote directory/<key>.json directly
-        legacy = tmp_path / "old.json"
-        legacy.write_text(json.dumps({"entry_version": 1, "objective": 7.0}),
-                          encoding="utf-8")
-        cache = JSONFileCache(str(tmp_path))
-        assert len(cache) == 1                       # flat entries still counted
-        assert cache.get("old")["objective"] == 7.0
-        assert not legacy.exists()                   # moved into its shard
-        assert (tmp_path / shard_of("old") / "old.json").exists()
-        assert cache.get("old")["objective"] == 7.0  # now a sharded hit
-        assert len(cache) == 1
-
     def test_get_with_source_reports_disk(self, tmp_path):
         cache = JSONFileCache(str(tmp_path))
         cache.put("k", {"entry_version": 1, "objective": 1.0})
