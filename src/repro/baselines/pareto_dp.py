@@ -289,7 +289,6 @@ def _dp_labels(problem: AssignmentProblem,
                lam_s: float = 1.0, lam_b: float = 1.0,
                beam_width: Optional[int] = None,
                context: Optional[SolveContext] = None,
-               profile=None,
                ) -> Tuple[List[_Label], Dict[str, int]]:
     """Run the tree DP; returns the root frontier labels plus prune counters.
 
@@ -355,10 +354,10 @@ def _dp_labels(problem: AssignmentProblem,
     stats = {"created": 0, "dominated": 0, "bound_rejected": 0,
              "peak_frontier": 0, "drains": 0}
 
-    def close(node: str, labels: List[_Label], created: int, rejected: int,
+    def close(labels: List[_Label], created: int, rejected: int,
               pot: float, jpot: float = 0.0,
               cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
-        """The end of every node's step: count it, cap it, trace it, beam it.
+        """The end of every node's step: count it, cap it, beam it.
 
         ``created`` candidates came in and the bounds ``rejected`` some; the
         rest not in ``labels`` were dominated."""
@@ -374,17 +373,12 @@ def _dp_labels(problem: AssignmentProblem,
         stats["drains"] += 1
         if len(labels) > stats["peak_frontier"]:
             stats["peak_frontier"] = len(labels)
-        if profile is not None:
-            profile.record_node(node, created=created, dominated=dominated,
-                                pruned_floor=rejected, frontier=len(labels),
-                                settle_batches=1)
         if beam_width is not None and len(labels) > beam_width:
             labels.sort(key=beam_key(pot, jpot, cpot))
             del labels[beam_width:]
         return labels
 
-    def settle(node: str, candidates: List[_Label], pot: float,
-               jpot: float = 0.0,
+    def settle(candidates: List[_Label], pot: float, jpot: float = 0.0,
                cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
         """One node's list step: bound the candidates, keep their front."""
         admitted = candidates
@@ -404,7 +398,7 @@ def _dp_labels(problem: AssignmentProblem,
                         lam_b * (max(loads) if loads else 0.0) >= bound:
                     continue
                 admitted.append(label)
-        return close(node, pareto_front(admitted), len(candidates),
+        return close(pareto_front(admitted), len(candidates),
                      len(candidates) - len(admitted), pot, jpot, cpot)
 
     def offload_label(cru_id: str) -> Optional[_Label]:
@@ -415,8 +409,8 @@ def _dp_labels(problem: AssignmentProblem,
         loads[colour] = beta
         return (0.0, tuple(loads), (cru_id,))
 
-    def combine_fold_stream(cru_id: str, i: int, acc: List[_Label],
-                            labels: List[_Label], pot: float,
+    def combine_fold_stream(acc: List[_Label], labels: List[_Label],
+                            pot: float,
                             jpot: float = 0.0,
                             cpot: Optional[Tuple[float, ...]] = None
                             ) -> List[_Label]:
@@ -483,8 +477,7 @@ def _dp_labels(problem: AssignmentProblem,
                 ai, bi = divmod(int(p), B)
                 out.append((float(s), tuple(lo.tolist()),
                             acc[ai][2] + labels[bi][2]))
-        return close(f"{cru_id}/{i + 1}", out, created, rejected, pot, jpot,
-                     cpot)
+        return close(out, created, rejected, pot, jpot, cpot)
 
     def combine_children(cru_id: str,
                          children_labels: Sequence[List[_Label]]
@@ -503,8 +496,7 @@ def _dp_labels(problem: AssignmentProblem,
                 if have_joint else 0.0
             cpot = cpots((cru_id, i + 1), cpot_state)
             if n and len(acc) * len(labels) >= _STREAM_MIN_PAIRS:
-                acc = combine_fold_stream(cru_id, i, acc, labels, pot,
-                                          jpot, cpot)
+                acc = combine_fold_stream(acc, labels, pot, jpot, cpot)
                 continue
             candidates: List[_Label] = []
             for ah, aloads, acut in acc:
@@ -515,10 +507,10 @@ def _dp_labels(problem: AssignmentProblem,
                         (ah + bh,
                          tuple(x + y for x, y in zip(aloads, bloads)),
                          acut + bcut))
-            acc = settle(f"{cru_id}/{i + 1}", candidates, pot, jpot, cpot)
+            acc = settle(candidates, pot, jpot, cpot)
         return acc
 
-    def finish_fold(node: str, combined: List[_Label], h: float,
+    def finish_fold(combined: List[_Label], h: float,
                     offload: Optional[_Label], pot: float,
                     jpot: float = 0.0,
                     cpot: Optional[Tuple[float, ...]] = None
@@ -569,7 +561,7 @@ def _dp_labels(problem: AssignmentProblem,
         labels: List[_Label] = [offload] if keep_off else []
         labels += [(float(hs[i]), tuple(ld[i].tolist()), combined[i][2])
                    for i in np.nonzero(keep)[0].tolist()]
-        return close(node, labels, created, rejected, pot, jpot, cpot)
+        return close(labels, created, rejected, pot, jpot, cpot)
 
     def labels_of(cru_id: str) -> List[_Label]:
         if context is not None:
@@ -585,14 +577,14 @@ def _dp_labels(problem: AssignmentProblem,
             if all(child_labels):
                 combined = combine_children(cru_id, child_labels)
         if combined and n and len(combined) >= _STREAM_MIN_LABELS:
-            return finish_fold(cru_id, combined, problem.host_time(cru_id),
+            return finish_fold(combined, problem.host_time(cru_id),
                                off_label, pot, jpot, cpot)
         candidates = [off_label] if off_label is not None else []
         if combined:
             h = problem.host_time(cru_id)
             candidates += [(ch + h, cloads, ccut)
                            for ch, cloads, ccut in combined]
-        return settle(cru_id, candidates, pot, jpot, cpot)
+        return settle(candidates, pot, jpot, cpot)
 
     root = tree.root_id
     root_children = tree.children_ids(root)
@@ -604,9 +596,9 @@ def _dp_labels(problem: AssignmentProblem,
     # h_root folded in: the completion potential of a final label is 0,
     # so the bound check compares the exact objective to the incumbent
     if combined and n and len(combined) >= _STREAM_MIN_LABELS:
-        return finish_fold(root, combined, h_root, None, 0.0), stats
-    return settle(root, [(ch + h_root, cloads, ccut)
-                         for ch, cloads, ccut in combined], 0.0), stats
+        return finish_fold(combined, h_root, None, 0.0), stats
+    return settle([(ch + h_root, cloads, ccut)
+                   for ch, cloads, ccut in combined], 0.0), stats
 
 
 # --------------------------------------------------------------------------
@@ -642,16 +634,6 @@ def _greedy_fallback(problem: AssignmentProblem, weighting: SSBWeighting,
         "interrupted": interrupted,
         "fallback": "greedy",
     }
-
-
-def _span_profile(context: Optional[SolveContext]):
-    """The active span's profile accumulator on a traced solve, else None."""
-    if context is None:
-        return None
-    span = getattr(context, "span", None)
-    if span is None:
-        return None
-    return span.ensure_profile("pareto-dp")
 
 
 def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
@@ -736,8 +718,7 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
             lam_s=lam_s, lam_b=lam_b, context=context, **kwargs)
 
     def exact(bound: float) -> Tuple[List[_Label], Dict[str, int]]:
-        return run(max_frontier=max_frontier, bound=bound,
-                   profile=_span_profile(context))
+        return run(max_frontier=max_frontier, bound=bound)
 
     extra: Dict[str, object] = {}
     if incumbent is not None:

@@ -666,7 +666,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     profiles += 1
         if not profiles:
             print("no solver profiles recorded (profiles attach to the "
-                  "solve/method spans of exact-engine solves)")
+                  "method:* spans of exact-engine solves and to the "
+                  "portfolio's stage:* spans)")
     return 0
 
 

@@ -191,10 +191,12 @@ class LabelSearchStats:
     join's pre-filter rejected against the opposing frontier's minima).
     ``frontier_peak`` is the largest settled bucket and ``settle_batches``
     the number of buckets settled, whether or not the dominance filter ran
-    on them — together the bound-effectiveness profile
-    the tracing layer surfaces.  ``lagrange_root`` is the Lagrangian root
-    bound ``potW[S]`` the exact pass pruned with (``-inf`` when no
-    weighting was picked): its gap to the optimum explains a slow pass.
+    on them.  These counters are the engine's only work record:
+    :meth:`profile` turns them into ``details["profile"]``, and a traced
+    solve's span carries that same dict.  ``lagrange_root`` is the
+    Lagrangian root bound ``potW[S]`` the exact pass pruned with (``-inf``
+    when no weighting was picked): its gap to the optimum explains a slow
+    pass.
     ``exact_passes`` counts the exact passes run: 0 when the beam
     certified its incumbent, 1 when the midpoint probe found the optimum
     or no probe ran (one colour, or the caller's ``incumbent`` was the
@@ -217,6 +219,30 @@ class LabelSearchStats:
     lagrange_root: float = float("-inf")  #: root bound potW[S]
     beam_certified: bool = False     #: the beam proved the bound; no exact pass
     exact_passes: int = 0            #: exact passes run (probe, then full)
+
+    def profile(self) -> Dict[str, Any]:
+        """The solve's ``details["profile"]`` (flat scalars), which a traced
+        solve's span carries as is."""
+        return {
+            "engine": "label-search",
+            "labels_created": self.labels_created,
+            "labels_dominated": self.labels_dominated,
+            "pruned_colour": self.pruned_colour,
+            "pruned_lagrange": self.pruned_lagrange,
+            "pruned_meet": self.pruned_meet,
+            "meet_edges": self.meet_edges,
+            "pruned_total": self.labels_bound_pruned,
+            "frontier_peak": self.frontier_peak,
+            "settle_batches": self.settle_batches,
+            "nodes_swept": self.nodes_swept,
+            # a certified sweep skipped the exact pass: its counters are zero
+            "beam_certified": self.beam_certified,
+            # the Lagrangian root bound, when the exact pass picked a weighting
+            "lagrange_root": (self.lagrange_root
+                              if self.lagrange_root > float("-inf") else None),
+            # 0 certified, 1 probe hit or no probe, 2 probe missed and reran
+            "exact_passes": self.exact_passes,
+        }
 
 
 @dataclass
@@ -477,15 +503,6 @@ class LabelDominanceSearch:
 
         # ---- exact pass: half-sweeps over array buckets, joined in the
         # middle
-        profile = None
-        if context is not None:
-            span = getattr(context, "span", None)
-            if span is not None:
-                # traced solve: the exact pass records per-node sweep rows
-                # into the active span's profile accumulator; a certified
-                # solve records none, and the flag says why
-                profile = span.ensure_profile("label-search")
-                profile.beam_certified = certified
         if interrupted is not None or certified:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
@@ -501,15 +518,10 @@ class LabelDominanceSearch:
             (best_path, best_ssb, best_s, best_b, sweep_stats, passes,
              interrupted) = self._sweep_bidirectional(
                 graph, order, out_edge_data, potentials, color_index,
-                source, target, zero_loads, caps, lagrange, context=context,
-                profile=profile)
+                source, target, zero_loads, caps, lagrange, context=context)
         (created, dominated, pruned_colour, pruned_lagrange, peak, settles,
          pruned_meet, meet_edges) = sweep_stats
         root = lagrange[3] if lagrange is not None else float("-inf")
-        if profile is not None:
-            profile.exact_passes = passes
-            if lagrange is not None:
-                profile.lagrange_root = root
         stats = LabelSearchStats(
             labels_created=created, labels_dominated=dominated,
             labels_bound_pruned=pruned_colour + pruned_lagrange + pruned_meet,
@@ -689,8 +701,7 @@ class LabelDominanceSearch:
     def _sweep_bidirectional(self, graph, order, out_edge_data, potentials,
                              color_index, source, target, zero_loads, caps,
                              lagrange=None,
-                             context: Optional[SolveContext] = None,
-                             profile=None):
+                             context: Optional[SolveContext] = None):
         """Meet-in-the-middle exact pass (see the module docstring).
 
         ``lagrange`` is :func:`_lagrange_bounds`' ``(w, potw, spotw,
@@ -731,13 +742,9 @@ class LabelDominanceSearch:
             color_index, spotw)
         sweep_stats = _EMPTY_SWEEP_STATS
         for passes, cap in enumerate(caps, 1):
-            if passes > 1 and profile is not None:
-                # the per-node rows show the rerun, which does most work
-                profile.restart_nodes()
             path, pass_stats, interrupted = self._bidir_blocks(
                 graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                source, target, zero_loads, cap, w, context=context,
-                profile=profile)
+                source, target, zero_loads, cap, w, context=context)
             sweep_stats = tuple(
                 max(a, b) if slot == _PEAK_SLOT else a + b
                 for slot, (a, b) in enumerate(zip(sweep_stats, pass_stats)))
@@ -769,7 +776,7 @@ class LabelDominanceSearch:
 
     def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
                       in_edge_data, source, target, zero_loads, bound, w=None,
-                      context: Optional[SolveContext] = None, profile=None):
+                      context: Optional[SolveContext] = None):
         """The two half-sweeps and their join, over *array buckets*.
 
         Labels never exist as Python objects here: a node's bucket is a set
@@ -865,9 +872,6 @@ class LabelDominanceSearch:
                 if not extensions and not is_meet:
                     continue
                 sig, lds, parents, ekeys = _concat(node_chunks)
-                if profile is not None:
-                    node_base = (created, dominated, pruned_colour,
-                                 pruned_lagrange)
                 bucket_size = len(sig)
                 if bucket_size > peak:
                     peak = bucket_size
@@ -903,13 +907,6 @@ class LabelDominanceSearch:
                     rows = keep.nonzero()[0]
                     chunks.setdefault(pack[3], []).append(
                         (ns[rows], nl[rows], rows, pack[0].key))
-                if profile is not None:
-                    profile.record_node(
-                        node, created - node_base[0],
-                        dominated - node_base[1],
-                        pruned_colour=pruned_colour - node_base[2],
-                        pruned_lagrange=pruned_lagrange - node_base[3],
-                        frontier=bucket_size, settle_batches=1)
             return settled, meet_rows
 
         # forward: prefix labels over ranks < K; backward: suffix labels
@@ -999,13 +996,8 @@ class LabelDominanceSearch:
                 meet_edges += 1
                 sf, _lf, X0, fidx, _xmin, xsum0, xw0 = f_join[tail]
                 sb, _lb, Y, yidx, ymin, ysum, yw = b_join[head]
-                meet_base = pruned_meet
                 if est >= bound:
                     pruned_meet += len(sf) + len(sb)
-                    if profile is not None:
-                        profile.record_node(
-                            f"meet:{edge.key}",
-                            pruned_meet=pruned_meet - meet_base)
                     continue
                 if not dim:
                     # no colours: σ is the whole objective, so the best
@@ -1141,11 +1133,6 @@ class LabelDominanceSearch:
                                 context.report_incumbent(
                                     v, source="labels-meet")
                         start = stop
-                if profile is not None:
-                    profile.record_node(
-                        f"meet:{edge.key}",
-                        pruned_meet=pruned_meet - meet_base,
-                        frontier=len(sf) + len(sb))
                 if interrupted is not None:
                     break
         sweep_stats = (created, dominated, pruned_colour, pruned_lagrange,

@@ -124,6 +124,15 @@ def instance_features(problem: AssignmentProblem) -> Dict[str, Any]:
     }
 
 
+def _stage_span(context: Optional[SolveContext], stage: str):
+    """A ``stage:<stage>`` child of the traced solve's span, else None.
+
+    Each exact stage's span carries that stage's engine profile, so no
+    span mixes the label sweep's counters with the DP's."""
+    span = context.span if context is not None else None
+    return span.child(f"stage:{stage}") if span is not None else None
+
+
 @dataclass
 class StageOutcome:
     """Attribution record for one portfolio stage (JSON-safe)."""
@@ -219,8 +228,12 @@ class PortfolioSolver:
             graph = build_assignment_graph(problem)
             search = LabelDominanceSearch(weighting=self.weighting,
                                           beam_width=self.beam_width)
+            stage_span = _stage_span(context, "labels")
             result = search.search(graph.dwg, incumbent=best_objective,
                                    context=context)
+            if stage_span is not None:
+                stage_span.profile = result.stats.profile()
+                stage_span.finish()
             interrupted = result.interrupted
             improved = result.found and result.ssb_weight < best_objective
             if improved:
@@ -262,9 +275,13 @@ class PortfolioSolver:
             started = time.perf_counter()
             # refutation: the DP's one exact pass is bounded by the answer
             # in hand, so it only has to show that nothing beats it
+            stage_span = _stage_span(context, "dp-pruned")
             dp_assignment, dp_details = pareto_dp_pruned_assignment(
                 problem, weighting=self.weighting, context=context,
                 incumbent=best_objective)
+            if stage_span is not None:
+                stage_span.profile = dp_details.get("profile")
+                stage_span.finish()
             dp_objective = self.weighting.combine(
                 dp_assignment.host_load(), dp_assignment.max_satellite_load())
             # an interrupted cross-check never downgrades the result: the

@@ -280,6 +280,7 @@ class IncrementalSolver:
             "potentials_reused": potentials_reused,
             "labels_created": result.stats.labels_created,
             "labels_bound_pruned": result.stats.labels_bound_pruned,
+            "profile": result.stats.profile(),
             "assignment_graph_edges": graph.number_of_edges(),
         }
         if result.interrupted is not None:

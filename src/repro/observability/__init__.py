@@ -16,7 +16,6 @@ from repro.observability.metrics import (
     parse_prometheus_text,
 )
 from repro.observability.tracing import (
-    ProfileAccumulator,
     Span,
     Tracer,
     chrome_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProfileAccumulator",
     "Span",
     "Tracer",
     "chrome_trace",

@@ -26,9 +26,10 @@ exports Chrome trace-event JSON loadable by Perfetto or
 :func:`render_profile` a bound-effectiveness table for the exact engines
 (which completion bound — the sigma/colour-load floor, the per-colour
 joint bound, the Lagrangian w-bound or the meet-join pre-filter —
-actually killed labels).  :class:`ProfileAccumulator` is the low-overhead carrier
-the label engines write per-node sweep counters into; it only exists on
-traced solves, so the untraced hot path pays a single ``is None`` test.
+actually killed labels).  The profile a span carries is the engine's own
+``details["profile"]`` — one record per engine run, set on the traced
+``method:*`` span (or, in the portfolio, the ``stage:*`` span) once the
+engine returns, so the engines' hot loops hold no tracing code.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.observability.events import EVENT_SPAN, SPANS_TOTAL, EventLog
 from repro.observability.metrics import MetricsRegistry, default_metrics
 
 __all__ = [
-    "ProfileAccumulator",
     "Span",
     "Tracer",
     "chrome_trace",
@@ -82,144 +82,6 @@ def trace_context(span: Optional["Span"]) -> Optional[Dict[str, str]]:
     if span is None:
         return None
     return span.context()
-
-
-class ProfileAccumulator:
-    """Per-node sweep counters for one traced exact solve.
-
-    The label engines call :meth:`record_node` **once per swept node** —
-    never per label — so the traced overhead is a handful of integer adds
-    per node.  Totals split bound rejections by which completion potential
-    fired: the sigma + per-colour load *floor* bound (tree DP), the
-    per-*colour* joint sigma/load bound (label sweep), the *Lagrangian*
-    w-weighted load bound (label sweep) and the *meet*-in-the-middle join
-    pre-filter (label sweep).  The label sweep also sets
-    ``beam_certified``: when its beam pre-pass proved the bound, the exact
-    pass is skipped and no per-node rows are recorded.  When the
-    exact pass picked a Lagrangian weighting, ``lagrange_root`` holds its
-    root bound, so the root gap to the optimum shows in the trace, and
-    ``exact_passes`` says how many exact passes ran: 0 when certified, 1
-    when the midpoint probe found the optimum (or none ran), 2 when it
-    came back empty and the pass reran at the incumbent.  Over two passes
-    the totals sum both, as ``LabelSearchStats``' counters do, while
-    ``per_node`` and ``nodes_swept`` cover the rerun only (see
-    :meth:`restart_nodes`).
-    """
-
-    __slots__ = (
-        "engine",
-        "labels_created",
-        "labels_dominated",
-        "pruned_floor",
-        "pruned_colour",
-        "pruned_lagrange",
-        "pruned_meet",
-        "frontier_peak",
-        "settle_batches",
-        "nodes_swept",
-        "beam_certified",
-        "lagrange_root",
-        "exact_passes",
-        "per_node",
-        "node_cap",
-    )
-
-    def __init__(self, engine: str = "", node_cap: int = 512) -> None:
-        self.engine = engine
-        self.labels_created = 0
-        self.labels_dominated = 0
-        self.pruned_floor = 0
-        self.pruned_colour = 0
-        self.pruned_lagrange = 0
-        self.pruned_meet = 0
-        self.frontier_peak = 0
-        self.settle_batches = 0
-        self.nodes_swept = 0
-        self.beam_certified: Optional[bool] = None
-        self.lagrange_root: Optional[float] = None
-        self.exact_passes: Optional[int] = None
-        self.per_node: List[List[Any]] = []
-        self.node_cap = node_cap
-
-    def record_node(
-        self,
-        node: Any,
-        created: int = 0,
-        dominated: int = 0,
-        pruned_floor: int = 0,
-        frontier: int = 0,
-        settle_batches: int = 0,
-        pruned_colour: int = 0,
-        pruned_meet: int = 0,
-        pruned_lagrange: int = 0,
-    ) -> None:
-        self.labels_created += created
-        self.labels_dominated += dominated
-        self.pruned_floor += pruned_floor
-        self.pruned_colour += pruned_colour
-        self.pruned_lagrange += pruned_lagrange
-        self.pruned_meet += pruned_meet
-        if frontier > self.frontier_peak:
-            self.frontier_peak = frontier
-        self.settle_batches += settle_batches
-        self.nodes_swept += 1
-        if len(self.per_node) < self.node_cap:
-            self.per_node.append(
-                [
-                    str(node),
-                    int(created),
-                    int(dominated),
-                    int(pruned_floor + pruned_colour),
-                    int(pruned_meet),
-                    int(pruned_lagrange),
-                ]
-            )
-
-    def restart_nodes(self) -> None:
-        """Start another pass over the same nodes: the per-node rows and
-        ``nodes_swept`` restart, so they describe the last pass (and the
-        ``node_cap`` rows go to it); the totals keep summing."""
-        self.per_node.clear()
-        self.nodes_swept = 0
-
-    @property
-    def pruned_total(self) -> int:
-        return (
-            self.pruned_floor
-            + self.pruned_colour
-            + self.pruned_lagrange
-            + self.pruned_meet
-        )
-
-    def totals(self) -> Dict[str, int]:
-        """Flat scalar totals — safe to embed in ``details['profile']``."""
-        out = {
-            "labels_created": self.labels_created,
-            "labels_dominated": self.labels_dominated,
-            "pruned_floor": self.pruned_floor,
-            "pruned_colour": self.pruned_colour,
-            "pruned_lagrange": self.pruned_lagrange,
-            "pruned_meet": self.pruned_meet,
-            "pruned_total": self.pruned_total,
-            "frontier_peak": self.frontier_peak,
-            "settle_batches": self.settle_batches,
-            "nodes_swept": self.nodes_swept,
-        }
-        if self.engine:
-            out["engine"] = self.engine
-        if self.beam_certified is not None:
-            out["beam_certified"] = self.beam_certified
-        if self.lagrange_root is not None:
-            out["lagrange_root"] = self.lagrange_root
-        if self.exact_passes is not None:
-            out["exact_passes"] = self.exact_passes
-        return out
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Totals plus per-node rows — attached to the span record."""
-        out: Dict[str, Any] = self.totals()
-        out["per_node"] = [list(row) for row in self.per_node]
-        return out
 
 
 class Span:
@@ -267,7 +129,9 @@ class Span:
         self._perf0 = time.perf_counter()
         self.attrs: Dict[str, Any] = dict(attrs)
         self.events: List[Dict[str, Any]] = []
-        self.profile: Optional[ProfileAccumulator] = None
+        #: the engine's ``details["profile"]``, written as the record's
+        #: top-level ``profile`` field
+        self.profile: Optional[Dict[str, Any]] = None
         self._finished = False
 
     # ------------------------------------------------------------- plumbing
@@ -299,13 +163,6 @@ class Span:
         if attrs:
             event.update(attrs)
         self.events.append(event)
-
-    def ensure_profile(self, engine: str = "") -> ProfileAccumulator:
-        if self.profile is None:
-            self.profile = ProfileAccumulator(engine=engine)
-        elif engine and not self.profile.engine:
-            self.profile.engine = engine
-        return self.profile
 
     def finish(self, **attrs: Any) -> None:
         if self._finished:
@@ -452,7 +309,7 @@ class Tracer:
         if span.events:
             fields["events"] = span.events
         if span.profile is not None:
-            fields["profile"] = span.profile.as_dict()
+            fields["profile"] = span.profile
         self.log.emit(EVENT_SPAN, task_id=span.task_id, **fields)
         registry = self.registry if self.registry is not None else default_metrics()
         try:
@@ -548,9 +405,7 @@ def chrome_trace(spans: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
             args[key] = value
         profile = span.get("profile")
         if isinstance(profile, Mapping):
-            args["profile"] = {
-                key: value for key, value in profile.items() if key != "per_node"
-            }
+            args["profile"] = dict(profile)
         trace_events.append(
             {
                 "name": str(span.get("name", "span")),

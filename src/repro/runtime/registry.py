@@ -129,9 +129,9 @@ class SolverSpec:
         if context is not None:
             run_options["context"] = context
         # On a traced solve, wrap this method in its own child span and point
-        # context.span at it for the runner's duration, so hot-path profiling
-        # (and incumbent events fired inside the runner) attach to the method
-        # that produced them — the portfolio runs several methods per solve.
+        # context.span at it for the runner's duration, so incumbent events
+        # fired inside the runner attach to the method that produced them;
+        # the span carries the runner's details["profile"], when it has one.
         parent_span = context.span if context is not None else None
         method_span = None
         if parent_span is not None:
@@ -169,6 +169,7 @@ class SolverSpec:
             context.span = parent_span
             method_span.set_attr("status", status)
             method_span.set_attr("objective", objective)
+            method_span.profile = details.get("profile")
             method_span.finish()
         history: List[Tuple[float, float, Optional[str]]] = []
         if context is not None:
@@ -290,34 +291,10 @@ def _run_colored_ssb(problem: AssignmentProblem, weighting: Optional[SSBWeightin
         "assignment_graph": graph,
     }
     if result.label_stats is not None:
-        details["profile"] = _label_search_profile(result.label_stats)
+        details["profile"] = result.label_stats.profile()
     if result.interrupted:
         details["interrupted"] = result.interrupted
     return assignment, details
-
-
-def _label_search_profile(stats) -> Dict[str, Any]:
-    """Bound-effectiveness profile from one sweep's stats (flat scalars)."""
-    return {
-        "engine": "label-search",
-        "labels_created": stats.labels_created,
-        "labels_dominated": stats.labels_dominated,
-        "pruned_colour": stats.pruned_colour,
-        "pruned_lagrange": stats.pruned_lagrange,
-        "pruned_meet": stats.pruned_meet,
-        "meet_edges": stats.meet_edges,
-        "pruned_total": stats.labels_bound_pruned,
-        "frontier_peak": stats.frontier_peak,
-        "settle_batches": stats.settle_batches,
-        "nodes_swept": stats.nodes_swept,
-        # a certified sweep skipped the exact pass: its counters are zero
-        "beam_certified": stats.beam_certified,
-        # the Lagrangian root bound, when the exact pass picked a weighting
-        "lagrange_root": (stats.lagrange_root
-                          if stats.lagrange_root > float("-inf") else None),
-        # 0 certified, 1 probe hit or no probe, 2 probe missed and reran
-        "exact_passes": stats.exact_passes,
-    }
 
 
 def _run_colored_ssb_labels(problem: AssignmentProblem,
@@ -345,7 +322,7 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
         "labels_dominated": result.stats.labels_dominated,
         "labels_bound_pruned": result.stats.labels_bound_pruned,
         "beam_ssb": result.stats.beam_ssb,
-        "profile": _label_search_profile(result.stats),
+        "profile": result.stats.profile(),
         "assignment_graph_edges": graph.number_of_edges(),
         "search_result": result,
         "assignment_graph": graph,

@@ -1492,13 +1492,7 @@ class TestBoundProbe:
         assert stats.frontier_peak == max(probe[4], rerun[4])
         assert stats.labels_created > single.stats.labels_created
 
-    def test_a_missed_probe_profiles_the_rerun(self, monkeypatch,
-                                               tmp_path):
-        from repro.core.context import SolveContext
-        from repro.observability.events import EventLog
-        from repro.observability.metrics import MetricsRegistry
-        from repro.observability.tracing import Tracer
-
+    def test_a_missed_probe_profiles_the_rerun(self, monkeypatch):
         dwg = build_assignment_graph(random_problem(
             n_processing=12, n_satellites=3, seed=0,
             sensor_scatter=1.0)).dwg
@@ -1507,21 +1501,11 @@ class TestBoundProbe:
         monkeypatch.setattr(label_search, "_probe_bound",
                             lambda root, bound: optimum)
         passes = spy(monkeypatch, "_bidir_blocks")
-        tracer = Tracer(EventLog(str(tmp_path / "events.jsonl")),
-                        registry=MetricsRegistry())
-        with tracer.start("solve") as span:
-            context = SolveContext()
-            context.span = span
-            result = search.search(dwg, context=context)
-            profile = span.ensure_profile("label-search")
+        profile = search.search(dwg).stats.profile()
         (_, probe, _), (_, rerun, _) = passes
-        assert result.stats.exact_passes == profile.exact_passes == 2
-        # the totals sum both passes, as the stats do; the per-node rows
-        # and the swept-node count show the rerun alone
-        assert profile.labels_created == result.stats.labels_created
-        assert profile.labels_created == probe[0] + rerun[0]
-        assert 0 < len(profile.per_node) == profile.nodes_swept
-        assert sum(row[1] for row in profile.per_node) == rerun[0]
+        # the profile says two passes ran, and its totals sum both
+        assert profile["exact_passes"] == 2
+        assert profile["labels_created"] == probe[0] + rerun[0]
 
     def test_a_callers_incumbent_is_not_probed_below(self, monkeypatch):
         # a warm start hands in the optimum: a probe below it would always

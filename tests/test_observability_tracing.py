@@ -20,7 +20,6 @@ from repro.distributed import SolveService, SolveWorker, WorkQueue
 from repro.observability.events import EventLog
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import (
-    ProfileAccumulator,
     Tracer,
     chrome_trace,
     group_traces,
@@ -125,16 +124,13 @@ class TestBitIdentity:
         assert "solve" in names
         assert any(name.startswith("method:") for name in names)
 
-    def test_profile_rides_span_and_details(self, tmp_path):
-        from repro.runtime.runner import BatchRunner, BatchTask
+    def test_label_profile_splits_the_bounds(self):
+        from repro import solve
 
         problem = random_problem(n_processing=12, n_satellites=3, seed=5,
                                  sensor_scatter=1.0)
-        tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
-        # no beam: the exact pass runs and records its per-node rows
-        task = BatchTask(problem=problem, method="colored-ssb-labels",
-                         options={"beam_width": 0})
-        item = BatchRunner(workers=0, tracer=tracer).run([task]).results[0]
+        # no beam: the exact pass runs
+        item = solve(problem, method="colored-ssb-labels", beam_width=0)
 
         profile = item.details["profile"]
         assert profile["engine"] == "label-search"
@@ -152,45 +148,76 @@ class TestBitIdentity:
         assert profile["lagrange_root"] <= item.details["ssb_weight"]
         # the midpoint probe found the optimum, or missed and the pass reran
         assert profile["exact_passes"] in (1, 2)
-        method_spans = [s for s in load_spans(str(tmp_path))
-                        if str(s["name"]).startswith("method:")]
-        span_profile = next(s["profile"] for s in method_spans
-                            if s.get("profile"))
-        assert span_profile["labels_created"] == profile["labels_created"]
-        assert span_profile["beam_certified"] is False
-        assert span_profile["lagrange_root"] == profile["lagrange_root"]
-        assert span_profile["exact_passes"] == profile["exact_passes"]
-        assert span_profile["pruned_lagrange"] == profile["pruned_lagrange"]
-        assert span_profile["per_node"], "traced solves keep per-node rows"
 
-    @pytest.mark.parametrize("n, k, seed, scatter", [
-        (8, 1, 0, 0.0), (10, 3, 1, 0.3), (12, 4, 2, 0.6), (14, 2, 3, 1.0)])
-    def test_dp_span_profile_matches_its_details(self, tmp_path, n, k, seed,
-                                                 scatter):
-        """The DP's traced per-node rows add up to its details' counters:
-        each node's row counts every candidate it settled, whichever bound
-        or dominance check dropped it."""
+    @pytest.mark.parametrize("n, seed", [(24, 0), (30, 1)])
+    @pytest.mark.parametrize("method, options", [
+        ("colored-ssb", {}),
+        ("colored-ssb-labels", {"beam_width": 0}),
+        ("colored-ssb-labels", {"beam_width": 128}),
+        ("colored-ssb-incremental", {}),
+        ("pareto-dp-pruned", {}),
+    ], ids=["colored-ssb", "labels-beam0", "labels-beam128", "incremental",
+            "dp-pruned"])
+    def test_span_profile_equals_details(self, tmp_path, method, options, n,
+                                         seed):
+        """A traced exact solve's method span carries its details' profile
+        as a whole: one record per engine run.  The scattered instances
+        keep the beam from certifying, so the exact pass runs (twice on
+        n=24 seed 0, where the label sweep's probe misses)."""
         from repro.runtime.runner import BatchRunner, BatchTask
 
-        problem = random_problem(n_processing=n, n_satellites=k, seed=seed,
-                                 sensor_scatter=scatter)
+        problem = random_problem(n_processing=n, n_satellites=4, seed=seed,
+                                 sensor_scatter=1.0)
         tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
-        task = BatchTask(problem=problem, method="pareto-dp-pruned")
+        task = BatchTask(problem=problem, method=method, options=options)
         item = BatchRunner(workers=0, tracer=tracer).run([task]).results[0]
 
         profile = item.details["profile"]
-        assert profile["engine"] == "pareto-dp"
         assert profile["labels_created"] > 0
-        span_profile = next(
-            s["profile"] for s in load_spans(str(tmp_path))
-            if str(s["name"]).startswith("method:") and s.get("profile"))
-        for key in ("labels_created", "labels_dominated", "pruned_floor",
-                    "frontier_peak"):
-            assert span_profile[key] == profile[key], key
-        assert sum(row[1] for row in span_profile["per_node"]) == \
-            profile["labels_created"]
+        assert profile.get("beam_certified") in (None, False)
+        (method_span,) = [s for s in load_spans(str(tmp_path))
+                          if str(s["name"]).startswith("method:")]
+        assert method_span["profile"] == profile
 
-    def test_certified_profile_says_why_it_has_no_rows(self, tmp_path):
+    @pytest.mark.parametrize("n, seed", [(10, 0), (12, 1), (14, 2)])
+    def test_portfolio_profiles_sit_on_stage_spans(self, tmp_path, n, seed):
+        """Each exact stage of a traced portfolio records its own engine's
+        profile on a ``stage:*`` span; the method span carries none."""
+        from repro.baselines.greedy import maximal_offload_assignment
+        from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
+        from repro.core.assignment_graph import build_assignment_graph
+        from repro.core.dwg import SSBWeighting
+        from repro.core.label_search import LabelDominanceSearch
+        from repro.runtime.runner import BatchRunner, BatchTask
+
+        problem = random_problem(n_processing=n, n_satellites=3, seed=seed,
+                                 sensor_scatter=0.3)
+        tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
+        task = BatchTask(problem=problem, method="portfolio")
+        item = BatchRunner(workers=0, tracer=tracer).run([task]).results[0]
+        # the cross-check ran and agreed: the labels stage's objective is
+        # the answer
+        assert item.details["cross_check_agreed"] is True
+        seed = maximal_offload_assignment(problem)
+
+        spans = {s["name"]: s for s in load_spans(str(tmp_path))}
+        assert "profile" not in spans["method:portfolio"]
+        for name in ("stage:labels", "stage:dp-pruned"):
+            assert spans[name]["parent_id"] == \
+                spans["method:portfolio"]["span_id"]
+        dwg = build_assignment_graph(problem).dwg
+        label_profile = LabelDominanceSearch().search(
+            dwg, incumbent=SSBWeighting().combine(
+                seed.host_load(), seed.max_satellite_load())
+        ).stats.profile()
+        _, dp_details = pareto_dp_pruned_assignment(
+            problem, incumbent=item.details["objective"])
+        assert spans["stage:labels"]["profile"] == label_profile
+        assert spans["stage:dp-pruned"]["profile"] == dp_details["profile"]
+        assert dp_details["profile"]["engine"] == "pareto-dp"
+        assert dp_details["profile"]["labels_created"] > 0
+
+    def test_certified_profile_says_why_it_counts_nothing(self, tmp_path):
         from repro.runtime.runner import BatchRunner
 
         problem = random_problem(n_processing=12, n_satellites=3, seed=5,
@@ -206,9 +233,7 @@ class TestBitIdentity:
         span_profile = next(
             s["profile"] for s in load_spans(str(tmp_path))
             if str(s["name"]).startswith("method:") and s.get("profile"))
-        assert span_profile["beam_certified"] is True
-        assert span_profile["exact_passes"] == 0
-        assert span_profile["per_node"] == []
+        assert span_profile == profile
 
 
 class TestCrossProcessContinuity:
@@ -357,8 +382,8 @@ class TestChromeExport:
         tracer = Tracer(log, registry=MetricsRegistry())
         with tracer.start("solve", task_id="t-9") as span:
             span.add_event("incumbent", objective=2.0)
-            span.ensure_profile("label-search").record_node(
-                0, created=3, pruned_floor=1, frontier=2, settle_batches=1)
+            span.profile = {"engine": "label-search", "labels_created": 3,
+                            "pruned_floor": 1, "pruned_total": 1}
             span.child("method:colored-ssb").finish()
         return load_spans(log)
 
@@ -380,7 +405,7 @@ class TestChromeExport:
         complete = [e for e in events if e["ph"] == "X"]
         args = next(e["args"] for e in complete if e["name"] == "solve")
         assert args["task_id"] == "t-9"
-        assert "per_node" not in args["profile"]
+        assert args["profile"]["labels_created"] == 3
         json.dumps(payload)    # must be JSON-serialisable as-is
 
     def test_write_chrome_trace_round_trips(self, tmp_path):
@@ -406,12 +431,24 @@ class TestRendering:
         assert "incumbent" in text
         assert spans[0]["trace_id"] in text
 
+    @staticmethod
+    def _profile(**counts):
+        """A label-search profile dict, as ``details["profile"]`` holds it."""
+        profile = {"engine": "label-search", "labels_created": 0,
+                   "labels_dominated": 0, "pruned_colour": 0,
+                   "pruned_lagrange": 0, "pruned_meet": 0, "pruned_floor": 0,
+                   "frontier_peak": 0, "settle_batches": 0, "nodes_swept": 0}
+        profile.update(counts)
+        profile["pruned_total"] = sum(
+            profile[key] for key in ("pruned_floor", "pruned_colour",
+                                     "pruned_lagrange", "pruned_meet"))
+        return profile
+
     def test_profile_table_shares_sum_to_rejected_total(self):
-        acc = ProfileAccumulator("label-search")
-        acc.record_node(0, created=10, dominated=2, pruned_floor=6,
-                        pruned_colour=3, pruned_meet=1, frontier=4,
-                        settle_batches=1)
-        text = render_profile(acc.totals())
+        text = render_profile(self._profile(
+            labels_created=10, labels_dominated=2, pruned_floor=6,
+            pruned_colour=3, pruned_meet=1, frontier_peak=4,
+            settle_batches=1))
         assert "label-search" in text
         assert "10" in text
         assert "floor bound" in text and "per-colour joint" in text
@@ -419,63 +456,35 @@ class TestRendering:
         assert "( 60.0%)" in text and "( 30.0%)" in text and "( 10.0%)" in text
 
     def test_profile_table_renders_per_colour_and_meet_rows(self):
-        acc = ProfileAccumulator("label-search")
-        acc.record_node(0, created=20, dominated=1, pruned_floor=2,
-                        pruned_colour=8, pruned_lagrange=4, pruned_meet=6,
-                        frontier=6, settle_batches=1)
-        text = render_profile(acc.totals())
+        text = render_profile(self._profile(
+            labels_created=20, labels_dominated=1, pruned_floor=2,
+            pruned_colour=8, pruned_lagrange=4, pruned_meet=6,
+            frontier_peak=6, settle_batches=1))
         assert "per-colour joint" in text and "( 40.0%)" in text
         assert "meet-in-the-middle" in text and "( 30.0%)" in text
 
     def test_profile_table_renders_the_lagrangian_rows(self):
-        acc = ProfileAccumulator("label-search")
-        acc.record_node(0, created=10, pruned_colour=2, pruned_lagrange=6,
-                        pruned_meet=2, frontier=3, settle_batches=1)
-        assert "Lagrangian root" not in render_profile(acc.totals())
-        acc.lagrange_root = 32.5
-        totals = acc.totals()
-        assert totals["pruned_lagrange"] == 6 and totals["pruned_total"] == 10
-        assert totals["lagrange_root"] == 32.5
-        assert acc.per_node[0][-1] == 6
-        text = render_profile(totals)
+        profile = self._profile(labels_created=10, pruned_colour=2,
+                                pruned_lagrange=6, pruned_meet=2,
+                                frontier_peak=3, settle_batches=1)
+        assert "Lagrangian root" not in render_profile(profile)
+        profile["lagrange_root"] = 32.5
+        text = render_profile(profile)
         assert "Lagrangian w-weighted load bound" in text
         assert "( 60.0%)" in text
         assert "Lagrangian root bound" in text and "32.5" in text
 
     def test_profile_table_renders_the_exact_passes(self):
-        acc = ProfileAccumulator("label-search")
-        acc.record_node(0, created=4, frontier=2, settle_batches=1)
-        assert "exact passes" not in render_profile(acc.totals())
-        acc.exact_passes = 2
-        totals = acc.totals()
-        assert totals["exact_passes"] == 2
-        assert "exact passes                         2" in render_profile(totals)
+        profile = self._profile(labels_created=4, frontier_peak=2,
+                                settle_batches=1)
+        assert "exact passes" not in render_profile(profile)
+        profile["exact_passes"] = 2
+        assert "exact passes                         2" in render_profile(profile)
 
     def test_profile_table_says_when_the_beam_certified(self):
-        acc = ProfileAccumulator("label-search")
-        assert "certified" not in render_profile(acc.totals())
-        acc.beam_certified = False
-        assert "certified" not in render_profile(acc.totals())
-        acc.beam_certified = True
-        assert acc.totals()["beam_certified"] is True
-        assert "exact pass skipped" in render_profile(acc.totals())
-
-    def test_restart_nodes_keeps_the_totals(self):
-        acc = ProfileAccumulator("label-search", node_cap=4)
-        for node in range(6):
-            acc.record_node(node, created=1, frontier=5)
-        acc.restart_nodes()
-        acc.record_node("rerun", created=2, frontier=3)
-        assert acc.per_node == [["rerun", 2, 0, 0, 0, 0]]
-        totals = acc.totals()
-        assert totals["nodes_swept"] == 1
-        assert totals["labels_created"] == 8
-        assert totals["frontier_peak"] == 5
-
-    def test_profile_node_cap_bounds_memory(self):
-        acc = ProfileAccumulator("label-search", node_cap=4)
-        for node in range(10):
-            acc.record_node(node, created=1)
-        assert len(acc.per_node) == 4
-        assert acc.totals()["labels_created"] == 10
-        assert acc.totals()["nodes_swept"] == 10
+        profile = self._profile()
+        assert "certified" not in render_profile(profile)
+        profile["beam_certified"] = False
+        assert "certified" not in render_profile(profile)
+        profile["beam_certified"] = True
+        assert "exact pass skipped" in render_profile(profile)
