@@ -18,20 +18,25 @@ selected — with the default weighting this is exactly the end-to-end delay.
 The full frontier blows up combinatorially on scattered instances around
 ``n_processing >= 30``, so the one entry point,
 :func:`pareto_dp_pruned_assignment`, never materialises it: per-node
-frontiers are pruned by a **completion potential** (the minimum host time
-the rest of the tree must still add — one parents-first walk over the DP's
-states in :func:`_completion_potentials`, whose per-subtree weights come
-from one children-first walk in :func:`_subtree_minima`, together with the
-joint and per-colour floors) against an **incumbent**: found by a beam
-pre-pass over the same DP or, in the refutation mode the portfolio's
-cross-check uses, the objective of an answer the caller already holds (the
-beam is then skipped, and the one exact pass only has to show that nothing
-beats that answer).  A label whose ``λ_S·(host + potential) +
-λ_B·max(load)`` reaches the incumbent cannot end in a better assignment
-(loads only grow, host grows by at least the potential) and is dropped
-before it multiplies through the cross products.  The returned assignment
-is still exactly optimal — the incumbent is feasible, and only
-provably-not-better labels are discarded.
+frontiers are pruned by **completion bounds** against an **incumbent**.
+The incumbent is found by a beam pre-pass over the same DP or, in the
+refutation mode the portfolio's cross-check uses, is the objective of an
+answer the caller already holds (the beam is then skipped, and the one
+exact pass only has to show that nothing beats that answer).  The bounds
+come from two walks over the tree's pre-order positions: a children-first
+walk (:func:`_subtree_minima`) gives every subtree one row ``[σ, joint,
+colour_0 … colour_{k-1}]`` of minimum costs, and a parents-first walk
+(:func:`_completion_potentials`) turns them into one row ``[pot, jpot,
+cpot_0 …]`` per DP state: the minimum host time the rest of the tree must
+still add, and the joint and per-colour floors of what it must still add
+to the objective.  A label whose joint floor or one of whose colour floors
+reaches the incumbent cannot end in a better assignment (loads only grow,
+the rest of the tree adds at least the floor) and is dropped before it
+multiplies through the cross products; the σ check ``λ_S·(host + pot) +
+λ_B·max(load)``, which the colour floors imply up to rounding, runs only
+at the root (where it is the exact objective) and on an instance with no
+satellite.  The returned assignment is still exactly optimal — the
+incumbent is feasible, and only provably-not-better labels are discarded.
 
 The DP makes no use of the assignment graph, the colouring or the SSB search
 (its bounds come from the CRU tree alone), so agreement with
@@ -43,6 +48,7 @@ pins exactly that, and a MILP model that shares no code with either
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +63,9 @@ _INF = float("inf")
 
 # A DP label is (host_time, per-satellite load tuple, cut tuple).
 _Label = Tuple[float, Tuple[float, ...], Tuple[str, ...]]
+# A bound row: [σ, joint, colour_0 … colour_{k-1}] per subtree, or
+# [pot, jpot, cpot_0 …] per DP state.
+_Row = Tuple[float, ...]
 
 
 class FrontierExplosion(RuntimeError):
@@ -140,151 +149,156 @@ _STREAM_MASK_WINDOW = 128
 
 
 # --------------------------------------------------------------------------
-# Subtree minima: what each subtree must still add, from one post-order walk.
+# Bound tables: one children-first and one parents-first walk over the
+# tree's pre-order positions.
 # --------------------------------------------------------------------------
 def _subtree_minima(problem: AssignmentProblem, lam_s: float, lam_b: float
-                    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, float],
-                               Dict[str, float], List[Dict[str, float]]]:
-    """The DP's offload table and its three bound tables, in one walk.
+                    ) -> Tuple[List[Optional[List[int]]], List[float],
+                               List[Optional[Tuple[int, float]]], List[_Row]]:
+    """The DP's tree tables and one bound row per subtree, in one walk.
 
-    Every subtree ``u`` below the root is either offloaded — its whole load
-    ``β_u`` (satellite time of its processing CRUs plus the uplink to its
-    parent) lands on its one correspondent satellite — or, for a
-    processing CRU, run on the host, paying ``h_u`` plus its children's
-    own shares.  One children-first walk computes, per subtree:
+    Every table is indexed by position in ``tree.tree.preorder_index()``
+    (the root is 0).  Every subtree ``u`` below the root is either
+    offloaded — its whole load ``β_u`` (satellite time of its processing
+    CRUs plus the uplink to its parent) lands on its one correspondent
+    satellite — or, for a processing CRU, run on the host, paying ``h_u``
+    plus its children's own shares.  One children-first walk returns
+    ``(kids, host, offload, mins)``:
 
-    * ``offload[u] = (colour, β_u)`` — the colour index of the
+    * ``kids[i]`` — the children's positions of a processing CRU, ``None``
+      for a sensor; ``host[i]`` — its host time ``h_u``;
+    * ``offload[i] = (colour, β_u)`` — the colour index of the
       correspondent satellite and ``u``'s entry of
-      :meth:`AssignmentProblem.offload_costs`; absent when ``u`` has none;
-    * ``minhost[u] = min(0 if offloadable, h_u + Σ minhost(children))`` —
-      the minimum host time, the σ weight of the completion walk;
-    * ``joint[u] = min(λ_B·β_u/n, λ_S·h_u + Σ joint(children))`` — an
-      offload raises the load sum by ``β_u`` and hence the max load by at
-      least ``β_u/n``, so this is an additive lower bound on the
+      :meth:`AssignmentProblem.offload_costs`; ``None`` when ``u`` has none
+      (always for the root);
+    * ``mins[i] = [σ, joint, colour_0 … colour_{k-1}]``, where
+      ``σ = min(0 if offloadable, h_u + Σ σ(children))`` is the minimum
+      host time, the σ weight of the completion walk;
+      ``joint = min(λ_B·β_u/k, λ_S·h_u + Σ joint(children))`` — an offload
+      raises the load sum by ``β_u`` and hence the max load by at least
+      ``β_u/k``, so this is an additive lower bound on the
       ``λ_S·σ + λ_B·max-load`` still owed by ``u`` (the DP-side analogue of
-      the label engine's joint σ/β potential);
-    * ``per_colour[c][u]`` — the cheapest of paying ``λ_B·β_u`` on colour
-      ``c`` (offload to a colour-``c`` satellite), nothing on ``c``
-      (offload elsewhere) or ``λ_S·h_u`` plus the children's floors (host):
-      an additive lower bound on ``λ_S·σ + λ_B·load_c`` still owed by ``u``.
-      Offloading is colour-pinned, so unlike the joint bound this does not
-      dilute offloaded mass by ``1/n``.
+      the label engine's joint σ/β potential); and ``colour_c`` is the
+      cheapest of paying ``λ_B·β_u`` on colour ``c`` (offload to a
+      colour-``c`` satellite), nothing on ``c`` (offload elsewhere) or
+      ``λ_S·h_u + Σ colour_c(children)`` (host): an additive lower bound on
+      ``λ_S·σ + λ_B·load_c`` still owed by ``u``.  Offloading is
+      colour-pinned, so unlike the joint bound this does not dilute
+      offloaded mass by ``1/k``.  The root's row is its host option.
 
     ``inf`` marks a subtree with no feasible option.
     """
     tree = problem.tree
+    order, _, size = tree.tree.preorder_index()
     sat_index = {sid: i for i, sid in enumerate(problem.system.satellite_ids())}
     dim = len(sat_index)
     inv = 1.0 / dim if dim else 0.0
-    offload: Dict[str, Tuple[int, float]] = {}
-    minhost: Dict[str, float] = {}
-    joint: Dict[str, float] = {}
-    per_colour: List[Dict[str, float]] = [{} for _ in range(dim)]
     betas = problem.offload_costs()
-    root = tree.root_id
-    for u in reversed(tree.cru_ids()):      # children before parents
-        if u == root:
-            continue
-        sat = problem.correspondent_satellite(u)
-        off_host = off_joint = _INF
-        off_colour = [_INF] * dim
+    correspondent = problem.correspondent_satellites()
+    count = len(order)
+    kids: List[Optional[List[int]]] = [None] * count
+    host = [0.0] * count
+    offload: List[Optional[Tuple[int, float]]] = [None] * count
+    mins: List[_Row] = [()] * count
+    infeasible = (_INF,) * (dim + 2)
+    for i in range(count - 1, -1, -1):      # children before parents
+        u = order[i]
+        row = infeasible
+        sat = correspondent[u] if i else None
         if sat is not None:
             beta = betas[u]
             colour = sat_index[sat]
-            offload[u] = (colour, beta)
-            off_host = 0.0
-            off_joint = lam_b * beta * inv
-            off_colour = [0.0] * dim
-            off_colour[colour] = lam_b * beta
-        host = host_joint = _INF
-        host_colour = [_INF] * dim
+            offload[i] = (colour, beta)
+            off = [0.0, lam_b * beta * inv] + [0.0] * dim
+            off[2 + colour] = lam_b * beta
+            row = tuple(off)
         if tree.cru(u).is_processing:
-            children = tree.children_ids(u)
-            host = problem.host_time(u)
-            h = lam_s * host
-            host_joint = h
-            for child in children:
-                host += minhost[child]
-                host_joint += joint[child]
-            host_colour = [h + sum(table[child] for child in children)
-                           for table in per_colour]
-        minhost[u] = off_host if off_host < host else host
-        joint[u] = off_joint if off_joint < host_joint else host_joint
-        for table, off, on_host in zip(per_colour, off_colour, host_colour):
-            table[u] = off if off < on_host else on_host
-    return offload, minhost, joint, per_colour
+            end, j, children = i + size[i], i + 1, []
+            while j < end:
+                children.append(j)
+                j += size[j]
+            kids[i] = children
+            rows = [mins[j] for j in children]
+            h = host[i] = problem.host_time(u)
+            h_s = lam_s * h
+            sig, joint = h, h_s
+            for below in rows:
+                sig += below[0]
+                joint += below[1]
+            colours = [h_s + total for total in
+                       list(map(sum, zip(*rows)))[2:]] if rows else [h_s] * dim
+            row = tuple(map(min, row, (sig, joint, *colours)))
+        mins[i] = row
+    return kids, host, offload, mins
 
 
-def _completion_potentials(problem: AssignmentProblem,
-                           minhost: Dict[str, float],
-                           host_scale: float = 1.0
-                           ) -> Tuple[Dict[Tuple[str, int], float],
-                                      Dict[str, float]]:
-    """Lower bounds on the host time still missing from a partial DP label.
+def _completion_potentials(kids: Sequence[Optional[List[int]]],
+                           host: Sequence[float], mins: Sequence[_Row],
+                           lam_s: float
+                           ) -> Tuple[List[Optional[List[_Row]]],
+                                      List[Optional[_Row]]]:
+    """Lower bounds on what a partial DP label must still add, per column.
 
     The DP's states form a DAG: ``(u, i)`` means "the first ``i`` children of
     processing CRU ``u`` are folded into the label".  Each state has exactly
-    one way forward — fold the next child (weight ``minhost(child)``), or,
-    once complete, add ``h_u`` and join the parent's combination after the
-    already-folded elder siblings (weight ``h_u + Σ elder minhost``); the
-    root's complete state adds ``h_root`` and finishes.  The min σ from a
-    state to the finish is therefore that single step's weight plus the
-    next state's potential, and every feasible assignment containing a
-    label of state ``(u, i)`` pays at least that much additional host time.
+    one way forward — fold the next child (weight: the child's row of
+    ``mins``), or, once complete, add ``u``'s host weight and join the
+    parent's combination after the already-folded elder siblings (weight:
+    host weight + Σ elder rows); the root's complete state adds its host
+    weight and finishes.  The host weight is ``h_u`` in the σ column and
+    ``λ_S·h_u`` in the joint and colour columns, whose rows are in objective
+    units.  The min from a state to the finish is therefore that single
+    step's weight plus the next state's potential, and every feasible
+    assignment containing a label of state ``(u, i)`` pays at least that
+    much more.
 
-    One parents-first (pre-order) walk computes them all: a node's complete
-    state continues into its parent's states, which are already known, and
-    its own states follow right to left from the complete one.
-
-    Returns ``(pot_state, pot_opt)``: per DP state, and per tree node for
-    labels sitting in a node's finished option frontier (offload or
-    host-combined) awaiting their fold into the parent.
-
-    ``minhost`` doubles as a generic per-subtree weight oracle: with the
-    joint or a per-colour table of :func:`_subtree_minima` and
-    ``host_scale=λ_S`` the same walk yields the potentials (objective
-    units) behind the avg-load and per-colour bounds.
+    One parents-first (pre-order) walk computes every column at once: a
+    node's complete state continues into its parent's states, which are
+    already known, and its own states follow right to left from the
+    complete one.  Returns ``(states, opts)``, indexed by pre-order
+    position: ``states[i][j]`` is the row of state ``(u, j)`` of a
+    processing CRU, and ``opts[i]`` the row of labels sitting in a node's
+    finished option frontier (offload or host-combined) awaiting their fold
+    into the parent.
     """
-    tree = problem.tree
-    pot_state: Dict[Tuple[str, int], float] = {}
-    pot_opt: Dict[str, float] = {}
-    prefix_sums: Dict[str, float] = {}   # node -> Σ minhost of elder siblings
-    next_pot: Dict[str, float] = {}      # node -> pot of the parent state after it
-    for u in tree.processing_ids():
-        children = tree.children_ids(u)
-        weight = host_scale * problem.host_time(u)
-        if u == tree.root_id:
-            pot = weight + 0.0
+    count = len(kids)
+    zeros = (0.0,) * len(mins[0])
+    states: List[Optional[List[_Row]]] = [None] * count
+    opts: List[Optional[_Row]] = [None] * count
+    prefix: List[_Row] = [zeros] * count    # Σ rows of elder siblings
+    after: List[_Row] = [zeros] * count     # row of the parent state after
+    for i, children in enumerate(kids):
+        if children is None:
+            continue
+        weight = (host[i],) + (lam_s * host[i],) * (len(zeros) - 1)
+        if i == 0:
+            pot = tuple(map(add, weight, zeros))
         else:
-            pot = (weight + prefix_sums[u]) + next_pot[u]
+            pot = tuple(map(add, map(add, weight, prefix[i]), after[i]))
         pots = [pot]
-        for child in reversed(children):
-            pot = minhost[child] + pot
+        for j in reversed(children):
+            pot = tuple(map(add, mins[j], pot))
             pots.append(pot)
         pots.reverse()
-        running = 0.0
-        for i, child in enumerate(children):
-            pot_state[(u, i)] = pots[i]
-            prefix_sums[child] = running
-            next_pot[child] = pots[i + 1]
-            pot_opt[child] = pots[i + 1] + running
-            running += minhost[child]
-        pot_state[(u, len(children))] = pots[-1]
-    return pot_state, pot_opt
+        running = zeros
+        for j, child in enumerate(children, 1):
+            prefix[child] = running
+            after[child] = pots[j]
+            opts[child] = tuple(map(add, pots[j], running))
+            running = tuple(map(add, running, mins[child]))
+        states[i] = pots
+    return states, opts
 
 
 # --------------------------------------------------------------------------
 # The DP kernel, shared by the beam pre-pass and the exact pass.
 # --------------------------------------------------------------------------
 def _dp_labels(problem: AssignmentProblem,
-               offload: Dict[str, Tuple[int, float]], *,
+               kids: Sequence[Optional[List[int]]], host: Sequence[float],
+               offload: Sequence[Optional[Tuple[int, float]]],
+               states: Sequence[Optional[List[_Row]]],
+               opts: Sequence[Optional[_Row]], *,
                max_frontier: Optional[int] = None,
-               pot_state: Optional[Dict[Tuple[str, int], float]] = None,
-               pot_opt: Optional[Dict[str, float]] = None,
-               jpot_state: Optional[Dict[Tuple[str, int], float]] = None,
-               jpot_opt: Optional[Dict[str, float]] = None,
-               cpot_state: Optional[List[Dict[Tuple[str, int], float]]] = None,
-               cpot_opt: Optional[List[Dict[str, float]]] = None,
                bound: float = _INF,
                lam_s: float = 1.0, lam_b: float = 1.0,
                beam_width: Optional[int] = None,
@@ -292,15 +306,25 @@ def _dp_labels(problem: AssignmentProblem,
                ) -> Tuple[List[_Label], Dict[str, int]]:
     """Run the tree DP; returns the root frontier labels plus prune counters.
 
-    ``offload`` is the ``(colour, β_u)`` table of :func:`_subtree_minima`.
-    Every node builds its candidate labels (a fold's cross product, a node's
-    offload label plus its host-combined labels, or the root's labels) and
-    settles them in one step: the bounds drop the labels provably at or
-    above ``bound``, and :func:`pareto_front` keeps the exact front of the
-    rest.  ``beam_width`` truncates every frontier to the labels of best
-    completion bound — the heuristic pre-pass whose best root label seeds
-    the exact pass's incumbent.  Every caller passes a finite ``bound`` or a
-    ``beam_width``.
+    The tables are :func:`_subtree_minima`'s and
+    :func:`_completion_potentials`' position-indexed lists.  Every node
+    builds its candidate labels (a fold's cross product, a node's offload
+    label plus its host-combined labels, or the root's labels) and settles
+    them in one step against its bound row ``[pot, jpot, cpot_0 …]``: one
+    plain loop drops a label whose joint floor ``λ_S·σ + λ_B·Σloads/k +
+    jpot`` or any colour floor ``λ_S·σ + λ_B·load_c + cpot_c`` reaches
+    ``bound``, and :func:`pareto_front` keeps the exact front of the rest.
+    Every colour potential is at least ``λ_S`` times the σ potential, so the
+    colour floor of the max-load colour is at least the σ bound
+    ``λ_S·(σ + pot) + λ_B·max(loads)``; that check runs only where a row has
+    no colour floors: at the root, where ``(0, 0)`` makes it the exact
+    objective, and on an instance with no satellite.  (The two sides round
+    differently, so a label within a few ulps of ``bound`` may survive one
+    step more than the σ check would let it; it costs a label, never the
+    answer.)  ``beam_width``
+    truncates every frontier to the labels of best completion bound — the
+    heuristic pre-pass whose best root label seeds the exact pass's
+    incumbent.  Every caller passes a finite ``bound`` or a ``beam_width``.
 
     ``context`` is polled once per tree node and once per cross-product row
     (the two loop granularities that dominate the runtime); when it fires the
@@ -308,55 +332,41 @@ def _dp_labels(problem: AssignmentProblem,
     usable partial answer, so the entry points translate the interruption
     into their own feasible fallbacks.
     """
-    tree = problem.tree
+    order = problem.tree.tree.preorder_index()[0]
     n = len(problem.system.satellite_ids())
-    pot_state = pot_state or {}
-    pot_opt = pot_opt or {}
-    # joint σ/β bound: λ_S·σ + λ_B·(Σ loads)/n + jpot ≤ the label's best
-    # completion (the max load is at least the average); prunes only with a
-    # finite incumbent, but the beam pre-pass still ranks by it
-    have_joint = (jpot_state is not None and jpot_opt is not None and n > 0)
-    joint = have_joint and bound != _INF
     inv_n = 1.0 / n if n else 0.0
-    # per-colour floors: λ_S·σ + λ_B·load_c + cpot_c ≤ the label's best
-    # completion for every colour c — tighter than the avg bound whenever
-    # the remaining offloads concentrate on few colours
-    have_colour = (cpot_state is not None and cpot_opt is not None and n > 0)
-    colour = have_colour and bound != _INF
+    # the bounds prune only with a finite incumbent, but the beam pre-pass
+    # still ranks by them
+    bounded = bound != _INF
+    joint = bounded and n > 0
 
-    def cpots(key, table) -> Optional[Tuple[float, ...]]:
-        if not have_colour:
-            return None
-        return tuple(table[c].get(key, 0.0) for c in range(n))
-
-    def beam_key(pot: float, jpot: float,
-                 cpot: Optional[Tuple[float, ...]]):
+    def beam_key(row: _Row):
         """Best-completion estimate used to rank beam survivors: the max of
         every admissible floor available.  A sharper rank keeps the labels
         the exact pass would keep, so a narrow beam lands a near-optimal
         incumbent."""
+        pot, jpot, floors = row[0], row[1], row[2:]
+
         def key(lab: _Label) -> float:
             sig, loads = lab[0], lab[1]
             est = lam_s * (sig + pot) + \
                 lam_b * (max(loads) if loads else 0.0)
-            if have_joint:
+            if n:
                 alt = lam_s * sig + lam_b * sum(loads) * inv_n + jpot
                 if alt > est:
                     est = alt
-            if cpot is not None:
-                base = lam_s * sig
-                for c in range(n):
-                    alt = base + lam_b * loads[c] + cpot[c]
-                    if alt > est:
-                        est = alt
+            base = lam_s * sig
+            for load, floor in zip(loads, floors):
+                alt = base + lam_b * load + floor
+                if alt > est:
+                    est = alt
             return est
         return key
     stats = {"created": 0, "dominated": 0, "bound_rejected": 0,
              "peak_frontier": 0, "drains": 0}
 
     def close(labels: List[_Label], created: int, rejected: int,
-              pot: float, jpot: float = 0.0,
-              cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
+              row: _Row) -> List[_Label]:
         """The end of every node's step: count it, cap it, beam it.
 
         ``created`` candidates came in and the bounds ``rejected`` some; the
@@ -374,46 +384,35 @@ def _dp_labels(problem: AssignmentProblem,
         if len(labels) > stats["peak_frontier"]:
             stats["peak_frontier"] = len(labels)
         if beam_width is not None and len(labels) > beam_width:
-            labels.sort(key=beam_key(pot, jpot, cpot))
+            labels.sort(key=beam_key(row))
             del labels[beam_width:]
         return labels
 
-    def settle(candidates: List[_Label], pot: float, jpot: float = 0.0,
-               cpot: Optional[Tuple[float, ...]] = None) -> List[_Label]:
+    def settle(candidates: List[_Label], row: _Row
+               ) -> List[_Label]:
         """One node's list step: bound the candidates, keep their front."""
         admitted = candidates
-        if bound != _INF:
+        if bounded:
+            pot, jpot, floors = row[0], row[1], row[2:]
             admitted = []
             for label in candidates:
-                sig, loads = label[0], label[1]
+                sig, loads, _ = label
                 if joint and lam_s * sig + lam_b * sum(loads) * inv_n \
                         + jpot >= bound:
                     continue
-                if colour and cpot is not None:
-                    base = lam_s * sig
-                    if any(base + lam_b * load + floor >= bound
-                           for load, floor in zip(loads, cpot)):
-                        continue
-                if lam_s * (sig + pot) + \
-                        lam_b * (max(loads) if loads else 0.0) >= bound:
-                    continue
-                admitted.append(label)
+                base = lam_s * sig
+                for load, floor in zip(loads, floors):
+                    if base + lam_b * load + floor >= bound:
+                        break
+                else:
+                    if floors or lam_s * (sig + pot) + \
+                            lam_b * (max(loads) if loads else 0.0) < bound:
+                        admitted.append(label)
         return close(pareto_front(admitted), len(candidates),
-                     len(candidates) - len(admitted), pot, jpot, cpot)
-
-    def offload_label(cru_id: str) -> Optional[_Label]:
-        if cru_id not in offload:
-            return None
-        colour, beta = offload[cru_id]
-        loads = [0.0] * n
-        loads[colour] = beta
-        return (0.0, tuple(loads), (cru_id,))
+                     len(candidates) - len(admitted), row)
 
     def combine_fold_stream(acc: List[_Label], labels: List[_Label],
-                            pot: float,
-                            jpot: float = 0.0,
-                            cpot: Optional[Tuple[float, ...]] = None
-                            ) -> List[_Label]:
+                            row: _Row) -> List[_Label]:
         """One child fold as a chunked, vectorised cross product.
 
         The same step as the list fold — every candidate pair counts as
@@ -421,14 +420,15 @@ def _dp_labels(problem: AssignmentProblem,
         filters dominance (windowed, so a dominated pair may survive) — but
         the ``A x B`` product streams through bounded-size chunks of float
         arrays instead of materialising per-pair python tuples, and the cut
-        tuples are built only for the rows that survive both filters.
+        tuples are built only for the rows that survive both filters.  A
+        fold state always has colour floors, so the σ check never runs.
         """
         A, B = len(acc), len(labels)
         ah = np.array([lab[0] for lab in acc])
         al = np.array([lab[1] for lab in acc]).reshape(A, n)
         bh = np.array([lab[0] for lab in labels])
         bl = np.array([lab[1] for lab in labels]).reshape(B, n)
-        cp = np.asarray(cpot) if cpot is not None else None
+        jpot, cp = row[1], np.asarray(row[2:])
         rows = max(1, _STREAM_CHUNK_PAIRS // B)
         created = rejected = 0
         sigs: List[object] = []
@@ -441,15 +441,11 @@ def _dp_labels(problem: AssignmentProblem,
             hs = (ah[a0:a1, None] + bh[None, :]).ravel()
             ld = (al[a0:a1, None, :] + bl[None, :, :]).reshape(-1, n)
             created += len(hs)
-            if bound != _INF:
-                obj = lam_s * (hs + pot) + lam_b * ld.max(axis=1)
-                keep = obj < bound
-                if joint:
-                    keep &= lam_s * hs + lam_b * ld.sum(axis=1) * inv_n \
-                        + jpot < bound
-                if cp is not None:
-                    keep &= (lam_s * hs[:, None] + lam_b * ld
-                             + cp[None, :] < bound).all(axis=1)
+            if bounded:
+                keep = lam_s * hs + lam_b * ld.sum(axis=1) * inv_n \
+                    + jpot < bound
+                keep &= (lam_s * hs[:, None] + lam_b * ld
+                         + cp[None, :] < bound).all(axis=1)
                 kept = int(keep.sum())
                 rejected += len(hs) - kept
                 if not kept:
@@ -477,13 +473,12 @@ def _dp_labels(problem: AssignmentProblem,
                 ai, bi = divmod(int(p), B)
                 out.append((float(s), tuple(lo.tolist()),
                             acc[ai][2] + labels[bi][2]))
-        return close(out, created, rejected, pot, jpot, cpot)
+        return close(out, created, rejected, row)
 
-    def combine_children(cru_id: str,
-                         children_labels: Sequence[List[_Label]]
+    def combine_children(i: int, children_labels: Sequence[List[_Label]]
                          ) -> List[_Label]:
         acc: List[_Label] = [(0.0, (0.0,) * n, ())]
-        for i, labels in enumerate(children_labels):
+        for j, labels in enumerate(children_labels):
             if (max_frontier is not None
                     and len(acc) * len(labels)
                     > _CANDIDATE_FACTOR * max_frontier):
@@ -491,29 +486,22 @@ def _dp_labels(problem: AssignmentProblem,
                 raise FrontierExplosion(len(acc) * len(labels), max_frontier,
                                         labels_created=stats["created"],
                                         peak_frontier=stats["peak_frontier"])
-            pot = pot_state.get((cru_id, i + 1), 0.0)
-            jpot = jpot_state.get((cru_id, i + 1), 0.0) \
-                if have_joint else 0.0
-            cpot = cpots((cru_id, i + 1), cpot_state)
+            row = states[i][j + 1]
             if n and len(acc) * len(labels) >= _STREAM_MIN_PAIRS:
-                acc = combine_fold_stream(acc, labels, pot, jpot, cpot)
+                acc = combine_fold_stream(acc, labels, row)
                 continue
             candidates: List[_Label] = []
             for ah, aloads, acut in acc:
                 if context is not None:
                     context.checkpoint()
                 for bh, bloads, bcut in labels:
-                    candidates.append(
-                        (ah + bh,
-                         tuple(x + y for x, y in zip(aloads, bloads)),
-                         acut + bcut))
-            acc = settle(candidates, pot, jpot, cpot)
+                    candidates.append((ah + bh, tuple(map(add, aloads, bloads)),
+                                       acut + bcut))
+            acc = settle(candidates, row)
         return acc
 
     def finish_fold(combined: List[_Label], h: float,
-                    offload: Optional[_Label], pot: float,
-                    jpot: float = 0.0,
-                    cpot: Optional[Tuple[float, ...]] = None
+                    offload: Optional[_Label], row: _Row
                     ) -> List[_Label]:
         """Vectorised tail of :func:`labels_of`: fold the host time into an
         already Pareto-filtered label list, apply the bounds, and merge the
@@ -524,34 +512,28 @@ def _dp_labels(problem: AssignmentProblem,
         cross-check."""
         hs = np.array([lab[0] for lab in combined]) + h
         ld = np.array([lab[1] for lab in combined]).reshape(-1, n)
+        pot, jpot, cp = row[0], row[1], np.asarray(row[2:])
         created = len(combined)
         keep = np.ones(len(combined), dtype=bool)
-        if bound != _INF:
-            obj = lam_s * (hs + pot) + lam_b * ld.max(axis=1)
-            keep &= obj < bound
-            if joint:
-                keep &= lam_s * hs + lam_b * ld.sum(axis=1) * inv_n \
-                    + jpot < bound
-            if cpot is not None:
-                cp = np.asarray(cpot)
+        if bounded:
+            keep &= lam_s * hs + lam_b * ld.sum(axis=1) * inv_n + jpot < bound
+            if len(cp):
                 keep &= (lam_s * hs[:, None] + lam_b * ld
                          + cp[None, :] < bound).all(axis=1)
+            else:
+                keep &= lam_s * (hs + pot) + lam_b * ld.max(axis=1) < bound
         rejected = len(combined) - int(keep.sum())
         keep_off = False
         if offload is not None:
+            # only a node below the root has one, so its row has floors
             created += 1
             oh, ol = offload[0], np.asarray(offload[1], dtype=np.float64)
-            keep_off = True
-            if bound != _INF and (
-                    lam_s * (oh + pot) + lam_b * float(ol.max()) >= bound
-                    or (joint and lam_s * oh + lam_b * float(ol.sum())
-                        * inv_n + jpot >= bound)
-                    or (cpot is not None and any(
-                        lam_s * oh + lam_b * float(ol[c]) + cpot[c] >= bound
-                        for c in range(n)))):
+            keep_off = not bounded or not (
+                lam_s * oh + lam_b * float(ol.sum()) * inv_n + jpot >= bound
+                or bool((lam_s * oh + lam_b * ol + cp >= bound).any()))
+            if not keep_off:
                 rejected += 1
-                keep_off = False
-            if keep_off:
+            else:
                 # the offload label comes first among the candidates, so
                 # exact ties go to it — mirrored by `<=` in both directions
                 keep &= ~((oh <= hs) & (ol[None, :] <= ld).all(axis=1))
@@ -561,44 +543,43 @@ def _dp_labels(problem: AssignmentProblem,
         labels: List[_Label] = [offload] if keep_off else []
         labels += [(float(hs[i]), tuple(ld[i].tolist()), combined[i][2])
                    for i in np.nonzero(keep)[0].tolist()]
-        return close(labels, created, rejected, pot, jpot, cpot)
+        return close(labels, created, rejected, row)
 
-    def labels_of(cru_id: str) -> List[_Label]:
+    def labels_of(i: int) -> List[_Label]:
         if context is not None:
             context.checkpoint()
-        pot = pot_opt.get(cru_id, 0.0)
-        jpot = jpot_opt.get(cru_id, 0.0) if have_joint else 0.0
-        cpot = cpots(cru_id, cpot_opt)
-        off_label = offload_label(cru_id)
+        row = opts[i]
+        off_label: Optional[_Label] = None
+        if offload[i] is not None:
+            colour, beta = offload[i]
+            loads = [0.0] * n
+            loads[colour] = beta
+            off_label = (0.0, tuple(loads), (order[i],))
         combined: Optional[List[_Label]] = None
-        if tree.cru(cru_id).is_processing:
-            children = tree.children_ids(cru_id)
-            child_labels = [labels_of(c) for c in children]
+        if kids[i] is not None:
+            child_labels = [labels_of(j) for j in kids[i]]
             if all(child_labels):
-                combined = combine_children(cru_id, child_labels)
+                combined = combine_children(i, child_labels)
         if combined and n and len(combined) >= _STREAM_MIN_LABELS:
-            return finish_fold(combined, problem.host_time(cru_id),
-                               off_label, pot, jpot, cpot)
+            return finish_fold(combined, host[i], off_label, row)
         candidates = [off_label] if off_label is not None else []
         if combined:
-            h = problem.host_time(cru_id)
+            h = host[i]
             candidates += [(ch + h, cloads, ccut)
                            for ch, cloads, ccut in combined]
-        return settle(candidates, pot, jpot, cpot)
+        return settle(candidates, row)
 
-    root = tree.root_id
-    root_children = tree.children_ids(root)
-    child_labels = [labels_of(c) for c in root_children]
+    child_labels = [labels_of(j) for j in kids[0]]
     if not all(child_labels):
         return [], stats        # everything provably at/above the incumbent
-    combined = combine_children(root, child_labels)
-    h_root = problem.host_time(root)
-    # h_root folded in: the completion potential of a final label is 0,
+    combined = combine_children(0, child_labels)
+    # h_root folded in: the root row has potential 0 and no colour floors,
     # so the bound check compares the exact objective to the incumbent
+    final = (0.0, 0.0)
     if combined and n and len(combined) >= _STREAM_MIN_LABELS:
-        return finish_fold(combined, h_root, None, 0.0), stats
-    return settle([(ch + h_root, cloads, ccut)
-                   for ch, cloads, ccut in combined], 0.0), stats
+        return finish_fold(combined, host[0], None, final), stats
+    return settle([(ch + host[0], cloads, ccut)
+                   for ch, cloads, ccut in combined], final), stats
 
 
 # --------------------------------------------------------------------------
@@ -636,15 +617,19 @@ def _greedy_fallback(problem: AssignmentProblem, weighting: SSBWeighting,
     }
 
 
-def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
+def _dp_profile(stats: Dict[str, int],
+                beam_stats: Optional[Dict[str, int]] = None
+                ) -> Dict[str, object]:
     """Bound-effectiveness profile of one DP run (flat scalars).
 
     The DP prunes with a single completion bound (state potential plus load
     floors — a floor-type bound), so ``pruned_floor`` carries all of its
     rejections; the colour/Lagrangian/meet slots exist only in the label
-    sweep.
+    sweep.  The counters are the exact pass's; a cold run, which ran the
+    beam pre-pass first, adds that pass's ``beam_labels_created`` and
+    ``beam_labels_bound_pruned``.
     """
-    return {
+    profile: Dict[str, object] = {
         "engine": "pareto-dp",
         "labels_created": stats["created"],
         "labels_dominated": stats["dominated"],
@@ -657,6 +642,10 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "settle_batches": stats["drains"],
         "nodes_swept": stats["drains"],
     }
+    if beam_stats is not None:
+        profile["beam_labels_created"] = beam_stats["created"]
+        profile["beam_labels_bound_pruned"] = beam_stats["bound_rejected"]
+    return profile
 
 
 def pareto_dp_pruned_assignment(problem: AssignmentProblem,
@@ -697,25 +686,12 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
     if beam_width < 1:
         raise ValueError("beam_width must be at least 1")
     lam_s, lam_b = weighting.lambda_s, weighting.lambda_b
-    offload, minhost, joint, per_colour = _subtree_minima(problem, lam_s,
-                                                          lam_b)
-    pot_state, pot_opt = _completion_potentials(problem, minhost)
-    jpot_state = jpot_opt = cpot_state = cpot_opt = None
-    if per_colour:
-        jpot_state, jpot_opt = _completion_potentials(
-            problem, joint, host_scale=lam_s)
-        cpot_state, cpot_opt = [], []
-        for pc in per_colour:
-            st, op = _completion_potentials(problem, pc, host_scale=lam_s)
-            cpot_state.append(st)
-            cpot_opt.append(op)
+    kids, host, offload, mins = _subtree_minima(problem, lam_s, lam_b)
+    states, opts = _completion_potentials(kids, host, mins, lam_s)
 
     def run(**kwargs) -> Tuple[List[_Label], Dict[str, int]]:
-        return _dp_labels(
-            problem, offload, pot_state=pot_state, pot_opt=pot_opt,
-            jpot_state=jpot_state, jpot_opt=jpot_opt,
-            cpot_state=cpot_state, cpot_opt=cpot_opt,
-            lam_s=lam_s, lam_b=lam_b, context=context, **kwargs)
+        return _dp_labels(problem, kids, host, offload, states, opts,
+                          lam_s=lam_s, lam_b=lam_b, context=context, **kwargs)
 
     def exact(bound: float) -> Tuple[List[_Label], Dict[str, int]]:
         return run(max_frontier=max_frontier, bound=bound)
@@ -760,10 +736,11 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
             best, beaten = candidate, True
     return _finish(problem, weighting, best, {
         "beam_confirmed": not beaten, **extra,
-        **_exact_details(exact_labels, stats)})
+        **_exact_details(exact_labels, stats, beam_stats)})
 
 
-def _exact_details(labels: Sequence[_Label], stats: Dict[str, int]
+def _exact_details(labels: Sequence[_Label], stats: Dict[str, int],
+                   beam_stats: Optional[Dict[str, int]] = None
                    ) -> Dict[str, object]:
     """Work counters of one exact pass, for the solver details."""
     return {
@@ -771,7 +748,7 @@ def _exact_details(labels: Sequence[_Label], stats: Dict[str, int]
         "peak_frontier": stats["peak_frontier"],
         "labels_dominated": stats["dominated"],
         "labels_bound_pruned": stats["bound_rejected"],
-        "profile": _dp_profile(stats),
+        "profile": _dp_profile(stats, beam_stats),
     }
 
 

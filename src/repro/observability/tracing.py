@@ -550,6 +550,12 @@ def render_profile(profile: Mapping[str, Any], title: str = "") -> str:
         f"  nodes swept               "
         f"{int(profile.get('nodes_swept', 0) or 0):>12,}"
     )
+    if profile.get("beam_labels_created") is not None:
+        lines.append(
+            f"  beam pre-pass             "
+            f"{int(profile['beam_labels_created']):>12,} created, "
+            f"{int(profile.get('beam_labels_bound_pruned', 0) or 0):,} rejected"
+        )
     if profile.get("lagrange_root") is not None:
         lines.append(
             f"  Lagrangian root bound     {float(profile['lagrange_root']):>12.6g}"

@@ -130,6 +130,39 @@ class TestPrunedSolver:
         assert details["peak_frontier"] < PARETO_DP_PRUNED_MAX_FRONTIER // 10
         assert details["labels_bound_pruned"] > 0
 
+    def test_profile_counts_the_beam_pre_pass(self, monkeypatch):
+        """A cold run's profile adds the beam pre-pass's counters to the
+        exact pass's; a refutation run has no beam pass and no beam keys."""
+        import repro.baselines.pareto_dp as pareto_dp
+
+        beam_stats = []
+        kernel = pareto_dp._dp_labels
+
+        def recorded(*args, **kwargs):
+            labels, stats = kernel(*args, **kwargs)
+            if kwargs.get("beam_width") is not None:
+                beam_stats.append(dict(stats))
+            return labels, stats
+
+        monkeypatch.setattr(pareto_dp, "_dp_labels", recorded)
+        problem = random_problem(n_processing=12, n_satellites=3, seed=1,
+                                 sensor_scatter=0.5)
+        _, cold = pareto_dp_pruned_assignment(problem)
+        [beam] = beam_stats
+        profile = cold["profile"]
+        assert profile["beam_labels_created"] == beam["created"] > 0
+        assert profile["beam_labels_bound_pruned"] == \
+            beam["bound_rejected"] == cold["beam_labels_bound_pruned"]
+        # the existing keys still count the exact pass alone
+        assert profile["pruned_floor"] == cold["labels_bound_pruned"]
+        assert profile["labels_dominated"] == cold["labels_dominated"]
+        _, refuted = pareto_dp_pruned_assignment(
+            problem, incumbent=cold["objective"])
+        assert refuted["incumbent_reached"]
+        assert len(beam_stats) == 1
+        assert "beam_labels_created" not in refuted["profile"]
+        assert "beam_labels_bound_pruned" not in refuted["profile"]
+
     def test_beam_width_validation_and_tiny_beam(self, paper_problem):
         with pytest.raises(ValueError, match="beam_width"):
             pareto_dp_pruned_assignment(paper_problem, beam_width=0)
@@ -322,6 +355,40 @@ def old_minima(problem, lam_s, lam_b):
     return offload, minhost, joint, per_colour
 
 
+def minima_columns(problem, lam_s, lam_b):
+    """The row walk's subtree tables in :func:`old_minima`'s layout: the
+    offload table and one dict per row column, keyed by CRU id."""
+    order = problem.tree.cru_ids()
+    _, _, offload, mins = _subtree_minima(problem, lam_s, lam_b)
+
+    def column(c):
+        return {u: mins[i][c] for i, u in enumerate(order) if i}
+
+    return ({u: offload[i] for i, u in enumerate(order)
+             if offload[i] is not None},
+            column(0), column(1),
+            [column(c) for c in range(2, len(mins[0]))])
+
+
+def potential_columns(problem, kids, host, mins, lam_s):
+    """The parents-first walk's rows in :func:`dag_completion_potentials`'
+    layout: one ``(pot_state, pot_opt)`` pair per row column."""
+    order = problem.tree.cru_ids()
+    states, opts = _completion_potentials(kids, host, mins, lam_s)
+    return [({(order[i], j): row[c]
+              for i, rows in enumerate(states) if rows is not None
+              for j, row in enumerate(rows)},
+             {u: opts[i][c] for i, u in enumerate(order) if i})
+            for c in range(len(mins[0]))]
+
+
+def inject_infinities(columns, rng):
+    """Set a random third of each column's entries to infinity, in place."""
+    for table in columns:
+        for u in rng.sample(sorted(table), len(table) // 3):
+            table[u] = float("inf")
+
+
 class TestSubtreeMinima:
     """The one subtree walk equals the recursions it replaced, bit for bit."""
 
@@ -333,7 +400,7 @@ class TestSubtreeMinima:
         for n in range(3, 23):
             problem = random_problem(n_processing=n, n_satellites=k, seed=n,
                                      sensor_scatter=scatter)
-            offload, minhost, joint, per_colour = _subtree_minima(
+            offload, minhost, joint, per_colour = minima_columns(
                 problem, lam_s, lam_b)
             assert (offload, minhost, joint, per_colour) == \
                 old_minima(problem, lam_s, lam_b)
@@ -344,8 +411,8 @@ class TestSubtreeMinima:
         sensor = problem.tree.sensor_ids()[0]
         del problem.sensor_attachment[sensor]
         problem.invalidate_caches()
-        offload, minhost, joint, per_colour = _subtree_minima(problem, 1.0,
-                                                              1.0)
+        offload, minhost, joint, per_colour = minima_columns(problem, 1.0,
+                                                             1.0)
         assert sensor not in offload
         assert minhost[sensor] == joint[sensor] == float("inf")
         assert all(table[sensor] == float("inf") for table in per_colour)
@@ -358,11 +425,16 @@ class TestCompletionPotentials:
 
     LAM_S, LAM_B = 0.3, 0.7
 
-    def weight_tables(self, problem):
-        _, minhost, joint, per_colour = _subtree_minima(problem, self.LAM_S,
-                                                        self.LAM_B)
-        return [(minhost, 1.0), (joint, self.LAM_S)] + \
-            [(pc, self.LAM_S) for pc in per_colour]
+    def check(self, problem, kids, host, mins):
+        """Every column of the walk against the DAG pass over that column
+        (host weight ``h`` in the σ column, ``λ_S·h`` in the others)."""
+        order = problem.tree.cru_ids()
+        got = potential_columns(problem, kids, host, mins, self.LAM_S)
+        for c, potentials in enumerate(got):
+            table = {u: mins[i][c] for i, u in enumerate(order) if i}
+            host_scale = 1.0 if c == 0 else self.LAM_S
+            assert potentials == dag_completion_potentials(problem, table,
+                                                           host_scale)
 
     @pytest.mark.parametrize("scatter", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -370,31 +442,108 @@ class TestCompletionPotentials:
         for seed in range(5):
             problem = random_problem(n_processing=6 + 3 * seed, n_satellites=k,
                                      seed=seed, sensor_scatter=scatter)
-            for table, host_scale in self.weight_tables(problem):
-                got = _completion_potentials(problem, table,
-                                             host_scale=host_scale)
-                assert got == dag_completion_potentials(problem, table,
-                                                        host_scale)
+            kids, host, _, mins = _subtree_minima(problem, self.LAM_S,
+                                                  self.LAM_B)
+            self.check(problem, kids, host, mins)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_with_infinite_subtree_minima(self, seed):
         # an unattached sensor makes its own minhost infinite, and every
         # ancestor without a correspondent satellite inherits the infinity;
-        # random extra infinities cover the per-colour and joint tables
+        # random extra infinities cover the per-colour and joint columns
         problem = random_problem(n_processing=10, n_satellites=3, seed=seed,
                                  sensor_scatter=0.5)
         rng = random.Random(seed)
         del problem.sensor_attachment[rng.choice(problem.tree.sensor_ids())]
         problem.invalidate_caches()
-        minhost = _subtree_minima(problem, self.LAM_S, self.LAM_B)[1]
-        assert float("inf") in minhost.values()
-        for table, host_scale in self.weight_tables(problem):
-            table = dict(table)
-            for u in rng.sample(sorted(table), len(table) // 3):
-                table[u] = float("inf")
-            got = _completion_potentials(problem, table, host_scale=host_scale)
-            assert got == dag_completion_potentials(problem, table,
-                                                    host_scale)
+        kids, host, _, mins = _subtree_minima(problem, self.LAM_S, self.LAM_B)
+        assert any(row[0] == float("inf") for row in mins)
+        mins = [list(row) for row in mins]
+        order = problem.tree.cru_ids()
+        for c in range(len(mins[0])):
+            table = {u: mins[i][c] for i, u in enumerate(order) if i}
+            inject_infinities([table], rng)
+            for i, u in enumerate(order[1:], 1):
+                mins[i][c] = table[u]
+        self.check(problem, kids, host, mins)
+
+
+class TestOneTableWalk:
+    """The two row walks the DP runs equal the per-table pipeline they
+    replaced, column by column: :func:`old_minima`'s recursions for the
+    subtree rows, then one completion-DAG pass per table."""
+
+    def check(self, problem, lam_s, lam_b, rng=None):
+        """Compare the walks with the reference pipeline; with ``rng``, the
+        same random cells of both sides' subtree tables are infinite."""
+        order = problem.tree.cru_ids()
+        kids, host, _, mins = _subtree_minima(problem, lam_s, lam_b)
+        reference = old_minima(problem, lam_s, lam_b)
+        assert minima_columns(problem, lam_s, lam_b) == reference
+        _, minhost, joint, per_colour = reference
+        columns = [minhost, joint] + per_colour
+        if rng is not None:
+            inject_infinities(columns, rng)
+            mins = [mins[0]] + [[table[u] for table in columns]
+                                for u in order[1:]]
+        got = potential_columns(problem, kids, host, mins, lam_s)
+        for c, table in enumerate(columns):
+            assert got[c] == dag_completion_potentials(
+                problem, table, 1.0 if c == 0 else lam_s)
+
+    @pytest.mark.parametrize("lam_s, lam_b", [(1.0, 1.0), (0.3, 0.7)])
+    @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_minima_grid(self, k, scatter, lam_s, lam_b):
+        for n in range(3, 23):
+            self.check(random_problem(n_processing=n, n_satellites=k, seed=n,
+                                      sensor_scatter=scatter), lam_s, lam_b)
+
+    @pytest.mark.parametrize("scatter", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_potentials_grid(self, scatter, k):
+        for seed in range(5):
+            self.check(random_problem(n_processing=6 + 3 * seed,
+                                      n_satellites=k, seed=seed,
+                                      sensor_scatter=scatter), 0.3, 0.7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_infinite_subtree_minima(self, seed):
+        problem = random_problem(n_processing=10, n_satellites=3, seed=seed,
+                                 sensor_scatter=0.5)
+        rng = random.Random(seed)
+        del problem.sensor_attachment[rng.choice(problem.tree.sensor_ids())]
+        problem.invalidate_caches()
+        self.check(problem, 0.3, 0.7)
+        self.check(problem, 0.3, 0.7, rng)
+
+
+@pytest.mark.parametrize("lam_s, lam_b", [(1.0, 1.0), (0.3, 0.7), (0.7, 0.3)])
+@pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_colour_floor_implies_sigma_bound(k, scatter, lam_s, lam_b):
+    """Every colour potential is at least ``λ_S`` times the σ potential, at
+    every DP state and every finished option, up to rounding.  The kernel
+    drops the σ check wherever colour floors exist on the strength of this:
+    the floor of the max-load colour then reaches the σ bound.
+
+    The two sides sum their terms in different orders, and ``λ_S·(a + b)``
+    need not round to ``λ_S·a + λ_S·b``: on this grid the colour side falls
+    short on 1,601 of 91,146 entries, by at most 3 ulps and never at
+    ``λ_S = 1``.  A label that close to the bound merely survives one more
+    step; it never changes the answer."""
+    for n in range(3, 23):
+        problem = random_problem(n_processing=n, n_satellites=k, seed=n,
+                                 sensor_scatter=scatter)
+        kids, host, _, mins = _subtree_minima(problem, lam_s, lam_b)
+        states, opts = _completion_potentials(kids, host, mins, lam_s)
+        rows = [row for pots in states if pots is not None for row in pots]
+        rows += [row for row in opts if row is not None]
+        assert len(rows) > n
+        for row in rows:
+            assert len(row) == k + 2
+            for cpot in row[2:]:
+                assert cpot >= lam_s * row[0] * (1.0 - 2.0 ** -50)
 
 
 def whole_second(problem, seed):

@@ -481,6 +481,13 @@ class TestRendering:
         profile["exact_passes"] = 2
         assert "exact passes                         2" in render_profile(profile)
 
+    def test_profile_table_renders_the_dp_beam_pre_pass(self):
+        profile = self._profile(labels_created=4)
+        assert "beam pre-pass" not in render_profile(profile)
+        profile.update(beam_labels_created=1234, beam_labels_bound_pruned=56)
+        assert "beam pre-pass                    1,234 created, 56 rejected" \
+            in render_profile(profile)
+
     def test_profile_table_says_when_the_beam_certified(self):
         profile = self._profile()
         assert "certified" not in render_profile(profile)
