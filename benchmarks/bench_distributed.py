@@ -8,9 +8,9 @@ Three load-bearing properties of the ISSUE-3 subsystem are kept honest here:
 * a fleet of ``repro worker`` subprocesses sharing the spool must drain a
   sweep completely — zero lost, zero duplicated tasks — and throughput is
   reported per worker count (scaling is only asserted on multicore hosts);
-* warm incremental re-solves of a profiles-only perturbed sweep must beat
-  cold solves (the acceptance criterion: same tree hash ⇒ the previous
-  optimum warm-starts the label engine).
+* warm re-solves of a profiles-only perturbed sweep must beat cold solves
+  (the acceptance criterion: same tree hash ⇒ the previous optimal cut
+  warm-starts the portfolio).
 """
 
 import os
@@ -21,8 +21,8 @@ import time
 import pytest
 
 from repro.analysis.smoke import smoke_scaled
+from repro.core.portfolio import PortfolioSolver
 from repro.distributed import (
-    IncrementalSolver,
     SolveService,
     SolveWorker,
     WarmStartIndex,
@@ -145,7 +145,7 @@ def _drifted(seed, rng_seed):
 def test_incremental_warm_resolve_beats_cold(benchmark):
     """The acceptance criterion: a profiles-only perturbed sweep re-solves
     measurably faster warm than cold (same tree hash ⇒ warm start)."""
-    solver = IncrementalSolver(index=WarmStartIndex())
+    solver = PortfolioSolver(index=WarmStartIndex())
     cold_wall = 0.0
     for seed in range(INCREMENTAL_SEEDS):
         problem = random_problem(n_processing=INCREMENTAL_CRUS, n_satellites=4,
@@ -179,7 +179,7 @@ def test_incremental_matches_cold_reference():
     """Warm results must stay exact, not merely fast."""
     from repro.core.solver import solve
 
-    solver = IncrementalSolver(index=WarmStartIndex())
+    solver = PortfolioSolver(index=WarmStartIndex())
     for seed in range(INCREMENTAL_SEEDS):
         solver.solve(random_problem(n_processing=INCREMENTAL_CRUS,
                                     n_satellites=4, seed=seed,

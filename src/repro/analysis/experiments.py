@@ -13,7 +13,7 @@ when ``REPRO_BATCH_WORKERS`` is set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.complexity import fit_power_law, timed
 from repro.core.assignment_graph import build_assignment_graph
@@ -254,19 +254,25 @@ def incremental_resolve_experiment(seeds: Sequence[int] = tuple(range(6)),
     For each seed, solve a scattered instance cold, then re-solve ``rounds``
     structurally identical copies whose execution profiles drifted by up to
     ``drift`` (uniformly per CRU).  The warm solves reuse the previous
-    optimum as the label engine's incumbent (the tree hash is unchanged, so
-    the old cut is still feasible); every warm result is checked against an
-    independent cold solve.  Reported per seed: cold vs mean warm solve time
-    and label counts, plus how often the old cut was simply re-confirmed.
+    optimal cut as the portfolio's incumbent (the tree hash is unchanged,
+    so the old cut is still feasible); every warm result is checked against
+    an independent cold solve.  Reported per seed: cold vs mean warm solve
+    time and label counts, plus how often the old cut was simply
+    re-confirmed.
     """
     import random as _random
 
-    from repro.distributed.incremental import IncrementalSolver, WarmStartIndex
+    from repro.core.portfolio import PortfolioSolver
+    from repro.distributed.incremental import WarmStartIndex
+
+    def labels_created(details: Dict[str, Any]) -> int:
+        return {stage["stage"]: stage
+                for stage in details["stages"]}["labels"]["labels_created"]
 
     rows: List[ExperimentRow] = []
     total_cold_s = total_warm_s = 0.0
     for seed in seeds:
-        solver = IncrementalSolver(index=WarmStartIndex())
+        solver = PortfolioSolver(index=WarmStartIndex())
 
         def fresh() -> AssignmentProblem:
             return random_problem(n_processing=n_processing,
@@ -297,7 +303,7 @@ def incremental_resolve_experiment(seeds: Sequence[int] = tuple(range(6)),
                     f"incremental re-solve disagreement at seed {seed}: "
                     f"{assignment.end_to_end_delay()} vs {reference.objective}")
             warm_time_total += elapsed
-            warm_labels += details["labels_created"]
+            warm_labels += labels_created(details)
             reconfirmed += int(details["warm_cut_still_optimal"])
         warm_mean = warm_time_total / rounds
         total_cold_s += cold_time
@@ -307,7 +313,7 @@ def incremental_resolve_experiment(seeds: Sequence[int] = tuple(range(6)),
             "cold_time_s": cold_time,
             "warm_time_s": warm_mean,
             "speedup": cold_time / max(warm_mean, 1e-9),
-            "cold_labels": cold_details["labels_created"],
+            "cold_labels": labels_created(cold_details),
             "warm_labels": warm_labels // rounds,
             "reconfirmed": reconfirmed,
         })

@@ -626,8 +626,7 @@ def _dp_profile(stats: Dict[str, int],
     floors — a floor-type bound), so ``pruned_floor`` carries all of its
     rejections; the colour/Lagrangian/meet slots exist only in the label
     sweep.  The counters are the exact pass's; a cold run, which ran the
-    beam pre-pass first, adds that pass's ``beam_labels_created`` and
-    ``beam_labels_bound_pruned``.
+    beam pre-pass first, adds that pass's ``beam_labels_created``.
     """
     profile: Dict[str, object] = {
         "engine": "pareto-dp",
@@ -644,7 +643,6 @@ def _dp_profile(stats: Dict[str, int],
     }
     if beam_stats is not None:
         profile["beam_labels_created"] = beam_stats["created"]
-        profile["beam_labels_bound_pruned"] = beam_stats["bound_rejected"]
     return profile
 
 
@@ -720,7 +718,6 @@ def pareto_dp_pruned_assignment(problem: AssignmentProblem,
     if context is not None:
         context.report_incumbent(beam_objective, source="dp-beam")
     extra["beam_objective"] = beam_objective
-    extra["beam_labels_bound_pruned"] = beam_stats["bound_rejected"]
 
     try:
         exact_labels, stats = exact(beam_objective)

@@ -45,7 +45,7 @@ from repro.core.dwg import (
     SIGMA_ATTR,
     TREE_EDGE_ATTR,
 )
-from repro.core.labeling import label_assignment_graph, preorder_host_weights
+from repro.core.labeling import preorder_host_weights
 from repro.graphs.digraph import Edge
 from repro.graphs.paths import Path
 from repro.model.problem import AssignmentProblem
@@ -153,32 +153,6 @@ class ColoredAssignmentGraph:
             edges.append(edge)
             node = edge.head
         return Path.from_edges(edges)
-
-    # ------------------------------------------------------------- reweighting
-    def reweight(self, problem: AssignmentProblem) -> "ColoredAssignmentGraph":
-        """Re-apply σ/β weights for a *structurally identical* instance.
-
-        The skeleton — faces, edges, colours, leaf intervals, feasible cuts —
-        depends only on the tree topology, the CRU kinds and the sensor
-        wiring; profiles and communication costs only change the edge
-        weights.  For re-solves of the same structure (equal
-        :func:`repro.distributed.incremental.structure_fingerprint`) this
-        rewrites the weights in place instead of rebuilding the graph, and
-        bumps the underlying graph's version so cached
-        :class:`~repro.graphs.dag.DagIndex` potentials are recomputed.
-
-        Raises ``KeyError`` if the instance's cuttable tree edges do not
-        match this graph's skeleton (i.e. the structures differ).
-        """
-        sigma_labels, beta_labels = label_assignment_graph(problem)
-        for edge in self.dwg.edges():
-            data = edge.data
-            tree_edge = data[TREE_EDGE_ATTR]
-            data[SIGMA_ATTR] = float(sigma_labels[tree_edge])
-            data[BETA_ATTR] = {data[COLOR_ATTR][0]: float(beta_labels[tree_edge])}
-        self.problem = problem
-        self.dwg.graph.bump_version()
-        return self
 
     # ----------------------------------------------------------------- sizes
     def number_of_edges(self) -> int:

@@ -201,13 +201,14 @@ class LabelSearchStats:
     certified its incumbent, 1 when the midpoint probe found the optimum
     or no probe ran (one colour, or the caller's ``incumbent`` was the
     bound), 2 when the probe came back empty and the pass reran at the
-    incumbent; the counters above sum over both.
+    incumbent; the counters above sum over both, and ``nodes_swept`` is
+    the DAG's node count times ``exact_passes`` (0 when certified).
     """
 
     labels_created: int = 0
     labels_dominated: int = 0
     labels_bound_pruned: int = 0
-    nodes_swept: int = 0
+    nodes_swept: int = 0             #: DAG nodes times exact passes
     colors: int = 0
     beam_ssb: float = float("inf")   #: incumbent produced by the beam pre-pass
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
@@ -283,17 +284,12 @@ class CompletionPotentials:
     ``min_p (λ_S·σ(p) + λ_B·β_c(p))``).  :func:`completion_potentials`
     walks towards the target; the exact pass walks the mirror from the
     source.  Valid only for the exact (graph contents, end node,
-    weighting) they were computed from — callers that cache them (the incremental solver keys on
-    structure *and* cost fingerprints) are responsible for that;
-    ``lambda_s``/``lambda_b`` are kept so a mismatched weighting is at
-    least detected and recomputed.
+    weighting) they were computed from.
     """
 
     colors: Tuple[Any, ...]
     pot: Dict[Node, float]
     potjc: Dict[Node, Tuple[float, ...]]
-    lambda_s: float
-    lambda_b: float
 
 
 def _path_minima(nodes, start: Node, edges_of, end: str,
@@ -340,8 +336,7 @@ def _path_minima(nodes, start: Node, edges_of, end: str,
         if best_s is not None:
             pot[node] = best_s
             potjc[node] = best_jc
-    return CompletionPotentials(colors=colors, pot=pot, potjc=potjc,
-                                lambda_s=lam_s, lambda_b=lam_b)
+    return CompletionPotentials(colors=colors, pot=pot, potjc=potjc)
 
 
 def completion_potentials(dwg: DoublyWeightedGraph,
@@ -394,8 +389,7 @@ class LabelDominanceSearch:
     def search(self, dwg: DoublyWeightedGraph,
                incumbent: float = float("inf"),
                index: Optional[DagIndex] = None,
-               context: Optional[SolveContext] = None,
-               potentials: Optional[CompletionPotentials] = None
+               context: Optional[SolveContext] = None
                ) -> LabelSearchResult:
         """Run the sweep; raises :class:`NotADagError` on cyclic graphs.
 
@@ -419,10 +413,6 @@ class LabelDominanceSearch:
         no path (the stats' ``exact_passes``; see
         :meth:`_sweep_bidirectional`).
         ``beam_width=0`` and an interrupted beam always run the exact pass.
-        ``potentials`` short-circuits the backward completion-bound passes
-        with precomputed ones (see :func:`completion_potentials`);
-        they must match this graph's current weights and weighting — the
-        incremental solver caches them per structure+cost fingerprint.
         """
         graph = dwg.graph
         source, target = dwg.source, dwg.target
@@ -433,9 +423,7 @@ class LabelDominanceSearch:
                 "finisher for cyclic doubly weighted graphs")
         order = index.order()
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        if potentials is None or potentials.lambda_s != lam_s \
-                or potentials.lambda_b != lam_b:
-            potentials = completion_potentials(dwg, self.weighting, index)
+        potentials = completion_potentials(dwg, self.weighting, index)
         colors = potentials.colors
         pot = potentials.pot
         if source not in pot:
@@ -525,7 +513,8 @@ class LabelDominanceSearch:
         stats = LabelSearchStats(
             labels_created=created, labels_dominated=dominated,
             labels_bound_pruned=pruned_colour + pruned_lagrange + pruned_meet,
-            nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
+            nodes_swept=len(order) * passes, colors=n_colors,
+            beam_ssb=beam_ssb,
             pruned_colour=pruned_colour, pruned_lagrange=pruned_lagrange,
             pruned_meet=pruned_meet,
             meet_edges=meet_edges, frontier_peak=peak,

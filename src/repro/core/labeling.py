@@ -23,9 +23,9 @@ the closed CRU tree; it receives
 
 σ has one implementation: a node's leftmost child directly follows it in
 pre-order, so the labelling is one pass over the tree's cached pre-order
-index (:func:`preorder_host_weights`).  The per-edge maps below, the
-assignment-graph builder and its reweighting all read that pass; β is one
-entry of :meth:`AssignmentProblem.offload_costs`.
+index (:func:`preorder_host_weights`).  The per-edge maps below and the
+assignment-graph builder both read that pass; β is one entry of
+:meth:`AssignmentProblem.offload_costs`.
 """
 
 from __future__ import annotations

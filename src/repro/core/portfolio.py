@@ -20,10 +20,9 @@ existing plumbing:
    :class:`~repro.core.context.SolveContext`, so an answer exists
    microseconds in, whatever happens later;
 3. **label sweep** — the main exact stage (the meet-in-the-middle sweep of
-   :mod:`repro.core.label_search`), warm-started from the best bound so far
-   (the same incumbent plumbing the incremental solver uses), under the
-   same shared context; its beam pre-pass does the refining a hill-climb
-   from the seed would;
+   :mod:`repro.core.label_search`), bounded by the best objective so far,
+   under the same shared context; its beam pre-pass does the refining a
+   hill-climb from the seed would;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
    little), the independent exact engine *refutes* the answer in hand: its
    one exact pass is bounded by that answer's objective (no beam pre-pass),
@@ -36,17 +35,31 @@ The stages share one context: each later stage starts from the best
 incumbent any earlier stage reported, and a deadline or cancellation fires
 across all of them at once — the best result held at that moment comes back
 as a ``feasible`` answer with per-stage attribution in ``details``.
+
+**Warm starts.**  A deployment re-solves the same reasoning tree whenever
+its profiles or costs drift.  Given a
+:class:`~repro.distributed.incremental.WarmStartIndex`, the solver looks up
+the cut it last proved optimal for the instance's
+:func:`~repro.distributed.incremental.structure_fingerprint`, values it
+under the new weights and takes the better of it and the seed as the label
+stage's incumbent (the cut is still feasible: only weights changed).  A
+replayed cut is usually near-optimal, so the label stage then runs with no
+beam pre-pass, and an uninterrupted solve puts its winning cut back.
+Without an index the solve reads and writes nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.context import SolveContext
 from repro.core.dwg import SSBWeighting
 from repro.model.problem import AssignmentProblem
+
+if TYPE_CHECKING:
+    from repro.distributed.incremental import WarmStartIndex
 
 #: ``cross_check="auto"`` runs the pruned-DP stage only up to this many
 #: offloadable processing CRUs — beyond it the DP costs multiples of the
@@ -178,11 +191,17 @@ class PortfolioSolver:
     beam_width:
         Beam width of the label stage's pre-pass, which refines the
         maximal-offload seed into the search's own incumbent.
+    index:
+        Optional :class:`~repro.distributed.incremental.WarmStartIndex`
+        of the cuts last solved per tree structure (see the module notes);
+        the details then add ``structure_fingerprint``, ``warm_started``,
+        ``warm_incumbent`` and ``warm_cut_still_optimal``.
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
                  cross_check: Any = "auto",
-                 beam_width: int = 128) -> None:
+                 beam_width: int = 128,
+                 index: Optional["WarmStartIndex"] = None) -> None:
         from repro.core.label_search import check_beam_width
 
         if cross_check not in ("auto", "always", "never", True, False):
@@ -192,6 +211,13 @@ class PortfolioSolver:
         self.cross_check = cross_check
         check_beam_width(beam_width)
         self.beam_width = beam_width
+        self.index = index
+
+    def _objective(self, assignment: Any) -> float:
+        """The assignment's objective under the solver's weighting: the
+        one value every stage's answer is compared by."""
+        return self.weighting.combine(assignment.host_load(),
+                                      assignment.max_satellite_load())
 
     # ------------------------------------------------------------------ solve
     def solve(self, problem: AssignmentProblem,
@@ -211,8 +237,7 @@ class PortfolioSolver:
         # ---- stage 1: greedy — the instant incumbent seed ----------------
         started = time.perf_counter()
         best_assignment = maximal_offload_assignment(problem)
-        best_objective = self.weighting.combine(
-            best_assignment.host_load(), best_assignment.max_satellite_load())
+        best_objective = self._objective(best_assignment)
         if context is not None:
             context.report_incumbent(best_objective, source="portfolio-greedy")
         interrupted = context.interrupted() if context is not None else None
@@ -222,12 +247,39 @@ class PortfolioSolver:
             interrupted=interrupted))
         winner = "greedy"
 
+        # ---- warm start: replay the cut last solved for this structure ---
+        warm_objective: Optional[float] = None
+        if self.index is not None:
+            from repro.core.assignment import Assignment
+            from repro.distributed.incremental import structure_fingerprint
+
+            fingerprint = structure_fingerprint(problem)
+            record = self.index.get(fingerprint)
+            try:
+                warm_assignment = (Assignment.from_cut(problem, record["cut"])
+                                   if record is not None else None)
+            except (KeyError, TypeError, ValueError):
+                # a corrupt shared record: solve cold
+                warm_assignment = None
+            if warm_assignment is not None:
+                warm_objective = self._objective(warm_assignment)
+                if context is not None:
+                    context.report_incumbent(warm_objective,
+                                             source="warm-start")
+                if warm_objective <= best_objective:
+                    best_assignment = warm_assignment
+                    best_objective = warm_objective
+                    winner = "warm-start"
+
         # ---- stage 2: label-dominance sweep — the main exact engine ------
         if interrupted is None:
             started = time.perf_counter()
             graph = build_assignment_graph(problem)
-            search = LabelDominanceSearch(weighting=self.weighting,
-                                          beam_width=self.beam_width)
+            # a replayed cut leaves the beam pre-pass nothing to refine
+            search = LabelDominanceSearch(
+                weighting=self.weighting,
+                beam_width=0 if warm_objective is not None
+                else self.beam_width)
             stage_span = _stage_span(context, "labels")
             result = search.search(graph.dwg, incumbent=best_objective,
                                    context=context)
@@ -235,20 +287,20 @@ class PortfolioSolver:
                 stage_span.profile = result.stats.profile()
                 stage_span.finish()
             interrupted = result.interrupted
-            improved = result.found and result.ssb_weight < best_objective
-            if improved:
-                best_assignment = graph.path_to_assignment(result.path)
-                # re-derive the objective in assignment space: the path-space
-                # SSB weight can differ from it by an ulp (different summation
-                # order), and later stages compare in assignment space
-                best_objective = self.weighting.combine(
-                    best_assignment.host_load(),
-                    best_assignment.max_satellite_load())
-                winner = "labels"
-            elif interrupted is None:
-                # nothing beat the greedy seed: the sweep proved it optimal
-                winner = "greedy"
+            improved = False
+            if result.found:
+                # compare in assignment space: the path-space SSB weight can
+                # sit an ulp below the same objective (another summation
+                # order), and every stage compares in assignment space
+                candidate = graph.path_to_assignment(result.path)
+                objective = self._objective(candidate)
+                improved = objective < best_objective
+                if improved:
+                    best_assignment, best_objective = candidate, objective
+                    winner = "labels"
             if interrupted is None:
+                # nothing beat the answer in hand, or the sweep found the
+                # optimum: either way it is proven
                 optimal_proven = True
             stages.append(StageOutcome(
                 stage="labels", objective=best_objective,
@@ -282,8 +334,7 @@ class PortfolioSolver:
             if stage_span is not None:
                 stage_span.profile = dp_details.get("profile")
                 stage_span.finish()
-            dp_objective = self.weighting.combine(
-                dp_assignment.host_load(), dp_assignment.max_satellite_load())
+            dp_objective = self._objective(dp_assignment)
             # an interrupted cross-check never downgrades the result: the
             # main stages already completed (or optimality was proven) by
             # the time this stage is allowed to run
@@ -315,6 +366,21 @@ class PortfolioSolver:
             details["cross_check_agreed"] = cross_check_agreed
         if interrupted is not None:
             details["interrupted"] = interrupted
+        if self.index is not None:
+            details.update(
+                structure_fingerprint=fingerprint,
+                warm_started=warm_objective is not None,
+                warm_incumbent=warm_objective,
+                warm_cut_still_optimal=(details["optimal_proven"]
+                                        and warm_objective == best_objective))
+            if interrupted is None:
+                # an interrupted solve's answer is not proven optimal: it
+                # must not reach a shared index as if it were
+                tree = problem.tree
+                self.index.put(fingerprint,
+                               [c for c in best_assignment.cut_children()
+                                if tree.cru(c).is_processing],
+                               best_objective)
         return best_assignment, details
 
     # ---------------------------------------------------------------- policy

@@ -26,10 +26,10 @@ shared filesystem as infrastructure:
   problem hash, consistent-hash sharding across spool directories
   (:class:`~repro.distributed.spool.ShardRouter`) with recovery-based
   failover, and SSE streaming of incumbent progress;
-* :mod:`~repro.distributed.incremental` — structure fingerprints and
-  :class:`IncrementalSolver`: re-submitted instances whose tree structure is
-  unchanged (only profiles/costs drifted) warm-start the label engine from
-  the previous optimum;
+* :mod:`~repro.distributed.incremental` — structure fingerprints and the
+  :class:`WarmStartIndex`: re-submitted instances whose tree structure is
+  unchanged (only profiles/costs drifted) warm-start the portfolio from the
+  previous optimal cut;
 * :mod:`~repro.distributed.janitor` — :class:`CacheJanitor`, size/age-capped
   LRU eviction keeping million-entry on-disk stores bounded;
 * :mod:`~repro.distributed.faults` — :class:`FaultPlan` / :class:`FaultyFS`,
@@ -45,11 +45,7 @@ shared filesystem as infrastructure:
 from repro.distributed.chaos import ChaosReport, run_chaos
 from repro.distributed.faults import FaultPlan, FaultRule, FaultyFS
 from repro.distributed.gateway import Gateway, GatewayConfig, TokenBucket
-from repro.distributed.incremental import (
-    IncrementalSolver,
-    WarmStartIndex,
-    structure_fingerprint,
-)
+from repro.distributed.incremental import WarmStartIndex, structure_fingerprint
 from repro.distributed.janitor import CacheJanitor, JanitorReport, sweep_stale_tmp
 from repro.distributed.service import InFlightIndex, SolveService, Submission
 from repro.distributed.spool import (
@@ -70,7 +66,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "InFlightIndex",
-    "IncrementalSolver",
     "JanitorReport",
     "ResultStream",
     "ShardRouter",

@@ -1,41 +1,23 @@
-"""Incremental re-solve: reuse structure across profile/cost changes.
+"""Warm-start records: the last optimal cut per tree structure.
 
 A monitoring deployment re-solves the *same reasoning tree* over and over:
 execution profiles drift with load, communication costs drift with link
-quality, but the CRU tree, the sensor wiring and therefore the colouring are
-fixed.  Everything structural about the search — which tree edges are
-cuttable, the assignment-graph skeleton, which cuts are feasible — depends
-only on that fixed part, so consecutive solves should not start from scratch
-(Novák & Witteveen's cost-complexity analysis of multi-context systems makes
-the same observation: reuse across queries whose reasoning structure is
-unchanged).
+quality, but the CRU tree, the sensor wiring and therefore the feasible cuts
+are fixed.  The plan in hand — the cut last proved optimal for that
+structure — stays feasible under any drift, and is usually near-optimal.
 
 :func:`structure_fingerprint` hashes exactly the solve-relevant structure —
 tree topology, CRU kinds, sensor attachment, satellite colours — and
 deliberately **excludes** profiles, communication costs and link parameters.
-Two instances with equal fingerprints have *identical* assignment-graph
-skeletons and identical feasible-cut sets; only the edge weights differ.
+Two instances with equal fingerprints have identical feasible-cut sets;
+only the edge weights differ.
 
-:class:`IncrementalSolver` exploits that:
-
-* the previous optimum's **cut** is remembered per fingerprint in a
-  :class:`WarmStartIndex` (in-memory, optionally persisted as JSON files so
-  a fleet of workers sharing a spool also shares warm starts);
-* the **assignment-graph skeleton** built for a fingerprint is kept
-  in-process and re-solves of the same structure only re-apply the σ/β
-  weights (:meth:`~repro.core.assignment_graph.ColoredAssignmentGraph.reweight`)
-  instead of re-colouring the tree and rebuilding faces, intervals and
-  edges from scratch;
-* on re-solve, the remembered cut is replayed against the *new* weights —
-  it is still a feasible S→T path, so its freshly evaluated SSB weight is a
-  valid incumbent bound for the label-dominance sweep;
-* the sweep then starts with a near-optimal incumbent (profiles rarely move
-  the optimum far), which lets bound pruning discard almost every label, and
-  the beam pre-pass — whose only job is finding an incumbent — is skipped
-  entirely.
-
-The result is exact: the sweep either proves the replayed cut is still
-optimal or finds the strictly better path.
+:class:`WarmStartIndex` remembers one cut per fingerprint (in-memory,
+optionally persisted as JSON files so a fleet of workers sharing a spool
+also shares warm starts).  :class:`~repro.core.portfolio.PortfolioSolver`
+given an index replays the remembered cut under the new weights as one more
+incumbent — the ``colored-ssb-incremental`` spec — and puts the winning cut
+back after an uninterrupted solve.
 """
 
 from __future__ import annotations
@@ -43,20 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.context import SolveContext
-from repro.core.dwg import PathMeasures, SSBWeighting
 from repro.model.problem import AssignmentProblem
 from repro.runtime.fsio import default_fs
-
-#: Default beam width for cold solves (matches LabelDominanceSearch).
-_COLD_BEAM_WIDTH = 128
-
-#: Per-skeleton cap on cached completion-potential sets (see
-#: :class:`IncrementalSolver`): one per distinct cost fingerprint, FIFO.
-_POTENTIALS_PER_SKELETON = 8
 
 
 def structure_fingerprint(problem: AssignmentProblem) -> str:
@@ -141,148 +113,3 @@ def default_warm_index() -> WarmStartIndex:
     if _default_index is None:
         _default_index = WarmStartIndex()
     return _default_index
-
-
-@dataclass
-class IncrementalSolver:
-    """Label-engine solve with structure-keyed warm starts.
-
-    ``solve`` returns ``(assignment, details)`` in the registry-runner shape;
-    details record whether a warm start applied and what it bought.
-    """
-
-    index: Optional[WarmStartIndex] = None
-    weighting: Optional[SSBWeighting] = None
-    beam_width: int = _COLD_BEAM_WIDTH
-    #: in-process assignment-graph skeletons kept per structure fingerprint
-    #: (graphs hold live problem references, so this cache is never persisted)
-    max_skeletons: int = 32
-    #: counters across this solver's lifetime
-    warm_hits: int = field(default=0, init=False)
-    cold_solves: int = field(default=0, init=False)
-    skeleton_reuses: int = field(default=0, init=False)
-    potentials_reuses: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        from repro.core.label_search import check_beam_width
-
-        check_beam_width(self.beam_width)
-        if self.index is None:
-            self.index = default_warm_index()
-        self._weighting = self.weighting or SSBWeighting()
-        self._measures = PathMeasures(self._weighting)
-        # fingerprint -> {"graph": skeleton, "potentials": {cost_fp: pots}}
-        self._skeletons: Dict[str, Dict[str, Any]] = {}
-
-    # ------------------------------------------------------------------ solve
-    def solve(self, problem: AssignmentProblem,
-              context: Optional[SolveContext] = None
-              ) -> Tuple[Any, Dict[str, Any]]:
-        from repro.core.assignment import Assignment
-        from repro.core.assignment_graph import build_assignment_graph
-        from repro.core.label_search import (LabelDominanceSearch,
-                                             completion_potentials)
-        from repro.runtime.cache import problem_fingerprint
-
-        fingerprint = structure_fingerprint(problem)
-        entry = self._skeletons.get(fingerprint)
-        skeleton_reused = entry is not None
-        if skeleton_reused:
-            graph = entry["graph"]
-            # same structure: keep the skeleton, re-apply the drifted weights
-            graph.reweight(problem)
-            self.skeleton_reuses += 1
-        else:
-            graph = build_assignment_graph(problem)
-            entry = {"graph": graph, "potentials": {}}
-            if self.max_skeletons > 0:
-                if len(self._skeletons) >= self.max_skeletons:
-                    # drop the oldest insertion (structures churn rarely; a
-                    # FIFO keeps the one-structure deployment untouched)
-                    self._skeletons.pop(next(iter(self._skeletons)))
-                self._skeletons[fingerprint] = entry
-
-        # The label sweep's three backward-DAG completion bounds depend only
-        # on the weighted skeleton, i.e. on structure *and* costs — so they
-        # are keyed by the full problem fingerprint and reused whenever the
-        # same costs are re-solved (identical re-submissions, replayed
-        # queries), instead of paying three DAG passes per solve.
-        from repro.graphs.dag import DagIndex
-
-        index = DagIndex(graph.dwg.graph)   # shared by potentials + sweep
-        cost_fp = problem_fingerprint(problem)
-        potentials = entry["potentials"].get(cost_fp)
-        potentials_reused = potentials is not None
-        if potentials_reused:
-            self.potentials_reuses += 1
-        else:
-            potentials = completion_potentials(graph.dwg, self._weighting,
-                                               index)
-            while len(entry["potentials"]) >= _POTENTIALS_PER_SKELETON:
-                entry["potentials"].pop(next(iter(entry["potentials"])))
-            entry["potentials"][cost_fp] = potentials
-
-        warm_path = None
-        incumbent = float("inf")
-        record = self.index.get(fingerprint)
-        if record is not None:
-            try:
-                warm_assignment = Assignment.from_cut(problem, record["cut"])
-                warm_path = graph.assignment_to_path(warm_assignment)
-                incumbent = self._measures.ssb_colored(warm_path)
-            except (KeyError, ValueError):
-                # foreign/stale record (fingerprint collision is ~impossible,
-                # but a corrupt shared file is not): fall back to cold
-                warm_path = None
-                incumbent = float("inf")
-
-        warm = warm_path is not None
-        if warm and context is not None:
-            context.report_incumbent(incumbent, source="warm-start")
-        # with a warm incumbent the beam pre-pass has nothing left to do
-        search = LabelDominanceSearch(weighting=self._weighting,
-                                      beam_width=0 if warm else self.beam_width)
-        result = search.search(graph.dwg, incumbent=incumbent, index=index,
-                               context=context, potentials=potentials)
-
-        if result.found:
-            best_path = result.path
-            best_ssb = result.ssb_weight
-        elif warm:
-            # nothing strictly beat the replayed cut: it is still optimal
-            best_path = warm_path
-            best_ssb = incumbent
-        else:
-            raise RuntimeError("the coloured assignment graph has no S-T path; "
-                               "the instance admits no feasible assignment")
-
-        assignment = graph.path_to_assignment(best_path)
-        offloaded = [c for c in graph.path_to_cut(best_path)
-                     if problem.tree.cru(c).is_processing]
-        if result.interrupted is None:
-            # an interrupted sweep's best path is not proven optimal: it must
-            # not poison the shared warm-start index as if it were
-            self.index.put(fingerprint, offloaded,
-                           assignment.end_to_end_delay())
-        if warm:
-            self.warm_hits += 1
-        else:
-            self.cold_solves += 1
-
-        details = {
-            "ssb_weight": best_ssb,
-            "structure_fingerprint": fingerprint,
-            "warm_started": warm,
-            "warm_incumbent": (incumbent if warm else None),
-            "warm_cut_still_optimal": (warm and not result.found
-                                       and result.interrupted is None),
-            "skeleton_reused": skeleton_reused,
-            "potentials_reused": potentials_reused,
-            "labels_created": result.stats.labels_created,
-            "labels_bound_pruned": result.stats.labels_bound_pruned,
-            "profile": result.stats.profile(),
-            "assignment_graph_edges": graph.number_of_edges(),
-        }
-        if result.interrupted is not None:
-            details["interrupted"] = result.interrupted
-        return assignment, details

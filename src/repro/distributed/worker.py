@@ -7,9 +7,10 @@ path the batch runner uses, and publishes results back into the spool.  It
 consults the shared result cache before solving (so a re-submitted sweep is
 served without burning CPU) and writes it after — the worker that solved a
 task is the only writer of its cache entry — and it injects the spool's
-shared warm-start directory into ``colored-ssb-incremental`` tasks so every
-worker benefits from every other worker's previous solve of the same tree
-structure.
+shared warm-start directory into ``colored-ssb-incremental`` tasks (the
+warm-started portfolio) so every worker replays every other worker's last
+optimal cut for the same tree structure; plain ``portfolio`` tasks never
+touch that directory.
 
 Crash safety comes entirely from the spool: a worker that dies mid-task
 holds a lease that expires, after which :meth:`WorkQueue.recover` (run by

@@ -80,18 +80,6 @@ class DiGraph:
         """
         return self._version
 
-    def bump_version(self) -> int:
-        """Invalidate derived caches after in-place edge-*attribute* edits.
-
-        Structural mutations bump the counter automatically, but rewriting
-        ``edge.data`` in place (e.g. re-weighting a reused assignment-graph
-        skeleton with fresh profiles) is invisible to the adjacency tracking
-        — callers must bump explicitly so :class:`repro.graphs.dag.DagIndex`
-        drops its cached potentials and shortest paths.
-        """
-        self._version += 1
-        return self._version
-
     # ------------------------------------------------------------------ nodes
     def add_node(self, node: Node) -> Node:
         """Add ``node`` if not already present and return it."""

@@ -553,8 +553,7 @@ def render_profile(profile: Mapping[str, Any], title: str = "") -> str:
     if profile.get("beam_labels_created") is not None:
         lines.append(
             f"  beam pre-pass             "
-            f"{int(profile['beam_labels_created']):>12,} created, "
-            f"{int(profile.get('beam_labels_bound_pruned', 0) or 0):,} rejected"
+            f"{int(profile['beam_labels_created']):>12,} created"
         )
     if profile.get("lagrange_root") is not None:
         lines.append(

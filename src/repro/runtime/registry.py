@@ -17,8 +17,9 @@ The default registry carries the paper's algorithm plus every baseline:
                        assignment DAG, no elimination loop (exact; aliases
                        ``labels`` / ``label-search`` / ``colored-ssb-bidir``
                        / ``bidir``)
-``colored-ssb-incremental`` label sweep warm-started from the last solve of
-                       the same tree structure (exact; alias ``incremental``)
+``colored-ssb-incremental`` the portfolio warm-started from the cut last
+                       solved for the same tree structure (exact; alias
+                       ``incremental``)
 ``brute-force``        full enumeration (exact reference)
 ``pareto-dp-pruned``   bound-pruned Pareto DP: beam incumbent + completion
                        potentials, exact through the scattered n>=30 blowup
@@ -332,23 +333,6 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     return assignment, details
 
 
-def _run_colored_ssb_incremental(problem, weighting, options):
-    """Label sweep with structure-keyed warm starts (distributed.incremental).
-
-    Options: ``index`` (a WarmStartIndex, in-process callers), ``warm_dir``
-    (directory of a shared on-disk index — what spool workers inject),
-    ``beam_width`` (cold-solve pre-pass width).
-    """
-    from repro.distributed.incremental import IncrementalSolver, WarmStartIndex
-
-    index = options.get("index")
-    if index is None and options.get("warm_dir"):
-        index = WarmStartIndex(directory=options["warm_dir"])
-    solver = IncrementalSolver(index=index, weighting=weighting,
-                               beam_width=options.get("beam_width", 128))
-    return solver.solve(problem, context=options.get("context"))
-
-
 def _run_brute_force(problem, weighting, options):
     from repro.baselines import brute_force_assignment
     return brute_force_assignment(problem, weighting=weighting,
@@ -429,14 +413,35 @@ def _run_dag_genetic(problem, weighting, options):
     return assignment, details
 
 
-def _run_portfolio(problem, weighting, options):
+def _run_portfolio(problem, weighting, options, index=None):
     """Staged racing portfolio (see :mod:`repro.core.portfolio`)."""
     from repro.core.portfolio import PortfolioSolver
 
     solver = PortfolioSolver(weighting=weighting,
                              cross_check=options.get("cross_check", "auto"),
-                             beam_width=options.get("beam_width", 128))
+                             beam_width=options.get("beam_width", 128),
+                             index=index)
     return solver.solve(problem, context=options.get("context"))
+
+
+def _run_portfolio_warm(problem, weighting, options):
+    """The portfolio warm-started from a :class:`WarmStartIndex`.
+
+    Options: ``index`` (in-process callers), ``warm_dir`` (directory of a
+    shared on-disk index — what spool workers inject), ``beam_width``
+    (the pre-pass width of a solve with no cut to replay); with neither
+    index option the process-wide default index is used.
+    """
+    from repro.distributed.incremental import WarmStartIndex, default_warm_index
+
+    index = options.get("index")
+    if index is None:
+        index = (WarmStartIndex(directory=options["warm_dir"])
+                 if options.get("warm_dir") else default_warm_index())
+    # the cross-check follows the "auto" policy: this spec has no option
+    # for it
+    return _run_portfolio(problem, weighting,
+                          {**options, "cross_check": "auto"}, index=index)
 
 
 _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
@@ -465,13 +470,14 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     ),
     SolverSpec(
         name="colored-ssb-incremental",
-        runner=_run_colored_ssb_incremental,
+        runner=_run_portfolio_warm,
         anytime=True,
-        description="label-dominance sweep warm-started from the last solve "
-                    "of the same tree structure (profiles/costs may differ)",
+        description="the portfolio warm-started from the cut last solved for "
+                    "the same tree structure (profiles/costs may differ)",
         exact=True,
         supports_weighting=True,
-        complexity="O(labels * out-degree), sharply pruned on warm re-solves",
+        complexity="the portfolio's; the label sweep is bounded by the "
+                   "replayed cut",
         aliases=("incremental",),
     ),
     SolverSpec(

@@ -151,8 +151,6 @@ class TestPrunedSolver:
         [beam] = beam_stats
         profile = cold["profile"]
         assert profile["beam_labels_created"] == beam["created"] > 0
-        assert profile["beam_labels_bound_pruned"] == \
-            beam["bound_rejected"] == cold["beam_labels_bound_pruned"]
         # the existing keys still count the exact pass alone
         assert profile["pruned_floor"] == cold["labels_bound_pruned"]
         assert profile["labels_dominated"] == cold["labels_dominated"]
@@ -161,7 +159,6 @@ class TestPrunedSolver:
         assert refuted["incumbent_reached"]
         assert len(beam_stats) == 1
         assert "beam_labels_created" not in refuted["profile"]
-        assert "beam_labels_bound_pruned" not in refuted["profile"]
 
     def test_beam_width_validation_and_tiny_beam(self, paper_problem):
         with pytest.raises(ValueError, match="beam_width"):

@@ -260,14 +260,6 @@ class TestOnePassBuild:
         colored = color_tree(paper_problem)
         assert build_assignment_graph(paper_problem, colored).colored_tree is colored
 
-    @pytest.mark.parametrize("name, problem", _ONE_PASS_CASES[:6],
-                             ids=[name for name, _ in _ONE_PASS_CASES[:6]])
-    def test_reweight_keeps_the_weights(self, name, problem):
-        graph = build_assignment_graph(problem)
-        before = [(e.key, dict(e.data)) for e in graph.dwg.edges()]
-        graph.reweight(problem)
-        assert [(e.key, e.data) for e in graph.dwg.edges()] == before
-
     def test_unvalidated_negative_costs_raise(self):
         from repro.core.solver import solve
 

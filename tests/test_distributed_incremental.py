@@ -1,9 +1,10 @@
-"""Structure fingerprints, the warm-start index, and incremental re-solve."""
+"""Structure fingerprints, the warm-start index, and warm portfolio re-solves."""
 
 import pytest
 
+from repro.core.portfolio import PortfolioSolver
 from repro.core.solver import solve
-from repro.distributed import IncrementalSolver, WarmStartIndex, structure_fingerprint
+from repro.distributed import WarmStartIndex, structure_fingerprint
 from repro.workloads import paper_example_problem, random_problem
 
 
@@ -74,18 +75,33 @@ class TestWarmStartIndex:
         assert index.get("shapeless") is None
 
 
-class TestIncrementalSolver:
+def warm_solver(index=None, **kwargs):
+    # an empty index is falsy (it has a length): test for None
+    return PortfolioSolver(
+        index=WarmStartIndex() if index is None else index, **kwargs)
+
+
+def labels_created(details):
+    return {s["stage"]: s for s in details["stages"]}["labels"]["labels_created"]
+
+
+class TestWarmPortfolio:
     def test_cold_solve_matches_the_reference(self):
         problem = scattered()
-        solver = IncrementalSolver(index=WarmStartIndex())
-        assignment, details = solver.solve(problem)
+        assignment, details = warm_solver().solve(problem)
         reference = solve(problem, method="colored-ssb-labels")
         assert assignment.end_to_end_delay() == pytest.approx(reference.objective)
         assert not details["warm_started"]
-        assert solver.cold_solves == 1 and solver.warm_hits == 0
+        assert details["warm_incumbent"] is None
+        assert not details["warm_cut_still_optimal"]
+
+    def test_no_index_no_warm_details(self):
+        _, details = PortfolioSolver().solve(scattered())
+        assert "structure_fingerprint" not in details
+        assert "warm_started" not in details
 
     def test_warm_resolve_is_exact_after_profile_drift(self):
-        solver = IncrementalSolver(index=WarmStartIndex())
+        solver = warm_solver()
         for seed in range(4):
             base = scattered(seed=seed)
             solver.solve(base)
@@ -100,56 +116,41 @@ class TestIncrementalSolver:
     def test_unchanged_resubmission_confirms_the_old_optimum(self):
         problem_a = scattered(seed=9)
         problem_b = scattered(seed=9)              # identical twin
-        solver = IncrementalSolver(index=WarmStartIndex())
-        first, cold_details = solver.solve(problem_a)
+        solver = warm_solver()
+        first, _ = solver.solve(problem_a)
         second, details = solver.solve(problem_b)
         assert details["warm_started"]
-        assert second.end_to_end_delay() == pytest.approx(
-            first.end_to_end_delay())
-        # identical costs on a reused skeleton: the three backward-DAG
-        # completion potentials are served from the per-skeleton cache
-        assert not cold_details["potentials_reused"]
-        assert details["potentials_reused"]
-        assert solver.potentials_reuses == 1
+        assert details["winner"] == "warm-start"
+        assert second.end_to_end_delay() == first.end_to_end_delay()
 
-    def test_drifted_costs_recompute_potentials(self):
-        solver = IncrementalSolver(index=WarmStartIndex())
-        solver.solve(scattered(seed=13))
-        _, details = solver.solve(perturbed(lambda: scattered(seed=13)))
-        # the potentials depend on the edge weights, so drifted costs must
-        # miss the cache (a stale reuse would silently break exactness)
-        assert details["skeleton_reused"]
-        assert not details["potentials_reused"]
-
-    def test_potentials_reuse_is_exact(self):
-        solver = IncrementalSolver(index=WarmStartIndex())
+    def test_repeated_solves_stay_exact(self):
+        solver = warm_solver()
         for _ in range(3):
             assignment, _ = solver.solve(scattered(seed=21, n=14))
             reference = solve(scattered(seed=21, n=14),
                               method="colored-ssb-labels")
             assert assignment.end_to_end_delay() == reference.objective
-        assert solver.potentials_reuses == 2
 
     def test_negative_beam_width_rejected_at_construction(self):
         # warm solves pass width 0 to the sweep, so only construction can
         # catch a bad width for every solve
         with pytest.raises(ValueError, match="beam_width must be non-negative"):
-            IncrementalSolver(index=WarmStartIndex(), beam_width=-1)
+            warm_solver(beam_width=-1)
 
     def test_warm_start_prunes_labels(self):
         """The warm incumbent must measurably shrink the label sweep.
 
         Warm solves run without the beam; the cold ones do too here, so the
         beam certificate cannot skip their exact pass."""
-        solver = IncrementalSolver(index=WarmStartIndex(), beam_width=0)
+        solver = warm_solver(beam_width=0)
         cold_labels = warm_labels = 0
         for seed in range(3):
             _, cold = solver.solve(scattered(seed=seed, n=16))
             _, warm = solver.solve(perturbed(
                 lambda: scattered(seed=seed, n=16), host_scale=1.03,
                 sat_scale=0.98, cost_scale=1.0))
-            cold_labels += cold["labels_created"]
-            warm_labels += warm["labels_created"]
+            cold_labels += labels_created(cold)
+            warm_labels += labels_created(warm)
         assert warm_labels < cold_labels
 
     def test_registry_method_with_explicit_index(self):
@@ -179,16 +180,48 @@ class TestIncrementalSolver:
         index = WarmStartIndex()
         problem = scattered(seed=13)
         index.put(structure_fingerprint(problem), ["no-such-cru"], 1.0)
-        solver = IncrementalSolver(index=index)
-        assignment, details = solver.solve(problem)
+        assignment, details = warm_solver(index).solve(problem)
         assert not details["warm_started"]
         reference = solve(problem, method="colored-ssb-labels")
         assert assignment.end_to_end_delay() == pytest.approx(reference.objective)
+        # the solve replaced the stale record with its own optimal cut
+        assert index.get(structure_fingerprint(problem))["cut"] != ["no-such-cru"]
+
+    def test_interrupted_solve_leaves_the_index_alone(self):
+        from repro.core.context import SolveContext
+
+        index = WarmStartIndex()
+        context = SolveContext()
+        context.cancel()
+        _, details = warm_solver(index).solve(scattered(seed=14), context)
+        assert details["interrupted"] == "cancelled"
+        assert len(index) == 0
 
     def test_paper_example_round_trip(self, paper_problem):
-        solver = IncrementalSolver(index=WarmStartIndex())
+        solver = warm_solver()
         first, _ = solver.solve(paper_problem)
         second, details = solver.solve(paper_example_problem())
         assert details["warm_started"]
         assert first.end_to_end_delay() == pytest.approx(
             second.end_to_end_delay())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_identical_resolve_keeps_the_replayed_cut(seed):
+    """Re-solving an unchanged scattered n=50 instance confirms the cut in
+    hand: the label stage's path can only tie it, and a tie is judged by
+    the assignment's own objective, not by the path's summation order."""
+    index = WarmStartIndex()
+
+    def fresh():
+        return random_problem(n_processing=50, n_satellites=4, seed=seed,
+                              sensor_scatter=1.0)
+
+    first = solve(fresh(), method="colored-ssb-incremental", index=index)
+    second = solve(fresh(), method="colored-ssb-incremental", index=index)
+    assert second.details["warm_started"]
+    assert second.details["warm_cut_still_optimal"] is True
+    assert second.details["winner"] == "warm-start"
+    assert second.details["objective"].hex() == \
+        second.details["warm_incumbent"].hex()
+    assert second.objective.hex() == first.objective.hex()
