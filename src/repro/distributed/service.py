@@ -41,9 +41,11 @@ from repro.distributed.worker import spool_cache
 from repro.model.problem import AssignmentProblem
 from repro.observability.tracing import Span, Tracer
 from repro.runtime.cache import ResultCache, cache_get_with_source
-from repro.runtime.payload import PreparedTask, prepare_tasks, task_payload
+from repro.runtime.payload import (PreparedTask, outcome_from_entry,
+                                   prepare_tasks, task_payload)
 from repro.runtime.registry import SolverRegistry, default_registry
-from repro.runtime.runner import BatchItemResult, BatchReport, BatchTask
+from repro.runtime.runner import (BatchItemResult, BatchReport, BatchTask,
+                                  batch_item)
 
 
 @dataclass
@@ -365,43 +367,50 @@ class SolveService:
                               ordered=ordered, timeout=timeout,
                               on_submit=record, submit=spool)
 
-        if not ordered:
-            # cache hits first: they are ready by definition
-            for entry in submission.entries:
-                if entry.cached_entry is not None:
-                    yield self._item_from_cache(entry)
+        done: Dict[int, Dict[str, Any]] = {}    #: leader index -> outcome
 
-        emitted: Dict[int, BatchItemResult] = {}
+        def item(entry: _Entry) -> BatchItemResult:
+            if entry.cached_entry is not None:
+                return batch_item(entry.index, entry.prep, outcome_from_entry(
+                    entry.prep.key, entry.cached_entry, entry.cache_source))
+            if entry.leader is not None:
+                return batch_item(entry.index, entry.prep, done[entry.leader],
+                                  cache_source="batch")
+            return batch_item(entry.index, entry.prep, done[entry.index])
+
+        def ready(entry: _Entry) -> bool:
+            if entry.cached_entry is not None:
+                return True
+            return (entry.index if entry.leader is None
+                    else entry.leader) in done
+
         position = 0
 
         def ordered_flush() -> Iterator[BatchItemResult]:
             nonlocal position
-            while position < len(submission.entries):
-                entry = submission.entries[position]
-                if entry.cached_entry is not None:
-                    yield self._item_from_cache(entry)
-                elif entry.leader is not None and entry.leader in emitted:
-                    yield self._follower_item(entry, emitted[entry.leader])
-                elif entry.index in emitted:
-                    yield emitted[entry.index]
-                else:
-                    return
+            while (position < len(submission.entries)
+                   and ready(submission.entries[position])):
+                yield item(submission.entries[position])
                 position += 1
 
         if ordered:
             yield from ordered_flush()
+        else:
+            # cache hits first: they are ready by definition
+            for entry in submission.entries:
+                if entry.cached_entry is not None:
+                    yield item(entry)
         for task_id, outcome in stream:
             index = id_to_index[task_id]
             entry = submission.entries[index]
             self.complete(entry, task_id, outcome)
-            item = self._item_from_outcome(entry, outcome)
-            emitted[index] = item
+            done[index] = outcome
             if ordered:
                 yield from ordered_flush()
             else:
-                yield item
+                yield item(entry)
                 for follower in followers.get(index, ()):
-                    yield self._follower_item(follower, item)
+                    yield item(follower)
 
     # ------------------------------------------------------------------ gather
     def gather(self, submission: Submission,
@@ -415,87 +424,6 @@ class SolveService:
         """
         items = list(self.stream(submission, ordered=True, window=window,
                                  timeout=timeout))
-        by_source = {"memory": 0, "disk": 0, "batch": 0}
-        for item in items:
-            if item.cached:
-                source = item.cache_source or "memory"
-                by_source[source] = by_source.get(source, 0) + 1
-        return BatchReport(
-            results=items,
-            wall_s=time.perf_counter() - submission.started,
-            workers=workers,
-            cache_hits=sum(1 for item in items if item.cached),
-            solved=sum(1 for item in items if item.ok and not item.cached),
-            failed=sum(1 for item in items if not item.ok),
-            cache_memory_hits=by_source["memory"],
-            cache_disk_hits=by_source["disk"],
-            cache_batch_hits=by_source["batch"])
-
-    # ------------------------------------------------------------- item builds
-    def _item_from_cache(self, entry: _Entry) -> BatchItemResult:
-        cached = entry.cached_entry or {}
-        item = self._base_item(entry)
-        item.cached = True
-        item.cache_source = entry.cache_source or "cache"
-        item.objective = cached.get("objective")
-        item.elapsed_s = cached.get("elapsed_s", 0.0)
-        item.placement = dict(cached.get("placement") or {})
-        item.details = dict(cached.get("details") or {})
-        item.status = cached.get("status")
-        self._attach_assignment(item, entry)
-        return item
-
-    def _item_from_outcome(self, entry: _Entry,
-                           outcome: Dict[str, Any]) -> BatchItemResult:
-        item = self._base_item(entry)
-        item.status = outcome.get("status")
-        item.incumbent_history = list(outcome.get("incumbent_history") or ())
-        if not outcome.get("ok", False):
-            item.error = outcome.get("error", "unknown error")
-            if outcome.get("details"):
-                # structured diagnostics riding the error envelope (e.g. a
-                # FrontierExplosion's labels-created / peak-frontier counts)
-                item.details = dict(outcome["details"])
-            if outcome.get("error_kind"):
-                # poison / quarantined / max_requeues / result_corrupted —
-                # kept in details so report consumers can triage by class
-                item.details = dict(item.details or {})
-                item.details["error_kind"] = outcome["error_kind"]
-            return item
-        item.objective = outcome.get("objective")
-        item.elapsed_s = outcome.get("elapsed_s", 0.0)
-        item.placement = dict(outcome.get("placement") or {})
-        item.details = dict(outcome.get("details") or {})
-        if outcome.get("cached"):
-            item.cached = True
-            item.cache_source = outcome.get("cache_source") or "cache"
-        self._attach_assignment(item, entry)
-        return item
-
-    def _follower_item(self, entry: _Entry,
-                       leader_item: BatchItemResult) -> BatchItemResult:
-        item = self._base_item(entry)
-        item.error = leader_item.error
-        item.status = leader_item.status
-        if item.ok:
-            item.objective = leader_item.objective
-            item.elapsed_s = leader_item.elapsed_s
-            item.placement = dict(leader_item.placement or {})
-            item.details = dict(leader_item.details or {})
-            item.incumbent_history = list(leader_item.incumbent_history)
-            item.cached = True
-            item.cache_source = "batch"
-            self._attach_assignment(item, entry)
-        return item
-
-    def _base_item(self, entry: _Entry) -> BatchItemResult:
-        return BatchItemResult(index=entry.index, tag=entry.prep.task.tag,
-                               method=entry.prep.spec.name, key=entry.prep.key,
-                               seed=entry.prep.seed)
-
-    def _attach_assignment(self, item: BatchItemResult, entry: _Entry) -> None:
-        if item.placement:
-            from repro.core.assignment import Assignment
-
-            item.assignment = Assignment(problem=entry.prep.task.problem,
-                                         placement=item.placement)
+        return BatchReport.tally(items,
+                                 time.perf_counter() - submission.started,
+                                 workers)

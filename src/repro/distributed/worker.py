@@ -3,14 +3,14 @@
 A :class:`SolveWorker` is the unit any host contributes to the fleet: point
 it at a spool directory (``repro worker --spool DIR``) and it claims tasks,
 dispatches them through the same :func:`repro.runtime.payload.solve_payload`
-path the batch runner uses, and publishes results back into the spool.  It
-consults the shared result cache before solving (so a re-submitted sweep is
-served without burning CPU) and writes it after — the worker that solved a
-task is the only writer of its cache entry — and it injects the spool's
-shared warm-start directory into ``colored-ssb-incremental`` tasks (the
-warm-started portfolio) so every worker replays every other worker's last
-optimal cut for the same tree structure; plain ``portfolio`` tasks never
-touch that directory.
+path the batch runner's pool uses, and publishes results back into the
+spool.  It consults the shared result cache before solving (so a
+re-submitted sweep is served without burning CPU) and writes it after — the
+worker that solved a task is the only writer of its cache entry — and it
+injects the spool's shared warm-start directory into
+``colored-ssb-incremental`` tasks (the warm-started portfolio) so every
+worker replays every other worker's last optimal cut for the same tree
+structure; plain ``portfolio`` tasks never touch that directory.
 
 Crash safety comes entirely from the spool: a worker that dies mid-task
 holds a lease that expires, after which :meth:`WorkQueue.recover` (run by
@@ -39,8 +39,9 @@ from repro.distributed.spool import (POISON_DIR, TMP_DIR, SpoolTask,
                                      WorkQueue, _split_name, trace_fields)
 from repro.observability import events as _events
 from repro.observability.metrics import MetricsRegistry
-from repro.runtime.cache import ResultCache, cache_get_with_source, make_cache_entry
-from repro.runtime.payload import outcome_cacheable, solve_payload
+from repro.runtime.cache import ResultCache, cache_get_with_source
+from repro.runtime.payload import (cache_outcome, outcome_from_entry,
+                                   solve_payload)
 from repro.runtime.registry import SolverRegistry, default_registry
 
 SOLVE_DELAY_ENV_VAR = "REPRO_WORKER_SOLVE_DELAY"
@@ -370,17 +371,8 @@ class SolveWorker:
                 self._tasks_total.inc(outcome="released")
                 return None
             self._tasks_total.inc(outcome="solved")
-            if (self.cache is not None and payload.get("cacheable", True)
-                    and outcome_cacheable(outcome)):
-                try:
-                    self.cache.put(payload["key"], make_cache_entry(
-                        outcome["method"], outcome["objective"],
-                        outcome["elapsed_s"], outcome["placement"],
-                        outcome["details"], status=outcome.get("status")))
-                except OSError:
-                    # cache unavailable (disk full, I/O errors past the
-                    # retry budget): the solve result still ships
-                    pass
+            if payload.get("cacheable", True):
+                cache_outcome(self.cache, payload["key"], outcome)
         outcome["worker_id"] = self.worker_id
         outcome["tag"] = payload.get("tag")
         outcome["seed"] = payload.get("seed")
@@ -524,20 +516,7 @@ class SolveWorker:
             return None
         self.cache_hits += 1
         self._cache_hits_total.inc(source=str(source))
-        outcome = {
-            "key": payload["key"],
-            "ok": True,
-            "method": entry.get("method", payload.get("method")),
-            "objective": entry.get("objective"),
-            "elapsed_s": entry.get("elapsed_s", 0.0),
-            "placement": dict(entry.get("placement") or {}),
-            "details": dict(entry.get("details") or {}),
-            "cached": True,
-            "cache_source": source,
-        }
-        if entry.get("status"):
-            outcome["status"] = entry["status"]
-        return outcome
+        return outcome_from_entry(payload["key"], entry, source)
 
     def _inject_warm_dir(self, payload: Dict[str, Any]) -> None:
         """Point incremental tasks at the spool's shared warm-start index."""

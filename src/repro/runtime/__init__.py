@@ -24,7 +24,6 @@ from repro.runtime.cache import (
     JSONFileCache,
     LRUResultCache,
     TieredResultCache,
-    cache_entry_from_result,
     cache_get_with_source,
     make_cache_entry,
     options_fingerprint,
@@ -56,7 +55,6 @@ __all__ = [
     "JSONFileCache",
     "LRUResultCache",
     "TieredResultCache",
-    "cache_entry_from_result",
     "cache_get_with_source",
     "make_cache_entry",
     "options_fingerprint",

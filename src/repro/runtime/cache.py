@@ -118,13 +118,6 @@ def make_cache_entry(method: str, objective: float, elapsed_s: float,
     return entry
 
 
-def cache_entry_from_result(result: "Any") -> CacheEntry:
-    """Build a JSON-safe cache entry from a :class:`SolverResult`."""
-    return make_cache_entry(result.method, result.objective, result.elapsed_s,
-                            result.assignment.placement, result.details,
-                            status=getattr(result, "status", None))
-
-
 def _json_safe_scalar_or_list(value: Any) -> bool:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return True

@@ -1,6 +1,6 @@
-"""Task preparation and the worker-side solve payload.
+"""Task preparation, the solve every backend runs, and its outcome dict.
 
-One batch task goes through the same three steps no matter which execution
+One batch task goes through the same steps no matter which execution
 backend runs it — the in-process loop, the ``ProcessPoolExecutor`` fan-out of
 :class:`~repro.runtime.runner.BatchRunner`, or a :mod:`repro.distributed`
 worker pulling from a filesystem spool on another host:
@@ -10,14 +10,19 @@ worker pulling from a filesystem spool on another host:
    instance and compute the cache key plus its *cacheability* (a seedless
    stochastic task is a fresh independent draw: it must not dedup into
    another task's result or be replayed from the cache);
-2. **encode** (:func:`task_payload`) — flatten the prepared task into a
-   JSON-safe dict that can cross a process boundary or rest in a spool file;
-3. **solve** (:func:`solve_payload`) — rebuild the instance from the payload
-   and dispatch through the solver facade, reporting errors as data.
+2. **encode** (:func:`task_payload`) — for the pool and the spool only:
+   flatten the prepared task into a JSON-safe dict that can cross a process
+   boundary or rest in a spool file, which :func:`solve_payload` decodes;
+3. **solve** (:func:`solve_task`) — validate the instance and run the
+   resolved spec, reporting errors as data: every backend gets the same
+   outcome dict (``error_outcome`` for a raised solve, with
+   ``status="error"`` and the exception's diagnostics).
 
-Keeping the three steps here (instead of private to the runner) is what lets
-the distributed queue path share semantics with the batch path bit-for-bit:
-identical keys, identical seeds, identical error envelopes.
+A cache entry read back is an outcome too (:func:`outcome_from_entry`), and
+:func:`cache_outcome` is the one writer of an entry from an outcome.
+Keeping these here (instead of private to the runner) is what lets the
+distributed queue path share semantics with the batch path bit-for-bit:
+identical keys, identical seeds, identical outcomes.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.context import SolveContext
 from repro.core.dwg import SSBWeighting
-from repro.runtime.cache import (problem_canonical_json, problem_fingerprint,
-                                 result_key)
+from repro.runtime.cache import (ResultCache, json_safe_details,
+                                 make_cache_entry, problem_canonical_json,
+                                 problem_fingerprint, result_key)
 from repro.runtime.registry import SolverRegistry
 
 PAYLOAD_VERSION = 1
@@ -170,17 +176,13 @@ def solve_payload(payload: Dict[str, Any],
                   context: Optional[SolveContext] = None) -> Dict[str, Any]:
     """Solve one JSON-encoded task; never raises (errors are data).
 
-    A ``"deadline_s"`` field in the payload builds a cooperative
-    :class:`~repro.core.context.SolveContext` when the caller does not
-    inject one (the distributed worker passes its own, clamped to the
-    remaining lease and wired to the progress heartbeat).  The outcome
-    carries ``status`` and ``incumbent_history``; a solve the context cut
-    short before any incumbent existed is reported as an error *with* its
-    terminal status, so streams can tell a timeout from a crash.
+    Decodes ``problem_json`` and the weighting, resolves ``method`` against
+    the default registry and hands the rest to :func:`solve_task`.  A
+    ``"trace"`` field continues the submitter's trace with a ``solve`` span
+    in this process.
     """
-    from repro.core.solver import solve
     from repro.model.serialization import problem_from_json
-    from repro.runtime.cache import json_safe_details
+    from repro.runtime.registry import default_registry
 
     span = None
     trace = payload.get("trace")
@@ -200,19 +202,49 @@ def solve_payload(payload: Dict[str, Any],
             span = None
     try:
         problem = problem_from_json(payload["problem_json"])
+        spec = default_registry().resolve(payload["method"])
         weighting = payload.get("weighting")
         if weighting is not None:
             weighting = SSBWeighting(*weighting)
-        if context is None and (payload.get("deadline_s") is not None
-                                or span is not None):
-            context = SolveContext(deadline_s=payload.get("deadline_s"))
+    except Exception as exc:  # noqa: BLE001 - worker must report, not crash
+        return error_outcome(payload["key"], exc, span)
+    return solve_task(problem, spec, payload["key"],
+                      options=payload.get("options", {}), weighting=weighting,
+                      validate=payload.get("validate", True),
+                      deadline_s=payload.get("deadline_s"),
+                      context=context, span=span)
+
+
+def solve_task(problem: Any, spec: Any, key: str,
+               options: Optional[Dict[str, Any]] = None,
+               weighting: Optional[SSBWeighting] = None,
+               validate: bool = True,
+               deadline_s: Optional[float] = None,
+               context: Optional[SolveContext] = None,
+               span: Any = None) -> Dict[str, Any]:
+    """Solve one decoded task with a resolved spec; never raises.
+
+    Every backend ends here: :func:`solve_payload` after decoding, and the
+    in-process loop of :class:`~repro.runtime.runner.BatchRunner` directly.
+    ``deadline_s`` builds a cooperative
+    :class:`~repro.core.context.SolveContext` when the caller does not
+    inject one (the distributed worker passes its own, clamped to the
+    remaining lease and wired to the progress heartbeat); ``span`` is the
+    task's open ``solve`` span, under which the spec opens ``method:*``.
+    The outcome carries ``status`` and ``incumbent_history``; a solve the
+    context cut short before any incumbent existed is reported as an error
+    *with* its terminal status, so streams can tell a timeout from a crash.
+    """
+    try:
+        if context is None and (deadline_s is not None or span is not None):
+            context = SolveContext(deadline_s=deadline_s)
         if context is not None and span is not None and context.span is None:
             context.span = span
         started = time.perf_counter()
-        result = solve(problem, method=payload["method"], weighting=weighting,
-                       validate=payload.get("validate", True),
-                       context=context,
-                       **payload.get("options", {}))
+        if validate:
+            problem.validate()
+        result = spec.solve(problem, weighting=weighting, context=context,
+                            **(options or {}))
         elapsed = time.perf_counter() - started
         history = [[round(t, 6), objective, source]
                    for t, objective, source in result.incumbent_history]
@@ -223,7 +255,7 @@ def solve_payload(payload: Dict[str, Any],
             span.finish()
         if result.assignment is None:
             return {
-                "key": payload["key"],
+                "key": key,
                 "ok": False,
                 "status": result.status,
                 "error": f"{result.status}: the context fired before any "
@@ -231,7 +263,7 @@ def solve_payload(payload: Dict[str, Any],
                 "incumbent_history": history,
             }
         outcome = {
-            "key": payload["key"],
+            "key": key,
             "ok": True,
             "method": result.method,
             "status": result.status,
@@ -245,27 +277,60 @@ def solve_payload(payload: Dict[str, Any],
             outcome["interrupted"] = result.interrupted
         return outcome
     except Exception as exc:  # noqa: BLE001 - worker must report, not crash
-        if span is not None:
-            span.finish(error=format_error(exc))
-        outcome = {
-            "key": payload["key"],
-            "ok": False,
-            "error": format_error(exc),
-        }
-        diagnostics = error_details(exc)
-        if diagnostics:
-            outcome["details"] = diagnostics
-        return outcome
+        return error_outcome(key, exc, span)
 
 
-def outcome_cacheable(outcome: Dict[str, Any]) -> bool:
-    """True when a worker outcome may feed the shared result cache.
+def error_outcome(key: str, exc: BaseException, span: Any = None
+                  ) -> Dict[str, Any]:
+    """The error envelope of a task whose solve raised ``exc``."""
+    if span is not None:
+        span.finish(error=format_error(exc))
+    outcome = {"key": key, "ok": False, "status": "error",
+               "error": format_error(exc)}
+    diagnostics = error_details(exc)
+    if diagnostics:
+        outcome["details"] = diagnostics
+    return outcome
+
+
+def cache_outcome(cache: Optional[ResultCache], key: str,
+                  outcome: Dict[str, Any]) -> None:
+    """Write an uninterrupted successful outcome's cache entry.
 
     Interrupted (deadline/cancelled) results are partial answers for *this*
     request's budget; caching them would serve a possibly sub-optimal
-    objective to future budget-free requests under the same key.
+    objective to future budget-free requests under the same key.  A store
+    that keeps failing (disk full, I/O errors past the retry budget) leaves
+    the result uncached: the solve result still ships.
     """
-    return bool(outcome.get("ok")) and not outcome.get("interrupted")
+    if cache is None or not outcome.get("ok") or outcome.get("interrupted"):
+        return
+    try:
+        cache.put(key, make_cache_entry(
+            outcome["method"], outcome["objective"], outcome["elapsed_s"],
+            outcome["placement"], outcome["details"],
+            status=outcome.get("status")))
+    except OSError:
+        pass
+
+
+def outcome_from_entry(key: str, entry: Dict[str, Any],
+                       source: Optional[str]) -> Dict[str, Any]:
+    """A cache entry read back as a task outcome (``cached: True``)."""
+    outcome = {
+        "key": key,
+        "ok": True,
+        "method": entry.get("method"),
+        "objective": entry.get("objective"),
+        "elapsed_s": entry.get("elapsed_s", 0.0),
+        "placement": dict(entry.get("placement") or {}),
+        "details": dict(entry.get("details") or {}),
+        "cached": True,
+        "cache_source": source or "cache",
+    }
+    if entry.get("status"):
+        outcome["status"] = entry["status"]
+    return outcome
 
 
 def solve_payload_chunk(chunk: List[Dict[str, Any]]) -> List[Dict[str, Any]]:

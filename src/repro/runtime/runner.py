@@ -18,9 +18,17 @@ instances across ``concurrent.futures.ProcessPoolExecutor`` workers:
   a warm repeat of a sweep returns identical objectives without re-solving,
   and duplicate instances inside one batch are solved only once.
 
-``workers=0`` (the default) solves in-process — no pickling, full
-:class:`~repro.core.solver.SolverResult` objects preserved — which is what
-the experiment drivers use unless ``REPRO_BATCH_WORKERS`` says otherwise.
+``workers=0`` (the default) solves in-process — no pickling and no JSON
+round trip: the loop hands each decoded instance and its resolved spec to
+:func:`~repro.runtime.payload.solve_task`, the function every pool child and
+spool worker ends in — which is what the experiment drivers use unless
+``REPRO_BATCH_WORKERS`` says otherwise.
+
+Whichever path ran it, a task comes back as one outcome dict (a solve, a
+cache entry read back, or a solve error with its diagnostics), and
+:func:`batch_item` turns it into a :class:`BatchItemResult`;
+:class:`~repro.distributed.service.SolveService` builds its items and its
+report with the same :func:`batch_item` and :meth:`BatchReport.tally`.
 """
 
 from __future__ import annotations
@@ -36,19 +44,16 @@ from repro.core.dwg import SSBWeighting
 from repro.model.problem import AssignmentProblem
 from repro.observability.metrics import default_metrics
 from repro.observability.tracing import Tracer
-from repro.runtime.cache import (
-    ResultCache,
-    cache_entry_from_result,
-    cache_get_with_source,
-    json_safe_details,
-    make_cache_entry,
-)
+from repro.runtime.cache import ResultCache, cache_get_with_source
 from repro.runtime.payload import (
     PreparedTask,
+    cache_outcome,
     derive_seed,
-    format_error as _format_error,
+    error_outcome,
+    outcome_from_entry,
     prepare_tasks,
     solve_payload_chunk as _solve_payload_chunk,
+    solve_task,
     task_payload,
 )
 from repro.runtime.registry import SolverRegistry, default_registry
@@ -92,7 +97,6 @@ class BatchItemResult:
     placement: Optional[Dict[str, str]] = None
     details: Dict[str, Any] = field(default_factory=dict)
     assignment: Optional[Any] = None        #: reconstructed Assignment
-    solver_result: Optional[Any] = None     #: full SolverResult (in-process only)
     status: Optional[str] = None            #: optimal/feasible/timeout/cancelled
     incumbent_history: List[Any] = field(default_factory=list)
 
@@ -126,6 +130,24 @@ class BatchReport:
     cache_disk_hits: int = 0
     cache_batch_hits: int = 0
 
+    @classmethod
+    def tally(cls, items: List[BatchItemResult], wall_s: float,
+              workers: int) -> "BatchReport":
+        """Count a finished batch's items into a report."""
+        by_source = {"memory": 0, "disk": 0, "batch": 0}
+        for item in items:
+            if item.cached:
+                source = item.cache_source or "memory"
+                by_source[source] = by_source.get(source, 0) + 1
+        return cls(results=items, wall_s=wall_s, workers=workers,
+                   cache_hits=sum(1 for item in items if item.cached),
+                   solved=sum(1 for item in items
+                              if item.ok and not item.cached),
+                   failed=sum(1 for item in items if not item.ok),
+                   cache_memory_hits=by_source["memory"],
+                   cache_disk_hits=by_source["disk"],
+                   cache_batch_hits=by_source["batch"])
+
     def __iter__(self):
         return iter(self.results)
 
@@ -155,6 +177,43 @@ class BatchReport:
                 f"{cached}, {self.failed} failed")
 
 
+def batch_item(index: int, prep: PreparedTask, outcome: Mapping[str, Any],
+               cache_source: Optional[str] = None) -> BatchItemResult:
+    """One task's result, built from its outcome dict.
+
+    ``outcome`` is what :func:`~repro.runtime.payload.solve_task` returned,
+    a cache entry read back by
+    :func:`~repro.runtime.payload.outcome_from_entry`, or a spool outcome;
+    ``cache_source`` marks an in-batch duplicate (``"batch"``) served by
+    its leader's outcome.
+    """
+    item = BatchItemResult(
+        index=index, tag=prep.task.tag, method=prep.spec.name, key=prep.key,
+        seed=prep.seed, status=outcome.get("status"),
+        details=dict(outcome.get("details") or {}),
+        incumbent_history=list(outcome.get("incumbent_history") or ()))
+    if not outcome.get("ok", False):
+        item.error = outcome.get("error", "unknown error")
+        if outcome.get("error_kind"):
+            # poison / quarantined / max_requeues / result_corrupted — kept
+            # in details so report consumers can triage by class
+            item.details["error_kind"] = outcome["error_kind"]
+        return item
+    if cache_source is None and outcome.get("cached"):
+        cache_source = outcome.get("cache_source") or "cache"
+    item.cached = cache_source is not None
+    item.cache_source = cache_source
+    item.objective = outcome.get("objective")
+    item.elapsed_s = outcome.get("elapsed_s", 0.0)
+    item.placement = dict(outcome.get("placement") or {})
+    if item.placement:
+        from repro.core.assignment import Assignment
+
+        item.assignment = Assignment(problem=prep.task.problem,
+                                     placement=item.placement)
+    return item
+
+
 # -------------------------------------------------------------------- runner
 class BatchRunner:
     """Fan assignment problems across processes, with caching and seeding.
@@ -171,20 +230,27 @@ class BatchRunner:
         rounds per worker.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; consulted before
-        dispatch, fed after every successful solve.
+        dispatch, written once per unique uninterrupted solve.  A write
+        that fails with ``OSError`` leaves the result uncached; the batch
+        still returns it.
     registry:
         Solver registry (default: the process-wide default registry).
     base_seed:
         When set, every stochastic task without an explicit seed receives a
         seed derived from ``(base_seed, problem hash, method, options)``.
     validate:
-        Forwarded to :func:`repro.core.solver.solve`.
+        Validate each instance before its solve.
     tracer:
         Optional :class:`~repro.observability.tracing.Tracer`.  When set
-        (and enabled), every dispatched task gets a root span whose context
-        rides inside the payload, so pool children continue the submitter's
-        trace; serial solves attach the span to their cooperative context
-        directly.
+        (and enabled), every dispatched task gets a ``task`` root span with
+        a ``solve`` child and the spec's ``method:*`` under that: pool
+        children resume the root from the payload's trace context, and the
+        in-process loop opens the child itself.
+
+    A task that raises comes back as an item with ``error``,
+    ``status="error"`` and the exception's diagnostics in ``details``
+    (e.g. a ``FrontierExplosion``'s frontier counters), as it does through
+    the spool.
     """
 
     def __init__(self,
@@ -209,10 +275,10 @@ class BatchRunner:
         self.validate = validate
         self.tracer = tracer
 
-    def _root_span(self, prep: PreparedTask, name: str = "task"):
+    def _root_span(self, prep: PreparedTask):
         if self.tracer is None or not self.tracer.enabled:
             return None
-        return self.tracer.root(name, problem_hash=prep.key,
+        return self.tracer.root("task", problem_hash=prep.key,
                                 method=prep.spec.name, tag=prep.task.tag)
 
     # ------------------------------------------------------------- frontend
@@ -244,131 +310,85 @@ class BatchRunner:
                       for task in tasks]
 
         prepared = prepare_tasks(normalized, self.registry, self.base_seed)
-        items = [BatchItemResult(index=index, tag=prep.task.tag,
-                                 method=prep.spec.name, key=prep.key,
-                                 seed=prep.seed)
-                 for index, prep in enumerate(prepared)]
 
-        # ------------------------------------------------------- cache probe
-        pending: List[int] = []
+        # Probe the cache, then solve each remaining key once: an identical
+        # task later in the batch is served by its leader's outcome (cache
+        # source "batch"), and the cache is written once per unique solve.
+        items: List[Optional[BatchItemResult]] = [None] * len(prepared)
+        leaders: Dict[str, int] = {}
         for index, prep in enumerate(prepared):
             entry = source = None
             if self.cache is not None and prep.cacheable:
                 entry, source = cache_get_with_source(self.cache, prep.key)
             if entry is not None:
-                self._apply_entry(items[index], prep, entry, cached=True)
-                items[index].cache_source = source
+                items[index] = batch_item(
+                    index, prep, outcome_from_entry(prep.key, entry, source))
             else:
-                pending.append(index)
+                leaders.setdefault(prep.key, index)
+        outcomes = self._solve([prepared[index] for index in leaders.values()])
+        for key, index in leaders.items():
+            if prepared[index].cacheable:
+                cache_outcome(self.cache, key, outcomes[key])
+        for index, prep in enumerate(prepared):
+            if items[index] is None:
+                items[index] = batch_item(
+                    index, prep, outcomes[prep.key],
+                    cache_source=None if leaders[prep.key] == index
+                    else "batch")
 
-        # Deduplicate identical keys inside the batch: solve once, fan out.
-        # The fan-out copies count as cache hits (source "batch"): once the
-        # first occurrence warms the cache, its duplicates are served from it.
-        by_key: Dict[str, List[int]] = {}
-        for index in pending:
-            by_key.setdefault(prepared[index].key, []).append(index)
-        unique_indices = [indices[0] for indices in by_key.values()]
-
-        if unique_indices:
-            if self.workers == 0:
-                outcomes = self._run_serial(unique_indices, prepared)
-            else:
-                outcomes = self._run_parallel(unique_indices, prepared)
-            for key, outcome in outcomes.items():
-                for position, index in enumerate(by_key[key]):
-                    self._apply_outcome(items[index], prepared[index], outcome)
-                    if position > 0 and items[index].ok:
-                        items[index].cached = True
-                        items[index].cache_source = "batch"
-
-        solved = sum(1 for item in items if item.ok and not item.cached)
-        failed = sum(1 for item in items if not item.ok)
-        by_source = {"memory": 0, "disk": 0, "batch": 0}
-        for item in items:
-            if item.cached:
-                by_source[item.cache_source or "memory"] = \
-                    by_source.get(item.cache_source or "memory", 0) + 1
+        report = BatchReport.tally(items, time.perf_counter() - started,
+                                   self.workers)
         metrics = default_metrics()
         tasks_total = metrics.counter(
             "repro_batch_tasks_total",
             "Batch tasks by final status (solved/cached/failed)")
-        tasks_total.inc(solved, status="solved")
-        tasks_total.inc(sum(1 for item in items if item.cached),
-                        status="cached")
-        tasks_total.inc(failed, status="failed")
+        tasks_total.inc(report.solved, status="solved")
+        tasks_total.inc(report.cache_hits, status="cached")
+        tasks_total.inc(report.failed, status="failed")
         metrics.histogram(
             "repro_batch_wall_seconds",
             "Wall-clock seconds per BatchRunner.run call").observe(
-            time.perf_counter() - started)
-        return BatchReport(results=items,
-                           wall_s=time.perf_counter() - started,
-                           workers=self.workers,
-                           cache_hits=sum(1 for item in items if item.cached),
-                           solved=solved,
-                           failed=failed,
-                           cache_memory_hits=by_source["memory"],
-                           cache_disk_hits=by_source["disk"],
-                           cache_batch_hits=by_source["batch"])
+            report.wall_s)
+        return report
 
     # ------------------------------------------------------------- backends
-    def _run_serial(self, indices: List[int],
-                    prepared: List[PreparedTask]) -> Dict[str, Any]:
-        from repro.core.context import SolveContext
+    def _solve(self, leaders: List[PreparedTask]) -> Dict[str, Dict[str, Any]]:
+        """Solve each task once: in this process or over the pool.
 
-        outcomes: Dict[str, Any] = {}
-        for index in indices:
-            prep = prepared[index]
-            task: BatchTask = prep.task
-            context = (SolveContext(deadline_s=prep.deadline_s)
-                       if prep.deadline_s is not None else None)
-            span = self._root_span(prep, name="solve")
-            if span is not None:
-                if context is None:
-                    context = SolveContext()
-                context.span = span
-            try:
-                if self.validate:
-                    task.problem.validate()
-                result = prep.spec.solve(task.problem, weighting=task.weighting,
-                                         context=context, **prep.options)
-                outcomes[prep.key] = result
-                if span is not None:
-                    span.finish(status=getattr(result, "status", None),
-                                objective=getattr(result, "objective", None))
-            except Exception as exc:  # noqa: BLE001 - batch keeps going
-                if span is not None:
-                    span.finish(error=_format_error(exc))
-                outcomes[prep.key] = {"ok": False, "error": _format_error(exc)}
-        return outcomes
-
-    def _run_parallel(self, indices: List[int],
-                      prepared: List[PreparedTask]) -> Dict[str, Any]:
-        """Fan out over a ``ProcessPoolExecutor``.
-
-        Each task carries its budget *inside* the payload; the worker builds
-        a cooperative context from it, so the pool is never killed.
+        Both paths open the task's root span here; the in-process loop
+        nests its ``solve`` span under it directly, and a pool child
+        resumes it from the payload's trace context.
         """
-        payloads: List[Dict[str, Any]] = []
-        spans: Dict[str, Any] = {}
-        for index in indices:
-            prep = prepared[index]
-            trace = None
-            span = self._root_span(prep)
-            if span is not None:
-                spans[prep.key] = span
-                trace = span.context()
-            payloads.append(task_payload(prep, validate=self.validate,
-                                         trace=trace))
-
-        outcomes = self._collect_executor(self._chunked(payloads))
+        if not leaders:
+            return {}
+        spans = {prep.key: self._root_span(prep) for prep in leaders}
+        if self.workers == 0:
+            outcomes = {}
+            for prep in leaders:
+                root = spans[prep.key]
+                span = None if root is None else self.tracer.resume(
+                    root.context(), "solve", task_id=prep.key,
+                    method=prep.spec.name)
+                outcomes[prep.key] = solve_task(
+                    prep.task.problem, prep.spec, prep.key,
+                    options=prep.options, weighting=prep.task.weighting,
+                    validate=self.validate, deadline_s=prep.deadline_s,
+                    span=span)
+        else:
+            # each task carries its budget *inside* the payload; the child
+            # builds a cooperative context from it, so the pool is never
+            # killed
+            outcomes = self._collect_executor(self._chunked([
+                task_payload(prep, validate=self.validate,
+                             trace=None if spans[prep.key] is None
+                             else spans[prep.key].context())
+                for prep in leaders]))
         for key, span in spans.items():
-            outcome = outcomes.get(key)
-            if isinstance(outcome, Mapping):
+            if span is not None:
+                outcome = outcomes[key]
                 span.finish(status=outcome.get("status"),
                             ok=outcome.get("ok"),
                             objective=outcome.get("objective"))
-            else:
-                span.finish()
         return outcomes
 
     def _chunked(self, payloads: List[Dict[str, Any]]
@@ -392,64 +412,9 @@ class BatchRunner:
                         outcomes[outcome["key"]] = outcome
                 except Exception as exc:  # noqa: BLE001 - e.g. broken pool
                     for payload in chunk:
-                        outcomes.setdefault(payload["key"], {
-                            "ok": False,
-                            "error": _format_error(exc),
-                        })
+                        outcomes.setdefault(payload["key"],
+                                            error_outcome(payload["key"], exc))
         return outcomes
-
-    # ------------------------------------------------------------ result fan
-    def _apply_entry(self, item: BatchItemResult, prep: PreparedTask,
-                     entry: Mapping[str, Any], cached: bool) -> None:
-        from repro.core.assignment import Assignment
-
-        task: BatchTask = prep.task
-        item.cached = cached
-        item.objective = entry.get("objective")
-        item.elapsed_s = entry.get("elapsed_s", 0.0)
-        item.placement = dict(entry.get("placement") or {})
-        item.details = dict(entry.get("details") or {})
-        item.status = entry.get("status") or item.status
-        item.incumbent_history = list(entry.get("incumbent_history") or ())
-        if item.placement:
-            item.assignment = Assignment(problem=task.problem,
-                                         placement=item.placement)
-
-    def _apply_outcome(self, item: BatchItemResult, prep: PreparedTask,
-                       outcome: Any) -> None:
-        from repro.runtime.payload import outcome_cacheable
-
-        # outcome is either a SolverResult (serial path) or a worker dict
-        if isinstance(outcome, dict):
-            if not outcome.get("ok", False):
-                item.error = outcome.get("error", "unknown error")
-                item.status = outcome.get("status") or item.status
-                return
-            self._apply_entry(item, prep, outcome, cached=False)
-            if (self.cache is not None and prep.cacheable
-                    and outcome_cacheable(outcome)):
-                self.cache.put(prep.key, make_cache_entry(
-                    item.method, item.objective, item.elapsed_s,
-                    item.placement, item.details, status=item.status))
-            return
-        result = outcome
-        item.objective = result.objective
-        item.elapsed_s = result.elapsed_s
-        item.status = result.status
-        item.incumbent_history = [[round(t, 6), obj, src]
-                                  for t, obj, src in result.incumbent_history]
-        if result.assignment is None:
-            # the context fired before any incumbent existed
-            item.error = (f"{result.status}: the context fired before any "
-                          f"feasible incumbent existed")
-            return
-        item.placement = dict(result.assignment.placement)
-        item.details = json_safe_details(result.details)
-        item.assignment = result.assignment
-        item.solver_result = result
-        if (self.cache is not None and prep.cacheable
-                and result.interrupted is None):
-            self.cache.put(prep.key, cache_entry_from_result(result))
 
 
 # ------------------------------------------------------------------ helpers

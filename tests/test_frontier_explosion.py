@@ -13,7 +13,8 @@ import pytest
 
 from repro.baselines.pareto_dp import FrontierExplosion
 from repro.distributed import ResultStream, SolveWorker, WorkQueue
-from repro.runtime import BatchTask, default_registry, prepare_tasks, task_payload
+from repro.runtime import (BatchRunner, BatchTask, default_registry,
+                           prepare_tasks, task_payload)
 from repro.runtime.payload import solve_payload
 from repro.runtime.registry import PARETO_DP_PRUNED_MAX_FRONTIER
 from repro.workloads import random_problem
@@ -129,6 +130,19 @@ class TestExplosionDiagnostics:
         assert details["frontier_size"] > 2
         assert details["labels_created"] >= details["peak_frontier"] > 0
         assert all(isinstance(v, int) for v in details.values())
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_batch_runner_item_keeps_the_work_counters(self, blowup_problem,
+                                                      workers):
+        task = BatchTask(problem=blowup_problem, method="pareto-dp-pruned",
+                         options={"max_frontier": 2})
+        (item,) = BatchRunner(workers=workers).run([task])
+        assert not item.ok and "FrontierExplosion" in item.error
+        assert item.status == "error"
+        assert {"frontier_size", "labels_created", "max_frontier",
+                "peak_frontier"} <= set(item.details)
+        assert item.details["max_frontier"] == 2
+        assert item.details["labels_created"] >= item.details["peak_frontier"] > 0
 
     def test_exception_exposes_error_details(self, blowup_problem):
         from repro.core.solver import solve

@@ -12,8 +12,8 @@ from repro.runtime import (
     JSONFileCache,
     LRUResultCache,
     TieredResultCache,
-    cache_entry_from_result,
     cache_get_with_source,
+    make_cache_entry,
     problem_fingerprint,
     result_key,
     shard_of,
@@ -211,7 +211,9 @@ class TestEntryEquivalence:
         from repro.core.assignment import Assignment
 
         fresh = solve(paper_problem, method="colored-ssb")
-        entry = cache_entry_from_result(fresh)
+        entry = make_cache_entry(fresh.method, fresh.objective,
+                                 fresh.elapsed_s, fresh.assignment.placement,
+                                 fresh.details, status=fresh.status)
         # the entry must be JSON-serialisable as-is
         restored = json.loads(json.dumps(entry))
         rebuilt = Assignment(problem=paper_problem,

@@ -38,7 +38,6 @@ class TestSerialRunner:
         for item in report:
             assert item.assignment is not None and item.assignment.is_feasible()
             assert item.details["iterations"] >= 1
-            assert item.solver_result is not None
 
     def test_alias_methods_resolve(self):
         report = BatchRunner(workers=0).solve_many(PROBLEMS[:2], method="bokhari-sb")
@@ -284,6 +283,26 @@ class TestCaching:
         assert report.cache_hits == 0
         assert all(not item.cached for item in report)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_cache_write_per_unique_solve(self, tmp_path, cache_puts,
+                                              workers):
+        p, q = PROBLEMS[:2]
+        runner = BatchRunner(workers=workers,
+                             cache=JSONFileCache(str(tmp_path)))
+        report = runner.run([p, p, p, q])
+        assert report.solved == 2 and report.cache_batch_hits == 2
+        assert len(cache_puts) == 2 and len(set(cache_puts)) == 2
+
+    def test_failed_cache_write_does_not_lose_the_batch(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        runner = BatchRunner(workers=0,
+                             cache=JSONFileCache(str(blocker / "cache")))
+        report = runner.run([PROBLEMS[0]])
+        (item,) = report
+        assert item.ok and item.objective is not None
+        assert report.solved == 1 and report.failed == 0
+
     def test_disk_cache_survives_runner_restarts(self, tmp_path):
         disk_a = TieredResultCache(disk=JSONFileCache(str(tmp_path)))
         cold = BatchRunner(workers=0, cache=disk_a).solve_many(PROBLEMS[:3])
@@ -307,3 +326,88 @@ class TestReport:
         text = report.summary()
         assert "2 tasks" in text and "2 solved" in text
         assert len(report) == 2
+
+
+class TestOneBatchOutcome:
+    """The serial loop, the pool and the spool service build every task's
+    result from one outcome dict, so one grid reads the same through all
+    three: a solve and its in-batch duplicate, a FrontierExplosion, a solve
+    error, and a cache hit on a second run."""
+
+    FIELDS = ("objective", "placement", "details", "status", "error",
+              "cached", "cache_source")
+
+    @staticmethod
+    def _grid():
+        blowup = random_problem(n_processing=10, n_satellites=3, seed=4,
+                                sensor_scatter=0.5)
+        solved = BatchTask(problem=PROBLEMS[0], method="portfolio")
+        return [solved, solved,
+                BatchTask(problem=blowup, method="pareto-dp-pruned",
+                          options={"max_frontier": 2}),
+                BatchTask(problem=PROBLEMS[1], method="genetic",
+                          options={"generations": 0})]
+
+    def _runner(self, tmp_path, workers):
+        runner = BatchRunner(workers=workers, cache=JSONFileCache(
+            str(tmp_path / f"cache-{workers}")))
+        grid = self._grid()
+        return runner.run(grid).results + runner.run(grid[:1]).results
+
+    def _service(self, tmp_path):
+        from repro.distributed import SolveService, SolveWorker
+        from repro.distributed.worker import spool_cache
+
+        spool = str(tmp_path / "spool")
+        service = SolveService(spool)
+        grid = self._grid()
+        first = service.submit(grid)
+        service.enqueue(first)
+        SolveWorker(spool, cache=spool_cache(spool)).run(drain=True)
+        items = service.gather(first, timeout=30.0).results
+        return items + service.gather(service.submit(grid[:1]),
+                                      timeout=30.0).results
+
+    def _view(self, items):
+        return [{name: getattr(item, name) for name in self.FIELDS}
+                for item in items]
+
+    def test_front_ends_build_equal_items(self, tmp_path):
+        serial = self._view(self._runner(tmp_path, 0))
+        assert self._view(self._runner(tmp_path, 1)) == serial
+        assert self._view(self._service(tmp_path)) == serial
+
+        solved, duplicate, explosion, genetic, hit = serial
+        assert solved["status"] == "optimal" and not solved["cached"]
+        assert duplicate["cache_source"] == "batch"
+        assert hit["cached"] and hit["cache_source"] == "disk"
+        for item in (duplicate, hit):
+            assert item["objective"] == solved["objective"]
+            assert item["details"] == solved["details"]
+        assert explosion["status"] == "error"
+        assert explosion["details"]["max_frontier"] == 2
+        assert genetic["status"] == "error"
+        assert "generations" in genetic["error"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_traced_task_nests_solve_then_method(self, tmp_path, workers):
+        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.tracing import Tracer, load_spans
+
+        tracer = Tracer.for_spool(str(tmp_path), registry=MetricsRegistry())
+        BatchRunner(workers=workers, tracer=tracer).run([PROBLEMS[0]])
+        spans = {s["name"]: s for s in load_spans(str(tmp_path))}
+        assert spans["task"].get("parent_id") is None
+        assert spans["solve"]["parent_id"] == spans["task"]["span_id"]
+        assert (spans["method:colored-ssb"]["parent_id"]
+                == spans["solve"]["span_id"])
+
+    def test_solve_payload_error_envelope_reads_error(self):
+        from repro.runtime import default_registry, prepare_tasks, task_payload
+        from repro.runtime.payload import solve_payload
+
+        task = BatchTask(problem=PROBLEMS[0], method="genetic",
+                         options={"generations": 0})
+        payload = task_payload(prepare_tasks([task], default_registry())[0])
+        outcome = solve_payload(payload)
+        assert outcome["ok"] is False and outcome["status"] == "error"
